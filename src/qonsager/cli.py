@@ -31,11 +31,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+class UsageError(Exception):
+    """An option value the command cannot run with; reported with exit 64."""
+
+
+def _rational(args, name: str) -> Fraction:
+    """The value of option --name as a nonzero Fraction; --q also avoids 1, -1."""
+    text = getattr(args, name)
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--{name} must be a rational number, got {text!r}") from None
+    forbidden = (0, 1, -1) if name == "q" else (0,)
+    if value in forbidden:
+        raise UsageError(
+            f"--{name} must avoid {', '.join(map(str, forbidden))}, got {text!r}"
+        )
+    return value
+
+
+def _at_least(value: int, flag: str, low: int) -> None:
+    """Reject a count below low: the command would check nothing or not run."""
+    if value < low:
+        raise UsageError(f"{flag} must be at least {low}, got {value}")
+
+
 def _mode_from(args) -> object:
     if getattr(args, "mode", "symbolic") == "numeric":
         if not getattr(args, "q", None):
-            raise SystemExit(EX_USAGE)
-        return NumericQ(Fraction(args.q))
+            raise UsageError("--mode numeric needs --q")
+        return NumericQ(_rational(args, "q"))
     return SYMBOLIC
 
 
@@ -76,6 +101,7 @@ def _finish(report: Report, args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify_identities(args) -> int:
+    _at_least(args.max_index, "--max-index", 0)
     mode = _mode_from(args)
     records = identities.run_identity_suite(max_index=args.max_index, mode=mode)
     report = Report(
@@ -101,6 +127,7 @@ def _cmd_onsager_lusztig(args) -> int:
 
 
 def _cmd_onsager_higher_dg(args) -> int:
+    _at_least(args.r, "--r", 1)
     mode = _mode_from(args)
     ctx = onsager.onsager_context(mode)
     methods = ["rewrite", "certified"] if args.method == "both" else [args.method]
@@ -125,10 +152,11 @@ def _cmd_onsager_homcheck(args) -> int:
         pairs = [(args.w1 or "", args.w2 or "")]
     else:
         pairs = [("A", "B"), ("B", "A"), ("B", "B")]
-    records = [
-        onsager.homomorphism_spotcheck(ctx, ctx.alphabet.word(w1), ctx.alphabet.word(w2))
-        for w1, w2 in pairs
-    ]
+    try:
+        words = [(ctx.alphabet.word(w1), ctx.alphabet.word(w2)) for w1, w2 in pairs]
+    except ParseError as e:
+        raise UsageError(f"--w1/--w2: {e}") from None
+    records = [onsager.homomorphism_spotcheck(ctx, u, v) for u, v in words]
     report = Report(
         "onsager-homcheck",
         records,
@@ -159,7 +187,8 @@ def _cmd_current_verify(args) -> int:
 
 
 def _cmd_repn_ssum(args) -> int:
-    sd = repn.spectral_data(args.d, Fraction(args.a), Fraction(args.q))
+    _at_least(args.d, "--d", 1)
+    sd = repn.spectral_data(args.d, _rational(args, "a"), _rational(args, "q"))
     records = []
     for i in range(args.d + 1):
         for j in range(args.d + 1):
@@ -187,7 +216,9 @@ def _cmd_repn_ssum(args) -> int:
 
 
 def _cmd_repn_conjugation(args) -> int:
-    sd = repn.spectral_data(args.d, Fraction(args.a), Fraction(args.q))
+    _at_least(args.d, "--d", 1)
+    _at_least(args.trials, "--trials", 1)
+    sd = repn.spectral_data(args.d, _rational(args, "a"), _rational(args, "q"))
     records = [repn.verify_conjugation(sd, args.trials, args.seed)]
     report = Report(
         "repn-conjugation",
@@ -204,7 +235,9 @@ def _cmd_repn_conjugation(args) -> int:
 
 
 def _cmd_repn_higher_dg(args) -> int:
-    sd = repn.spectral_data(args.d, Fraction(args.a), Fraction(args.q))
+    _at_least(args.r, "--r", 1)
+    _at_least(args.d, "--d", 1)
+    sd = repn.spectral_data(args.d, _rational(args, "a"), _rational(args, "q"))
     records = [repn.higher_dg_matrix(r, sd, args.seed) for r in range(1, args.r + 1)]
     report = Report(
         "repn-higher-dg",
@@ -215,7 +248,7 @@ def _cmd_repn_higher_dg(args) -> int:
 
 
 def _cmd_repn_d1(args) -> int:
-    tp = repn.td_pair_d1(Fraction(args.a), Fraction(args.b), Fraction(args.q))
+    tp = repn.td_pair_d1(_rational(args, "a"), _rational(args, "b"), _rational(args, "q"))
     records = [
         CheckRecord(name="d1-pair", params=(args.a, args.b, args.q), status=PASS,
                     anchor="d1-pair", detail="all invariants validated"),
@@ -251,7 +284,9 @@ def _cmd_repn_twist(args) -> int:
     if args.file:
         tp = repn.import_td_pair(args.file)
     else:
-        tp = repn.td_pair_d1(Fraction(args.a), Fraction(args.b), Fraction(args.q))
+        tp = repn.td_pair_d1(
+            _rational(args, "a"), _rational(args, "b"), _rational(args, "q")
+        )
     sd = repn.spectral_data(tp.d, tp.a, tp.q0, A=tp.A)
     twisted = repn.twist_module(tp, sd, _direction_from(args))
     back = repn.twist_module(
@@ -388,6 +423,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
+    except UsageError as e:
+        parser.error(str(e))
     except (OSError, ParseError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EX_IOERR

@@ -12,8 +12,15 @@ in the field:
 Internally a Laurent polynomial is a primitive integer coefficient vector
 with positive leading entry times one rational scale; products of primitive
 vectors stay primitive (Gauss), so multiplication is a single integer
-convolution.  Polynomial gcds use a primitive pseudo-remainder sequence,
-which keeps coefficient growth tame at the degrees this engine reaches.
+convolution.  The integer kernels run on Python's big integers by Kronecker
+substitution: a vector whose entries fit a balanced 16-, 32- or 64-bit digit
+is packed into one int, its value at xi = 2^w.  A product is then one big-int
+multiply, and a gcd is the heuristic gcd (GCDHEU, Char, Geddes and Gonnet
+1989): the integer gcd of the two values at xi, read back as balanced
+digits, is the polynomial gcd whenever it divides both inputs within the
+digit bound.  Short products, vectors too large for 64-bit digits and gcds
+the heuristic cannot certify go to a schoolbook convolution and to a
+primitive pseudo-remainder sequence with exact division.
 
 A numeric mode is provided in which q is pinned to a fixed rational q0 with
 q0 not in {0, 1, -1}; scalars are then plain Fractions.  Symbolic values are
@@ -23,6 +30,8 @@ with this module are proofs, not approximations.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd as _gcd
 
@@ -37,12 +46,7 @@ _ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 
 def _int_content(cs) -> int:
-    g = 0
-    for c in cs:
-        g = _gcd(g, c if c >= 0 else -c)
-        if g == 1:
-            return 1
-    return g or 1
+    return _gcd(*cs) or 1
 
 
 def _exact_div_int(num: list[int], den: list[int]) -> list[int]:
@@ -89,7 +93,7 @@ def _primitive_gcd(a, b) -> list[int]:
     return u
 
 
-def _convolve(a, b) -> list[int]:
+def _convolve_loop(a, b) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -97,6 +101,137 @@ def _convolve(a, b) -> list[int]:
                 if y:
                     out[i + j] += x * y
     return out
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution: a coefficient vector as its value at xi = 2^w
+# ---------------------------------------------------------------------------
+#
+# A digit format is an array typecode of width w plus the byte pattern of one
+# digit 2^(w-1).  Vectors go through array's native two's-complement bytes,
+# read in host order, so no Python loop runs per coefficient.  On a
+# big-endian host every vector is packed reversed; products, exact quotients
+# and gcds of vectors with nonzero end entries commute with reversal, and
+# _unpack reverses back, so every kernel returns the same vectors.
+
+def _format(code: str):
+    """(2^(w-1), digit format) for the array typecode of width w."""
+    half = 1 << (8 * array(code).itemsize - 1)
+    return half, (code, array(code, [-half]).tobytes())
+
+
+_HOST = sys.byteorder
+_FORMATS = tuple(_format(code) for code in ("h", "i", "q"))
+
+
+def _norm(cs) -> int:
+    return max(max(cs), -min(cs))
+
+
+def _digits(bound: int):
+    """The narrowest digit format whose balanced range holds |c| <= bound."""
+    for half, digits in _FORMATS:
+        if bound < half:
+            return digits
+    return None
+
+
+def _pack(cs, digits) -> int:
+    """Value at xi of a vector whose entries fit the balanced digit range."""
+    code, pattern = digits
+    mask = int.from_bytes(pattern * len(cs), _HOST)  # sum of 2^(w-1) xi^i
+    return (int.from_bytes(array(code, cs).tobytes(), _HOST) ^ mask) - mask
+
+
+def _unpack(v: int, n: int, digits) -> list[int]:
+    """The n balanced digits of v; OverflowError when v has no such form."""
+    code, pattern = digits
+    mask = int.from_bytes(pattern * n, _HOST)
+    out = array(code)
+    out.frombytes(((v + mask) ^ mask).to_bytes(len(pattern) * n, _HOST))
+    return out.tolist()
+
+
+# Up to this many partial products the loop is faster than packing; the
+# crossover measured between 48 and 72 (CPython 3.11, x86-64).
+_LOOP_MAX_PRODUCTS = 64
+
+
+def _convolve(a, b) -> list[int]:
+    """Product of integer coefficient vectors, neither all zero.
+
+    One big-int multiply when the product is long enough to repay packing
+    and every entry of it fits a digit; the loop otherwise.
+    """
+    if len(a) * len(b) <= _LOOP_MAX_PRODUCTS:
+        return _convolve_loop(a, b)
+    digits = _digits(min(len(a), len(b)) * _norm(a) * _norm(b))
+    if digits is None:
+        return _convolve_loop(a, b)
+    return _unpack(_pack(a, digits) * _pack(b, digits), len(a) + len(b) - 1, digits)
+
+
+def _heuristic_gcd(a, b):
+    """GCDHEU for primitive vectors with nonzero end entries.
+
+    Returns (h, a/h, b/h) with h the gcd, primitive with positive leading
+    entry, or None when no digit width certifies a candidate.  A miss at
+    one width is tried again at the next wider one, since cofactors may
+    need wider digits than the inputs.
+    """
+    bound = max(_norm(a), _norm(b))
+    for half, digits in _FORMATS:
+        if bound < half:
+            split = _gcdheu(a, b, half, digits)
+            if split is not None:
+                return split
+    return None
+
+
+def _gcdheu(a, b, half: int, digits):
+    """One GCDHEU attempt at xi = 2*half, with |a|, |b| < half.
+
+    Then xi >= 2 max(|a|, |b|) + 2, so the primitive part h of the balanced
+    digits of gcd(a(xi), b(xi)) is the gcd as soon as it divides a and b.
+    Exact integer quotients A = a(xi)/h(xi) prove that division once the
+    polynomial a - h*A, whose entries are below |A| |h| min(len) + |a|, has
+    all entries under xi/2: it vanishes at xi, so it is zero.
+    """
+    va, vb = _pack(a, digits), _pack(b, digits)
+    gamma = _gcd(va, vb)
+    h = _unpack(gamma, gamma.bit_length() // (8 * len(digits[1])) + 2, digits)
+    # zero top digits pad the front of h on a big-endian host, the end otherwise
+    lo, hi = 0, len(h)
+    while not h[hi - 1]:
+        hi -= 1
+    while not h[lo]:
+        lo += 1
+    h = h[lo:hi]
+    if len(h) == 1:
+        return [1], list(a), list(b)
+    if len(h) > min(len(a), len(b)):
+        return None
+    c = _int_content(h)
+    # gamma > 0 makes its top digit positive, but on a big-endian host that
+    # digit is h[0] and the leading entry h[-1] may be negative
+    if h[-1] < 0:
+        c = -c
+    h = [x // c for x in h]
+    vh = _pack(h, digits)
+    qa, ra = divmod(va, vh)
+    qb, rb = divmod(vb, vh)
+    if ra or rb:
+        return None
+    try:
+        ca = _unpack(qa, len(a) - len(h) + 1, digits)
+        cb = _unpack(qb, len(b) - len(h) + 1, digits)
+    except OverflowError:
+        return None
+    nh = _norm(h)
+    for x, cx in ((a, ca), (b, cb)):
+        if _norm(cx) * nh * min(len(cx), len(h)) + _norm(x) >= half:
+            return None
+    return h, ca, cb
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +614,14 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laur
     shift = num.offset - den.offset
     na, da = list(num.coeffs), list(den.coeffs)
     if len(na) > 1 and len(da) > 1:
-        g = _primitive_gcd(na, da)
-        if len(g) > 1:
-            na = _exact_div_int(na, g)
-            da = _exact_div_int(da, g)
+        split = _heuristic_gcd(na, da)
+        if split is not None:
+            _, na, da = split
+        else:
+            g = _primitive_gcd(na, da)
+            if len(g) > 1:
+                na = _exact_div_int(na, g)
+                da = _exact_div_int(da, g)
     scale = num.scale / den.scale
     if da == [1]:
         return _make(shift, na, scale), _LP_ONE

@@ -71,6 +71,54 @@ class TestExitCodeContract:
         assert exc.value.code == EX_USAGE
 
 
+class TestUsageErrors:
+    """Bad option values exit 64 with a message, never a traceback or 0/1."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "identities", "--max-index", "1", "--mode", "numeric",
+              "--q", "abc"], "--q must be a rational number, got 'abc'"),
+            (["verify", "identities", "--max-index", "1", "--mode", "numeric",
+              "--q", "1/0"], "--q must be a rational number"),
+            (["repn", "ssum", "--d", "2", "--a", "x", "--q", "2"],
+             "--a must be a rational number, got 'x'"),
+            (["repn", "d1", "--a", "3", "--b", "2/x", "--q", "2"],
+             "--b must be a rational number, got '2/x'"),
+            (["verify", "identities", "--max-index", "1", "--mode", "numeric",
+              "--q", "1"], "--q must avoid 0, 1, -1, got '1'"),
+            (["repn", "conjugation", "--d", "1", "--a", "3", "--q", "-1"],
+             "--q must avoid 0, 1, -1, got '-1'"),
+            (["verify", "identities", "--max-index", "1", "--mode", "numeric"],
+             "--mode numeric needs --q"),
+            (["onsager", "higher-dg", "--r", "0"], "--r must be at least 1, got 0"),
+            (["repn", "higher-dg", "--r", "0", "--d", "2", "--a", "3", "--q", "2"],
+             "--r must be at least 1, got 0"),
+            (["verify", "identities", "--max-index", "-2"],
+             "--max-index must be at least 0, got -2"),
+            (["repn", "ssum", "--d", "2", "--a", "0", "--q", "2"],
+             "--a must avoid 0, got '0'"),
+            (["repn", "ssum", "--d", "0", "--a", "3", "--q", "2"],
+             "--d must be at least 1, got 0"),
+            (["repn", "conjugation", "--d", "2", "--a", "3", "--q", "2", "--trials", "0"],
+             "--trials must be at least 1, got 0"),
+            (["onsager", "homcheck", "--w1", "AC", "--w2", "B"],
+             "--w1/--w2: unknown generator 'C'"),
+        ],
+    )
+    def test_named_error_and_exit_64(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EX_USAGE
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
+    def test_smallest_counts_still_run(self, capsys):
+        assert main(["verify", "identities", "--max-index", "0"]) == 0
+        assert main(["onsager", "higher-dg", "--r", "1", "--method", "certified"]) == 0
+
+
 class TestCommands:
     def test_lusztig_image(self, tmp_path, capsys):
         src = tmp_path / "b.json"

@@ -1,5 +1,7 @@
 """Identity catalogue: spot instances, parameter validation, suite mechanics."""
 
+from fractions import Fraction
+
 import pytest
 
 from qonsager.errors import InvalidParams
@@ -10,7 +12,7 @@ from qonsager.identities import (
     run_identity_suite,
     verify_identity,
 )
-from qonsager.qcoeff import NumericQ
+from qonsager.qcoeff import SYMBOLIC, NumericQ
 
 
 def test_catalogue_has_all_twenty_three_entries():
@@ -110,3 +112,20 @@ class TestSuite:
             "mode": "symbolic",
             "status": "pass",
         }
+
+
+@pytest.fixture(scope="module")
+def symbolic_ctx():
+    return make_context(SYMBOLIC)
+
+
+@pytest.mark.parametrize("q0", [Fraction(5, 3), Fraction(-3, 5), Fraction(7, 2)])
+@pytest.mark.parametrize("op", ["S", "Sp", "bp"])
+def test_symbolic_images_specialize_to_numeric(symbolic_ctx, op, q0):
+    """Every Q(q) coefficient of S, Sp and bp applied to X, evaluated at q0,
+    is the coefficient the Fraction-only numeric context computes."""
+    num = make_context(NumericQ(q0))
+    for i in range(4):
+        sym = getattr(symbolic_ctx, op)(i, symbolic_ctx.X)
+        at_q0 = {w: c.eval_at(q0) for w, c in sym.terms.items()}
+        assert {w: c for w, c in at_q0.items() if c} == getattr(num, op)(i, num.X).terms

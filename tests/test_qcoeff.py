@@ -1,16 +1,28 @@
 """Coefficient field: canonical forms, exact arithmetic, evaluation."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qonsager.errors import DivisionByZero, InvalidQ, PoleAtPoint
 from qonsager.qcoeff import (
+    _FORMATS,
+    _LOOP_MAX_PRODUCTS,
     LaurentPoly,
     NumericQ,
     RationalFunctionQ,
     SYMBOLIC,
+    _convolve,
+    _convolve_loop,
+    _digits,
+    _exact_div_int,
+    _gcdheu,
+    _heuristic_gcd,
+    _norm,
+    _primitive_gcd,
     eval_at,
     laurent_from_json,
     laurent_to_json,
@@ -208,3 +220,209 @@ class TestJson:
         x = (Q(2) + 3) / (Q(1) - Q(-1))
         data = rf_to_json(x)
         assert rf_from_json(data) == x
+
+
+def _expression_trees():
+    """Random field expressions over small Laurent-polynomial leaves."""
+    term = st.tuples(st.integers(min_value=-4, max_value=4), small_rationals)
+    leaf = st.lists(term, min_size=1, max_size=4).map(lambda ts: ("leaf", ts))
+    return st.recursive(
+        leaf,
+        lambda kids: st.tuples(st.sampled_from("+-*/"), kids, kids),
+        max_leaves=6,
+    )
+
+
+def _evaluate(tree, q):
+    """The tree as (RationalFunctionQ, sympy expression); x/0 is read as x."""
+    if tree[0] == "leaf":
+        terms = tree[1]
+        return (
+            RationalFunctionQ.from_laurent(LaurentPoly.from_terms(terms)),
+            sum((c * q**e for e, c in terms), 0),
+        )
+    op, (x, sx), (y, sy) = tree[0], _evaluate(tree[1], q), _evaluate(tree[2], q)
+    if op == "+":
+        return x + y, sx + sy
+    if op == "-":
+        return x - y, sx - sy
+    if op == "*":
+        return x * y, sx * sy
+    if y.is_zero:
+        return x, sx
+    return x / y, sx / sy
+
+
+def test_canonical_form_matches_sympy_cancel():
+    """num/den equal sympy.cancel of the same expression after normalisation.
+
+    sympy shares no code with qcoeff.  Its reduced denominator, stripped of
+    its power of q, made primitive and given a positive leading coefficient,
+    must be the canonical denominator coefficient for coefficient; the
+    numerator must then be the same Laurent polynomial.
+    """
+    sp = pytest.importorskip("sympy")
+    q = sp.Symbol("q")
+
+    def as_sympy(p):
+        return sum((sp.Rational(c.numerator, c.denominator) * q**e
+                    for e, c in p.terms()), sp.Integer(0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_expression_trees())
+    def check(tree):
+        value, expr = _evaluate(tree, q)
+        num, den = sp.fraction(sp.cancel(sp.together(expr)))
+        dpoly = sp.Poly(den, q)
+        low = min(m[0] for m in dpoly.monoms())
+        _, prim = sp.Poly(sp.expand(den / q**low), q).primitive()
+        if prim.LC() < 0:
+            prim = -prim
+        expected = tuple(int(c) for c in reversed(prim.all_coeffs()))
+        assert value.den.offset == 0 and value.den.scale == 1
+        assert value.den.coeffs == expected
+        den_ours = as_sympy(value.den)
+        assert sp.expand(sp.cancel(num * den_ours / den) - as_sympy(value.num)) == 0
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# big-integer kernels against the loop references they replace
+# ---------------------------------------------------------------------------
+
+# entries just below, at and just above the balanced range of each digit
+# width, so the products and gcds below reach every width and the fallback
+EDGES = [
+    e + d
+    for half, _ in _FORMATS
+    for e in (half // 2, half)
+    for d in (-1, 0, 1)
+]
+
+
+def _primitive(cs):
+    g = gcd(*cs)
+    return [c // g for c in cs]
+
+
+def _random_vector(rng, length, size):
+    out = [rng.randint(-size, size) for _ in range(length)]
+    out[0] = out[0] or 1
+    out[-1] = out[-1] or -1
+    return out
+
+
+def _reference_split(a, b):
+    g = _primitive_gcd(a, b)
+    return g, _exact_div_int(a, g), _exact_div_int(b, g)
+
+
+def _alternating(x, n):
+    return [x if i % 2 == 0 else -x for i in range(n)]
+
+
+class TestKroneckerProduct:
+    # 9 x 9 entries pass _LOOP_MAX_PRODUCTS; the middle product entry is
+    # 9 x e, the bound itself, so e = (half - 1) // 9 fills a width exactly
+    FACTORS = EDGES + [
+        f for half, _ in _FORMATS for f in ((half - 1) // 9, (half - 1) // 9 + 1)
+    ]
+    CASES = [
+        (_alternating(e, 9), _alternating(s, 9)) for e in FACTORS for s in (1, -1)
+    ] + [
+        ([-e] + [0] * 7 + [e - 1], [3, -2, 0, 0, 0, 0, 0, 0, 1, 5]) for e in EDGES
+    ]
+
+    @pytest.mark.parametrize("a,b", CASES)
+    def test_matches_loop(self, a, b):
+        assert _convolve(a, b) == _convolve_loop(a, b)
+        assert _convolve(b, a) == _convolve_loop(a, b)
+
+    def test_every_width_and_the_fallback_run(self):
+        assert all(len(a) * len(b) > _LOOP_MAX_PRODUCTS for a, b in self.CASES)
+        reached = {
+            _digits(min(len(a), len(b)) * _norm(a) * _norm(b)) for a, b in self.CASES
+        }
+        assert reached == {digits for _, digits in _FORMATS} | {None}
+
+    def test_digit_width_boundaries(self):
+        widths = [digits for _, digits in _FORMATS] + [None]
+        for k, (half, digits) in enumerate(_FORMATS):
+            assert _digits(half - 1) == digits
+            assert _digits(half) == widths[k + 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=24).filter(any),
+        st.lists(st.integers(-(2**20), 2**20), min_size=1, max_size=24).filter(any),
+    )
+    def test_random_against_loop(self, a, b):
+        assert _convolve(a, b) == _convolve_loop(a, b)
+
+
+class TestHeuristicGcd:
+    def check(self, a, b):
+        """Compare with the remainder sequence; report whether GCDHEU hit."""
+        split = _heuristic_gcd(a, b)
+        if split is not None:
+            assert split == _reference_split(a, b)
+        return split is not None
+
+    @pytest.mark.parametrize("e", EDGES)
+    def test_edges(self, e):
+        h = [e, -1]
+        a = _primitive(_convolve_loop(h, [1, 2, -1]))
+        b = _primitive(_convolve_loop(h, [-1, 3]))
+        hit = self.check(a, b)
+        assert hit == (max(_norm(a), _norm(b)) < _FORMATS[-1][0])
+
+    @pytest.mark.parametrize("e", EDGES)
+    def test_coprime(self, e):
+        a, b = [e, 1], [1, 0, e]
+        assert self.check(a, b) == (e < _FORMATS[-1][0])
+        if e < _FORMATS[-1][0]:
+            assert _heuristic_gcd(a, b)[0] == [1]
+
+    @pytest.mark.parametrize("e", EDGES)
+    def test_one_divides_the_other(self, e):
+        b = [-1, 0, e]
+        a = _primitive(_convolve_loop(b, [3, -2, 1, 7]))
+        assert self.check(a, b) == (max(_norm(a), _norm(b)) < _FORMATS[-1][0])
+        if e < _FORMATS[-1][0] // 8:
+            assert _heuristic_gcd(a, b) == ([-1, 0, e], [3, -2, 1, 7], [1])
+
+    def test_negative_end_entries(self):
+        h = [-5, 2, -3]
+        a = _convolve_loop(h, [1, 4, 2])
+        b = _convolve_loop(h, [7, 1])
+        assert a[0] < 0 and a[-1] < 0 and b[0] < 0 and b[-1] < 0
+        assert self.check(a, b)
+        assert _heuristic_gcd(a, b) == ([5, -2, 3], [-1, -4, -2], [-7, -1])
+
+    def test_integer_division_alone_does_not_certify(self):
+        # at 16-bit digits h(xi) divides a(xi) and b(xi), but h does not
+        # divide a: only the size bound on the cofactors rejects h
+        a = [-3, -3, 28, -19, -7]
+        b = [-3, -7, 11, -1, 80, -34, -39, -34, -40, 11, 5, 7]
+        assert _gcdheu(a, b, *_FORMATS[0]) is None
+        assert self.check(a, b)
+
+    def test_random_cofactors(self):
+        rng = random.Random(2024)
+        for trial in range(300):
+            size = rng.choice([3, 200, 2**14, 2**30, 2**62])
+            h = _random_vector(rng, rng.randint(1, 6), size)
+            a = _primitive(_convolve_loop(h, _random_vector(rng, rng.randint(1, 8), size)))
+            b = _primitive(_convolve_loop(h, _random_vector(rng, rng.randint(1, 8), size)))
+            # every pair whose inputs fit 64-bit digits is certified
+            assert self.check(a, b) == (max(_norm(a), _norm(b)) < _FORMATS[-1][0])
+
+    def test_fallback_keeps_canonical_forms(self):
+        big = 2**80 + 7
+        p = LaurentPoly.from_terms([(0, big), (1, -3), (2, 1)])
+        r = LaurentPoly.from_terms([(0, 5), (3, -big)])
+        s_ = LaurentPoly.from_terms([(-1, 2), (1, 1)])
+        x = RationalFunctionQ(p * r, p * s_)
+        assert x == RationalFunctionQ(r, s_)
+        assert x.den.coeffs == (2, 0, 1)
