@@ -129,3 +129,28 @@ def test_symbolic_images_specialize_to_numeric(symbolic_ctx, op, q0):
         sym = getattr(symbolic_ctx, op)(i, symbolic_ctx.X)
         at_q0 = {w: c.eval_at(q0) for w, c in sym.terms.items()}
         assert {w: c for w, c in at_q0.items() if c} == getattr(num, op)(i, num.X).terms
+
+
+@pytest.fixture(scope="module")
+def symbolic_sides(symbolic_ctx):
+    """Both sides of every instance on the max-index-2 grid, over Q(q)."""
+    return {
+        (name, combo): spec.build(symbolic_ctx, *combo)
+        for name, spec in IDENTITIES.items()
+        for combo in parameter_grid(spec, 2)
+    }
+
+
+@pytest.mark.parametrize("q0", [Fraction(5, 3), Fraction(-3, 5)])
+def test_whole_identities_specialize_to_numeric(symbolic_sides, q0):
+    """Each side of each catalogue instance, built over Q(q) and evaluated
+    coefficient-wise at q0, is the side the numeric context builds at q0."""
+    assert len(symbolic_sides) == 239
+    num = make_context(NumericQ(q0))
+    mismatches = []
+    for (name, combo), sides in symbolic_sides.items():
+        for label, sym, numeric in zip(("lhs", "rhs"), sides, IDENTITIES[name].build(num, *combo)):
+            at_q0 = {w: c.eval_at(q0) for w, c in sym.terms.items()}
+            if {w: c for w, c in at_q0.items() if c} != numeric.terms:
+                mismatches.append((name, combo, label))
+    assert mismatches == []
