@@ -9,20 +9,18 @@ from .qcoeff import (
     RationalFunctionQ,
     SYMBOLIC,
     SymbolicQ,
-    eval_at,
     qint,
 )
 from .freealg import Alphabet, NcPoly, ncpoly_from_json, ncpoly_to_json
 from .adjoint import (
-    AdjointOperator,
     FORWARD,
     INVERSE,
-    StandardnessCertificate,
+    ImageCache,
     apply_ad,
     apply_bad,
     apply_badprod,
     apply_S,
-    certify_product,
+    closed_form_sum,
     truncated_sum,
 )
 from .rewrite import MonomialOrder, RewriteRule, RewriteSystem, make_system

@@ -12,19 +12,19 @@ r sends X to q^r*A*X - q^-r*X*A.  From these primitives the module builds
   product of order n with the twist-n primitive (twist -n for the inverse
   direction) divided by q^2n - q^-2n;
 * truncated sums of the shift maps, which realize the automorphism on
-  elements annihilated by a balanced product.
+  elements annihilated by a balanced product, and the closed form of the
+  sum truncated at order 1.
 
-Everything is applied eagerly and works uniformly for free-algebra
-polynomials and exact matrices; only +, -, * and left scalar action are
-used.  Primitives with distinct twists commute, which is what makes the
-composition order immaterial; the formal operator type below keeps
-compositions as data so that this can be tested directly.
+Everything works uniformly for free-algebra polynomials and exact matrices;
+only +, -, * and left scalar action are used.  Primitives with distinct
+twists commute, so the twist primitive of a shift map may be applied after
+its balanced product.  ImageCache states the balanced product and the shift
+maps once, memoized over a fixed base; the apply_* functions are the same
+maps without the memo.
 """
 
 from __future__ import annotations
 
-from .errors import ContextMismatch
-from .freealg import NcPoly
 from .qcoeff import SYMBOLIC
 
 FORWARD = "forward"
@@ -53,13 +53,84 @@ def apply_bad(n: int, A, X, mode=SYMBOLIC):
     return (mode.one() / (s * t)) * ((s * s) * X + inner)
 
 
+class ImageCache:
+    """Images of the adjoint maps over a fixed base A, memoized.
+
+    Keys are (operation, order, operand), the operation of a shift map
+    being its direction, so an image computed once is reused by every
+    later request, including as a prefix of a longer balanced product.
+    """
+
+    def __init__(self, A, mode=SYMBOLIC):
+        self.A = A
+        self.mode = mode
+        self._cache: dict = {}
+
+    def ad(self, r: int, V):
+        key = ("ad", r, V)
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = apply_ad(r, self.A, V, self.mode)
+        return out
+
+    def bad(self, n: int, V):
+        key = ("bad", n, V)
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = apply_bad(n, self.A, V, self.mode)
+        return out
+
+    def bp(self, n: int, V):
+        """Balanced product of order n: the balanced maps 0 .. n-1 in turn."""
+        if n == 0:
+            return V
+        key = ("bp", n, V)
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = self.bad(n - 1, self.bp(n - 1, V))
+        return out
+
+    def S(self, n: int, V, direction: str = FORWARD):
+        """Shift map of order n; order 0 is the identity."""
+        if n == 0:
+            return V
+        key = (direction, n, V)
+        out = self._cache.get(key)
+        if out is None:
+            _check_direction(direction)
+            out = self._cache[key] = self.outer_shift(n, self.bp(n, V), direction)
+        return out
+
+    def outer_shift(self, n: int, image, direction: str):
+        """The shift map of order n, given the balanced product of order n of
+        its operand: the twist +-n primitive of image, divided by q^2n - q^-2n."""
+        r = n if direction == FORWARD else -n
+        return (self.mode.one() / self.mode.qnum(2 * n)) * self.ad(r, image)
+
+
+class _Discard:
+    """A cache that keeps nothing: lookups miss without hashing the key."""
+
+    def get(self, key):
+        return None
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _Eager(ImageCache):
+    """The same maps with nothing stored, for one-off images."""
+
+    def __init__(self, A, mode=SYMBOLIC):
+        super().__init__(A, mode)
+        self._cache = _Discard()
+
+
 def apply_badprod(n: int, A, X, mode=SYMBOLIC):
     """Apply the balanced maps 0 .. n-1 in turn; n = 0 is the identity."""
     if n < 0:
         raise ValueError("balanced product needs n >= 0")
-    for i in range(n):
-        X = apply_bad(i, A, X, mode)
-    return X
+    return _Eager(A, mode).bp(n, X)
 
 
 def apply_S(n: int, A, X, direction: str = FORWARD, mode=SYMBOLIC):
@@ -67,12 +138,7 @@ def apply_S(n: int, A, X, direction: str = FORWARD, mode=SYMBOLIC):
     _check_direction(direction)
     if n < 0:
         raise ValueError("shift map needs n >= 0")
-    if n == 0:
-        return X
-    r = n if direction == FORWARD else -n
-    return (mode.one() / mode.qnum(2 * n)) * apply_badprod(
-        n, A, apply_ad(r, A, X, mode), mode
-    )
+    return _Eager(A, mode).S(n, X, direction)
 
 
 def truncated_sum(A, X, N: int, direction: str = FORWARD, mode=SYMBOLIC):
@@ -80,170 +146,28 @@ def truncated_sum(A, X, N: int, direction: str = FORWARD, mode=SYMBOLIC):
 
     On an element annihilated by the balanced product of order N + 1 this
     equals the full formal sum, since every higher shift map contains that
-    balanced product as a factor.
+    balanced product as a factor.  One balanced product of X is extended a
+    factor at a time, so the sum costs N balanced maps, not N(N+1)/2.
     """
     _check_direction(direction)
-    out = X
+    maps = _Eager(A, mode)
+    out = image = X
     for n in range(1, N + 1):
-        out = out + apply_S(n, A, X, direction, mode)
+        image = maps.bad(n - 1, image)
+        out = out + maps.outer_shift(n, image, direction)
     return out
 
 
-# ---------------------------------------------------------------------------
-# formal operators: linear combinations of primitive compositions
-# ---------------------------------------------------------------------------
+def closed_form_sum(A, X, direction: str = FORWARD, mode=SYMBOLIC):
+    """truncated_sum(A, X, 1, direction) written out in products with A.
 
-class AdjointOperator:
-    """Formal sum of compositions of twist primitives for a fixed base A.
-
-    ``terms`` is a list of (coefficient, composition) pairs where a
-    composition is a tuple of twist values; the empty tuple is the identity
-    map.  Compositions are data: applying the operator expands them with
-    the eager primitives above, and reordering a composition leaves the
-    applied value unchanged because primitives commute.
+    This is the image of X when the order-2 balanced product kills it.
     """
-
-    __slots__ = ("base", "terms", "mode")
-
-    def __init__(self, base, terms, mode=SYMBOLIC):
-        self.base = base
-        self.terms = [(c, tuple(comp)) for c, comp in terms if c]
-        self.mode = mode
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def identity(base, mode=SYMBOLIC) -> "AdjointOperator":
-        return AdjointOperator(base, [(mode.one(), ())], mode)
-
-    @staticmethod
-    def ad(base, r: int, mode=SYMBOLIC) -> "AdjointOperator":
-        return AdjointOperator(base, [(mode.one(), (r,))], mode)
-
-    @staticmethod
-    def bad(base, n: int, mode=SYMBOLIC) -> "AdjointOperator":
-        if n == 0:
-            return AdjointOperator(base, [(mode.one() / mode.qnum(1), (0,))], mode)
-        s, t = mode.qnum(2 * n), mode.qnum(2 * n + 1)
-        return AdjointOperator(
-            base,
-            [((s * s) / (s * t), ()), (mode.one() / (s * t), (n, -n))],
-            mode,
-        )
-
-    @staticmethod
-    def badprod(base, n: int, mode=SYMBOLIC) -> "AdjointOperator":
-        out = AdjointOperator.identity(base, mode)
-        for i in range(n):
-            out = out.compose(AdjointOperator.bad(base, i, mode))
-        return out
-
-    @staticmethod
-    def shift(base, n: int, direction: str = FORWARD, mode=SYMBOLIC) -> "AdjointOperator":
-        _check_direction(direction)
-        if n == 0:
-            return AdjointOperator.identity(base, mode)
-        r = n if direction == FORWARD else -n
-        op = AdjointOperator.badprod(base, n, mode).compose(
-            AdjointOperator.ad(base, r, mode)
-        )
-        return op.scaled(mode.one() / mode.qnum(2 * n))
-
-    # -- algebra -----------------------------------------------------------
-
-    def _check(self, other: "AdjointOperator"):
-        if self.base != other.base:
-            raise ContextMismatch("operators over different base elements")
-
-    def compose(self, other: "AdjointOperator") -> "AdjointOperator":
-        """self after other (irrelevant up to commutation of primitives)."""
-        self._check(other)
-        out: dict = {}
-        for c1, w1 in self.terms:
-            for c2, w2 in other.terms:
-                w = w1 + w2
-                out[w] = out.get(w, self.mode.zero()) + c1 * c2
-        return AdjointOperator(self.base, list((c, w) for w, c in out.items()), self.mode)
-
-    def __add__(self, other: "AdjointOperator") -> "AdjointOperator":
-        self._check(other)
-        out: dict = {}
-        for c, w in self.terms + other.terms:
-            out[w] = out.get(w, self.mode.zero()) + c
-        return AdjointOperator(self.base, list((c, w) for w, c in out.items()), self.mode)
-
-    def scaled(self, coeff) -> "AdjointOperator":
-        return AdjointOperator(
-            self.base, [(coeff * c, w) for c, w in self.terms], self.mode
-        )
-
-    def apply(self, X):
-        out = None
-        for c, comp in self.terms:
-            val = X
-            for r in reversed(comp):
-                val = apply_ad(r, self.base, val, self.mode)
-            val = c * val
-            out = val if out is None else out + val
-        if out is None:
-            return self.mode.zero() * X
-        return out
-
-    def permuted(self, perm) -> "AdjointOperator":
-        """Reorder each composition; the applied value must not change."""
-        return AdjointOperator(
-            self.base,
-            [(c, tuple(w[i] for i in perm(len(w)))) for c, w in self.terms],
-            self.mode,
-        )
-
-    def __repr__(self):
-        body = " + ".join(f"({c!r})*ad{list(w)}" for c, w in self.terms) or "0"
-        return f"AdjointOperator[{body}]"
-
-
-# ---------------------------------------------------------------------------
-# standardness certificates
-# ---------------------------------------------------------------------------
-
-DIRECT_VANISH = "direct-vanish"
-PRODUCT_RULE = "product-rule"
-GENERATOR_AXIOM = "generator-axiom"
-
-
-class StandardnessCertificate:
-    """Witness that the balanced product of order bound + 1 kills an element.
-
-    Evidence is one of: a recorded direct vanishing check, the product rule
-    (bounds add across factors), or an axiom attached to a presentation
-    generator.
-    """
-
-    __slots__ = ("element", "bound", "evidence", "parents")
-
-    def __init__(self, element: NcPoly, bound: int, evidence: str, parents=()):
-        if bound < 0:
-            raise ValueError("bound must be a natural number")
-        if evidence not in (DIRECT_VANISH, PRODUCT_RULE, GENERATOR_AXIOM):
-            raise ValueError(f"unknown evidence kind {evidence!r}")
-        self.element = element
-        self.bound = bound
-        self.evidence = evidence
-        self.parents = tuple(parents)
-
-    def __repr__(self):
-        return f"Certificate(bound={self.bound}, evidence={self.evidence})"
-
-
-def certify_product(
-    c1: StandardnessCertificate, c2: StandardnessCertificate
-) -> StandardnessCertificate:
-    """Certificate for a product element; the bounds add."""
-    if c1.element.alphabet != c2.element.alphabet:
-        raise ContextMismatch("certificates over different alphabets")
-    return StandardnessCertificate(
-        c1.element * c2.element,
-        c1.bound + c2.bound,
-        PRODUCT_RULE,
-        parents=(c1, c2),
+    _check_direction(direction)
+    e = 1 if direction == FORWARD else -1
+    num = (
+        mode.q_pow(e) * (A * A * X)
+        - (mode.q_pow(1) + mode.q_pow(-1)) * (A * X * A)
+        + mode.q_pow(-e) * (X * A * A)
     )
+    return X + (mode.one() / (mode.qnum(1) * mode.qnum(2))) * num

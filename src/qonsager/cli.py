@@ -87,13 +87,27 @@ def emit_expression(p: NcPoly, path=None) -> str:
     return text
 
 
+def _show(report: Report, args) -> int:
+    """Print the report, as JSON with --json; return its exit code."""
+    print(report.dumps() if args.json else report.render_text())
+    return report.exit_code
+
+
 def _finish(report: Report, args) -> int:
-    text = report.dumps() if args.json else report.render_text()
-    print(text)
+    """Show the report and write its JSON to --out when given."""
+    code = _show(report, args)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.dumps() + "\n")
-    return report.exit_code
+    return code
+
+
+def _write_pair(tp, path) -> None:
+    """Write a tridiagonal pair as JSON to path when given."""
+    if path:
+        with open(path, "w") as fh:
+            json.dump(repn.td_pair_to_json(tp), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +268,9 @@ def _cmd_repn_d1(args) -> int:
                     anchor="d1-pair", detail="all invariants validated"),
         repn.check_dg_spectral(tp.A, tp.B, tp.q0, tp.theta, tp.theta_star),
     ]
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(repn.td_pair_to_json(tp), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_pair(tp, args.out)
     report = Report("repn-d1", records, config={"a": args.a, "b": args.b, "q": args.q})
-    text = report.dumps() if args.json else report.render_text()
-    print(text)
-    return report.exit_code
+    return _show(report, args)
 
 
 def _cmd_repn_import(args) -> int:
@@ -298,19 +307,14 @@ def _cmd_repn_twist(args) -> int:
         CheckRecord(name="double-twist", status=PASS if back.B == tp.B else FAIL,
                     anchor="twist", detail="inverse twist restores the pair"),
     ]
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(repn.td_pair_to_json(twisted), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_pair(twisted, args.out)
     report = Report(
         "repn-twist",
         records,
         config={"file": args.file, "a": args.a, "b": args.b, "q": args.q,
                 "direction": args.direction},
     )
-    text = report.dumps() if args.json else report.render_text()
-    print(text)
-    return report.exit_code
+    return _show(report, args)
 
 
 # ---------------------------------------------------------------------------

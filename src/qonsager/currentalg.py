@@ -14,7 +14,7 @@ oriented.  Zero normal forms are sound regardless of completeness.
 
 from __future__ import annotations
 
-from .adjoint import FORWARD, INVERSE, apply_badprod, truncated_sum
+from .adjoint import FORWARD, INVERSE, apply_badprod, closed_form_sum, truncated_sum
 from .errors import IndexOutOfRange, InvalidCutoff
 from .freealg import Alphabet, NcPoly
 from .qcoeff import SYMBOLIC
@@ -198,15 +198,7 @@ def verify_generator_class(ctx: AqContext, gen: str, k: int) -> CheckRecord:
 
 def closed_image(ctx: AqContext, X: NcPoly, direction: str = FORWARD) -> NcPoly:
     """Degree-1 closed form of the automorphism image, as a free element."""
-    m = ctx.mode
-    W0 = ctx.W(0)
-    e = 1 if direction == FORWARD else -1
-    num = (
-        m.q_pow(e) * (W0 * W0 * X)
-        - (m.q_pow(1) + m.q_pow(-1)) * (W0 * X * W0)
-        + m.q_pow(-e) * (X * W0 * W0)
-    )
-    return X + (m.one() / (m.qnum(1) * m.qnum(2))) * num
+    return closed_form_sum(ctx.W(0), X, direction, ctx.mode)
 
 
 def verify_S_images(ctx: AqContext, k: int) -> CheckRecord:

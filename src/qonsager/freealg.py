@@ -263,16 +263,6 @@ class NcPoly:
         return " + ".join(parts)
 
 
-def is_zero(p: NcPoly) -> bool:
-    """Exact zero test; canonical form makes this structural."""
-    return p.is_zero
-
-
-def nc_mul(p: NcPoly, r: NcPoly) -> NcPoly:
-    """Bilinear concatenation product (module-level convenience)."""
-    return p * r
-
-
 # ---------------------------------------------------------------------------
 # JSON expression format
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .adjoint import FORWARD, INVERSE, apply_ad, apply_bad, apply_S
+from .adjoint import INVERSE, ImageCache
 from .errors import InvalidParams
 from .freealg import Alphabet, NcPoly, ncpoly_to_json
 from .qcoeff import SYMBOLIC
@@ -42,64 +42,19 @@ class IdentityRecord(CheckRecord):
         return out
 
 
-class _Ctx:
-    """Free generators A, X, Y plus memoized operator applications.
+class _Ctx(ImageCache):
+    """Free generators A, X, Y over the image cache of base A.
 
     The builders reuse images like the balanced product of X many times per
-    instance; caching them keyed on (operation, order, operand) keeps the
-    sweep fast without changing any value.
+    instance; the cache keeps the sweep fast without changing any value.
     """
 
     def __init__(self, mode, A: NcPoly, X: NcPoly, Y: NcPoly):
-        self.mode = mode
-        self.A, self.X, self.Y = A, X, Y
-        self._cache: dict = {}
-
-    def ad(self, r, V):
-        key = ("ad", r, V)
-        out = self._cache.get(key)
-        if out is None:
-            out = apply_ad(r, self.A, V, self.mode)
-            self._cache[key] = out
-        return out
-
-    def bad(self, n, V):
-        key = ("bad", n, V)
-        out = self._cache.get(key)
-        if out is None:
-            out = apply_bad(n, self.A, V, self.mode)
-            self._cache[key] = out
-        return out
-
-    def bp(self, n, V):
-        key = ("bp", n, V)
-        out = self._cache.get(key)
-        if out is None:
-            out = V if n == 0 else self.bad(n - 1, self.bp(n - 1, V))
-            self._cache[key] = out
-        return out
-
-    def S(self, n, V):
-        key = ("S", n, V)
-        out = self._cache.get(key)
-        if out is None:
-            if n == 0:
-                out = V
-            else:
-                out = (self.mode.one() / self.w(2 * n)) * self.bp(n, self.ad(n, V))
-            self._cache[key] = out
-        return out
+        super().__init__(A, mode)
+        self.X, self.Y = X, Y
 
     def Sp(self, n, V):
-        key = ("Sp", n, V)
-        out = self._cache.get(key)
-        if out is None:
-            if n == 0:
-                out = V
-            else:
-                out = (self.mode.one() / self.w(2 * n)) * self.bp(n, self.ad(-n, V))
-            self._cache[key] = out
-        return out
+        return self.S(n, V, INVERSE)
 
     def q(self, n):
         return self.mode.q_pow(n)

@@ -1,32 +1,29 @@
 """The two-generator presented algebra and its Lusztig automorphism.
 
 The context bundles the presentation on generators A, B (two degree-4
-relations coupling them through the parameter (q^2 - q^-2)^2), the oriented
-rewrite system obtained by solving each relation for its leading monomial,
-and standardness certificates for the generators: A commutes with itself
-(bound 0) and the order-2 balanced product kills B modulo the relations
-(bound 1, verified at construction).
+relations coupling them through the parameter (q^2 - q^-2)^2), and the
+oriented rewrite system obtained by solving each relation for its leading
+monomial.  Construction verifies the truncation bounds of the generators: A
+commutes with itself (bound 0) and the order-2 balanced product kills B
+modulo the relations (bound 1).
 
 The automorphism and its inverse are computed on free-algebra
-representatives by truncating the shift-map sum at a certified bound and
-reducing the result; overshooting the minimal bound is harmless because
-higher shift maps vanish on certified elements.  Zero normal forms are
-conclusive; nonzero ones fall back to exact matrix models, where a nonzero
-image refutes membership conclusively.
+representatives by truncating the shift-map sum at the bound of the element
+(bounds add over products) and reducing the result; overshooting the
+minimal bound is harmless because higher shift maps vanish there.  Zero
+normal forms are conclusive; nonzero ones fall back to exact matrix models,
+where a nonzero image refutes membership conclusively.
 """
 
 from __future__ import annotations
 
 from .adjoint import (
-    DIRECT_VANISH,
     FORWARD,
     INVERSE,
-    StandardnessCertificate,
+    ImageCache,
     apply_ad,
-    apply_bad,
     apply_badprod,
-    apply_S,
-    certify_product,
+    closed_form_sum,
     truncated_sum,
 )
 from .errors import NotCertifiedA1
@@ -37,7 +34,7 @@ from .rewrite import MonomialOrder, RewriteSystem, make_system
 
 
 class OnsagerContext:
-    """Presentation, rewrite system and generator certificates over {A, B}."""
+    """Presentation and rewrite system over {A, B}."""
 
     def __init__(self, mode=SYMBOLIC):
         self.mode = mode
@@ -54,35 +51,24 @@ class OnsagerContext:
         # bound 0 for A: the order-1 balanced product kills A outright
         if not apply_badprod(1, self.A, self.A, mode).is_zero:
             raise AssertionError("generator A must commute with itself")
-        cert_a = StandardnessCertificate(self.A, 0, DIRECT_VANISH)
         # bound 1 for B: the order-2 balanced product reduces to zero
         if not self.qdg.is_zero_mod(apply_badprod(2, self.A, self.B, mode)).is_zero:
             raise AssertionError("order-2 balanced product must kill B")
-        cert_b = StandardnessCertificate(self.B, 1, DIRECT_VANISH)
-        self.generator_certificates = {"A": cert_a, "B": cert_b}
         self._models = None
 
-    # -- certificates --------------------------------------------------------
+    # -- truncation bounds -----------------------------------------------------
 
-    def standard_bound(self, x: Word | NcPoly) -> StandardnessCertificate:
-        """Certificate for a word or polynomial via the product rule.
+    def standard_bound(self, x: Word | NcPoly) -> int:
+        """Truncation bound of a word or polynomial.
 
-        For a word the bound is its number of B letters (certificates of the
-        letters chained with the product rule); for a polynomial, the
-        maximum over its support.  This may overshoot the minimal bound,
-        which only adds vanishing summands.
+        The balanced product of order bound + 1 kills the element.  Bounds
+        add over products, so a word's bound is its number of B letters; a
+        polynomial's is the maximum over its support.  This may overshoot
+        the minimal bound, which only adds vanishing summands.
         """
-        if isinstance(x, NcPoly):
-            best = None
-            for w in x.support():
-                c = self.standard_bound(w)
-                if best is None or c.bound > best.bound:
-                    best = c
-            return best if best is not None else self.standard_bound(())
-        cert = StandardnessCertificate(NcPoly.one(self.alphabet, self.mode), 0, DIRECT_VANISH)
-        for letter in x:
-            cert = certify_product(cert, self.generator_certificates[self.alphabet.names[letter]])
-        return cert
+        b = self.alphabet.index["B"]
+        words = x.support() if isinstance(x, NcPoly) else [x]
+        return max((w.count(b) for w in words), default=0)
 
     # -- matrix models --------------------------------------------------------
 
@@ -146,19 +132,13 @@ def onsager_context(mode=SYMBOLIC) -> OnsagerContext:
     return OnsagerContext(mode)
 
 
-def standard_bound(ctx: OnsagerContext, x: Word | NcPoly) -> StandardnessCertificate:
-    return ctx.standard_bound(x)
-
-
 def lusztig(ctx: OnsagerContext, X: NcPoly, direction: str = FORWARD) -> NcPoly:
     """Image of X under the automorphism (or its inverse) as a normal form.
 
-    The truncation bound comes from the standardness certificate of X; the
-    result is a representative of the image in the presented algebra, with
-    no canonicity claim.
+    The sum is truncated at the bound of X; the result is a representative
+    of the image in the presented algebra, with no canonicity claim.
     """
-    cert = ctx.standard_bound(X)
-    value = truncated_sum(ctx.A, X, cert.bound, direction, ctx.mode)
+    value = truncated_sum(ctx.A, X, ctx.standard_bound(X), direction, ctx.mode)
     return ctx.qdg.normal_form(value)
 
 
@@ -174,15 +154,7 @@ def a1_closed_form(ctx: OnsagerContext, X: NcPoly, direction: str = FORWARD) -> 
         confirmed, detail = ctx.confirm_in_models(res.residue)
         if not confirmed:
             raise NotCertifiedA1(detail)
-    mode = ctx.mode
-    A = ctx.A
-    e = 1 if direction == FORWARD else -1
-    num = (
-        mode.q_pow(e) * (A * A * X)
-        - (mode.q_pow(1) + mode.q_pow(-1)) * (A * X * A)
-        + mode.q_pow(-e) * (X * A * A)
-    )
-    return X + (mode.one() / (mode.qnum(1) * mode.qnum(2))) * num
+    return closed_form_sum(ctx.A, X, direction, ctx.mode)
 
 
 def commutant_fixed_check(ctx: OnsagerContext, X: NcPoly) -> CheckRecord:
@@ -244,9 +216,10 @@ def higher_dg_check(ctx: OnsagerContext, r: int, method: str = "rewrite") -> Che
     if method != "certified":
         raise ValueError(f"unknown method {method!r}")
     mode, A, B = ctx.mode, ctx.A, ctx.B
+    maps = ImageCache(A, mode)  # the levels share their images
     evidence: list[str] = []
 
-    base = apply_badprod(2, A, B, mode)
+    base = maps.bp(2, B)
     if not ctx.qdg.is_zero_mod(base).is_zero:
         return CheckRecord(name=name, params=(r,), status=FAIL, anchor="higher-dg",
                            detail="base vanishing for B failed")
@@ -256,9 +229,9 @@ def higher_dg_check(ctx: OnsagerContext, r: int, method: str = "rewrite") -> Che
         """Apply optional extra primitives to the base element of B."""
         val = base
         if ad_twist is not None:
-            val = apply_ad(ad_twist, A, val, mode)
+            val = maps.ad(ad_twist, val)
         for i in ops_bads:
-            val = apply_bad(i, A, val, mode)
+            val = maps.bad(i, val)
         return val
 
     ok = True
@@ -267,18 +240,18 @@ def higher_dg_check(ctx: OnsagerContext, r: int, method: str = "rewrite") -> Che
         prev = level
         Bj = _pow(ctx, B, j)
         Bprev = _pow(ctx, B, j - 1)
-        lhs = apply_badprod(j + 1, A, Bj, mode)
+        lhs = maps.bp(j + 1, Bj)
         rhs = NcPoly.zero(ctx.alphabet)
         # product expansion of the order j+1 balanced product at (B, B^{j-1})
         for a in range(j + 1):
             s = j - a
-            term1 = apply_S(a, A, B, FORWARD, mode) * apply_badprod(s + 1, A, Bprev, mode)
+            term1 = maps.S(a, B) * maps.bp(s + 1, Bprev)
             rhs = rhs + mode.q_pow(-a) * term1
-            term2 = apply_badprod(a + 1, A, B, mode) * apply_S(s, A, Bprev, FORWARD, mode)
+            term2 = maps.bp(a + 1, B) * maps.S(s, Bprev)
             rhs = rhs + mode.q_pow(s) * term2
         for a in range(j):
             s = j - 1 - a
-            rhs = rhs - apply_badprod(a + 1, A, B, mode) * A * apply_badprod(s + 1, A, Bprev, mode)
+            rhs = rhs - maps.bp(a + 1, B) * A * maps.bp(s + 1, Bprev)
         if not (lhs - rhs).is_zero:
             evidence.append(f"level {j}: product expansion failed")
             ok = False
@@ -288,13 +261,13 @@ def higher_dg_check(ctx: OnsagerContext, r: int, method: str = "rewrite") -> Che
         #   shift maps of B of order >= 2 and balanced products of B of
         #   order >= 2 rewrite into primitives applied to the base element
         for a in range(2, j + 1):
-            sa = apply_S(a, A, B, FORWARD, mode)
+            sa = maps.S(a, B)
             expect = tail_of_base(list(range(2, a)), a)
             if not (mode.qnum(2 * a) * sa - expect).is_zero:
                 evidence.append(f"level {j}: commutation identity for shift {a} of B failed")
                 ok = False
         for k in range(2, j + 2):
-            bk = apply_badprod(k, A, B, mode)
+            bk = maps.bp(k, B)
             expect = tail_of_base(list(range(2, k)), None)
             if not (bk - expect).is_zero:
                 evidence.append(f"level {j}: factorization of balanced product {k} of B failed")
@@ -302,15 +275,17 @@ def higher_dg_check(ctx: OnsagerContext, r: int, method: str = "rewrite") -> Che
         # factors on B^{j-1}: orders >= j rewrite into primitives applied to
         # the previous level's certified-zero element
         for s1 in range(j, j + 2):  # balanced products of order s1 occur for s1 in {j, j+1}
-            bk = apply_badprod(s1, A, Bprev, mode)
+            bk = maps.bp(s1, Bprev)
             val = prev
             for i in range(j, s1):
-                val = apply_bad(i, A, val, mode)
+                val = maps.bad(i, val)
             if not (bk - val).is_zero:
                 evidence.append(f"level {j}: factorization of balanced product {s1} of power {j-1} failed")
                 ok = False
-        sj = apply_S(j, A, Bprev, FORWARD, mode)
-        if not (mode.qnum(2 * j) * sj - apply_ad(j, A, prev, mode)).is_zero:
+        # the shift map applies its primitive after its balanced product,
+        # whose order-j image of B^{j-1} is prev
+        sj = maps.S(j, Bprev)
+        if not (mode.qnum(2 * j) * sj - maps.ad(j, prev)).is_zero:
             evidence.append(f"level {j}: commutation identity for shift {j} of power {j-1} failed")
             ok = False
         if not ok:
@@ -338,7 +313,8 @@ def homomorphism_spotcheck(ctx: OnsagerContext, w1: Word, w2: Word) -> CheckReco
     status = PASS
     witness = None
 
-    mult_diff = lusztig(ctx, p1 * p2) - ctx.qdg.normal_form(lusztig(ctx, p1) * lusztig(ctx, p2))
+    image1 = lusztig(ctx, p1)
+    mult_diff = lusztig(ctx, p1 * p2) - ctx.qdg.normal_form(image1 * lusztig(ctx, p2))
     res = ctx.qdg.is_zero_mod(mult_diff)
     if res.is_zero:
         details.append("multiplicative: rewrite")
@@ -349,9 +325,7 @@ def homomorphism_spotcheck(ctx: OnsagerContext, w1: Word, w2: Word) -> CheckReco
             status = FAIL
             witness = res.residue
 
-    back = truncated_sum(
-        ctx.A, lusztig(ctx, p1), ctx.standard_bound(lusztig(ctx, p1)).bound, INVERSE, ctx.mode
-    )
+    back = truncated_sum(ctx.A, image1, ctx.standard_bound(image1), INVERSE, ctx.mode)
     res2 = ctx.qdg.is_zero_mod(back - p1)
     if res2.is_zero:
         details.append("inverse-composition: rewrite")

@@ -645,26 +645,6 @@ def qint(n: int) -> RationalFunctionQ:
     return RationalFunctionQ.from_laurent(p)
 
 
-def rf_arith(op: str, x: RationalFunctionQ, y: RationalFunctionQ | None = None):
-    """Dispatch exact field arithmetic by name; results are canonical."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "neg":
-        return -x
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def eval_at(x: RationalFunctionQ, q0) -> Rat:
-    """Exact substitution q -> q0 (module-level convenience)."""
-    return x.eval_at(q0)
-
-
 # ---------------------------------------------------------------------------
 # coefficient modes
 # ---------------------------------------------------------------------------

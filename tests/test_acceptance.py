@@ -113,7 +113,7 @@ def test_criterion_2_lusztig_closed_forms(ctx):
 
 def test_criterion_3_inverse_and_homomorphism(ctx):
     image = lusztig(ctx, ctx.B, FORWARD)
-    back = truncated_sum(ctx.A, image, ctx.standard_bound(image).bound, INVERSE, m)
+    back = truncated_sum(ctx.A, image, ctx.standard_bound(image), INVERSE, m)
     inverse_ok = ctx.qdg.is_zero_mod(back - ctx.B).is_zero
     pairs = [("A", "B"), ("B", "A"), ("B", "B")]
     hom_ok = all(

@@ -1,25 +1,24 @@
-"""Operator calculus: primitives, balanced maps, shift maps, certificates."""
+"""Operator calculus: primitives, balanced maps, shift maps, truncated sums."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from qonsager.adjoint import (
-    AdjointOperator,
     FORWARD,
     INVERSE,
-    StandardnessCertificate,
-    DIRECT_VANISH,
+    ImageCache,
     apply_ad,
     apply_bad,
     apply_badprod,
     apply_S,
-    certify_product,
     truncated_sum,
 )
-from qonsager.errors import ContextMismatch
 from qonsager.freealg import Alphabet, NcPoly
-from qonsager.qcoeff import SYMBOLIC as m
+from qonsager.matrices import ExactMatrix
+from qonsager.qcoeff import NumericQ, SYMBOLIC as m
+from qonsager.repn import spectral_data
 
 AXY = Alphabet(["A", "X", "Y"])
 A = NcPoly.generator(AXY, "A")
@@ -130,12 +129,37 @@ class TestTruncatedSum:
         assert truncated_sum(A, A, 3, FORWARD) == A
         assert truncated_sum(A, A, 3, INVERSE) == A
 
+    @pytest.mark.parametrize("operands", ["poly-symbolic", "poly-numeric", "matrix-d3"])
+    def test_matches_naive_shift_sum(self, operands):
+        """The sum built from one growing balanced product equals the sum of
+        shift maps each rebuilt from scratch, in either composition order."""
+        if operands == "matrix-d3":
+            sd = spectral_data(3, 3, 2)
+            mode, base = sd.mode, sd.A
+            rng = random.Random(3)
+            V = ExactMatrix(
+                [[mode.from_fraction(rng.randint(-9, 9)) for _ in range(4)] for _ in range(4)]
+            )
+        else:
+            mode = m if operands == "poly-symbolic" else NumericQ(Fraction(5, 3))
+            base = NcPoly.generator(AXY, "A", mode)
+            V = random_poly(random.Random(7), mode)
+        for direction, e in ((FORWARD, 1), (INVERSE, -1)):
+            naive = bp_after_ad = V
+            for N in range(5):
+                if N:
+                    naive = naive + apply_S(N, base, V, direction, mode)
+                    bp_after_ad = bp_after_ad + (mode.one() / mode.qnum(2 * N)) * apply_badprod(
+                        N, base, apply_ad(e * N, base, V, mode), mode
+                    )
+                assert truncated_sum(base, V, N, direction, mode) == naive == bp_after_ad
 
-def random_poly(rng):
+
+def random_poly(rng, mode=m):
     terms = {}
     for _ in range(rng.randint(1, 3)):
         w = tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3)))
-        terms[w] = m.from_fraction(rng.randint(1, 3))
+        terms[w] = mode.from_fraction(rng.randint(1, 3))
     return NcPoly(AXY, terms)
 
 
@@ -151,44 +175,28 @@ class TestCommutation:
                     assert lhs == rhs
 
     def test_operator_composition_order_is_immaterial(self):
-        op = AdjointOperator.shift(A, 2, FORWARD)
-        reversed_op = op.permuted(lambda n: list(reversed(range(n))))
-        rotated_op = op.permuted(lambda n: [(i + 1) % n for i in range(n)] if n else [])
-        assert op.apply(X) == reversed_op.apply(X) == rotated_op.apply(X)
+        # what lets a shift map apply its primitive after its balanced product
+        rng = random.Random(20241)
+        for _ in range(4):
+            V = random_poly(rng)
+            for n in range(4):
+                for r in range(-3, 4):
+                    assert apply_bad(n, A, apply_ad(r, A, V)) == apply_ad(r, A, apply_bad(n, A, V))
 
 
 class TestOperatorForm:
-    def test_formal_operators_match_eager_application(self):
-        for n in range(4):
-            assert AdjointOperator.badprod(A, n).apply(X) == apply_badprod(n, A, X)
-            assert AdjointOperator.shift(A, n, FORWARD).apply(X) == apply_S(n, A, X, FORWARD)
-            assert AdjointOperator.shift(A, n, INVERSE).apply(X) == apply_S(n, A, X, INVERSE)
+    def test_cached_images_match_eager_application(self):
+        maps = ImageCache(A)
+        for V in (X, X * Y + A):
+            for n in range(4):
+                assert maps.bp(n, V) == apply_badprod(n, A, V)
+                assert maps.S(n, V, FORWARD) == apply_S(n, A, V, FORWARD)
+                assert maps.S(n, V, INVERSE) == apply_S(n, A, V, INVERSE)
+                assert maps.bad(n, V) == apply_bad(n, A, V)
+                assert maps.ad(-n, V) == apply_ad(-n, A, V)
+        # a repeated request is answered from the cache
+        assert maps.S(3, X, INVERSE) is maps.S(3, X, INVERSE)
 
     def test_sum_and_scale(self):
-        op = AdjointOperator.ad(A, 1) + AdjointOperator.ad(A, -1)
         expected = (m.q_pow(1) + m.q_pow(-1)) * apply_ad(0, A, X)
-        assert op.apply(X) == expected
-
-
-class TestCertificates:
-    def test_product_rule_adds_bounds(self):
-        c1 = StandardnessCertificate(X, 1, DIRECT_VANISH)
-        c2 = StandardnessCertificate(Y, 2, DIRECT_VANISH)
-        c = certify_product(c1, c2)
-        assert c.bound == 3
-        assert c.element == X * Y
-        assert c.parents == (c1, c2)
-
-    def test_context_mismatch(self):
-        other = NcPoly.generator(Alphabet(["Z"]), "Z")
-        with pytest.raises(ContextMismatch):
-            certify_product(
-                StandardnessCertificate(X, 1, DIRECT_VANISH),
-                StandardnessCertificate(other, 1, DIRECT_VANISH),
-            )
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            StandardnessCertificate(X, -1, DIRECT_VANISH)
-        with pytest.raises(ValueError):
-            StandardnessCertificate(X, 1, "hearsay")
+        assert apply_ad(1, A, X) + apply_ad(-1, A, X) == expected
