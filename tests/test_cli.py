@@ -164,6 +164,78 @@ class TestCommands:
         assert main(["repn", "import", "--file", str(path)]) == 1
 
 
+def _summary(passed):
+    return {"pass": passed, "fail": 0, "inconclusive": 0}
+
+
+class TestReportContract:
+    """Suite, config and summary of every report; what --out writes."""
+
+    @pytest.mark.parametrize(
+        "argv,suite,config,passed",
+        [
+            (["verify", "identities", "--max-index", "1"], "identities",
+             {"max_index": 1, "mode": "symbolic", "q": None, "seed": 0}, 57),
+            (["verify", "identities", "--max-index", "1", "--mode", "numeric",
+              "--q", "5/3", "--seed", "9"], "identities",
+             {"max_index": 1, "mode": "numeric", "q": "5/3", "seed": 9}, 57),
+            (["onsager", "higher-dg", "--r", "1"], "onsager-higher-dg",
+             {"r": 1, "method": "both", "mode": "symbolic", "q": None}, 2),
+            (["onsager", "homcheck"], "onsager-homcheck",
+             {"pairs": ["AB", "BA", "BB"], "mode": "symbolic", "q": None}, 3),
+            (["onsager", "homcheck", "--w1", "A", "--w2", "B"], "onsager-homcheck",
+             {"pairs": ["AB"], "mode": "symbolic", "q": None}, 1),
+            (["current", "verify", "--kmax", "1"], "current-verify",
+             {"kmax": 1, "mode": "symbolic", "q": None}, 9),
+            (["repn", "ssum", "--d", "2", "--a", "3", "--q", "2"], "repn-ssum",
+             {"d": 2, "a": "3", "q": "2"}, 9),
+            (["repn", "conjugation", "--d", "1", "--a", "3", "--q", "2",
+              "--trials", "2", "--seed", "1"], "repn-conjugation",
+             {"d": 1, "a": "3", "q": "2", "trials": 2, "seed": 1}, 1),
+            (["repn", "higher-dg", "--r", "1", "--d", "2", "--a", "3", "--q", "2",
+              "--seed", "1"], "repn-higher-dg",
+             {"r": 1, "d": 2, "a": "3", "q": "2", "seed": 1}, 1),
+        ],
+    )
+    def test_report_and_out_file(self, argv, suite, config, passed, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--json", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        data = json.loads(printed)
+        assert (data["suite"], data["config"], data["summary"]) == (
+            suite, config, _summary(passed))
+        assert out.read_text() == printed
+
+    def test_pair_commands_write_the_pair(self, tmp_path, capsys):
+        pair, twisted, imported = (tmp_path / n for n in ("p.json", "t.json", "i.json"))
+        keys = {"A", "B", "a", "b", "q", "d"}
+
+        assert main(["repn", "d1", "--a", "3", "--b", "2", "--q", "2", "--json",
+                     "--out", str(pair)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["suite"], data["config"], data["summary"]) == (
+            "repn-d1", {"a": "3", "b": "2", "q": "2"}, _summary(2))
+        assert set(json.loads(pair.read_text())) == keys
+
+        assert main(["repn", "import", "--file", str(pair), "--json",
+                     "--out", str(imported)]) == 0
+        printed = capsys.readouterr().out
+        data = json.loads(printed)
+        assert (data["suite"], data["config"], data["summary"]) == (
+            "repn-import", {"file": str(pair)}, _summary(1))
+        assert imported.read_text() == printed
+
+        assert main(["repn", "twist", "--file", str(pair), "--json",
+                     "--out", str(twisted)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        config = {"file": str(pair), "a": "3", "b": "2", "q": "2", "direction": "fwd"}
+        assert (data["suite"], data["config"], data["summary"]) == (
+            "repn-twist", config, _summary(2))
+        twisted_pair = json.loads(twisted.read_text())
+        assert set(twisted_pair) == keys
+        assert twisted_pair["A"] == json.loads(pair.read_text())["A"]
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
