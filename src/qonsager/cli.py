@@ -4,6 +4,11 @@ One subcommand per verification surface.  Reports are deterministic for a
 fixed configuration and seed (sorted keys, no timestamps); the process exit
 code is derived from the check records: 1 if any failed, else 2 if any was
 inconclusive, else 0.  Usage errors exit 64 and input/output errors 74.
+
+COMMANDS is the one table of subcommands: a row gives a command's group,
+action, handler, report suite and options with their argparse settings.
+build_parser reads the parser from it, and _report runs every report command
+from it; handlers only return their check records (as an Outcome).
 """
 
 from __future__ import annotations
@@ -12,10 +17,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import currentalg, identities, onsager, repn
 from .adjoint import FORWARD, INVERSE
-from .errors import InvariantViolation, ParseError, QonsagerError
+from .errors import DegenerateEigenvalues, InvariantViolation, ParseError, QonsagerError
 from .freealg import NcPoly, ncpoly_from_json, ncpoly_to_json
 from .qcoeff import SYMBOLIC, NumericQ
 from .report import CheckRecord, FAIL, PASS, Report
@@ -44,21 +51,13 @@ def _rational(args, name: str) -> Fraction:
         raise UsageError(f"--{name} must be a rational number, got {text!r}") from None
     forbidden = (0, 1, -1) if name == "q" else (0,)
     if value in forbidden:
-        raise UsageError(
-            f"--{name} must avoid {', '.join(map(str, forbidden))}, got {text!r}"
-        )
+        raise UsageError(f"--{name} must avoid {', '.join(map(str, forbidden))}, got {text!r}")
     return value
 
 
-def _at_least(value: int, flag: str, low: int) -> None:
-    """Reject a count below low: the command would check nothing or not run."""
-    if value < low:
-        raise UsageError(f"{flag} must be at least {low}, got {value}")
-
-
 def _mode_from(args) -> object:
-    if getattr(args, "mode", "symbolic") == "numeric":
-        if not getattr(args, "q", None):
+    if args.mode == "numeric":
+        if not args.q:
             raise UsageError("--mode numeric needs --q")
         return NumericQ(_rational(args, "q"))
     return SYMBOLIC
@@ -66,6 +65,22 @@ def _mode_from(args) -> object:
 
 def _direction_from(args) -> str:
     return FORWARD if args.direction in ("fwd", "forward") else INVERSE
+
+
+def _from_options(build, *values):
+    """build(*values) for option values: an eigenvalue collision is a usage error."""
+    try:
+        return build(*values)
+    except DegenerateEigenvalues as e:
+        raise UsageError(str(e)) from None
+
+
+def _spectral_data(args) -> repn.SpectralData:
+    return _from_options(repn.spectral_data, args.d, _rational(args, "a"), _rational(args, "q"))
+
+
+def _d1_pair(args) -> repn.TDPair:
+    return _from_options(repn.td_pair_d1, *(_rational(args, n) for n in ("a", "b", "q")))
 
 
 def parse_expression(path, mode=SYMBOLIC) -> NcPoly:
@@ -87,63 +102,36 @@ def emit_expression(p: NcPoly, path=None) -> str:
     return text
 
 
-def _show(report: Report, args) -> int:
-    """Print the report, as JSON with --json; return its exit code."""
-    print(report.dumps() if args.json else report.render_text())
-    return report.exit_code
+class Outcome(NamedTuple):
+    """What a report handler returns to the dispatcher."""
+
+    records: list[CheckRecord]
+    config: dict = {}  # report config that the option values do not give
+    out: dict | None = None  # JSON that --out writes in place of the report
 
 
-def _finish(report: Report, args) -> int:
-    """Show the report and write its JSON to --out when given."""
-    code = _show(report, args)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.dumps() + "\n")
-    return code
-
-
-def _write_pair(tp, path) -> None:
-    """Write a tridiagonal pair as JSON to path when given."""
-    if path:
-        with open(path, "w") as fh:
-            json.dump(repn.td_pair_to_json(tp), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# command handlers
-# ---------------------------------------------------------------------------
-
-def _cmd_verify_identities(args) -> int:
-    _at_least(args.max_index, "--max-index", 0)
+def _cmd_verify_identities(args) -> Outcome:
     mode = _mode_from(args)
-    records = identities.run_identity_suite(max_index=args.max_index, mode=mode)
-    report = Report(
-        "identities",
-        records,
-        config={
-            "max_index": args.max_index,
-            "mode": args.mode,
-            "q": args.q,
-            "seed": args.seed,
-        },
-    )
-    return _finish(report, args)
+    return Outcome(identities.run_identity_suite(max_index=args.max_index, mode=mode))
 
 
 def _cmd_onsager_lusztig(args) -> int:
     mode = _mode_from(args)
     ctx = onsager.onsager_context(mode)
     expr = parse_expression(args.expr, mode)
+    if expr.alphabet != ctx.alphabet:
+        raise ParseError(
+            f"expression alphabet must be {list(ctx.alphabet.names)}, "
+            f"got {list(expr.alphabet.names)}",
+            location=str(args.expr),
+        )
     image = onsager.lusztig(ctx, expr, _direction_from(args))
     print(emit_expression(image, args.out))
     return 0
 
 
-def _cmd_onsager_higher_dg(args) -> int:
-    _at_least(args.r, "--r", 1)
-    mode = _mode_from(args)
-    ctx = onsager.onsager_context(mode)
+def _cmd_onsager_higher_dg(args) -> Outcome:
+    ctx = onsager.onsager_context(_mode_from(args))
     methods = ["rewrite", "certified"] if args.method == "both" else [args.method]
     records = []
     for r in range(1, args.r + 1):
@@ -151,17 +139,11 @@ def _cmd_onsager_higher_dg(args) -> int:
             rec = onsager.higher_dg_check(ctx, r, method)
             rec.name = f"{rec.name}-{method}"
             records.append(rec)
-    report = Report(
-        "onsager-higher-dg",
-        records,
-        config={"r": args.r, "method": args.method, "mode": args.mode, "q": args.q},
-    )
-    return _finish(report, args)
+    return Outcome(records)
 
 
-def _cmd_onsager_homcheck(args) -> int:
-    mode = _mode_from(args)
-    ctx = onsager.onsager_context(mode)
+def _cmd_onsager_homcheck(args) -> Outcome:
+    ctx = onsager.onsager_context(_mode_from(args))
     if args.w1 is not None or args.w2 is not None:
         pairs = [(args.w1 or "", args.w2 or "")]
     else:
@@ -171,17 +153,11 @@ def _cmd_onsager_homcheck(args) -> int:
     except ParseError as e:
         raise UsageError(f"--w1/--w2: {e}") from None
     records = [onsager.homomorphism_spotcheck(ctx, u, v) for u, v in words]
-    report = Report(
-        "onsager-homcheck",
-        records,
-        config={"pairs": ["".join(p) for p in pairs], "mode": args.mode, "q": args.q},
-    )
-    return _finish(report, args)
+    return Outcome(records, {"pairs": ["".join(p) for p in pairs]})
 
 
-def _cmd_current_verify(args) -> int:
-    mode = _mode_from(args)
-    ctx = currentalg.aq_system(args.kmax, mode)
+def _cmd_current_verify(args) -> Outcome:
+    ctx = currentalg.aq_system(args.kmax, _mode_from(args))
     records = []
     for k in range(ctx.K):
         for gen in currentalg.GENERATOR_CLASSES:
@@ -192,17 +168,11 @@ def _cmd_current_verify(args) -> int:
     for gen in ("Wplus", "G", "Gt"):
         for k in range(ctx.K):
             records.append(currentalg.replay_proof(ctx, gen, k))
-    report = Report(
-        "current-verify",
-        records,
-        config={"kmax": args.kmax, "mode": args.mode, "q": args.q},
-    )
-    return _finish(report, args)
+    return Outcome(records)
 
 
-def _cmd_repn_ssum(args) -> int:
-    _at_least(args.d, "--d", 1)
-    sd = repn.spectral_data(args.d, _rational(args, "a"), _rational(args, "q"))
+def _cmd_repn_ssum(args) -> Outcome:
+    sd = _spectral_data(args)
     records = []
     for i in range(args.d + 1):
         for j in range(args.d + 1):
@@ -213,212 +183,160 @@ def _cmd_repn_ssum(args) -> int:
                 not repn.sigma_prefactor(n, i, j, sd)
                 for n in range(abs(i - j) + 1, args.d + 2)
             )
-            records.append(
-                CheckRecord(
-                    name="scalar-sum",
-                    params=(i, j),
-                    status=PASS if ok and tail_ok else FAIL,
-                    anchor="scalar-sum",
-                )
-            )
-    report = Report(
-        "repn-ssum",
-        records,
-        config={"d": args.d, "a": args.a, "q": args.q},
-    )
-    return _finish(report, args)
+            records.append(CheckRecord(name="scalar-sum", params=(i, j), anchor="scalar-sum",
+                                       status=PASS if ok and tail_ok else FAIL))
+    return Outcome(records)
 
 
-def _cmd_repn_conjugation(args) -> int:
-    _at_least(args.d, "--d", 1)
-    _at_least(args.trials, "--trials", 1)
-    sd = repn.spectral_data(args.d, _rational(args, "a"), _rational(args, "q"))
-    records = [repn.verify_conjugation(sd, args.trials, args.seed)]
-    report = Report(
-        "repn-conjugation",
-        records,
-        config={
-            "d": args.d,
-            "a": args.a,
-            "q": args.q,
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-    )
-    return _finish(report, args)
+def _cmd_repn_conjugation(args) -> Outcome:
+    return Outcome([repn.verify_conjugation(_spectral_data(args), args.trials, args.seed)])
 
 
-def _cmd_repn_higher_dg(args) -> int:
-    _at_least(args.r, "--r", 1)
-    _at_least(args.d, "--d", 1)
-    sd = repn.spectral_data(args.d, _rational(args, "a"), _rational(args, "q"))
-    records = [repn.higher_dg_matrix(r, sd, args.seed) for r in range(1, args.r + 1)]
-    report = Report(
-        "repn-higher-dg",
-        records,
-        config={"r": args.r, "d": args.d, "a": args.a, "q": args.q, "seed": args.seed},
-    )
-    return _finish(report, args)
+def _cmd_repn_higher_dg(args) -> Outcome:
+    sd = _spectral_data(args)
+    return Outcome([repn.higher_dg_matrix(r, sd, args.seed) for r in range(1, args.r + 1)])
 
 
-def _cmd_repn_d1(args) -> int:
-    tp = repn.td_pair_d1(_rational(args, "a"), _rational(args, "b"), _rational(args, "q"))
+def _cmd_repn_d1(args) -> Outcome:
+    tp = _d1_pair(args)
     records = [
         CheckRecord(name="d1-pair", params=(args.a, args.b, args.q), status=PASS,
                     anchor="d1-pair", detail="all invariants validated"),
         repn.check_dg_spectral(tp.A, tp.B, tp.q0, tp.theta, tp.theta_star),
     ]
-    _write_pair(tp, args.out)
-    report = Report("repn-d1", records, config={"a": args.a, "b": args.b, "q": args.q})
-    return _show(report, args)
+    return Outcome(records, out=repn.td_pair_to_json(tp))
 
 
-def _cmd_repn_import(args) -> int:
+def _cmd_repn_import(args) -> Outcome:
     try:
-        tp = repn.import_td_pair(args.file)
-        records = [
-            CheckRecord(name="import", status=PASS, anchor="pair-import",
-                        detail=f"d={tp.d}, all invariants validated")
-        ]
+        status, detail = PASS, f"d={repn.import_td_pair(args.file).d}, all invariants validated"
     except InvariantViolation as e:
-        records = [
-            CheckRecord(name="import", status=FAIL, anchor="pair-import",
-                        detail=str(e))
-        ]
-    report = Report("repn-import", records, config={"file": args.file})
-    return _finish(report, args)
+        status, detail = FAIL, str(e)
+    record = CheckRecord(name="import", status=status, anchor="pair-import", detail=detail)
+    return Outcome([record])
 
 
-def _cmd_repn_twist(args) -> int:
-    if args.file:
-        tp = repn.import_td_pair(args.file)
-    else:
-        tp = repn.td_pair_d1(
-            _rational(args, "a"), _rational(args, "b"), _rational(args, "q")
-        )
+def _cmd_repn_twist(args) -> Outcome:
+    tp = repn.import_td_pair(args.file) if args.file else _d1_pair(args)
     sd = repn.spectral_data(tp.d, tp.a, tp.q0, A=tp.A)
-    twisted = repn.twist_module(tp, sd, _direction_from(args))
-    back = repn.twist_module(
-        twisted, sd, INVERSE if _direction_from(args) == FORWARD else FORWARD
-    )
+    direction = _direction_from(args)
+    twisted = repn.twist_module(tp, sd, direction)
+    back = repn.twist_module(twisted, sd, INVERSE if direction == FORWARD else FORWARD)
     records = [
         CheckRecord(name="twist", status=PASS, anchor="twist",
                     detail="twisted pair passes all invariants"),
         CheckRecord(name="double-twist", status=PASS if back.B == tp.B else FAIL,
                     anchor="twist", detail="inverse twist restores the pair"),
     ]
-    _write_pair(twisted, args.out)
-    report = Report(
-        "repn-twist",
-        records,
-        config={"file": args.file, "a": args.a, "b": args.b, "q": args.q,
-                "direction": args.direction},
-    )
-    return _show(report, args)
+    return Outcome(records, out=repn.td_pair_to_json(twisted))
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
+# -- the command table -----------------------------------------------------------
 
-def _add_common(p, *, seed=False, trials=False):
-    p.add_argument("--mode", choices=["symbolic", "numeric"], default="symbolic")
-    p.add_argument("--q", help="rational value for q in numeric mode")
-    p.add_argument("--json", action="store_true", help="print the JSON report")
-    p.add_argument("--out", help="write the JSON report to this path")
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
-    if trials:
-        p.add_argument("--trials", type=int, default=20)
+class Opt(NamedTuple):
+    flag: str
+    settings: dict = {}  # passed to argparse's add_argument
+    low: int | None = None  # smallest accepted count; below it is a usage error
+    config: bool = True  # recorded in the report's config
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+class Command(NamedTuple):
+    group: str
+    action: str
+    handler: Callable
+    suite: str | None  # None: not a report; the handler prints and returns the code
+    options: tuple[Opt, ...]  # in help order
+
+
+GROUPS = {
+    "verify": "free-algebra identity catalogue",
+    "onsager": "presentation-level checks",
+    "current": "current-algebra checks",
+    "repn": "exact matrix realizations",
+}
+
+_MODE = (
+    Opt("--mode", dict(choices=["symbolic", "numeric"], default="symbolic")),
+    Opt("--q", dict(help="rational value for q in numeric mode")),
+)
+_JSON = Opt("--json", dict(action="store_true"), config=False)
+_OUT = (
+    Opt("--json", dict(action="store_true", help="print the JSON report"), config=False),
+    Opt("--out", dict(help="write the JSON report to this path"), config=False),
+)
+_REPN_OUT = (_JSON, Opt("--out", config=False))
+_DIRECTION = Opt("--direction", dict(choices=["fwd", "inv", "forward", "inverse"],
+                                     default="fwd"))
+_R = Opt("--r", dict(type=int, default=3), low=1)
+_D = Opt("--d", dict(type=int, required=True), low=1)
+_SEED = Opt("--seed", dict(type=int, default=0))
+_A, _B, _Q = (Opt(f"--{n}", dict(required=True)) for n in ("a", "b", "q"))
+
+COMMANDS = (
+    Command("verify", "identities", _cmd_verify_identities, "identities", (
+        Opt("--max-index", dict(type=int, default=3), low=0), *_MODE, *_OUT, _SEED)),
+    Command("onsager", "lusztig", _cmd_onsager_lusztig, None, (
+        Opt("--expr", dict(required=True, help="expression JSON file")), _DIRECTION,
+        *_MODE, *_OUT)),
+    Command("onsager", "higher-dg", _cmd_onsager_higher_dg, "onsager-higher-dg", (
+        _R, Opt("--method", dict(choices=["rewrite", "certified", "both"], default="both")),
+        *_MODE, *_OUT)),
+    Command("onsager", "homcheck", _cmd_onsager_homcheck, "onsager-homcheck", (
+        Opt("--w1", dict(help="first word over the generators, e.g. AB"), config=False),
+        Opt("--w2", dict(help="second word over the generators"), config=False),
+        *_MODE, *_OUT)),
+    Command("current", "verify", _cmd_current_verify, "current-verify", (
+        Opt("--kmax", dict(type=int, default=3), low=1), *_MODE, *_OUT)),
+    Command("repn", "ssum", _cmd_repn_ssum, "repn-ssum", (_D, _A, _Q, *_REPN_OUT)),
+    Command("repn", "conjugation", _cmd_repn_conjugation, "repn-conjugation", (
+        _D, _A, _Q, Opt("--trials", dict(type=int, default=20), low=1), _SEED,
+        *_REPN_OUT)),
+    Command("repn", "higher-dg", _cmd_repn_higher_dg, "repn-higher-dg", (
+        _R, _D, _A, _Q, _SEED, *_REPN_OUT)),
+    Command("repn", "d1", _cmd_repn_d1, "repn-d1", (
+        _A, _B, _Q, _JSON,
+        Opt("--out", dict(help="write the pair JSON to this path"), config=False))),
+    Command("repn", "import", _cmd_repn_import, "repn-import", (
+        Opt("--file", dict(required=True)), *_REPN_OUT)),
+    Command("repn", "twist", _cmd_repn_twist, "repn-twist", (
+        Opt("--file"), Opt("--a", dict(default="3")), Opt("--b", dict(default="2")),
+        Opt("--q", dict(default="2")), _DIRECTION, _JSON,
+        Opt("--out", dict(help="write the twisted pair JSON to this path"), config=False))),
+)
+
+
+def _report(cmd: Command, args) -> int:
+    """Run a report command: print its report, write --out, return the exit code."""
+    for opt in cmd.options:
+        value = getattr(args, opt.dest)
+        if opt.low is not None and value < opt.low:
+            raise UsageError(f"{opt.flag} must be at least {opt.low}, got {value}")
+    outcome = cmd.handler(args)
+    config = {opt.dest: getattr(args, opt.dest) for opt in cmd.options if opt.config}
+    report = Report(cmd.suite, outcome.records, {**config, **outcome.config})
+    print(report.dumps() if args.json else report.render_text())
+    if args.out:
+        out = report.to_json() if outcome.out is None else outcome.out
+        with open(args.out, "w") as fh:
+            fh.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    return report.exit_code
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="qonsager", description=__doc__)
+    # the help shows the docstring up to its note on the command table
+    parser = _Parser(prog="qonsager", description=__doc__.split("\n\nCOMMANDS")[0])
     sub = parser.add_subparsers(dest="group", required=True)
-
-    verify = sub.add_parser("verify", help="free-algebra identity catalogue")
-    vsub = verify.add_subparsers(dest="action", required=True)
-    vid = vsub.add_parser("identities")
-    vid.add_argument("--max-index", type=int, default=3, dest="max_index")
-    _add_common(vid, seed=True)
-    vid.set_defaults(func=_cmd_verify_identities)
-
-    ons = sub.add_parser("onsager", help="presentation-level checks")
-    osub = ons.add_subparsers(dest="action", required=True)
-    olu = osub.add_parser("lusztig")
-    olu.add_argument("--expr", required=True, help="expression JSON file")
-    olu.add_argument("--direction", choices=["fwd", "inv", "forward", "inverse"],
-                     default="fwd")
-    _add_common(olu)
-    olu.set_defaults(func=_cmd_onsager_lusztig)
-    ohd = osub.add_parser("higher-dg")
-    ohd.add_argument("--r", type=int, default=3)
-    ohd.add_argument("--method", choices=["rewrite", "certified", "both"], default="both")
-    _add_common(ohd)
-    ohd.set_defaults(func=_cmd_onsager_higher_dg)
-    ohc = osub.add_parser("homcheck")
-    ohc.add_argument("--w1", help="first word over the generators, e.g. AB")
-    ohc.add_argument("--w2", help="second word over the generators")
-    _add_common(ohc)
-    ohc.set_defaults(func=_cmd_onsager_homcheck)
-
-    cur = sub.add_parser("current", help="current-algebra checks")
-    csub = cur.add_subparsers(dest="action", required=True)
-    cve = csub.add_parser("verify")
-    cve.add_argument("--kmax", type=int, default=3)
-    _add_common(cve)
-    cve.set_defaults(func=_cmd_current_verify)
-
-    rep = sub.add_parser("repn", help="exact matrix realizations")
-    rsub = rep.add_subparsers(dest="action", required=True)
-    rss = rsub.add_parser("ssum")
-    rss.add_argument("--d", type=int, required=True)
-    rss.add_argument("--a", required=True)
-    rss.add_argument("--q", required=True)
-    rss.add_argument("--json", action="store_true")
-    rss.add_argument("--out")
-    rss.set_defaults(func=_cmd_repn_ssum)
-    rcj = rsub.add_parser("conjugation")
-    rcj.add_argument("--d", type=int, required=True)
-    rcj.add_argument("--a", required=True)
-    rcj.add_argument("--q", required=True)
-    rcj.add_argument("--trials", type=int, default=20)
-    rcj.add_argument("--seed", type=int, default=0)
-    rcj.add_argument("--json", action="store_true")
-    rcj.add_argument("--out")
-    rcj.set_defaults(func=_cmd_repn_conjugation)
-    rhd = rsub.add_parser("higher-dg")
-    rhd.add_argument("--r", type=int, default=3)
-    rhd.add_argument("--d", type=int, required=True)
-    rhd.add_argument("--a", required=True)
-    rhd.add_argument("--q", required=True)
-    rhd.add_argument("--seed", type=int, default=0)
-    rhd.add_argument("--json", action="store_true")
-    rhd.add_argument("--out")
-    rhd.set_defaults(func=_cmd_repn_higher_dg)
-    rd1 = rsub.add_parser("d1")
-    rd1.add_argument("--a", required=True)
-    rd1.add_argument("--b", required=True)
-    rd1.add_argument("--q", required=True)
-    rd1.add_argument("--json", action="store_true")
-    rd1.add_argument("--out", help="write the pair JSON to this path")
-    rd1.set_defaults(func=_cmd_repn_d1)
-    rim = rsub.add_parser("import")
-    rim.add_argument("--file", required=True)
-    rim.add_argument("--json", action="store_true")
-    rim.add_argument("--out")
-    rim.set_defaults(func=_cmd_repn_import)
-    rtw = rsub.add_parser("twist")
-    rtw.add_argument("--file")
-    rtw.add_argument("--a", default="3")
-    rtw.add_argument("--b", default="2")
-    rtw.add_argument("--q", default="2")
-    rtw.add_argument("--direction", choices=["fwd", "inv", "forward", "inverse"],
-                     default="fwd")
-    rtw.add_argument("--json", action="store_true")
-    rtw.add_argument("--out", help="write the twisted pair JSON to this path")
-    rtw.set_defaults(func=_cmd_repn_twist)
-
+    actions = {g: sub.add_parser(g, help=h).add_subparsers(dest="action", required=True)
+               for g, h in GROUPS.items()}
+    for cmd in COMMANDS:
+        p = actions[cmd.group].add_parser(cmd.action)
+        for opt in cmd.options:
+            p.add_argument(opt.flag, **opt.settings)
+        p.set_defaults(func=partial(_report, cmd) if cmd.suite else cmd.handler)
     return parser
 
 

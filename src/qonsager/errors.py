@@ -24,7 +24,7 @@ class AlphabetMismatch(QonsagerError):
 
 
 class MissingImage(QonsagerError):
-    """A substitution map does not cover every generator that occurs."""
+    """An evaluation does not assign every generator that occurs."""
 
 
 class InvalidParams(QonsagerError):

@@ -195,36 +195,6 @@ class NcPoly:
 
     # -- algebra maps ------------------------------------------------------
 
-    def substitute(self, images: dict[str, "NcPoly"]) -> "NcPoly":
-        """Apply the algebra map sending each generator to its image.
-
-        Every generator occurring in the polynomial must have an image; all
-        images must live over one common alphabet.
-        """
-        target = None
-        for img in images.values():
-            if target is None:
-                target = img.alphabet
-            elif target != img.alphabet:
-                raise AlphabetMismatch("substitution images over mixed alphabets")
-        if target is None:
-            target = self.alphabet
-        imgs: dict[int, NcPoly] = {}
-        for name, img in images.items():
-            imgs[self.alphabet.index[name]] = img
-        out = NcPoly.zero(target)
-        for w, c in self.terms.items():
-            acc = NcPoly(target, {(): c})
-            for letter in w:
-                img = imgs.get(letter)
-                if img is None:
-                    raise MissingImage(
-                        f"no image for generator {self.alphabet.names[letter]!r}"
-                    )
-                acc = acc * img
-            out = out + acc
-        return out
-
     def evaluate(self, assignment: dict[str, object], scalar_one):
         """Evaluate in any associative algebra (e.g. exact matrices).
 

@@ -25,13 +25,8 @@ from .freealg import Alphabet, NcPoly, Word, deglex_key
 class MonomialOrder:
     """Degree-lexicographic word order using alphabet precedence."""
 
-    kind = "deglex"
-
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-
-    def key(self, w: Word):
-        return deglex_key(w)
 
     def less(self, a: Word, b: Word) -> bool:
         return deglex_key(a) < deglex_key(b)
@@ -191,50 +186,6 @@ class RewriteSystem:
     def is_zero_mod(self, p: NcPoly) -> "ReductionResult":
         nf = self.normal_form(p)
         return ReductionResult(nf.is_zero, nf)
-
-    # -- optional overlap completion ----------------------------------------
-
-    def interreduced(self, degree_cap: int = 8, max_new: int = 32) -> "RewriteSystem":
-        """Add reduced overlap differences as derived rules, up to a cap.
-
-        This is an opportunistic completion step, not a confluence proof:
-        derived rules are sound consequences of the existing ones, and the
-        result may still be incomplete.
-        """
-        rules = list(self.rules)
-        sys = RewriteSystem(self.alphabet, self.order, rules)
-        added = 0
-        changed = True
-        while changed and added < max_new:
-            changed = False
-            pairs = []
-            for r1 in sys.rules:
-                for r2 in sys.rules:
-                    for k in range(1, min(len(r1.lhs), len(r2.lhs))):
-                        if r1.lhs[len(r1.lhs) - k:] == r2.lhs[:k]:
-                            w = r1.lhs + r2.lhs[k:]
-                            if len(w) <= degree_cap:
-                                pairs.append((w, r1, r2, k))
-            for w, r1, r2, k in pairs:
-                left_red = r1.rhs * NcPoly.monomial(self.alphabet, w[len(r1.lhs):], 1)
-                right_red = NcPoly.monomial(self.alphabet, w[: len(w) - len(r2.lhs)], 1) * r2.rhs
-                diff = sys.normal_form(left_red - right_red)
-                if diff.is_zero:
-                    continue
-                lead = diff.leading_word()
-                c = diff.terms[lead]
-                rhs = (-1 / c) * (diff - NcPoly.monomial(self.alphabet, lead, c))
-                rule = RewriteRule(lead, rhs)
-                try:
-                    rule.validate(sys.order)
-                except OrderViolation:
-                    continue
-                sys = RewriteSystem(self.alphabet, self.order, sys.rules + [rule])
-                added += 1
-                changed = True
-                if added >= max_new:
-                    break
-        return sys
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,16 @@ class TestExitCodeContract:
     def test_io_error_is_74(self):
         assert main(["onsager", "lusztig", "--expr", "/absent/file.json"]) == EX_IOERR
 
+    @pytest.mark.parametrize("alphabet", [["B", "A"], ["A", "C"]])
+    def test_expression_over_another_alphabet_is_74(self, alphabet, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"alphabet": alphabet,
+                                    "terms": [{"word": ["A"], "coeff": 1}]}))
+        assert main(["onsager", "lusztig", "--expr", str(path)]) == EX_IOERR
+        err = capsys.readouterr().err
+        assert f"error: expression alphabet must be ['A', 'B'], got {alphabet}" in err
+        assert f"(at {path})" in err
+
     def test_numeric_mode_requires_q(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "identities", "--max-index", "1", "--mode", "numeric"])
@@ -104,6 +114,12 @@ class TestUsageErrors:
              "--trials must be at least 1, got 0"),
             (["onsager", "homcheck", "--w1", "AC", "--w2", "B"],
              "--w1/--w2: unknown generator 'C'"),
+            (["current", "verify", "--kmax", "0"], "--kmax must be at least 1, got 0"),
+            (["repn", "ssum", "--d", "2", "--a", "1", "--q", "2"],
+             "eigenvalue collision for a=1, q0=2, d=2"),
+            (["repn", "d1", "--a", "1", "--b", "2", "--q", "2"],
+             "eigenvalue collision for a=1, q0=2, d=1"),
+            (["repn", "twist", "--a", "1"], "eigenvalue collision for a=1, q0=2, d=1"),
         ],
     )
     def test_named_error_and_exit_64(self, argv, message, capsys):

@@ -14,6 +14,7 @@ from qonsager.onsager import (
     onsager_context,
 )
 from qonsager.qcoeff import NumericQ, SYMBOLIC as m
+from qonsager.rewrite import MonomialOrder, RewriteSystem
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,12 @@ class TestHigherOrders:
         rec = higher_dg_check(ctx, r, "certified")
         assert rec.status == "pass"
         assert "product expansion holds exactly" in rec.detail or r == 1
+
+    def test_certified_mode_fails_without_relations(self):
+        ctx = onsager_context()
+        ctx.qdg = RewriteSystem(ctx.alphabet, MonomialOrder(ctx.alphabet), [])
+        rec = higher_dg_check(ctx, 2, "certified")
+        assert (rec.status, rec.detail) == ("fail", "base vanishing for B failed")
 
     def test_bad_arguments(self, ctx):
         with pytest.raises(ValueError):

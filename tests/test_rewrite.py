@@ -167,31 +167,3 @@ class TestCongruence:
             lhs = qdg.normal_form(p * r)
             rhs = qdg.normal_form(qdg.normal_form(p) * qdg.normal_form(r))
             assert lhs == rhs
-
-
-class TestInterreduction:
-    def test_derived_rules_vanish_in_exact_models(self, qdg):
-        # a derived overlap rule is a new consequence the two-rule system
-        # cannot itself reduce, so soundness is checked by evaluating it in
-        # genuine matrix realizations of the presentation instead
-        from qonsager.matrices import ExactMatrix
-        from qonsager.repn import search_td_pair, td_pair_d1
-
-        bigger = qdg.interreduced(degree_cap=7, max_new=4)
-        assert len(bigger.rules) > len(qdg.rules), "the overlap must add a rule"
-        models = [td_pair_d1(3, 2, 2), search_td_pair(3, 3, 5, 2)]
-        assert models[1] is not None
-        for rule in bigger.rules[len(qdg.rules):]:
-            element = NcPoly.monomial(AB, rule.lhs, m.one()) - rule.rhs
-            for tp in models:
-                numeric = element.map_coeffs(lambda c: c.eval_at(tp.q0))
-                image = numeric.evaluate(
-                    {"A": tp.A, "B": tp.B}, ExactMatrix.identity(tp.A.dimension)
-                )
-                assert image.is_zero()
-
-    def test_completion_closes_the_overlap(self, qdg):
-        bigger = qdg.interreduced(degree_cap=7, max_new=4)
-        for rule in bigger.rules[len(qdg.rules):]:
-            element = NcPoly.monomial(AB, rule.lhs, m.one()) - rule.rhs
-            assert bigger.is_zero_mod(element).is_zero
