@@ -205,14 +205,14 @@ class NcPoly:
         values = {self.alphabet.index[n]: v for n, v in assignment.items()}
         out = None
         for w, c in self.terms.items():
-            acc = scalar_one
+            acc = None
             for letter in w:
                 if letter not in values:
                     raise MissingImage(
                         f"no value for generator {self.alphabet.names[letter]!r}"
                     )
-                acc = acc * values[letter]
-            term = c * acc
+                acc = values[letter] if acc is None else acc * values[letter]
+            term = c * (scalar_one if acc is None else acc)
             out = term if out is None else out + term
         if out is None:
             return 0 * scalar_one
@@ -283,7 +283,5 @@ def ncpoly_from_json(data, mode=SYMBOLIC) -> NcPoly:
             elif w in terms:
                 del terms[w]
         return NcPoly(alphabet, terms)
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed expression JSON: {e}")

@@ -370,8 +370,6 @@ IDENTITIES: dict[str, IdentitySpec] = {
     ]
 }
 
-IDENTITY_ORDER = {name: k for k, name in enumerate(IDENTITIES)}
-
 
 def verify_identity(
     name: str, params: tuple[int, ...], mode=SYMBOLIC, _ctx: _Ctx | None = None
@@ -416,6 +414,9 @@ def parameter_grid(spec: IdentitySpec, max_index: int = 3):
 def run_identity_suite(max_index: int = 3, mode=SYMBOLIC, names=None) -> list[CheckRecord]:
     """Run the catalogue over the default parameter grid, in a fixed order.
 
+    Records come in catalogue order, each family's instances in ascending
+    parameter order (the order of the grid).
+
     The instances are independent pure checks; one shared context is used
     only as a cache of operator images.
     """
@@ -426,5 +427,4 @@ def run_identity_suite(max_index: int = 3, mode=SYMBOLIC, names=None) -> list[Ch
             continue
         for combo in parameter_grid(spec, max_index):
             records.append(verify_identity(name, combo, mode, _ctx=ctx))
-    records.sort(key=lambda r: (IDENTITY_ORDER[r.name], r.params))
     return records

@@ -2,9 +2,9 @@
 
 Entries are exact scalars: Fractions in numeric mode, rational functions of
 q in symbolic mode.  Everything here is elementary and done over the entry
-field with no rounding: Gaussian elimination for solving and rank,
-Faddeev-LeVerrier for characteristic polynomials, and an incremental
-row-echelon basis for the dimension of a generated matrix algebra.
+field with no rounding: Gaussian elimination for solving and an
+incremental row-echelon basis for the dimension of a generated matrix
+algebra.
 """
 
 from __future__ import annotations
@@ -221,109 +221,17 @@ class EchelonBasis:
         return len(self.rows)
 
 
-def generated_algebra_dimension(mats: list[ExactMatrix], cap: int | None = None) -> int:
+def generated_algebra_dimension(mats: list[ExactMatrix]) -> int:
     """Dimension of the unital algebra generated by the given matrices."""
     n = mats[0].dimension
     one = _one_like(mats[0].rows[0][0])
-    cap = cap if cap is not None else n * n
     basis = EchelonBasis()
     queue = [ExactMatrix.identity(n, one)]
     basis.add([x for row in queue[0].rows for x in row])
-    while queue and basis.dimension < cap:
+    while queue and basis.dimension < n * n:
         m = queue.pop()
         for g in mats:
             cand = g * m
             if basis.add([x for row in cand.rows for x in row]):
                 queue.append(cand)
     return basis.dimension
-
-
-def charpoly(mat: ExactMatrix) -> list:
-    """Characteristic polynomial coefficients [c0, ..., cn], leading last."""
-    n = mat.dimension
-    one = _one_like(mat.rows[0][0])
-    ident = ExactMatrix.identity(n, one)
-    coeffs = [one]
-    M = ident
-    for k in range(1, n + 1):
-        AM = mat * M
-        ck = (Fraction(-1, k) * one) * AM.trace()
-        coeffs.append(ck)
-        M = AM + ck * ident
-    return list(reversed(coeffs))
-
-
-def rational_eigenvalues(mat: ExactMatrix) -> list[Fraction] | None:
-    """All eigenvalues if the characteristic polynomial splits over Q.
-
-    Returns None when it does not split with the divisor search used here;
-    intended for the small matrices this engine constructs.
-    """
-    coeffs = charpoly(mat)
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    roots: list[Fraction] = []
-    while len(ints) > 1:
-        while ints and ints[0] == 0:
-            roots.append(Fraction(0))
-            ints = ints[1:]
-        if len(ints) <= 1:
-            break
-        root = _find_rational_root(ints)
-        if root is None:
-            return None
-        roots.append(root)
-        ints = _deflate(ints, root)
-    return roots if len(roots) == mat.dimension else None
-
-
-def _gcd_int(a, b):
-    from math import gcd
-
-    return gcd(a, b)
-
-
-def _divisors(n: int, cap: int = 40000) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n and len(out) < cap:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _find_rational_root(ints: list[int]) -> Fraction | None:
-    for p in _divisors(ints[0]):
-        for qd in _divisors(ints[-1]):
-            for sign in (1, -1):
-                cand = Fraction(sign * p, qd)
-                if not _poly_eval(ints, cand):
-                    return cand
-    return None
-
-
-def _poly_eval(ints: list[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(ints):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(ints: list[int], root: Fraction) -> list[int]:
-    """Synthetic division by (x - root); the root must be exact."""
-    out = [Fraction(c) for c in ints]
-    quot = [Fraction(0)] * (len(out) - 1)
-    carry = Fraction(0)
-    for k in range(len(out) - 1, 0, -1):
-        quot[k - 1] = out[k] + carry
-        carry = quot[k - 1] * root
-    den = 1
-    for c in quot:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    return [int(c * den) for c in quot]

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .adjoint import FORWARD, INVERSE, apply_ad, apply_badprod, truncated_sum
+from .adjoint import FORWARD, INVERSE, apply_badprod, truncated_sum
 from .errors import (
     DegenerateEigenvalues,
     DimensionMismatch,
@@ -32,13 +32,10 @@ from .errors import (
     NotDiagonalizable,
     ParseError,
 )
-from .matrices import (
-    ExactMatrix,
-    generated_algebra_dimension,
-    rational_eigenvalues,
-    solve_linear,
-)
-from .qcoeff import SYMBOLIC, NumericQ
+from .freealg import Alphabet
+from .matrices import ExactMatrix, generated_algebra_dimension, solve_linear
+from .onsager import defining_relations
+from .qcoeff import NumericQ
 from .report import CheckRecord, FAIL, PASS
 
 
@@ -47,8 +44,8 @@ def theta_sequence(d: int, a, q0) -> list[Fraction]:
 
     Rejects forbidden q0 and eigenvalue collisions, and asserts the two
     facts the array is used for downstream: adjacent pairs are roots of
-    x^2 - (q^2+q^-2)xy + y^2 + (q^2-q^-2)^2 and the interior satisfies the
-    three-term recurrence with coefficient q^2 + q^-2.
+    the adjacency polynomial and the interior satisfies the three-term
+    recurrence with coefficient q^2 + q^-2.
     """
     if d < 1:
         raise ValueError("diameter must be at least 1")
@@ -61,16 +58,32 @@ def theta_sequence(d: int, a, q0) -> list[Fraction]:
     theta = [a * q0 ** (d - 2 * i) + q0 ** (2 * i - d) / a for i in range(d + 1)]
     if len(set(theta)) != d + 1:
         raise DegenerateEigenvalues(f"eigenvalue collision for a={a}, q0={q0}, d={d}")
+    if any(_adjacency(theta[i], theta[i + 1], q0) for i in range(d)):
+        raise AssertionError("adjacent eigenvalue constraint violated")
     c2 = q0 ** 2 + q0 ** -2
-    rho = (q0 ** 2 - q0 ** -2) ** 2
-    for i in range(d):
-        p = theta[i] ** 2 - c2 * theta[i] * theta[i + 1] + theta[i + 1] ** 2 + rho
-        if p:
-            raise AssertionError("adjacent eigenvalue constraint violated")
     for j in range(1, d):
         if theta[j - 1] - c2 * theta[j] + theta[j + 1]:
             raise AssertionError("three-term recurrence violated")
     return theta
+
+
+def _adjacency(x, y, q0):
+    """x^2 - (q^2+q^-2)xy + y^2 + (q^2-q^-2)^2, zero on adjacent eigenvalues."""
+    return x ** 2 - (q0 ** 2 + q0 ** -2) * x * y + y ** 2 + (q0 ** 2 - q0 ** -2) ** 2
+
+
+def _lagrange(M: ExactMatrix, eigs: list, one=Fraction(1)) -> list[ExactMatrix]:
+    """Lagrange idempotents: the products of (M - mu) / (lam - mu) over mu != lam."""
+    ident = ExactMatrix.identity(M.dimension, one)
+    factors = [M - mu * ident for mu in eigs]
+    out = []
+    for i, lam in enumerate(eigs):
+        P = ident
+        for j, mu in enumerate(eigs):
+            if j != i:
+                P = (one / (lam - mu)) * (P * factors[j])
+        out.append(P)
+    return out
 
 
 @dataclass
@@ -119,14 +132,7 @@ def spectral_data(d: int, a, q0, A: ExactMatrix | None = None, mode=None) -> Spe
     if A.dimension != d + 1:
         raise DimensionMismatch("matrix dimension must be d + 1")
     ident = ExactMatrix.identity(d + 1, one)
-    E = []
-    for i in range(d + 1):
-        P = ident
-        for j in range(d + 1):
-            if j != i:
-                P = P * (A - theta[j] * ident)
-                P = (one / (theta[i] - theta[j])) * P
-        E.append(P)
+    E = _lagrange(A, theta, one)
     total = ExactMatrix.zeros(d + 1, zero=0 * one)
     for Ei in E:
         total = total + Ei
@@ -289,43 +295,32 @@ class TDPair:
     q0: Fraction
     A: ExactMatrix
     B: ExactMatrix
-    theta: list[Fraction]
-    theta_star: list[Fraction]
+
+    @property
+    def theta(self) -> list[Fraction]:
+        return theta_sequence(self.d, self.a, self.q0)
+
+    @property
+    def theta_star(self) -> list[Fraction]:
+        return theta_sequence(self.d, self.b, self.q0)
 
 
 def _dg_defect(first: ExactMatrix, second: ExactMatrix, q0: Fraction) -> ExactMatrix:
-    """Defect of the degree-4 relation with the roles (first, second)."""
-    c3 = q0 ** 2 + 1 + q0 ** -2
-    rho = (q0 ** 2 - q0 ** -2) ** 2
-    A, B = first, second
-    return (
-        A * A * A * B
-        - c3 * (A * A * B * A)
-        + c3 * (A * B * A * A)
-        - B * A * A * A
-        - rho * (B * A - A * B)
-    )
+    """Defect of the first defining relation at A = first, B = second."""
+    relation = defining_relations(Alphabet(["A", "B"]), NumericQ(q0))[0]
+    return relation.evaluate({"A": first, "B": second}, ExactMatrix.identity(first.dimension))
 
 
 def _idempotents(M: ExactMatrix, eigs: list[Fraction]) -> list[ExactMatrix] | None:
     """Lagrange idempotents of M for the given simple spectrum, or None."""
-    n = M.dimension
-    ident = ExactMatrix.identity(n)
+    ident = ExactMatrix.identity(M.dimension)
     ann = ident
     for lam in eigs:
         ann = ann * (M - lam * ident)
     if not ann.is_zero():
         return None
-    out = []
-    for i, lam in enumerate(eigs):
-        P = ident
-        for j, mu in enumerate(eigs):
-            if j != i:
-                P = (Fraction(1) / (lam - mu)) * (P * (M - mu * ident))
-        if P.is_zero():
-            return None
-        out.append(P)
-    return out
+    out = _lagrange(M, eigs)
+    return None if any(P.is_zero() for P in out) else out
 
 
 def validate_td_pair(tp: TDPair) -> list[str]:
@@ -337,16 +332,14 @@ def validate_td_pair(tp: TDPair) -> list[str]:
     try:
         theta = theta_sequence(tp.d, tp.a, tp.q0)
         theta_star = theta_sequence(tp.d, tp.b, tp.q0)
-    except (DegenerateEigenvalues, InvalidQ) as e:
+    except (DegenerateEigenvalues, InvalidQ, ValueError) as e:
         return [f"eigenvalue-arrays: {e}"]
-    if theta != tp.theta or theta_star != tp.theta_star:
-        violations.append("eigenvalue-arrays")
-    EA = _idempotents(tp.A, tp.theta)
+    EA = _idempotents(tp.A, theta)
     if EA is None:
         violations.append("first-generator-diagonalizable")
-    EB = _idempotents(tp.B, tp.theta_star)
+    EB = _idempotents(tp.B, theta_star)
     if EB is None:
-        EB = _idempotents(tp.B, list(reversed(tp.theta_star)))
+        EB = _idempotents(tp.B, theta_star[::-1])
     if EB is None:
         violations.append("second-generator-diagonalizable")
     if EA is not None and EB is not None:
@@ -370,13 +363,12 @@ def validate_td_pair(tp: TDPair) -> list[str]:
 def td_pair_d1(a, b, q0) -> TDPair:
     """Closed-form diameter-1 pair: A diagonal, B symmetric with the dual array."""
     a, b, q0 = Fraction(a), Fraction(b), Fraction(q0)
-    theta = theta_sequence(1, a, q0)
+    A = ExactMatrix.diagonal(theta_sequence(1, a, q0))
     theta_star = theta_sequence(1, b, q0)
-    A = ExactMatrix.diagonal(theta)
     mid = (theta_star[0] + theta_star[1]) / 2
     off = (theta_star[0] - theta_star[1]) / 2
     B = ExactMatrix([[mid, off], [off, mid]])
-    tp = TDPair(1, a, b, q0, A, B, theta, theta_star)
+    tp = TDPair(1, a, b, q0, A, B)
     violations = validate_td_pair(tp)
     if violations:
         raise InvariantViolation(violations)
@@ -387,35 +379,28 @@ def check_dg_spectral(
     A: ExactMatrix,
     B: ExactMatrix,
     q0,
-    theta: list[Fraction] | None = None,
+    theta: list[Fraction],
     theta_star: list[Fraction] | None = None,
 ) -> CheckRecord:
     """Verify the first relation spectrally and directly; dually if possible.
 
-    The spectral route: sandwiching the relation defect between idempotents
-    shows it vanishes exactly when every eigenline with a nonzero scalar
-    factor (theta_i - theta_j) * p(i, j) carries a zero block of B.  The
-    direct route evaluates the relation itself.  Both must agree.
+    theta, the eigenvalue array of A, is required; theta_star, that of B,
+    adds the dual check of the second relation.  The spectral route:
+    sandwiching the relation defect between idempotents shows it vanishes
+    exactly when every eigenline with a nonzero scalar factor
+    (theta_i - theta_j) * p(theta_i, theta_j), p the adjacency polynomial,
+    carries a zero block of B.  The direct route evaluates the relation
+    itself.  Both must agree.
     """
     q0 = Fraction(q0)
-    if theta is None:
-        theta = rational_eigenvalues(A)
-        if theta is None or len(set(theta)) != len(theta):
-            raise NotDiagonalizable("no simple rational spectrum found")
     EA = _idempotents(A, theta)
     if EA is None:
         raise NotDiagonalizable("first matrix is not diagonalizable with the given spectrum")
     n = A.dimension
-    c2 = q0 ** 2 + q0 ** -2
-    rho = (q0 ** 2 - q0 ** -2) ** 2
     problems = []
-
-    def p_scalar(ti, tj):
-        return ti ** 2 - c2 * ti * tj + tj ** 2 + rho
-
     for i in range(n):
         for j in range(n):
-            factor = (theta[i] - theta[j]) * p_scalar(theta[i], theta[j])
+            factor = (theta[i] - theta[j]) * _adjacency(theta[i], theta[j], q0)
             block = EA[i] * B * EA[j]
             if factor and not block.is_zero():
                 problems.append(f"spectral-({i},{j})")
@@ -427,7 +412,7 @@ def check_dg_spectral(
     if theta_star is not None:
         EB = _idempotents(B, theta_star)
         if EB is None:
-            EB = _idempotents(B, list(reversed(theta_star)))
+            EB = _idempotents(B, theta_star[::-1])
         if EB is None:
             problems.append("second-generator-diagonalizable")
         else:
@@ -461,7 +446,7 @@ def matrix_from_json(data) -> ExactMatrix:
     try:
         n = int(data["dimension"])
         rows = [[Fraction(str(x)) for x in row] for row in data["entries"]]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ParseError(f"malformed matrix JSON: {e}")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError("matrix entries do not match the declared dimension")
@@ -485,13 +470,9 @@ def td_pair_from_json(data) -> TDPair:
         a, b, q0 = Fraction(str(data["a"])), Fraction(str(data["b"])), Fraction(str(data["q"]))
         A = matrix_from_json(data["A"])
         B = matrix_from_json(data["B"])
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ParseError(f"malformed pair JSON: {e}")
-    theta = theta_sequence(d, a, q0)
-    theta_star = theta_sequence(d, b, q0)
-    return TDPair(d, a, b, q0, A, B, theta, theta_star)
+    return TDPair(d, a, b, q0, A, B)
 
 
 def import_td_pair(path) -> TDPair:
@@ -499,8 +480,6 @@ def import_td_pair(path) -> TDPair:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError:
-        raise
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}", location=str(path))
     tp = td_pair_from_json(data)
@@ -524,7 +503,7 @@ def twist_module(tp: TDPair, sd: SpectralData | None = None, direction: str = FO
         B2 = sd.Psi * tp.B * sd.PsiInv
     else:
         B2 = sd.PsiInv * tp.B * sd.Psi
-    out = TDPair(tp.d, tp.a, tp.b, tp.q0, tp.A, B2, tp.theta, tp.theta_star)
+    out = replace(tp, B=B2)
     violations = validate_td_pair(out)
     if violations:
         raise InvariantViolation(violations)
@@ -554,15 +533,16 @@ def search_td_pair(d: int, a, b, q0) -> TDPair | None:
         if i + 1 < n:
             rows_A[i + 1][i] = Fraction(1)
     A = ExactMatrix(rows_A)
-    for diag in (list(theta_star[::-1]), list(theta_star)):
+    units = []
+    for k in range(1, n):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows[k - 1][k] = Fraction(1)
+        units.append(ExactMatrix(rows))
+    # the defect is linear in B: its value at each unit is an equation column
+    cols = [_dg_defect(A, U, q0) for U in units]
+    for diag in (theta_star[::-1], theta_star):
         B0 = ExactMatrix.diagonal(diag)
-        units = []
-        for k in range(1, n):
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            rows[k - 1][k] = Fraction(1)
-            units.append(ExactMatrix(rows))
         const = _dg_defect(A, B0, q0)
-        cols = [_dg_defect(A, U, q0) - _dg_defect(A, ExactMatrix.zeros(n), q0) for U in units]
         eq_rows = []
         rhs = []
         for r in range(n):
@@ -575,7 +555,7 @@ def search_td_pair(d: int, a, b, q0) -> TDPair | None:
         B = B0
         for x, U in zip(phi, units):
             B = B + x * U
-        tp = TDPair(d, a, b, q0, A, B, theta, theta_star)
+        tp = TDPair(d, a, b, q0, A, B)
         if not validate_td_pair(tp):
             return tp
     return None

@@ -180,6 +180,45 @@ class TestCommands:
         assert main(["repn", "import", "--file", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "key,value,named",
+    [
+        ("a", "1", "eigenvalue-arrays: "),  # the eigenvalues collide
+        ("q", "1", "eigenvalue-arrays: "),  # forbidden q
+        ("a", "0", "eigenvalue-arrays: "),
+        ("b", "0", "eigenvalue-arrays: "),
+        ("d", 0, "dimension"),  # the 2x2 matrices do not fit diameter 0
+    ],
+)
+class TestBadPairFile:
+    """A pair file whose a/b/q/d give no eigenvalue arrays fails validation."""
+
+    @pytest.fixture
+    def path(self, tmp_path, key, value):
+        from qonsager.repn import td_pair_d1, td_pair_to_json
+
+        data = td_pair_to_json(td_pair_d1(3, 2, 2))
+        data[key] = value
+        path = tmp_path / "bad-pair.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_import_is_a_fail_record(self, path, named, capsys):
+        assert main(["repn", "import", "--file", str(path), "--json"]) == 1
+        out, err = capsys.readouterr()
+        (check,) = json.loads(out)["checks"]
+        assert (check["name"], check["status"]) == ("import", "fail")
+        assert check["detail"].startswith("invariants violated: " + named)
+        assert err == ""
+
+    def test_twist_is_an_error(self, path, named, capsys):
+        assert main(["repn", "twist", "--file", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invariants violated: " + named)
+        assert "Traceback" not in err
+
+
 def _summary(passed):
     return {"pass": passed, "fail": 0, "inconclusive": 0}
 

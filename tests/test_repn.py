@@ -232,11 +232,6 @@ class TestSpectralCriterion:
         rec = check_dg_spectral(sd.A, ExactMatrix(rows), sd.q0, sd.theta)
         assert rec.status == "fail"
 
-    def test_eigenvalues_recovered_when_not_given(self):
-        tp = td_pair_d1(3, 2, 2)
-        rec = check_dg_spectral(tp.A, tp.B, tp.q0)
-        assert rec.status == "pass"
-
 
 class TestDiameterOnePair:
     def test_documented_eigenvalues(self):
@@ -293,6 +288,28 @@ class TestImportExport:
         with pytest.raises(InvariantViolation) as err:
             import_td_pair(path)
         assert any("relation" in v or "diagonalizable" in v for v in err.value.violations)
+
+    def test_bad_parameters_name_the_eigenvalue_arrays(self, tmp_path):
+        import json
+
+        data = td_pair_to_json(td_pair_d1(3, 2, 2))
+        data["a"] = "1"  # the first eigenvalue array collides
+        path = tmp_path / "collision.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvariantViolation) as err:
+            import_td_pair(path)
+        (violation,) = err.value.violations
+        assert violation.startswith("eigenvalue-arrays: ")
+
+    def test_zero_denominator_is_a_parse_error(self, tmp_path):
+        import json
+
+        data = td_pair_to_json(td_pair_d1(3, 2, 2))
+        data["B"]["entries"][0][1] = "1/0"
+        path = tmp_path / "zero-denominator.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError):
+            import_td_pair(path)
 
     def test_reducible_pair_rejected(self, tmp_path):
         import json
