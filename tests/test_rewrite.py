@@ -9,6 +9,7 @@ from qonsager.errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from qonsager.freealg import Alphabet, NcPoly
 from qonsager.onsager import defining_relations
 from qonsager.qcoeff import SYMBOLIC as m
+from qonsager.qcoeff import NumericQ
 from qonsager.rewrite import MonomialOrder, RewriteRule, RewriteSystem, make_system
 
 AB = Alphabet(["A", "B"])
@@ -116,7 +117,7 @@ class TestTermination:
 
 
 class TestTrace:
-    def test_traced_agrees_with_memoized(self, qdg):
+    def test_traced_agrees_with_normal_form(self, qdg):
         rng = random.Random(1234)
         for _ in range(10):
             p = random_poly(rng, max_degree=6)
@@ -149,6 +150,64 @@ class TestTrace:
             rel = NcPoly.monomial(AB, rule.lhs, m.one()) - rule.rhs
             acc = acc + c * (lmono * rel * rmono)
         assert p - nf == acc
+
+
+MODES = [pytest.param(m, id="symbolic"), pytest.param(NumericQ("5/3"), id="numeric")]
+
+
+def oracle_poly(rng, mode, pool):
+    """Up to 12 terms of length <= 10, drawing words from a small pool so
+    that words repeat and coefficients cancel after reduction."""
+    terms = {}
+    for _ in range(rng.randint(1, 12)):
+        if rng.random() < 0.5:
+            w = rng.choice(pool)
+        else:
+            w = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 10)))
+        c = terms.get(w, mode.zero()) + mode.from_fraction(rng.randint(-4, 4))
+        terms[w] = c
+    return NcPoly(AB, terms)
+
+
+class TestOracle:
+    """normal_form against the step-by-step traced reduction, which shares
+    only the matching and the rules with it."""
+
+    @pytest.fixture(scope="class", params=MODES)
+    def system(self, request):
+        mode = request.param
+        rels = defining_relations(AB, mode)
+        return mode, make_system(AB, MonomialOrder(AB), rels, [AB.word("AAAB"), AB.word("ABBB")])
+
+    def polys(self, mode, seed, count):
+        rng = random.Random(seed)
+        pool = [AB.word(s) for s in ("AAAB", "ABBB", "AAABB", "BAAAB", "AABBBA", "AAABBBAB")]
+        return [oracle_poly(rng, mode, pool) for _ in range(count)]
+
+    def test_agrees_with_traced(self, system):
+        mode, sys_ = system
+        for p in self.polys(mode, 2024, 40):
+            assert sys_.normal_form(p) == sys_.normal_form_traced(p)[0]
+
+    def test_cancellation_to_zero(self, system):
+        mode, sys_ = system
+        # AAAB minus its own rule's right side lies in the ideal
+        p = NcPoly.monomial(AB, AB.word("AAAB"), mode.one()) - sys_.rules[0].rhs
+        assert sys_.normal_form(p).is_zero
+        assert sys_.normal_form_traced(p)[0].is_zero
+
+    def test_linear(self, system):
+        mode, sys_ = system
+        ps = self.polys(mode, 4242, 20)
+        for p, r in zip(ps[::2], ps[1::2]):
+            assert sys_.normal_form(p + r) == sys_.normal_form(p) + sys_.normal_form(r)
+            assert sys_.normal_form(p - p).is_zero
+
+    def test_word_is_monomial(self, system):
+        mode, sys_ = system
+        for s in ("", "B", "AAAB", "ABBB", "AAABBB", "BAAABBBA", "AAABAAAB"):
+            w = AB.word(s)
+            assert sys_.normal_form_word(w) == sys_.normal_form(NcPoly.monomial(AB, w, mode.one()))
 
 
 def random_like():
