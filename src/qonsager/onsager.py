@@ -116,16 +116,20 @@ class OnsagerContext:
 
 
 def defining_relations(alphabet: Alphabet, mode=SYMBOLIC) -> list[NcPoly]:
-    """The two degree-4 relations, as left side minus right side."""
-    A = NcPoly.generator(alphabet, "A", mode)
-    B = NcPoly.generator(alphabet, "B", mode)
-    th = mode.qint(3)
+    """The two degree-4 relations, as left side minus right side.
+
+    x^3 y - [3]_q x^2 y x + [3]_q x y x^2 - y x^3 - (q^2 - q^-2)^2 (y x - x y)
+    for (x, y) = (A, B) and (B, A), written as a coefficient table.
+    """
+    one, th = mode.one(), mode.qint(3)
     rho = mode.qnum(2) * mode.qnum(2)
-    dg1 = A * A * A * B - th * (A * A * B * A) + th * (A * B * A * A) - B * A * A * A \
-        - rho * (B * A - A * B)
-    dg2 = B * B * B * A - th * (B * B * A * B) + th * (B * A * B * B) - A * B * B * B \
-        - rho * (A * B - B * A)
-    return [dg1, dg2]
+
+    def relation(x: int, y: int) -> NcPoly:
+        return NcPoly(alphabet, {(x, x, x, y): one, (x, x, y, x): -th, (x, y, x, x): th,
+                                 (y, x, x, x): -one, (y, x): -rho, (x, y): rho})
+
+    a, b = alphabet.index["A"], alphabet.index["B"]
+    return [relation(a, b), relation(b, a)]
 
 
 def onsager_context(mode=SYMBOLIC) -> OnsagerContext:

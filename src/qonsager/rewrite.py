@@ -6,7 +6,8 @@ degree-lex order; rules come from solving presentation relations for their
 leading monomials.  Reduction replaces the leftmost occurrence of the first
 matching rule inside the order-maximal reducible monomial and therefore
 terminates: each step strictly decreases the monomial multiset in a well
-order.
+order.  The reducer works top-down on a heap of pending words, largest
+first, and keeps no state between calls.
 
 A zero normal form proves membership in the two-sided ideal of the
 relations (the engine can replay the step trace into an explicit ideal
@@ -16,6 +17,7 @@ known confluent, which is never assumed here.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
@@ -46,7 +48,7 @@ class RewriteRule:
 
 
 class RewriteSystem:
-    """Validated oriented rules over one alphabet, with a normal-form cache."""
+    """Validated oriented rules over one alphabet and a top-down reducer."""
 
     def __init__(self, alphabet: Alphabet, order: MonomialOrder, rules: list[RewriteRule]):
         self.alphabet = alphabet
@@ -54,8 +56,6 @@ class RewriteSystem:
         self.rules = list(rules)
         for rule in self.rules:
             rule.validate(order)
-        self._nf_cache: dict[Word, NcPoly] = {}
-        self._max_lhs = max((len(r.lhs) for r in self.rules), default=0)
 
     # -- matching ----------------------------------------------------------
 
@@ -72,45 +72,44 @@ class RewriteSystem:
     # -- reduction ---------------------------------------------------------
 
     def normal_form_word(self, w: Word) -> NcPoly:
-        """Fully reduce a single word (memoized; linear in fresh words)."""
-        cache = self._nf_cache
-        out = cache.get(w)
-        if out is not None:
-            return out
-        stack = [w]
-        while stack:
-            top = stack[-1]
-            if top in cache:
-                stack.pop()
+        """Fully reduce a single word."""
+        return self.normal_form(NcPoly.monomial(self.alphabet, w, 1))
+
+    def normal_form(self, p: NcPoly) -> NcPoly:
+        """Irreducible form of p under the fixed reduction strategy.
+
+        Pending words are expanded largest first.  A rewrite only produces
+        smaller words, so when a word is popped every contribution to its
+        coefficient has been added up and it is expanded exactly once.
+        """
+        if p.alphabet != self.alphabet:
+            raise AlphabetMismatch("polynomial over a different alphabet")
+        pending = dict(p.terms)
+        # (-len(w), w) is smallest for the deg-lex largest word
+        heap = [(-len(w), w) for w in pending]
+        heapq.heapify(heap)
+        out = {}
+        while heap:
+            w = heapq.heappop(heap)[1]
+            c = pending.pop(w)
+            if not c:
                 continue
-            m = self._find(top)
+            m = self._find(w)
             if m is None:
-                cache[top] = NcPoly.monomial(self.alphabet, top, 1)
-                stack.pop()
+                out[w] = c
                 continue
             pos, ridx = m
             rule = self.rules[ridx]
-            left, right = top[:pos], top[pos + len(rule.lhs):]
-            children = {left + u + right: c for u, c in rule.rhs.terms.items()}
-            missing = [u for u in children if u not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            acc = NcPoly.zero(self.alphabet)
-            for u, c in children.items():
-                acc = acc + c * cache[u]
-            cache[top] = acc
-            stack.pop()
-        return cache[w]
-
-    def normal_form(self, p: NcPoly) -> NcPoly:
-        """Irreducible form of p under the fixed reduction strategy."""
-        if p.alphabet != self.alphabet:
-            raise AlphabetMismatch("polynomial over a different alphabet")
-        out = NcPoly.zero(self.alphabet)
-        for w, c in p.terms.items():
-            out = out + c * self.normal_form_word(w)
-        return out
+            left, right = w[:pos], w[pos + len(rule.lhs):]
+            for u, cu in rule.rhs.terms.items():
+                v = left + u + right
+                s = pending.get(v)
+                if s is None:
+                    pending[v] = c * cu
+                    heapq.heappush(heap, (-len(v), v))
+                else:
+                    pending[v] = s + c * cu
+        return NcPoly(self.alphabet, out)
 
     def normal_form_traced(self, p: NcPoly) -> tuple[NcPoly, list[dict]]:
         """Reduce step by step, recording each elementary rewrite.

@@ -120,11 +120,11 @@ class TestCommutant:
 
 
 class TestHigherOrders:
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_rewrite_mode(self, ctx, r):
         assert higher_dg_check(ctx, r, "rewrite").status == "pass"
 
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_certified_mode(self, ctx, r):
         rec = higher_dg_check(ctx, r, "certified")
         assert rec.status == "pass"
