@@ -27,8 +27,6 @@ from .rewrite import MonomialOrder, RewriteRule, RewriteSystem, make_system
 from .identities import IDENTITIES, run_identity_suite, verify_identity
 from .onsager import (
     OnsagerContext,
-    a1_closed_form,
-    commutant_fixed_check,
     higher_dg_check,
     homomorphism_spotcheck,
     lusztig,

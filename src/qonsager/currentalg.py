@@ -53,23 +53,7 @@ class AqContext:
         self.alphabet = Alphabet(names)
         self.relations: list[tuple[str, tuple[int, ...], NcPoly]] = []
         self._build_relations()
-        oriented = [
-            (rid, idx, rel)
-            for rid, idx, rel in self.relations
-            if rid in ("3p1a", "3p1b", "3p2a", "3p2b", "3p4a", "3p4b")
-        ]
-        self.oriented_instances = len(oriented)
-        seen: dict = {}
-        for rid, idx, rel in oriented:
-            lead = rel.leading_word()
-            if lead not in seen:
-                seen[lead] = rel
-        self.system = make_system(
-            self.alphabet,
-            MonomialOrder(self.alphabet),
-            list(seen.values()),
-            list(seen.keys()),
-        )
+        self.system = self.subsystem("3p1a", "3p1b", "3p2a", "3p2b", "3p4a", "3p4b")
 
     # -- generators ----------------------------------------------------------
 
@@ -139,16 +123,12 @@ class AqContext:
                          self.br(self.Gt(k + 1), self.G(l + 1)) + self.br(self.G(k + 1), self.Gt(l + 1))))
         self.relations = [(rid, idx, p) for rid, idx, p in self.relations if not p.is_zero]
 
-    def relation_instances(self, *ids: str):
-        return [(rid, idx, p) for rid, idx, p in self.relations if rid in ids]
-
     def subsystem(self, *ids: str) -> RewriteSystem:
         """Rewrite system using only the named relation families."""
         rels = {}
-        for rid, idx, p in self.relation_instances(*ids):
-            lead = p.leading_word()
-            if lead not in rels:
-                rels[lead] = p
+        for rid, idx, p in self.relations:
+            if rid in ids:
+                rels.setdefault(p.leading_word(), p)
         return make_system(
             self.alphabet, MonomialOrder(self.alphabet), list(rels.values()), list(rels.keys())
         )

@@ -39,10 +39,6 @@ class OrderViolation(QonsagerError):
     """A rewrite rule's right side is not strictly below its left side."""
 
 
-class NotCertifiedA1(QonsagerError):
-    """The degree-1 membership check failed conclusively in a matrix model."""
-
-
 class InvalidCutoff(QonsagerError):
     """Current-algebra index cutoff out of range."""
 

@@ -111,16 +111,8 @@ class NcPoly:
             raise ValueError("zero polynomial has no leading word")
         return max(self.terms, key=deglex_key)
 
-    def degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(len(w) for w in self.terms)
-
     def support(self):
         return self.terms.keys()
-
-    def coeff(self, w: Word):
-        return self.terms.get(tuple(w))
 
     # -- arithmetic --------------------------------------------------------
 

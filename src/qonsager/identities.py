@@ -138,8 +138,6 @@ def _ttp(c: _Ctx, n: int):
 
 
 def _xa_ay(c: _Ctx, i: int, j: int):
-    if i == j:
-        raise InvalidParams("twists must be distinct")
     scale = c.mode.one() / (c.q(i - j) - c.q(j - i))
     lhs = (c.X * c.A) + (c.A * c.Y)
     rhs = scale * (c.q(j) * c.ad(i, c.X) - c.q(i) * c.ad(j, c.X)) + scale * (

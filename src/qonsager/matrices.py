@@ -1,8 +1,7 @@
 """Dense exact matrices and the small amount of linear algebra the engine needs.
 
-Entries are exact scalars: Fractions in numeric mode, rational functions of
-q in symbolic mode.  Everything here is elementary and done over the entry
-field with no rounding: Gaussian elimination for solving and an
+Entries are Fractions.  Everything here is elementary and done over the
+rationals with no rounding: Gaussian elimination for solving and an
 incremental row-echelon basis for the dimension of a generated matrix
 algebra.
 """
@@ -15,7 +14,7 @@ from .errors import DimensionMismatch
 
 
 class ExactMatrix:
-    """Immutable matrix with exact field entries."""
+    """Immutable matrix with Fraction entries."""
 
     __slots__ = ("rows",)
 
@@ -31,16 +30,12 @@ class ExactMatrix:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def identity(n: int, one=Fraction(1)) -> "ExactMatrix":
-        zero = 0 * one
-        return ExactMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+    def identity(n: int) -> "ExactMatrix":
+        return ExactMatrix.diagonal([Fraction(1)] * n)
 
     @staticmethod
-    def zeros(n: int, m: int | None = None, zero=Fraction(0)) -> "ExactMatrix":
-        m = n if m is None else m
-        return ExactMatrix([[zero] * m for _ in range(n)])
+    def zeros(n: int) -> "ExactMatrix":
+        return ExactMatrix([[Fraction(0)] * n for _ in range(n)])
 
     @staticmethod
     def diagonal(values) -> "ExactMatrix":
@@ -73,13 +68,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return all(not x for row in self.rows for x in row)
-
-    def trace(self):
-        n = self.dimension
-        out = self.rows[0][0]
-        for i in range(1, n):
-            out = out + self.rows[i][i]
-        return out
 
     # -- arithmetic --------------------------------------------------------
 
@@ -123,7 +111,7 @@ class ExactMatrix:
     def __pow__(self, n: int) -> "ExactMatrix":
         if n < 0:
             raise ValueError("negative matrix powers are not supported")
-        out = ExactMatrix.identity(self.dimension, _one_like(self.rows[0][0]))
+        out = ExactMatrix.identity(self.dimension)
         base = self
         while n:
             if n & 1:
@@ -149,12 +137,6 @@ def _dot(u, v):
         p = a * b
         out = p if out is None else out + p
     return out
-
-
-def _one_like(x):
-    if isinstance(x, Fraction):
-        return Fraction(1)
-    return x ** 0 if not isinstance(x, int) else Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +206,8 @@ class EchelonBasis:
 def generated_algebra_dimension(mats: list[ExactMatrix]) -> int:
     """Dimension of the unital algebra generated by the given matrices."""
     n = mats[0].dimension
-    one = _one_like(mats[0].rows[0][0])
     basis = EchelonBasis()
-    queue = [ExactMatrix.identity(n, one)]
+    queue = [ExactMatrix.identity(n)]
     basis.add([x for row in queue[0].rows for x in row])
     while queue and basis.dimension < n * n:
         m = queue.pop()

@@ -21,16 +21,13 @@ from .adjoint import (
     FORWARD,
     INVERSE,
     ImageCache,
-    apply_ad,
     apply_badprod,
-    closed_form_sum,
     truncated_sum,
 )
-from .errors import NotCertifiedA1
 from .freealg import Alphabet, NcPoly, Word
 from .qcoeff import SYMBOLIC
-from .report import CheckRecord, FAIL, INCONCLUSIVE, PASS
-from .rewrite import MonomialOrder, RewriteSystem, make_system
+from .report import CheckRecord, FAIL, PASS
+from .rewrite import MonomialOrder, make_system
 
 
 class OnsagerContext:
@@ -144,45 +141,6 @@ def lusztig(ctx: OnsagerContext, X: NcPoly, direction: str = FORWARD) -> NcPoly:
     """
     value = truncated_sum(ctx.A, X, ctx.standard_bound(X), direction, ctx.mode)
     return ctx.qdg.normal_form(value)
-
-
-def a1_closed_form(ctx: OnsagerContext, X: NcPoly, direction: str = FORWARD) -> NcPoly:
-    """Closed form of the image for X killed by the order-2 balanced product.
-
-    The membership check runs first: a zero normal form certifies it; an
-    inconclusive residue is re-checked in matrix models and a conclusive
-    nonzero image raises NotCertifiedA1.
-    """
-    res = ctx.qdg.is_zero_mod(apply_badprod(2, ctx.A, X, ctx.mode))
-    if not res.is_zero:
-        confirmed, detail = ctx.confirm_in_models(res.residue)
-        if not confirmed:
-            raise NotCertifiedA1(detail)
-    return closed_form_sum(ctx.A, X, direction, ctx.mode)
-
-
-def commutant_fixed_check(ctx: OnsagerContext, X: NcPoly) -> CheckRecord:
-    """Verify that an element commuting with A is fixed by the automorphism."""
-    commutator = ctx.qdg.is_zero_mod(apply_ad(0, ctx.A, X, ctx.mode))
-    if not commutator.is_zero:
-        return CheckRecord(
-            name="commutant-fixed",
-            status=INCONCLUSIVE,
-            anchor="commutant-fixed",
-            detail="element does not visibly commute with A",
-            witness=commutator.residue,
-        )
-    diff = ctx.qdg.is_zero_mod(lusztig(ctx, X) - X)
-    if diff.is_zero:
-        return CheckRecord(name="commutant-fixed", status=PASS, anchor="commutant-fixed")
-    confirmed, detail = ctx.confirm_in_models(diff.residue)
-    return CheckRecord(
-        name="commutant-fixed",
-        status=PASS if confirmed else FAIL,
-        anchor="commutant-fixed",
-        detail=detail,
-        witness=None if confirmed else diff.residue,
-    )
 
 
 def _pow(ctx: OnsagerContext, X: NcPoly, n: int) -> NcPoly:

@@ -307,18 +307,6 @@ class LaurentPoly:
             if c
         )
 
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return self.offset + len(self.coeffs) - 1
-
-    @property
-    def valuation(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no valuation")
-        return self.offset
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -485,10 +473,6 @@ class RationalFunctionQ:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_one(self) -> bool:
-        return self.den is _LP_ONE and self.num == _LP_ONE
-
     def __bool__(self) -> bool:
         return not self.num.is_zero
 
@@ -560,13 +544,6 @@ class RationalFunctionQ:
         if other is NotImplemented:
             return NotImplemented
         return other / self
-
-    def __pow__(self, n: int) -> "RationalFunctionQ":
-        out = RF_ONE
-        base = self if n >= 0 else RF_ONE / self
-        for _ in range(abs(n)):
-            out = out * base
-        return out
 
     # -- evaluation --------------------------------------------------------
 
@@ -690,9 +667,6 @@ class SymbolicQ:
     def qint(self, n: int):
         return qint(n)
 
-    def coeff_is_zero(self, c) -> bool:
-        return c.is_zero
-
     def __repr__(self):
         return "SymbolicQ"
 
@@ -727,9 +701,6 @@ class NumericQ:
         if n == 0:
             return Fraction(0)
         return self.qnum(n) / self.qnum(1)
-
-    def coeff_is_zero(self, c) -> bool:
-        return not c
 
     def __repr__(self):
         return f"NumericQ({self.q0})"

@@ -39,10 +39,11 @@ from .qcoeff import NumericQ
 from .report import CheckRecord, FAIL, PASS
 
 
-def theta_sequence(d: int, a, q0) -> list[Fraction]:
+def theta_sequence(d: int, a, q0, name: str = "a") -> list[Fraction]:
     """Eigenvalue array a*q0^(d-2i) + a^(-1)*q0^(2i-d) for i = 0..d.
 
-    Rejects forbidden q0 and eigenvalue collisions, and asserts the two
+    Rejects forbidden q0 and eigenvalue collisions, calling the parameter
+    `name` in messages ("b" for the dual array), and asserts the two
     facts the array is used for downstream: adjacent pairs are roots of
     the adjacency polynomial and the interior satisfies the three-term
     recurrence with coefficient q^2 + q^-2.
@@ -51,13 +52,13 @@ def theta_sequence(d: int, a, q0) -> list[Fraction]:
         raise ValueError("diameter must be at least 1")
     a = Fraction(a)
     if not a:
-        raise ValueError("a must be nonzero")
+        raise ValueError(f"{name} must be nonzero")
     q0 = Fraction(q0)
     if q0 in (0, 1, -1):
         raise InvalidQ(f"q0 = {q0} is forbidden")
     theta = [a * q0 ** (d - 2 * i) + q0 ** (2 * i - d) / a for i in range(d + 1)]
     if len(set(theta)) != d + 1:
-        raise DegenerateEigenvalues(f"eigenvalue collision for a={a}, q0={q0}, d={d}")
+        raise DegenerateEigenvalues(f"eigenvalue collision for {name}={a}, q0={q0}, d={d}")
     if any(_adjacency(theta[i], theta[i + 1], q0) for i in range(d)):
         raise AssertionError("adjacent eigenvalue constraint violated")
     c2 = q0 ** 2 + q0 ** -2
@@ -72,16 +73,16 @@ def _adjacency(x, y, q0):
     return x ** 2 - (q0 ** 2 + q0 ** -2) * x * y + y ** 2 + (q0 ** 2 - q0 ** -2) ** 2
 
 
-def _lagrange(M: ExactMatrix, eigs: list, one=Fraction(1)) -> list[ExactMatrix]:
+def _lagrange(M: ExactMatrix, eigs: list[Fraction]) -> list[ExactMatrix]:
     """Lagrange idempotents: the products of (M - mu) / (lam - mu) over mu != lam."""
-    ident = ExactMatrix.identity(M.dimension, one)
+    ident = ExactMatrix.identity(M.dimension)
     factors = [M - mu * ident for mu in eigs]
     out = []
     for i, lam in enumerate(eigs):
         P = ident
         for j, mu in enumerate(eigs):
             if j != i:
-                P = (one / (lam - mu)) * (P * factors[j])
+                P = (1 / (lam - mu)) * (P * factors[j])
         out.append(P)
     return out
 
@@ -92,17 +93,17 @@ class SpectralData:
 
     d: int
     a: Fraction
-    q0: Fraction | None
-    mode: object
+    q0: Fraction
+    mode: NumericQ
     A: ExactMatrix
-    theta: list
-    t: list
+    theta: list[Fraction]
+    t: list[Fraction]
     E: list[ExactMatrix]
     Psi: ExactMatrix
     PsiInv: ExactMatrix
 
 
-def spectral_data(d: int, a, q0, A: ExactMatrix | None = None, mode=None) -> SpectralData:
+def spectral_data(d: int, a, q0, A: ExactMatrix | None = None) -> SpectralData:
     """Idempotents by Lagrange interpolation, twist scalars, and the twist.
 
     With A omitted the diagonal model is used, but the Lagrange route is
@@ -111,29 +112,17 @@ def spectral_data(d: int, a, q0, A: ExactMatrix | None = None, mode=None) -> Spe
     validated exactly at construction.
     """
     a = Fraction(a)
-    if mode is None:
-        mode = NumericQ(q0)
-    if mode.is_symbolic:
-        theta = [
-            a * mode.q_pow(d - 2 * i) + (1 / a) * mode.q_pow(2 * i - d)
-            for i in range(d + 1)
-        ]
-        if len(set(theta)) != d + 1:
-            raise DegenerateEigenvalues("eigenvalue collision")
-        t = [a ** (2 * i) * mode.q_pow(2 * i * (d - i)) for i in range(d + 1)]
-        q0 = None
-    else:
-        theta = theta_sequence(d, a, q0)
-        q0 = Fraction(q0)
-        t = [a ** (2 * i) * q0 ** (2 * i * (d - i)) for i in range(d + 1)]
-    one = mode.one()
+    mode = NumericQ(q0)
+    theta = theta_sequence(d, a, q0)
+    q0 = mode.q0
+    t = [a ** (2 * i) * q0 ** (2 * i * (d - i)) for i in range(d + 1)]
     if A is None:
         A = ExactMatrix.diagonal(theta)
     if A.dimension != d + 1:
         raise DimensionMismatch("matrix dimension must be d + 1")
-    ident = ExactMatrix.identity(d + 1, one)
-    E = _lagrange(A, theta, one)
-    total = ExactMatrix.zeros(d + 1, zero=0 * one)
+    ident, zero = ExactMatrix.identity(d + 1), ExactMatrix.zeros(d + 1)
+    E = _lagrange(A, theta)
+    total = zero
     for Ei in E:
         total = total + Ei
     if total != ident:
@@ -143,14 +132,13 @@ def spectral_data(d: int, a, q0, A: ExactMatrix | None = None, mode=None) -> Spe
             raise NotDiagonalizable("matrix does not act by its eigenvalue array")
         for j in range(d + 1):
             prod = E[i] * E[j]
-            expected = E[i] if i == j else ExactMatrix.zeros(d + 1, zero=0 * one)
+            expected = E[i] if i == j else zero
             if prod != expected:
                 raise NotDiagonalizable("idempotent orthogonality fails")
-    Psi = ExactMatrix.zeros(d + 1, zero=0 * one)
-    PsiInv = ExactMatrix.zeros(d + 1, zero=0 * one)
+    Psi = PsiInv = zero
     for i in range(d + 1):
         Psi = Psi + t[i] * E[i]
-        PsiInv = PsiInv + (one / t[i]) * E[i]
+        PsiInv = PsiInv + (1 / t[i]) * E[i]
     assert Psi * PsiInv == ident
     return SpectralData(d, a, q0, mode, A, theta, t, E, Psi, PsiInv)
 
@@ -302,7 +290,7 @@ class TDPair:
 
     @property
     def theta_star(self) -> list[Fraction]:
-        return theta_sequence(self.d, self.b, self.q0)
+        return theta_sequence(self.d, self.b, self.q0, "b")
 
 
 def _dg_defect(first: ExactMatrix, second: ExactMatrix, q0: Fraction) -> ExactMatrix:
@@ -323,6 +311,11 @@ def _idempotents(M: ExactMatrix, eigs: list[Fraction]) -> list[ExactMatrix] | No
     return None if any(P.is_zero() for P in out) else out
 
 
+def _dual_idempotents(B: ExactMatrix, theta_star: list[Fraction]) -> list[ExactMatrix] | None:
+    """Idempotents of the second generator for the dual array, else for it reversed."""
+    return _idempotents(B, theta_star) or _idempotents(B, theta_star[::-1])
+
+
 def validate_td_pair(tp: TDPair) -> list[str]:
     """All structural invariants; returns the list of violations (empty = ok)."""
     violations = []
@@ -331,15 +324,13 @@ def validate_td_pair(tp: TDPair) -> list[str]:
         return ["dimension"]
     try:
         theta = theta_sequence(tp.d, tp.a, tp.q0)
-        theta_star = theta_sequence(tp.d, tp.b, tp.q0)
+        theta_star = theta_sequence(tp.d, tp.b, tp.q0, "b")
     except (DegenerateEigenvalues, InvalidQ, ValueError) as e:
         return [f"eigenvalue-arrays: {e}"]
     EA = _idempotents(tp.A, theta)
     if EA is None:
         violations.append("first-generator-diagonalizable")
-    EB = _idempotents(tp.B, theta_star)
-    if EB is None:
-        EB = _idempotents(tp.B, theta_star[::-1])
+    EB = _dual_idempotents(tp.B, theta_star)
     if EB is None:
         violations.append("second-generator-diagonalizable")
     if EA is not None and EB is not None:
@@ -364,7 +355,7 @@ def td_pair_d1(a, b, q0) -> TDPair:
     """Closed-form diameter-1 pair: A diagonal, B symmetric with the dual array."""
     a, b, q0 = Fraction(a), Fraction(b), Fraction(q0)
     A = ExactMatrix.diagonal(theta_sequence(1, a, q0))
-    theta_star = theta_sequence(1, b, q0)
+    theta_star = theta_sequence(1, b, q0, "b")
     mid = (theta_star[0] + theta_star[1]) / 2
     off = (theta_star[0] - theta_star[1]) / 2
     B = ExactMatrix([[mid, off], [off, mid]])
@@ -410,9 +401,7 @@ def check_dg_spectral(
         problems.append("relation-1-direct")
     detail = "relation 1 spectral + direct"
     if theta_star is not None:
-        EB = _idempotents(B, theta_star)
-        if EB is None:
-            EB = _idempotents(B, theta_star[::-1])
+        EB = _dual_idempotents(B, theta_star)
         if EB is None:
             problems.append("second-generator-diagonalizable")
         else:
@@ -523,7 +512,7 @@ def search_td_pair(d: int, a, b, q0) -> TDPair | None:
     a, b, q0 = Fraction(a), Fraction(b), Fraction(q0)
     try:
         theta = theta_sequence(d, a, q0)
-        theta_star = theta_sequence(d, b, q0)
+        theta_star = theta_sequence(d, b, q0, "b")
     except (DegenerateEigenvalues, InvalidQ):
         return None
     n = d + 1

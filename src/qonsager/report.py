@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .freealg import NcPoly, ncpoly_to_json
+
 ENGINE_VERSION = "0.1.0"
 
 PASS = "pass"
@@ -24,8 +26,7 @@ class CheckRecord:
     params: tuple = ()
     status: str = PASS
     anchor: str = ""
-    witness: object = None
-    trace: object = None
+    witness: NcPoly | None = None
     detail: str = ""
 
     def to_json(self) -> dict:
@@ -39,20 +40,8 @@ class CheckRecord:
         if self.detail:
             out["detail"] = self.detail
         if self.witness is not None:
-            out["witness"] = _encode_witness(self.witness)
-        if self.trace is not None:
-            out["trace"] = self.trace
+            out["witness"] = ncpoly_to_json(self.witness)
         return out
-
-
-def _encode_witness(w):
-    from .freealg import NcPoly, ncpoly_to_json
-
-    if isinstance(w, NcPoly):
-        return ncpoly_to_json(w)
-    if isinstance(w, (list, tuple)):
-        return [_encode_witness(x) for x in w]
-    return str(w)
 
 
 @dataclass

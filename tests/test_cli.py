@@ -120,6 +120,8 @@ class TestUsageErrors:
             (["repn", "d1", "--a", "1", "--b", "2", "--q", "2"],
              "eigenvalue collision for a=1, q0=2, d=1"),
             (["repn", "twist", "--a", "1"], "eigenvalue collision for a=1, q0=2, d=1"),
+            (["repn", "d1", "--a", "3", "--b", "1", "--q", "2"],
+             "eigenvalue collision for b=1, q0=2, d=1"),
         ],
     )
     def test_named_error_and_exit_64(self, argv, message, capsys):

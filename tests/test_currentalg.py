@@ -35,7 +35,13 @@ class TestConstruction:
         }
 
     def test_k1_oriented_instance_count(self):
-        assert aq_system(1).oriented_instances >= 8
+        assert len(aq_system(1).system.rules) == 7
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_system_is_the_oriented_subsystem(self, K):
+        ctx = aq_system(K)
+        families = ctx.subsystem("3p1a", "3p1b", "3p2a", "3p2b", "3p4a", "3p4b")
+        assert ctx.system.rules == families.rules
 
     def test_rho_at_two(self):
         from fractions import Fraction
@@ -112,8 +118,8 @@ class TestImages:
         from qonsager.adjoint import FORWARD
 
         img = closed_image(ctx, ctx.W(1), FORWARD)
-        assert img.coeff(ctx.alphabet.word(["W1"])) == m.one()
-        assert img.coeff(ctx.alphabet.word(["W0", "W0", "W1"])) is not None
+        assert img.terms.get(ctx.alphabet.word(["W1"])) == m.one()
+        assert img.terms.get(ctx.alphabet.word(["W0", "W0", "W1"])) is not None
 
 
 class TestProofReplay:

@@ -42,7 +42,7 @@ class TestProduct:
     def test_degree_additivity_on_monomials(self):
         w1 = NcPoly.monomial(AB, AB.word("AAB"), SYMBOLIC.one())
         w2 = NcPoly.monomial(AB, AB.word("BA"), SYMBOLIC.one())
-        assert (w1 * w2).degree() == 5
+        assert max(len(w) for w in (w1 * w2).support()) == 5
 
 
 class TestEvaluate:

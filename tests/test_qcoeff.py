@@ -101,7 +101,7 @@ class TestArithmetic:
         x = RationalFunctionQ.one() / (Q(1) - Q(-1))
         # q-power shift lives in the numerator; denominator is an ordinary
         # integer polynomial with nonzero constant term
-        assert x.den.valuation == 0
+        assert x.den.offset == 0
         assert x.den.scale == 1
         assert all(c.denominator == 1 for _, c in x.den.terms())
 
