@@ -17,13 +17,8 @@ where a nonzero image refutes membership conclusively.
 
 from __future__ import annotations
 
-from .adjoint import (
-    FORWARD,
-    INVERSE,
-    ImageCache,
-    apply_badprod,
-    truncated_sum,
-)
+from . import identities
+from .adjoint import FORWARD, INVERSE, apply_badprod, truncated_sum
 from .freealg import Alphabet, NcPoly, Word
 from .qcoeff import SYMBOLIC
 from .report import CheckRecord, FAIL, PASS
@@ -154,12 +149,13 @@ def higher_dg_check(ctx: OnsagerContext, r: int, method: str = "rewrite") -> Che
     """Order r + 1 balanced product kills the r-th power of B.
 
     In rewrite mode the element is expanded and reduced directly.  Certified
-    mode re-derives the vanishing level by level from the product expansion
-    of the balanced product at (B, B^{j-1}), checked exactly in the free
-    algebra.  Every term of its right side carries, by construction, the
-    base bp_2 B (reduced to zero once) or the previous level bp_j B^{j-1}
-    as a factor: bp_k = bad_{k-1} o bp_{k-1}, and a shift map applies its
-    twist primitive after its balanced product.
+    mode re-derives the vanishing level by level: level j is the catalogue
+    identity TXY_B at n = j, X = B, Y = B^{j-1} (the product expansion of
+    the balanced product), checked exactly in the free algebra.  Every term
+    of its right side carries, by construction, the base bp_2 B (reduced to
+    zero once) or the previous level bp_j B^{j-1} as a factor:
+    bp_k = bad_{k-1} o bp_{k-1}, and a shift map applies its twist
+    primitive after its balanced product.
     """
     if r < 1:
         raise ValueError("order must be a positive integer")
@@ -178,28 +174,16 @@ def higher_dg_check(ctx: OnsagerContext, r: int, method: str = "rewrite") -> Che
         )
     if method != "certified":
         raise ValueError(f"unknown method {method!r}")
-    mode, A, B = ctx.mode, ctx.A, ctx.B
-    maps = ImageCache(A, mode)  # the levels share their images
-
-    if not ctx.qdg.is_zero_mod(maps.bp(2, B)).is_zero:
+    B = ctx.B
+    c = identities._Ctx(ctx.mode, ctx.A, B, B)  # the levels share its images
+    if not ctx.qdg.is_zero_mod(c.bp(2, B)).is_zero:
         return CheckRecord(name=name, params=(r,), status=FAIL, anchor="higher-dg",
                            detail="base vanishing for B failed")
     evidence = ["base: order-2 balanced product of B reduces to zero"]
     ok = True
     for j in range(2, r + 1):
-        Bprev = _pow(ctx, B, j - 1)
-        lhs = maps.bp(j + 1, _pow(ctx, B, j))
-        rhs = NcPoly.zero(ctx.alphabet)
-        # product expansion of the order j+1 balanced product at (B, B^{j-1})
-        for a in range(j + 1):
-            s = j - a
-            term1 = maps.S(a, B) * maps.bp(s + 1, Bprev)
-            rhs = rhs + mode.q_pow(-a) * term1
-            term2 = maps.bp(a + 1, B) * maps.S(s, Bprev)
-            rhs = rhs + mode.q_pow(s) * term2
-        for a in range(j):
-            s = j - 1 - a
-            rhs = rhs - maps.bp(a + 1, B) * A * maps.bp(s + 1, Bprev)
+        c.Y = _pow(ctx, B, j - 1)
+        lhs, rhs = identities.IDENTITIES["TXY_B"].build(c, j)
         if not (lhs - rhs).is_zero:
             evidence.append(f"level {j}: product expansion failed")
             ok = False

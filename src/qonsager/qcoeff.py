@@ -267,14 +267,6 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return _LP_ZERO
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return _LP_ONE
-
-    @staticmethod
     def q_power(n: int, coeff=_ONE) -> "LaurentPoly":
         coeff = Fraction(coeff)
         if not coeff:
@@ -331,9 +323,6 @@ class LaurentPoly:
             return self
         return _raw(self.offset, self.coeffs, -self.scale)
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero or other.is_zero:
             return _LP_ZERO
@@ -342,11 +331,6 @@ class LaurentPoly:
             tuple(_convolve(self.coeffs, other.coeffs)),
             self.scale * other.scale,
         )
-
-    def scaled(self, f: Rat) -> "LaurentPoly":
-        if not f or self.is_zero:
-            return _LP_ZERO
-        return _raw(self.offset, self.coeffs, self.scale * f)
 
     def eval_at(self, q0: Rat) -> Rat:
         if not q0:

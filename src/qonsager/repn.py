@@ -73,8 +73,13 @@ def _adjacency(x, y, q0):
     return x ** 2 - (q0 ** 2 + q0 ** -2) * x * y + y ** 2 + (q0 ** 2 - q0 ** -2) ** 2
 
 
-def _lagrange(M: ExactMatrix, eigs: list[Fraction]) -> list[ExactMatrix]:
-    """Lagrange idempotents: the products of (M - mu) / (lam - mu) over mu != lam."""
+def _eigenprojections(M: ExactMatrix, eigs: list[Fraction]) -> list[ExactMatrix] | None:
+    """Lagrange idempotents E_i = prod_{j != i} (M - eigs[j]) / (eigs[i] - eigs[j]), or None.
+
+    (M - eigs[0]) E_0 is the product of all M - eigs[i] over a nonzero
+    scalar, so this one product is zero exactly when M is diagonalizable
+    with eigenvalues among eigs.
+    """
     ident = ExactMatrix.identity(M.dimension)
     factors = [M - mu * ident for mu in eigs]
     out = []
@@ -84,7 +89,7 @@ def _lagrange(M: ExactMatrix, eigs: list[Fraction]) -> list[ExactMatrix]:
             if j != i:
                 P = (1 / (lam - mu)) * (P * factors[j])
         out.append(P)
-    return out
+    return out if (factors[0] * out[0]).is_zero() else None
 
 
 @dataclass
@@ -108,8 +113,11 @@ def spectral_data(d: int, a, q0, A: ExactMatrix | None = None) -> SpectralData:
 
     With A omitted the diagonal model is used, but the Lagrange route is
     kept so that imported non-diagonal matrices (for example split-form
-    pairs) are supported identically.  All structural identities are
-    validated exactly at construction.
+    pairs) are supported identically.  One matrix product validates the
+    idempotents: sum E_i = I holds for every A because the Lagrange basis
+    sums to 1, and once (A - theta_0) E_0, the product of all A - theta_i up
+    to a nonzero scalar, vanishes, A E_i = theta_i E_i and
+    E_i E_j = delta_ij E_i follow.
     """
     a = Fraction(a)
     mode = NumericQ(q0)
@@ -120,26 +128,14 @@ def spectral_data(d: int, a, q0, A: ExactMatrix | None = None) -> SpectralData:
         A = ExactMatrix.diagonal(theta)
     if A.dimension != d + 1:
         raise DimensionMismatch("matrix dimension must be d + 1")
-    ident, zero = ExactMatrix.identity(d + 1), ExactMatrix.zeros(d + 1)
-    E = _lagrange(A, theta)
-    total = zero
-    for Ei in E:
-        total = total + Ei
-    if total != ident:
-        raise NotDiagonalizable("idempotents do not resolve the identity")
-    for i in range(d + 1):
-        if not (A * E[i] - theta[i] * E[i]).is_zero():
-            raise NotDiagonalizable("matrix does not act by its eigenvalue array")
-        for j in range(d + 1):
-            prod = E[i] * E[j]
-            expected = E[i] if i == j else zero
-            if prod != expected:
-                raise NotDiagonalizable("idempotent orthogonality fails")
-    Psi = PsiInv = zero
+    E = _eigenprojections(A, theta)
+    if E is None:
+        raise NotDiagonalizable("matrix does not act by its eigenvalue array")
+    Psi = PsiInv = ExactMatrix.zeros(d + 1)
     for i in range(d + 1):
         Psi = Psi + t[i] * E[i]
         PsiInv = PsiInv + (1 / t[i]) * E[i]
-    assert Psi * PsiInv == ident
+    assert Psi * PsiInv == ExactMatrix.identity(d + 1)
     return SpectralData(d, a, q0, mode, A, theta, t, E, Psi, PsiInv)
 
 
@@ -300,20 +296,9 @@ def _dg_defect(first: ExactMatrix, second: ExactMatrix, q0: Fraction) -> ExactMa
 
 
 def _idempotents(M: ExactMatrix, eigs: list[Fraction]) -> list[ExactMatrix] | None:
-    """Lagrange idempotents of M for the given simple spectrum, or None."""
-    ident = ExactMatrix.identity(M.dimension)
-    ann = ident
-    for lam in eigs:
-        ann = ann * (M - lam * ident)
-    if not ann.is_zero():
-        return None
-    out = _lagrange(M, eigs)
-    return None if any(P.is_zero() for P in out) else out
-
-
-def _dual_idempotents(B: ExactMatrix, theta_star: list[Fraction]) -> list[ExactMatrix] | None:
-    """Idempotents of the second generator for the dual array, else for it reversed."""
-    return _idempotents(B, theta_star) or _idempotents(B, theta_star[::-1])
+    """Lagrange idempotents of M for exactly the spectrum eigs, or None."""
+    E = _eigenprojections(M, eigs)
+    return None if E is None or any(P.is_zero() for P in E) else E
 
 
 def validate_td_pair(tp: TDPair) -> list[str]:
@@ -330,7 +315,7 @@ def validate_td_pair(tp: TDPair) -> list[str]:
     EA = _idempotents(tp.A, theta)
     if EA is None:
         violations.append("first-generator-diagonalizable")
-    EB = _dual_idempotents(tp.B, theta_star)
+    EB = _idempotents(tp.B, theta_star)
     if EB is None:
         violations.append("second-generator-diagonalizable")
     if EA is not None and EB is not None:
@@ -401,7 +386,7 @@ def check_dg_spectral(
         problems.append("relation-1-direct")
     detail = "relation 1 spectral + direct"
     if theta_star is not None:
-        EB = _dual_idempotents(B, theta_star)
+        EB = _idempotents(B, theta_star)
         if EB is None:
             problems.append("second-generator-diagonalizable")
         else:
@@ -513,7 +498,7 @@ def search_td_pair(d: int, a, b, q0) -> TDPair | None:
     try:
         theta = theta_sequence(d, a, q0)
         theta_star = theta_sequence(d, b, q0, "b")
-    except (DegenerateEigenvalues, InvalidQ):
+    except (DegenerateEigenvalues, InvalidQ, ValueError):
         return None
     n = d + 1
     rows_A = [[Fraction(0)] * n for _ in range(n)]

@@ -1,6 +1,7 @@
 """Batch driver: expression I/O, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -312,3 +313,29 @@ class TestDeterminism:
                  "--trials", "3", "--seed", "4", "--out", str(out)]
             ) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenReports:
+    """Reports of the current-algebra, presentation and matrix-model checks
+    stay byte for byte what tests/golden/ records."""
+
+    @pytest.mark.parametrize(
+        "argv,golden",
+        [
+            ("current verify --kmax 2 --json", "current-verify-kmax2.json"),
+            ("onsager higher-dg --r 3 --json", "onsager-higher-dg-r3.json"),
+            ("repn d1 --a 3 --b 2 --q 2 --json", "repn-d1.json"),
+            ("repn twist --a 5/2 --b 3 --q 3/2 --direction inv --json",
+             "repn-twist-inv.json"),
+            ("repn conjugation --d 3 --a 3 --q 2 --trials 3 --seed 1 --json",
+             "repn-conjugation-d3.json"),
+        ],
+    )
+    def test_report_matches_golden(self, argv, golden, capsys):
+        assert main(argv.split()) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == (GOLDEN / golden).read_text()

@@ -135,6 +135,15 @@ class TestProofReplay:
         # the whole chain certifies: triple bracket == rho * commutator
         assert ctx.system.is_zero_mod(first - last).is_zero
 
+    def test_cited_families_are_instantiated(self, ctx):
+        # a family missing from the store would replay against no rules
+        families = {rid for rid, _, _ in ctx.relations}
+        for gen in ("Wplus", "G", "Gt"):
+            for k in range(ctx.K):
+                for _, just in proof_chain(ctx, gen, k):
+                    if isinstance(just, tuple):
+                        assert set(just) <= families, (gen, k, just)
+
 
 class TestTermination:
     def test_random_reductions_halt(self, ctx):

@@ -9,6 +9,7 @@ from qonsager.errors import (
     DegenerateEigenvalues,
     InvalidQ,
     InvariantViolation,
+    NotDiagonalizable,
     ParseError,
 )
 from qonsager.matrices import ExactMatrix, generated_algebra_dimension
@@ -77,6 +78,15 @@ class TestSpectralData:
                 expected = sd.E[i] if i == j else ExactMatrix.zeros(n)
                 assert sd.E[i] * sd.E[j] == expected
         assert sd.Psi * sd.PsiInv == ident
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_matrix_off_the_eigenvalue_array_is_rejected(self, shift):
+        # shift 0: a Jordan block at theta_0, shift 1: theta_0 moved off theta
+        theta = theta_sequence(2, 3, 2)
+        rows = [[theta[0], 1 - shift, 0], [0, theta[0] + shift, 0], [0, 0, theta[2]]]
+        message = "^matrix does not act by its eigenvalue array$"
+        with pytest.raises(NotDiagonalizable, match=message):
+            spectral_data(2, 3, 2, A=ExactMatrix(rows))
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +376,11 @@ class TestSearch:
     def test_reports_failure_without_prejudice(self):
         # degenerate dual array: no pair can exist with these parameters
         assert search_td_pair(2, 3, 2, 2) is None
+
+    @pytest.mark.parametrize("d,a,b,q0", [(1, 3, 0, 2), (0, 3, 2, 2), (1, 0, 3, 2)])
+    def test_no_eigenvalue_arrays_is_none(self, d, a, b, q0):
+        # a zero b or a, or a diameter below 1, gives no array to search with
+        assert search_td_pair(d, a, b, q0) is None
 
     def test_search_pair_spectral_data_roundtrip(self):
         tp = search_td_pair(3, 3, 5, 2)
