@@ -409,7 +409,7 @@ def parameter_grid(spec: IdentitySpec, max_index: int = 3):
         yield combo
 
 
-def run_identity_suite(max_index: int = 3, mode=SYMBOLIC, names=None) -> list[CheckRecord]:
+def run_identity_suite(max_index: int = 3, mode=SYMBOLIC) -> list[CheckRecord]:
     """Run the catalogue over the default parameter grid, in a fixed order.
 
     Records come in catalogue order, each family's instances in ascending
@@ -421,8 +421,6 @@ def run_identity_suite(max_index: int = 3, mode=SYMBOLIC, names=None) -> list[Ch
     ctx = make_context(mode)
     records = []
     for name, spec in IDENTITIES.items():
-        if names is not None and name not in names:
-            continue
         for combo in parameter_grid(spec, max_index):
             records.append(verify_identity(name, combo, mode, _ctx=ctx))
     return records

@@ -1,9 +1,7 @@
 """Dense exact matrices and the small amount of linear algebra the engine needs.
 
 Entries are Fractions.  Everything here is elementary and done over the
-rationals with no rounding: Gaussian elimination for solving and an
-incremental row-echelon basis for the dimension of a generated matrix
-algebra.
+rationals with no rounding: Gaussian elimination for solving.
 """
 
 from __future__ import annotations
@@ -174,45 +172,3 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
             Fraction(0),
         )
     return x
-
-
-class EchelonBasis:
-    """Incremental row-echelon basis over Fractions for span growth."""
-
-    def __init__(self):
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def add(self, vec) -> bool:
-        """Reduce vec against the basis; add if independent. True if added."""
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        pivot = next((i for i, a in enumerate(v) if a), None)
-        if pivot is None:
-            return False
-        pv = v[pivot]
-        self.rows.append([a / pv for a in v])
-        self.pivots.append(pivot)
-        return True
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-
-def generated_algebra_dimension(mats: list[ExactMatrix]) -> int:
-    """Dimension of the unital algebra generated by the given matrices."""
-    n = mats[0].dimension
-    basis = EchelonBasis()
-    queue = [ExactMatrix.identity(n)]
-    basis.add([x for row in queue[0].rows for x in row])
-    while queue and basis.dimension < n * n:
-        m = queue.pop()
-        for g in mats:
-            cand = g * m
-            if basis.add([x for row in cand.rows for x in row]):
-                queue.append(cand)
-    return basis.dimension

@@ -145,6 +145,20 @@ def _pow(ctx: OnsagerContext, X: NcPoly, n: int) -> NcPoly:
     return out
 
 
+def _settle(ctx: OnsagerContext, value: NcPoly, reduced: str) -> tuple[str, str, NcPoly | None]:
+    """Status, detail and witness of the claim that value lies in the ideal.
+
+    A zero normal form passes with detail `reduced`; a residue passes when
+    every matrix model kills it and fails otherwise, with the residue as
+    witness.
+    """
+    res = ctx.qdg.is_zero_mod(value)
+    if res.is_zero:
+        return PASS, reduced, None
+    confirmed, detail = ctx.confirm_in_models(res.residue)
+    return (PASS, detail, None) if confirmed else (FAIL, detail, res.residue)
+
+
 def higher_dg_check(ctx: OnsagerContext, r: int, method: str = "rewrite") -> CheckRecord:
     """Order r + 1 balanced product kills the r-th power of B.
 
@@ -162,16 +176,9 @@ def higher_dg_check(ctx: OnsagerContext, r: int, method: str = "rewrite") -> Che
     name = f"higher-dg-r{r}"
     if method == "rewrite":
         value = apply_badprod(r + 1, ctx.A, _pow(ctx, ctx.B, r), ctx.mode)
-        res = ctx.qdg.is_zero_mod(value)
-        if res.is_zero:
-            return CheckRecord(name=name, params=(r,), status=PASS, anchor="higher-dg",
-                               detail="reduced to zero")
-        confirmed, detail = ctx.confirm_in_models(res.residue)
-        return CheckRecord(
-            name=name, params=(r,), status=PASS if confirmed else FAIL,
-            anchor="higher-dg", detail=detail,
-            witness=None if confirmed else res.residue,
-        )
+        status, detail, witness = _settle(ctx, value, "reduced to zero")
+        return CheckRecord(name=name, params=(r,), status=status, anchor="higher-dg",
+                           detail=detail, witness=witness)
     if method != "certified":
         raise ValueError(f"unknown method {method!r}")
     B = ctx.B
@@ -207,39 +214,19 @@ def homomorphism_spotcheck(ctx: OnsagerContext, w1: Word, w2: Word) -> CheckReco
     """
     p1 = NcPoly.monomial(ctx.alphabet, w1, ctx.mode.one())
     p2 = NcPoly.monomial(ctx.alphabet, w2, ctx.mode.one())
-    details = []
-    status = PASS
-    witness = None
-
     image1 = lusztig(ctx, p1)
     mult_diff = lusztig(ctx, p1 * p2) - ctx.qdg.normal_form(image1 * lusztig(ctx, p2))
-    res = ctx.qdg.is_zero_mod(mult_diff)
-    if res.is_zero:
-        details.append("multiplicative: rewrite")
-    else:
-        confirmed, d = ctx.confirm_in_models(res.residue)
-        details.append(f"multiplicative: {d}")
-        if not confirmed:
-            status = FAIL
-            witness = res.residue
-
     back = truncated_sum(ctx.A, image1, ctx.standard_bound(image1), INVERSE, ctx.mode)
-    res2 = ctx.qdg.is_zero_mod(back - p1)
-    if res2.is_zero:
-        details.append("inverse-composition: rewrite")
-    else:
-        confirmed, d = ctx.confirm_in_models(res2.residue)
-        details.append(f"inverse-composition: {d}")
-        if not confirmed:
-            status = FAIL
-            witness = witness or res2.residue
+    settled = [(label, *_settle(ctx, value, "rewrite")) for label, value
+               in (("multiplicative", mult_diff), ("inverse-composition", back - p1))]
+    witnesses = [w for _, status, _, w in settled if status == FAIL]
 
     spell = ctx.alphabet.spell
     return CheckRecord(
         name="homomorphism",
         params=("".join(spell(w1)), "".join(spell(w2))),
-        status=status,
+        status=FAIL if witnesses else PASS,
         anchor="automorphism",
-        detail="; ".join(details),
-        witness=witness,
+        detail="; ".join(f"{label}: {detail}" for label, _, detail, _ in settled),
+        witness=witnesses[0] if witnesses else None,
     )

@@ -22,6 +22,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 
 from .adjoint import FORWARD, INVERSE, apply_badprod, truncated_sum
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
     ParseError,
 )
 from .freealg import Alphabet
-from .matrices import ExactMatrix, generated_algebra_dimension, solve_linear
+from .matrices import ExactMatrix, solve_linear
 from .onsager import defining_relations
 from .qcoeff import NumericQ
 from .report import CheckRecord, FAIL, PASS
@@ -301,8 +302,46 @@ def _idempotents(M: ExactMatrix, eigs: list[Fraction]) -> list[ExactMatrix] | No
     return None if E is None or any(P.is_zero() for P in E) else E
 
 
+def _in_eigenbasis(E: list[ExactMatrix], M: ExactMatrix) -> ExactMatrix:
+    """(first nonzero row of E_i) M (first nonzero column of E_j), over i, j.
+
+    E are nonzero orthogonal idempotents summing to I, one per dimension
+    (else DimensionMismatch), so each has rank one, E_i = x_i y_i, and entry
+    (i, j), a nonzero multiple of y_i M x_j, is zero exactly when E_i M E_j is.
+    """
+    n = M.dimension
+    if len(E) != n:
+        raise DimensionMismatch(f"{len(E)} idempotents on a space of dimension {n}")
+    rows = ExactMatrix([next(r for r in P.rows if any(r)) for P in E])
+    cols = ExactMatrix(zip(*(next(c for c in zip(*P.rows) if any(c)) for P in E)))
+    return rows * M * cols
+
+
+def _strongly_connected(P: ExactMatrix) -> bool:
+    """Whether the nonzero off-diagonal entries of P link every index to every other."""
+    n = P.dimension
+    for linked in (lambda i, j: P[i, j], lambda i, j: P[j, i]):
+        seen = {0}
+        for _ in range(n):
+            seen |= {j for i in seen for j in range(n) if linked(i, j)}
+        if len(seen) < n:
+            return False
+    return True
+
+
 def validate_td_pair(tp: TDPair) -> list[str]:
-    """All structural invariants; returns the list of violations (empty = ok)."""
+    """All structural invariants; returns the list of violations (empty = ok).
+
+    The idempotents of a generator with its d + 1 distinct eigenvalues are
+    d + 1 nonzero orthogonal projections summing to I on a (d + 1)-space,
+    so each has rank one and the tridiagonal action is an entry test on the
+    other generator in that eigenbasis.  By Burnside's theorem the pair is
+    irreducible exactly when it generates the full matrix algebra.  The E_i
+    of A are polynomials in A and E_i B E_j != 0 puts the matrix unit e_ij
+    in that algebra, so it is full exactly when these entries link every
+    eigenline to every other (else the eigenlines reachable from one span
+    an invariant subspace).
+    """
     violations = []
     n = tp.d + 1
     if tp.A.dimension != n or tp.B.dimension != n:
@@ -318,20 +357,20 @@ def validate_td_pair(tp: TDPair) -> list[str]:
     EB = _idempotents(tp.B, theta_star)
     if EB is None:
         violations.append("second-generator-diagonalizable")
-    if EA is not None and EB is not None:
-        for Es, M, label in ((EA, tp.B, "second-on-first"), (EB, tp.A, "first-on-second")):
-            for i in range(n):
-                for j in range(n):
-                    block = Es[i] * M * Es[j]
-                    if abs(i - j) > 1 and not block.is_zero():
-                        violations.append(f"band-{label}-({i},{j})")
-                    if abs(i - j) == 1 and block.is_zero():
-                        violations.append(f"offdiagonal-vanishes-{label}-({i},{j})")
+    B_on_A = None if EA is None else _in_eigenbasis(EA, tp.B)
+    if B_on_A is not None and EB is not None:
+        A_on_B = _in_eigenbasis(EB, tp.A)
+        for P, label in ((B_on_A, "second-on-first"), (A_on_B, "first-on-second")):
+            for i, j in product(range(n), repeat=2):
+                if abs(i - j) > 1 and P[i, j]:
+                    violations.append(f"band-{label}-({i},{j})")
+                if abs(i - j) == 1 and not P[i, j]:
+                    violations.append(f"offdiagonal-vanishes-{label}-({i},{j})")
     if not _dg_defect(tp.A, tp.B, tp.q0).is_zero():
         violations.append("relation-1")
     if not _dg_defect(tp.B, tp.A, tp.q0).is_zero():
         violations.append("relation-2")
-    if generated_algebra_dimension([tp.A, tp.B]) != n * n:
+    if B_on_A is not None and not _strongly_connected(B_on_A):
         violations.append("irreducibility")
     return violations
 
@@ -365,23 +404,23 @@ def check_dg_spectral(
     sandwiching the relation defect between idempotents shows it vanishes
     exactly when every eigenline with a nonzero scalar factor
     (theta_i - theta_j) * p(theta_i, theta_j), p the adjacency polynomial,
-    carries a zero block of B.  The direct route evaluates the relation
-    itself.  Both must agree.
+    carries a zero block E_i B E_j, read as an entry of B in the eigenbasis
+    of A (so theta must have one entry per dimension).  The direct route
+    evaluates the relation itself.  Both must agree.
     """
     q0 = Fraction(q0)
     EA = _idempotents(A, theta)
     if EA is None:
         raise NotDiagonalizable("first matrix is not diagonalizable with the given spectrum")
     n = A.dimension
+    B_on_A = _in_eigenbasis(EA, B)
     problems = []
-    for i in range(n):
-        for j in range(n):
-            factor = (theta[i] - theta[j]) * _adjacency(theta[i], theta[j], q0)
-            block = EA[i] * B * EA[j]
-            if factor and not block.is_zero():
-                problems.append(f"spectral-({i},{j})")
-            if abs(i - j) == 1 and block.is_zero():
-                problems.append(f"offdiagonal-vanishes-({i},{j})")
+    for i, j in product(range(n), repeat=2):
+        factor = (theta[i] - theta[j]) * _adjacency(theta[i], theta[j], q0)
+        if factor and B_on_A[i, j]:
+            problems.append(f"spectral-({i},{j})")
+        if abs(i - j) == 1 and not B_on_A[i, j]:
+            problems.append(f"offdiagonal-vanishes-({i},{j})")
     if not _dg_defect(A, B, q0).is_zero():
         problems.append("relation-1-direct")
     detail = "relation 1 spectral + direct"
@@ -390,10 +429,10 @@ def check_dg_spectral(
         if EB is None:
             problems.append("second-generator-diagonalizable")
         else:
-            for i in range(n):
-                for j in range(n):
-                    if abs(i - j) > 1 and not (EB[i] * A * EB[j]).is_zero():
-                        problems.append(f"dual-band-({i},{j})")
+            A_on_B = _in_eigenbasis(EB, A)
+            for i, j in product(range(n), repeat=2):
+                if abs(i - j) > 1 and A_on_B[i, j]:
+                    problems.append(f"dual-band-({i},{j})")
             if not _dg_defect(B, A, q0).is_zero():
                 problems.append("relation-2-direct")
             detail = "both relations, spectral + direct"
@@ -463,21 +502,16 @@ def import_td_pair(path) -> TDPair:
     return tp
 
 
-def twist_module(tp: TDPair, sd: SpectralData | None = None, direction: str = FORWARD) -> TDPair:
+def twist_module(tp: TDPair, sd: SpectralData, direction: str = FORWARD) -> TDPair:
     """Action of the pair on the twisted module: conjugate B by the twist.
 
     The first generator commutes with the twist and is unchanged; the
     output is revalidated and keeps both eigenvalue arrays.
     """
-    if sd is None:
-        sd = spectral_data(tp.d, tp.a, tp.q0, A=tp.A)
     if sd.A != tp.A:
         raise DimensionMismatch("spectral data does not belong to this pair")
-    if direction == FORWARD:
-        B2 = sd.Psi * tp.B * sd.PsiInv
-    else:
-        B2 = sd.PsiInv * tp.B * sd.Psi
-    out = replace(tp, B=B2)
+    left, right = (sd.Psi, sd.PsiInv) if direction == FORWARD else (sd.PsiInv, sd.Psi)
+    out = replace(tp, B=left * tp.B * right)
     violations = validate_td_pair(out)
     if violations:
         raise InvariantViolation(violations)

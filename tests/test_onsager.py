@@ -110,6 +110,12 @@ class TestHigherOrders:
         rec = higher_dg_check(ctx, 2, "certified")
         assert (rec.status, rec.detail) == ("fail", "base vanishing for B failed")
 
+    def test_residue_killed_by_every_model_passes(self):
+        ctx = onsager_context(NumericQ("5/3"))
+        ctx.qdg = RewriteSystem(ctx.alphabet, MonomialOrder(ctx.alphabet), [])
+        rec = higher_dg_check(ctx, 1, "rewrite")
+        assert (rec.status, rec.detail, rec.witness) == ("pass", "confirmed in models d1,d1,d3", None)
+
     def test_bad_arguments(self, ctx):
         with pytest.raises(ValueError):
             higher_dg_check(ctx, 0, "rewrite")
@@ -122,6 +128,27 @@ class TestHomomorphism:
     def test_spotchecks(self, ctx, pair):
         w1, w2 = (ctx.alphabet.word(w) for w in pair)
         assert homomorphism_spotcheck(ctx, w1, w2).status == "pass"
+
+    def test_refuted_residues_fail_with_the_first_as_witness(self, monkeypatch):
+        import qonsager.onsager as on
+
+        ctx = onsager_context(NumericQ("5/3"))
+        image = on.lusztig
+
+        def doubled(c, X, direction=FORWARD):
+            Y = image(c, X, direction)
+            return Y + Y
+
+        # a doubled image is neither multiplicative nor inverted by the inverse map
+        monkeypatch.setattr(on, "lusztig", doubled)
+        B = ctx.alphabet.word("B")
+        rec = homomorphism_spotcheck(ctx, B, B)
+        assert rec.status == "fail"
+        assert rec.detail == (
+            "multiplicative: nonzero image in model d1; inverse-composition: nonzero image in model d1"
+        )
+        # the inverse-composition residue is 2B - B = B; the witness is the first residue
+        assert rec.witness and rec.witness != ctx.B
 
 
 class TestWordSweep:

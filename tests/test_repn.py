@@ -7,13 +7,17 @@ import pytest
 from qonsager.adjoint import FORWARD, INVERSE, apply_badprod
 from qonsager.errors import (
     DegenerateEigenvalues,
+    DimensionMismatch,
     InvalidQ,
     InvariantViolation,
     NotDiagonalizable,
     ParseError,
 )
-from qonsager.matrices import ExactMatrix, generated_algebra_dimension
+from qonsager.matrices import ExactMatrix
 from qonsager.repn import (
+    TDPair,
+    _idempotents,
+    _in_eigenbasis,
     check_dg_spectral,
     higher_dg_matrix,
     import_td_pair,
@@ -232,6 +236,23 @@ class TestSpectralCriterion:
         rec = check_dg_spectral(sd.A, ExactMatrix(rows), sd.q0, sd.theta)
         assert rec.status == "fail"
 
+    def test_short_array_is_a_dimension_mismatch(self):
+        # A is diagonalizable with theta, but theta has one entry too few
+        theta = theta_sequence(2, 3, 2)
+        A = ExactMatrix.diagonal(theta + [theta[-1]])
+        with pytest.raises(DimensionMismatch):
+            check_dg_spectral(A, ExactMatrix.identity(4), 2, theta)
+
+
+D1_PARAMETERS = [(3, 2, 2), ("5/2", 3, "3/2"), (4, "7/3", "5/2"), (2, 5, 3), ("3/2", "2/3", "7/4")]
+SEARCHED = [(d, q0) for d in (2, 3) for q0 in (2, "5/3")]
+
+
+def _pair(spec):
+    tp = td_pair_d1(*spec) if len(spec) == 3 else search_td_pair(spec[0], 3, 5, Fraction(spec[1]))
+    assert tp is not None
+    return tp
+
 
 class TestDiameterOnePair:
     def test_documented_eigenvalues(self):
@@ -248,15 +269,66 @@ class TestDiameterOnePair:
 
     def test_irreducibility(self):
         tp = td_pair_d1(3, 2, 2)
-        assert generated_algebra_dimension([tp.A, tp.B]) == 4
+        assert validate_td_pair(tp) == []
 
-    @pytest.mark.parametrize(
-        "a,b,q0",
-        [(3, 2, 2), ("5/2", 3, "3/2"), (4, "7/3", "5/2"), (2, 5, 3), ("3/2", "2/3", "7/4")],
-    )
+    @pytest.mark.parametrize("a,b,q0", D1_PARAMETERS)
     def test_random_parameter_family(self, a, b, q0):
         tp = td_pair_d1(a, b, q0)
         assert validate_td_pair(tp) == []
+
+
+class TestEigenbasisMatrix:
+    @pytest.mark.parametrize("spec", D1_PARAMETERS + SEARCHED, ids=str)
+    def test_zero_pattern_is_the_idempotent_sandwich(self, spec):
+        import random
+
+        tp = _pair(spec)
+        n = tp.d + 1
+        rng = random.Random(str(spec))
+        for G, H, eigs in ((tp.A, tp.B, tp.theta), (tp.B, tp.A, tp.theta_star)):
+            E = _idempotents(G, eigs)
+            sparse = [
+                ExactMatrix([[Fraction(rng.choice((0, 0, 0, -2, -1, 1, 3))) for _ in range(n)]
+                             for _ in range(n)])
+                for _ in range(30)
+            ]
+            for M in [G, H, H * H, G * H - H * G] + sparse:
+                P = _in_eigenbasis(E, M)
+                sandwich = [[(E[i] * M * E[j]).is_zero() for j in range(n)] for i in range(n)]
+                assert [[not P[i, j] for j in range(n)] for i in range(n)] == sandwich
+
+
+class TestIrreducibility:
+    THETA = theta_sequence(3, 3, 2)
+
+    @staticmethod
+    def _upper_bidiagonal(corner=0):
+        # zero diagonal, unit superdiagonal, and `corner` at (3, 0)
+        rows = [[Fraction(int(j == i + 1)) for j in range(4)] for i in range(4)]
+        rows[3][0] = Fraction(corner)
+        return ExactMatrix(rows)
+
+    def _violations(self, A, B):
+        return validate_td_pair(TDPair(3, Fraction(3), Fraction(5), Fraction(2), A, B))
+
+    def test_upper_bidiagonal_is_reducible(self):
+        # A diagonal and B upper triangular generate the 10-dimensional triangular algebra
+        A = ExactMatrix.diagonal(self.THETA)
+        assert "irreducibility" in self._violations(A, self._upper_bidiagonal())
+
+    def test_corner_closes_the_cycle(self):
+        # 0 -> 1 -> 2 -> 3 -> 0 links every eigenline: the full 16-dimensional algebra
+        A = ExactMatrix.diagonal(self.THETA)
+        assert "irreducibility" not in self._violations(A, self._upper_bidiagonal(1))
+
+    def test_jordan_block_is_rejected_without_an_eigenbasis(self):
+        # B = A - theta_0: the two commute, so both relations hold; with no
+        # eigenbasis of A irreducibility is not read, only diagonalizability
+        A = self._upper_bidiagonal() + ExactMatrix.diagonal([self.THETA[0]] * 4)
+        assert self._violations(A, self._upper_bidiagonal()) == [
+            "first-generator-diagonalizable",
+            "second-generator-diagonalizable",
+        ]
 
 
 class TestImportExport:
