@@ -22,6 +22,17 @@ digit bound.  Short products, vectors too large for 64-bit digits and gcds
 the heuristic cannot certify go to a schoolbook convolution and to a
 primitive pseudo-remainder sequence with exact division.
 
+Field operations take their gcds on the reduced factors, never on expanded
+products (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1).  For (a/b)(c/d) with
+g1 = gcd(a, d) and g2 = gcd(c, b), (a/g1 c/g2) / (b/g2 d/g1) is reduced
+because a/b and c/d are; a quotient multiplies by 1/(c/d) = d/c, canonical
+as it stands.  For a/b + c/d with g = gcd(b, d), t = a (d/g) + c (b/g) is
+prime to (b/g)(d/g), so only g2 = gcd(t, g) can cancel, and the sum is
+(t/g2) / ((b/g)(d/g)(g/g2)); g = 1 needs no second gcd.  Exact quotients of
+primitive positive-leading vectors by their gcd are again such vectors, and
+so are their products (Gauss), so every result is already canonical: the
+same form that one gcd of the expanded products gives.
+
 A numeric mode is provided in which q is pinned to a fixed rational q0 with
 q0 not in {0, 1, -1}; scalars are then plain Fractions.  Symbolic values are
 exact and the arithmetic never leaves the rationals, so identity checks made
@@ -470,15 +481,22 @@ class RationalFunctionQ:
             return other
         if other.is_zero:
             return self
+        # a/b + c/d = (t/g2) / ((b/g)(d/g)(g/g2)), g = gcd(b, d), g2 = gcd(t, g)
         if self.den == other.den:
-            s = self.num + other.num
-            if s.is_zero:
+            t = self.num + other.num
+            if t.is_zero:
                 return RF_ZERO
             if len(self.den.coeffs) == 1:
-                return RationalFunctionQ(s, self.den, _canonical=True)
-            return RationalFunctionQ(s, self.den)
+                return RationalFunctionQ(t, self.den, _canonical=True)
+            g, b1, d1 = self.den.coeffs, (1,), (1,)
+        else:
+            g, b1, d1 = _split(self.den.coeffs, other.den.coeffs)
+            t = _times_lp(self.num, d1) + _times_lp(other.num, b1)
+        _, t1, g1 = _split(t.coeffs, g)
         return RationalFunctionQ(
-            self.num * other.den + other.num * self.den, self.den * other.den
+            _raw(t.offset, tuple(t1), t.scale),
+            _den(_times(_times(b1, d1), g1)),
+            _canonical=True,
         )
 
     __radd__ = __add__
@@ -504,12 +522,7 @@ class RationalFunctionQ:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return RF_ZERO
-        # monomial factors need no gcd: they only move the scale and offset
-        if len(other.num.coeffs) == 1 and other.den is _LP_ONE:
-            return RationalFunctionQ(self.num * other.num, self.den, _canonical=True)
-        if len(self.num.coeffs) == 1 and self.den is _LP_ONE:
-            return RationalFunctionQ(self.num * other.num, other.den, _canonical=True)
-        return RationalFunctionQ(self.num * other.num, self.den * other.den)
+        return _mul(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -521,7 +534,11 @@ class RationalFunctionQ:
             raise DivisionByZero("division by zero rational function")
         if self.is_zero:
             return RF_ZERO
-        return RationalFunctionQ(self.num * other.den, self.den * other.num)
+        # 1/(c/d) in canonical form: d over c's coefficients, q^-offset/scale
+        c, d = other.num, other.den
+        return _mul(
+            self.num, self.den, _raw(-c.offset, d.coeffs, 1 / c.scale), _den(c.coeffs)
+        )
 
     def __rtruediv__(self, other) -> "RationalFunctionQ":
         other = _coerce(other)
@@ -567,29 +584,52 @@ def _coerce(x):
     return NotImplemented
 
 
+def _split(x, y):
+    """(gcd, x/gcd, y/gcd) of primitive positive-leading vectors."""
+    if len(x) == 1 or len(y) == 1:
+        return (1,), x, y
+    split = _heuristic_gcd(x, y)
+    if split is not None:
+        return split
+    g = _primitive_gcd(x, y)
+    return g, _exact_div_int(x, g), _exact_div_int(y, g)
+
+
+def _times(x, y) -> tuple[int, ...]:
+    """Product of primitive positive-leading vectors, (1,) being the unit."""
+    if len(x) == 1:
+        return tuple(y)
+    if len(y) == 1:
+        return tuple(x)
+    return tuple(_convolve(x, y))
+
+
+def _times_lp(p: LaurentPoly, cs) -> LaurentPoly:
+    """p times the polynomial with primitive positive-leading coefficients cs."""
+    return _raw(p.offset, _times(p.coeffs, cs), p.scale)
+
+
+def _den(cs) -> LaurentPoly:
+    """The canonical denominator with coefficients cs."""
+    return _LP_ONE if len(cs) == 1 else _raw(0, tuple(cs), _ONE)
+
+
+def _mul(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly):
+    """(a/b)(c/d) for canonical a/b and c/d, neither zero (Henrici)."""
+    _, a1, d1 = _split(a.coeffs, d.coeffs)
+    _, c1, b1 = _split(c.coeffs, b.coeffs)
+    num = _raw(a.offset + c.offset, _times(a1, c1), a.scale * c.scale)
+    return RationalFunctionQ(num, _den(_times(b1, d1)), _canonical=True)
+
+
 def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     if den.is_zero:
         raise DivisionByZero("zero denominator")
     if num.is_zero:
         return _LP_ZERO, _LP_ONE
+    _, na, da = _split(num.coeffs, den.coeffs)
     shift = num.offset - den.offset
-    na, da = list(num.coeffs), list(den.coeffs)
-    if len(na) > 1 and len(da) > 1:
-        split = _heuristic_gcd(na, da)
-        if split is not None:
-            _, na, da = split
-        else:
-            g = _primitive_gcd(na, da)
-            if len(g) > 1:
-                na = _exact_div_int(na, g)
-                da = _exact_div_int(da, g)
-    scale = num.scale / den.scale
-    if da == [1]:
-        return _make(shift, na, scale), _LP_ONE
-    if na[-1] < 0:
-        na = [-c for c in na]
-        scale = -scale
-    return _raw(shift, tuple(na), scale), _raw(0, tuple(da), _ONE)
+    return _raw(shift, tuple(na), num.scale / den.scale), _den(da)
 
 
 RF_ZERO = RationalFunctionQ(_LP_ZERO, _LP_ONE, _canonical=True)

@@ -74,12 +74,15 @@ def _adjacency(x, y, q0):
     return x ** 2 - (q0 ** 2 + q0 ** -2) * x * y + y ** 2 + (q0 ** 2 - q0 ** -2) ** 2
 
 
-def _eigenprojections(M: ExactMatrix, eigs: list[Fraction]) -> list[ExactMatrix] | None:
-    """Lagrange idempotents E_i = prod_{j != i} (M - eigs[j]) / (eigs[i] - eigs[j]), or None.
+def _idempotents(M: ExactMatrix, eigs: list[Fraction]) -> list[ExactMatrix] | None:
+    """Lagrange idempotents E_i = prod_{j != i} (M - eigs[j]) / (eigs[i] - eigs[j]),
+    or None unless M has exactly the spectrum eigs, one eigenline each.
 
     (M - eigs[0]) E_0 is the product of all M - eigs[i] over a nonzero
-    scalar, so this one product is zero exactly when M is diagonalizable
-    with eigenvalues among eigs.
+    scalar, so it is zero exactly when M is diagonalizable with eigenvalues
+    among eigs; E_i is then the projection onto the eigs[i]-eigenspace.
+    Those ranks sum to the dimension, so when it is len(eigs) and every E_i
+    is nonzero, each has rank one.
     """
     ident = ExactMatrix.identity(M.dimension)
     factors = [M - mu * ident for mu in eigs]
@@ -90,7 +93,9 @@ def _eigenprojections(M: ExactMatrix, eigs: list[Fraction]) -> list[ExactMatrix]
             if j != i:
                 P = (1 / (lam - mu)) * (P * factors[j])
         out.append(P)
-    return out if (factors[0] * out[0]).is_zero() else None
+    if not (factors[0] * out[0]).is_zero() or any(P.is_zero() for P in out):
+        return None
+    return out
 
 
 @dataclass
@@ -118,7 +123,9 @@ def spectral_data(d: int, a, q0, A: ExactMatrix | None = None) -> SpectralData:
     idempotents: sum E_i = I holds for every A because the Lagrange basis
     sums to 1, and once (A - theta_0) E_0, the product of all A - theta_i up
     to a nonzero scalar, vanishes, A E_i = theta_i E_i and
-    E_i E_j = delta_ij E_i follow.
+    E_i E_j = delta_ij E_i follow.  The d + 1 ranks of the E_i then sum to
+    d + 1, so requiring every E_i nonzero makes each of rank one: A has
+    every theta_i as an eigenvalue, none repeated.
     """
     a = Fraction(a)
     mode = NumericQ(q0)
@@ -129,7 +136,7 @@ def spectral_data(d: int, a, q0, A: ExactMatrix | None = None) -> SpectralData:
         A = ExactMatrix.diagonal(theta)
     if A.dimension != d + 1:
         raise DimensionMismatch("matrix dimension must be d + 1")
-    E = _eigenprojections(A, theta)
+    E = _idempotents(A, theta)
     if E is None:
         raise NotDiagonalizable("matrix does not act by its eigenvalue array")
     Psi = PsiInv = ExactMatrix.zeros(d + 1)
@@ -294,12 +301,6 @@ def _dg_defect(first: ExactMatrix, second: ExactMatrix, q0: Fraction) -> ExactMa
     """Defect of the first defining relation at A = first, B = second."""
     relation = defining_relations(Alphabet(["A", "B"]), NumericQ(q0))[0]
     return relation.evaluate({"A": first, "B": second}, ExactMatrix.identity(first.dimension))
-
-
-def _idempotents(M: ExactMatrix, eigs: list[Fraction]) -> list[ExactMatrix] | None:
-    """Lagrange idempotents of M for exactly the spectrum eigs, or None."""
-    E = _eigenprojections(M, eigs)
-    return None if E is None or any(P.is_zero() for P in E) else E
 
 
 def _in_eigenbasis(E: list[ExactMatrix], M: ExactMatrix) -> ExactMatrix:

@@ -7,7 +7,8 @@ import pytest
 
 from qonsager.cli import EX_IOERR, EX_USAGE, emit_expression, main, parse_expression
 from qonsager.errors import ParseError
-from qonsager.freealg import Alphabet, NcPoly
+from qonsager.freealg import Alphabet, NcPoly, ncpoly_to_json
+from qonsager.identities import IDENTITIES, make_context
 from qonsager.report import CheckRecord, Report
 
 
@@ -319,8 +320,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestGoldenReports:
-    """Reports of the current-algebra, presentation and matrix-model checks
-    stay byte for byte what tests/golden/ records."""
+    """Reports of the current-algebra, presentation, matrix-model and
+    identity-catalogue checks stay byte for byte what tests/golden/ records."""
 
     @pytest.mark.parametrize(
         "argv,golden",
@@ -332,10 +333,31 @@ class TestGoldenReports:
              "repn-twist-inv.json"),
             ("repn conjugation --d 3 --a 3 --q 2 --trials 3 --seed 1 --json",
              "repn-conjugation-d3.json"),
+            ("verify identities --max-index 2 --json",
+             "verify-identities-max-index2.json"),
         ],
     )
     def test_report_matches_golden(self, argv, golden, capsys):
         assert main(argv.split()) == 0
         out, err = capsys.readouterr()
         assert err == ""
+        assert out == (GOLDEN / golden).read_text()
+
+
+class TestGoldenWitnesses:
+    """The canonical Q(q) coefficients of two FAIL witnesses, lhs - q*rhs of
+    a catalogue identity, stay byte for byte what tests/golden/ records."""
+
+    @pytest.mark.parametrize(
+        "name,params,golden",
+        [
+            ("ADA_SB", (1, 1, 1), "witness-ada-sb-1-1-1-scaled-rhs.json"),
+            ("TTP", (2,), "witness-ttp-2-scaled-rhs.json"),
+        ],
+    )
+    def test_witness_matches_golden(self, name, params, golden):
+        ctx = make_context()
+        lhs, rhs = IDENTITIES[name].build(ctx, *params)
+        diff = lhs - ctx.mode.q_pow(1) * rhs
+        out = json.dumps(ncpoly_to_json(diff), indent=2, sort_keys=True) + "\n"
         assert out == (GOLDEN / golden).read_text()

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qonsager import qcoeff
 from qonsager.errors import DivisionByZero, InvalidQ, PoleAtPoint
 from qonsager.qcoeff import (
     _FORMATS,
@@ -422,3 +423,65 @@ class TestHeuristicGcd:
         x = RationalFunctionQ(p * r, p * s_)
         assert x == RationalFunctionQ(r, s_)
         assert x.den.coeffs == (2, 0, 1)
+
+
+def _cyclotomic_value(rng):
+    """A canonical value whose numerator and denominator are products of
+    q-numbers q^n - q^-n and q-integers [n], so that denominators share
+    cyclotomic factors, scaled by a power of q and a rational.  It is built
+    by the constructor: one gcd of the expanded products."""
+    def product():
+        p = LaurentPoly.q_power(0)
+        for _ in range(rng.randint(0, 3)):
+            n = rng.randint(1, 6)
+            p = p * (SYMBOLIC.qnum(n) if rng.random() < 0.5 else qint(n)).num
+        return p
+    scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+    return RationalFunctionQ(
+        product() * LaurentPoly.q_power(rng.randint(-4, 4), scale), product()
+    )
+
+
+class TestHenriciOracle:
+    """Products, quotients and sums take gcds of the factors only (Henrici);
+    each must give exactly the canonical form of the one gcd of the
+    expanded products."""
+
+    OPS = [
+        ("mul", lambda x, y: x * y, lambda x, y: (x.num * y.num, x.den * y.den)),
+        ("div", lambda x, y: x / y, lambda x, y: (x.num * y.den, x.den * y.num)),
+        ("add", lambda x, y: x + y,
+         lambda x, y: (x.num * y.den + y.num * x.den, x.den * y.den)),
+        ("sub", lambda x, y: x - y,
+         lambda x, y: (x.num * y.den + -(y.num * x.den), x.den * y.den)),
+    ]
+
+    def check_all(self):
+        rng = random.Random(20240601)
+        values = [_cyclotomic_value(rng) for _ in range(40)]
+        pairs = [(x, y) for x in values for y in rng.sample(values, 10)]
+        # with y = w - x the sum x + y = w cancels factors of gcd(x.den, y.den)
+        sub = self.OPS[3][2]
+        pairs += [(x, RationalFunctionQ(*sub(w, x))) for x, w in zip(values, values[1:])]
+        for x, y in pairs:
+            for name, op, route in self.OPS:
+                got, want = op(x, y), RationalFunctionQ(*route(x, y))
+                for p in (got.num, got.den):
+                    assert type(p.coeffs) is tuple
+                assert (got.num, got.den) == (want.num, want.den), (name, x, y)
+
+    def test_against_one_gcd_route(self):
+        self.check_all()
+
+    def test_against_one_gcd_route_by_remainder_sequence(self, monkeypatch):
+        monkeypatch.setattr(qcoeff, "_heuristic_gcd", lambda a, b: None)
+        self.check_all()
+
+    def test_sum_cancels_a_shared_factor(self):
+        # 1/((q+1)(q-1)) + (1/2)/((q+1)(q+2)) = (3/2)/((q-1)(q+2)): the
+        # numerator over the lcm, (3/2)(q+1), shares q+1 with the gcd
+        x = RationalFunctionQ.one() / (Q(2) - 1)
+        y = RationalFunctionQ.from_fraction(Fraction(1, 2)) / ((Q(1) + 1) * (Q(1) + 2))
+        s = x + y
+        assert s.num == LaurentPoly.q_power(0, Fraction(3, 2))
+        assert s.den.coeffs == (-2, 1, 1)

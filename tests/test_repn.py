@@ -92,6 +92,15 @@ class TestSpectralData:
         with pytest.raises(NotDiagonalizable, match=message):
             spectral_data(2, 3, 2, A=ExactMatrix(rows))
 
+    def test_matrix_missing_an_eigenvalue_is_rejected(self):
+        # diag(theta_0, theta_0, theta_1, theta_2) is annihilated by the
+        # product of all A - theta_i, but it lacks theta_3, so E_3 = 0
+        theta = theta_sequence(3, 3, 2)
+        A = ExactMatrix.diagonal([theta[0], theta[0], theta[1], theta[2]])
+        message = "^matrix does not act by its eigenvalue array$"
+        with pytest.raises(NotDiagonalizable, match=message):
+            spectral_data(3, 3, 2, A=A)
+
 
 @pytest.fixture(scope="module")
 def sd():
