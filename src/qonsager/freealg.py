@@ -2,10 +2,11 @@
 
 Monomials are words (tuples of generator indices); a polynomial is a finite
 map from words to nonzero coefficients.  Coefficients may be symbolic
-(RationalFunctionQ) or numeric (Fraction); the arithmetic is agnostic.
-Words are ordered degree-lexicographically using the alphabet's declaration
-order as precedence (earlier name = higher letter), which fixes a
-deterministic term order for iteration, display and serialization.
+(RationalFunctionQ or CyclotomicFraction) or numeric (Fraction); the
+arithmetic is agnostic.  Words are ordered degree-lexicographically using
+the alphabet's declaration order as precedence (earlier name = higher
+letter), which fixes a deterministic term order for iteration, display and
+serialization.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlphabetMismatch, MissingImage, ParseError
-from .qcoeff import SYMBOLIC, RationalFunctionQ, rf_from_json, rf_to_json
+from .qcoeff import SYMBOLIC, RationalFunctionQ, canonical, rf_from_json, rf_to_json
 
 Word = tuple[int, ...]
 
@@ -66,7 +67,7 @@ def deglex_key(w: Word):
 class NcPoly:
     """Immutable noncommutative polynomial: word -> nonzero coefficient."""
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ("alphabet", "terms", "_hash")
 
     def __init__(self, alphabet: Alphabet, terms: dict):
         object.__setattr__(self, "alphabet", alphabet)
@@ -183,7 +184,13 @@ class NcPoly:
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, frozenset(self.terms.items())))
+        # terms is never mutated after construction, so hash it once
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.alphabet, frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     # -- algebra maps ------------------------------------------------------
 
@@ -230,6 +237,7 @@ class NcPoly:
 # ---------------------------------------------------------------------------
 
 def _coeff_to_json(c):
+    c = canonical(c)
     if isinstance(c, RationalFunctionQ):
         return rf_to_json(c)
     return str(c)

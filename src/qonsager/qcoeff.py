@@ -33,6 +33,17 @@ primitive positive-leading vectors by their gcd are again such vectors, and
 so are their products (Gauss), so every result is already canonical: the
 same form that one gcd of the expanded products gives.
 
+The identity catalogue computes in a second symbolic mode that takes no
+gcds.  Each divisor there is a product of q-numbers, and q^n - q^-n =
+q^-n prod_{d | 2n} Phi_d(q), so a value is kept as num / prod Phi_d(q): a
+Laurent polynomial over a multiset of cyclotomic indices.  A product
+convolves numerators and adds multisets; a sum brings both numerators to
+the lcm multiset; a quotient factors the divisor into a unit, a power of q
+and Phi_d's by exact trial division, and refuses any other divisor.  The
+form is not reduced, but its zero test is exact: the denominator is a
+nonzero polynomial, so the value is zero exactly when the numerator is.
+Values leave the engine converted to the canonical form above.
+
 A numeric mode is provided in which q is pinned to a fixed rational q0 with
 q0 not in {0, 1, -1}; scalars are then plain Fractions.  Symbolic values are
 exact and the arithmetic never leaves the rationals, so identity checks made
@@ -45,8 +56,9 @@ import sys
 from array import array
 from fractions import Fraction
 from math import gcd as _gcd
+from operator import add as _add, sub as _sub
 
-from .errors import DivisionByZero, InvalidQ, PoleAtPoint
+from .errors import DivisionByZero, InvalidQ, NotCyclotomic, PoleAtPoint
 
 Rat = Fraction
 _ONE = Fraction(1)
@@ -320,14 +332,13 @@ class LaurentPoly:
         lo = min(self.offset, other.offset)
         hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
         a, b = self.scale, other.scale
-        m1 = a.numerator * b.denominator
-        m2 = b.numerator * a.denominator
-        out = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.offset - lo + i] += m1 * c
-        for i, c in enumerate(other.coeffs):
-            out[other.offset - lo + i] += m2 * c
-        return _make(lo, out, Fraction(1, a.denominator * b.denominator))
+        out = map(
+            _add,
+            _placed(self, a.numerator * b.denominator, lo, hi),
+            _placed(other, b.numerator * a.denominator, lo, hi),
+        )
+        den = a.denominator * b.denominator
+        return _make(lo, list(out), _ONE if den == 1 else Fraction(1, den))
 
     def __neg__(self) -> "LaurentPoly":
         if self.is_zero:
@@ -337,10 +348,11 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero or other.is_zero:
             return _LP_ZERO
+        a, b = self.scale, other.scale
         return _raw(
             self.offset + other.offset,
-            tuple(_convolve(self.coeffs, other.coeffs)),
-            self.scale * other.scale,
+            _times(self.coeffs, other.coeffs),
+            b if a == 1 else a if b == 1 else a * b,
         )
 
     def eval_at(self, q0: Rat) -> Rat:
@@ -397,6 +409,12 @@ def _raw(offset: int, coeffs: tuple[int, ...], scale: Rat) -> LaurentPoly:
     return lp
 
 
+def _placed(p: LaurentPoly, m: int, lo: int, hi: int) -> list[int]:
+    """m times the coefficients of p, padded with zeros to exponents lo .. hi-1."""
+    cs = list(p.coeffs) if m == 1 else list(map(m.__mul__, p.coeffs))
+    return [0] * (p.offset - lo) + cs + [0] * (hi - p.offset - len(cs))
+
+
 def _make(offset: int, ints: list[int], scale: Rat) -> LaurentPoly:
     """Normalize integer coefficients: trim, extract content, fix lead sign."""
     lo, hi = 0, len(ints)
@@ -410,9 +428,9 @@ def _make(offset: int, ints: list[int], scale: Rat) -> LaurentPoly:
     c = _int_content(ints)
     if ints[-1] < 0:
         c = -c
-    if c != 1:
-        ints = [x // c for x in ints]
-    return _raw(offset + lo, tuple(ints), scale * c)
+    if c == 1:
+        return _raw(offset + lo, tuple(ints), scale)
+    return _raw(offset + lo, tuple([x // c for x in ints]), scale * c)
 
 
 _LP_ZERO = _raw(0, (), _ONE)
@@ -457,10 +475,6 @@ class RationalFunctionQ:
         if not f:
             return RF_ZERO
         return RationalFunctionQ(_raw(0, (1,), f), _LP_ONE, _canonical=True)
-
-    @staticmethod
-    def q_power(n: int) -> "RationalFunctionQ":
-        return RationalFunctionQ(LaurentPoly.q_power(n), _LP_ONE, _canonical=True)
 
     # -- predicates --------------------------------------------------------
 
@@ -647,6 +661,216 @@ def qint(n: int) -> RationalFunctionQ:
 
 
 # ---------------------------------------------------------------------------
+# values over products of cyclotomic polynomials
+# ---------------------------------------------------------------------------
+#
+# A denominator is a multiset of cyclotomic indices, held as the exponent
+# tuple e with e[d - 1] the multiplicity of Phi_d and no trailing zero.  The
+# tables below hold plain integer tuples and grow on first use.
+
+_PHI: dict[int, tuple[int, ...]] = {}
+_PHI_PRODUCTS: dict[tuple[int, ...], tuple[int, ...]] = {(): (1,)}
+_FACTORS: dict[tuple[int, ...], tuple[int, ...]] = {(1,): ()}
+
+
+def _phi(d: int) -> tuple[int, ...]:
+    """Coefficients of the cyclotomic polynomial Phi_d, lowest degree first."""
+    out = _PHI.get(d)
+    if out is None:
+        p = [-1] + [0] * (d - 1) + [1]  # q^d - 1 is the product of Phi_e, e | d
+        for e in range(1, d):
+            if d % e == 0:
+                p = _exact_div_int(p, _phi(e))
+        out = _PHI[d] = tuple(p)
+    return out
+
+
+def _phi_product(e: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of prod Phi_d^e[d-1]; trailing zeros of e are allowed."""
+    out = _PHI_PRODUCTS.get(e)
+    if out is None:
+        d = len(e)
+        if not e[-1]:
+            out = _phi_product(e[:-1])
+        else:
+            out = _times(_phi_product(e[:-1] + (e[-1] - 1,)), _phi(d))
+        _PHI_PRODUCTS[e] = out
+    return out
+
+
+def _totient(n: int) -> int:
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out -= out // p
+        p += 1
+    return out - out // n if n > 1 else out
+
+
+def _cyclotomic_factors(cs: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponent tuple e with cs = prod Phi_d^e[d-1], by trial division.
+
+    cs is primitive with positive leading and nonzero constant entry.  Phi_d
+    has degree totient(d) >= sqrt(d/2), so a factor of degree <= m has
+    d <= 2 m^2, and the search ends once d passes that bound for the
+    cofactor left.
+    """
+    out = _FACTORS.get(cs)
+    if out is None:
+        rest, e = list(cs), []
+        while len(rest) > 1:
+            d, m = len(e) + 1, len(rest) - 1
+            if d > 2 * m * m:
+                raise NotCyclotomic(f"divisor {list(cs)} is not a product of cyclotomics")
+            k = 0
+            if _totient(d) <= m:
+                phi = _phi(d)
+                while len(phi) <= len(rest):
+                    try:
+                        rest = _exact_div_int(rest, phi)
+                    except ArithmeticError:
+                        break
+                    k += 1
+            e.append(k)
+        out = _FACTORS[cs] = tuple(e)
+    return out
+
+
+def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The multiset sum of a and b."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(_add, a, b)) + a[len(b):]
+
+
+def _lcm(a: tuple[int, ...], b: tuple[int, ...]):
+    """(lcm, lcm - a, lcm - b) of two multisets."""
+    if len(a) < len(b):
+        lcm = tuple(map(max, a, b)) + b[len(a):]
+    else:
+        lcm = tuple(map(max, a, b)) + a[len(b):]
+    return lcm, tuple(map(_sub, lcm, a)) + lcm[len(a):], tuple(map(_sub, lcm, b)) + lcm[len(b):]
+
+
+class CyclotomicFraction:
+    """num / prod_{d in den} Phi_d(q): an element of Q(q), kept unreduced.
+
+    num is a LaurentPoly and den the exponent tuple of the cyclotomic
+    multiset.  The form is not canonical: equality and hashing are
+    structural, so two equal values reached by different routes may compare
+    unequal.  That only costs a cache miss; is_zero is exact, since the
+    denominator is a nonzero polynomial.  canonical() gives the
+    RationalFunctionQ of the value.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __setattr__(self, *a):
+        raise AttributeError("CyclotomicFraction is immutable")
+
+    @staticmethod
+    def from_laurent(p: LaurentPoly) -> "CyclotomicFraction":
+        return _cf(p, ()) if p.coeffs else CF_ZERO
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.num.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.num.coeffs)
+
+    def __add__(self, other: "CyclotomicFraction") -> "CyclotomicFraction":
+        if not self.num.coeffs:
+            return other
+        if not other.num.coeffs:
+            return self
+        if self.den == other.den:
+            den, t = self.den, self.num + other.num
+        else:
+            den, ca, cb = _lcm(self.den, other.den)
+            t = _times_lp(self.num, _phi_product(ca)) + _times_lp(other.num, _phi_product(cb))
+        return _cf(t, den) if t.coeffs else CF_ZERO
+
+    def __neg__(self) -> "CyclotomicFraction":
+        return _cf(-self.num, self.den)
+
+    def __sub__(self, other: "CyclotomicFraction") -> "CyclotomicFraction":
+        return self + (-other)
+
+    def __mul__(self, other):
+        if type(other) is not CyclotomicFraction:
+            return NotImplemented  # a polynomial's __rmul__ scales it
+        if not self.num.coeffs or not other.num.coeffs:
+            return CF_ZERO
+        return _cf(self.num * other.num, _merge(self.den, other.den))
+
+    def __truediv__(self, other: "CyclotomicFraction") -> "CyclotomicFraction":
+        """Divide by a unit times a power of q times cyclotomic polynomials;
+        any other divisor raises NotCyclotomic."""
+        c = other.num
+        if not c.coeffs:
+            raise DivisionByZero("division by zero rational function")
+        factors = _cyclotomic_factors(c.coeffs)
+        if not self.num.coeffs:
+            return CF_ZERO
+        a = self.num
+        num = _raw(a.offset - c.offset, _times(a.coeffs, _phi_product(other.den)),
+                   a.scale / c.scale)
+        return _cf(num, _merge(self.den, factors))
+
+    def eval_at(self, q0) -> Rat:
+        """Exact substitution q -> q0; q0 must avoid 0, 1, -1 and poles."""
+        q0 = Fraction(q0)
+        if q0 in (0, 1, -1):
+            raise InvalidQ(f"q0 = {q0} is forbidden")
+        d = _raw(0, _phi_product(self.den), _ONE).eval_at(q0)
+        if not d:
+            raise PoleAtPoint(f"denominator vanishes at q = {q0}")
+        return self.num.eval_at(q0) / d
+
+    def canonical(self) -> RationalFunctionQ:
+        """The same value in the canonical form of RationalFunctionQ."""
+        den = _raw(0, _phi_product(self.den), _ONE)
+        return RationalFunctionQ.from_laurent(self.num) / RationalFunctionQ.from_laurent(den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CyclotomicFraction):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        if not self.den:
+            return repr(self.num)
+        den = "*".join(f"Phi{d}^{k}" for d, k in enumerate(self.den, 1) if k)
+        return f"({self.num!r})/({den})"
+
+
+def _cf(num: LaurentPoly, den: tuple[int, ...]) -> CyclotomicFraction:
+    x = object.__new__(CyclotomicFraction)
+    object.__setattr__(x, "num", num)
+    object.__setattr__(x, "den", den)
+    return x
+
+
+CF_ZERO = _cf(_LP_ZERO, ())
+
+
+def canonical(c):
+    """A coefficient as it leaves the engine: CyclotomicFraction values in
+    canonical RationalFunctionQ form, every other value as it is."""
+    return c.canonical() if isinstance(c, CyclotomicFraction) else c
+
+
+# ---------------------------------------------------------------------------
 # coefficient modes
 # ---------------------------------------------------------------------------
 
@@ -654,24 +878,26 @@ class SymbolicQ:
     """Coefficient mode with q an indeterminate; scalars are RationalFunctionQ."""
 
     is_symbolic = True
+    _lift = staticmethod(RationalFunctionQ.from_laurent)
 
     def __init__(self):
-        self._qpow: dict[int, RationalFunctionQ] = {}
-        self._qnum: dict[int, RationalFunctionQ] = {}
+        self._qpow: dict = {}
+        self._qnum: dict = {}
+        self._zero, self._one = self._lift(_LP_ZERO), self._lift(_LP_ONE)
 
     def one(self):
-        return RF_ONE
+        return self._one
 
     def zero(self):
-        return RF_ZERO
+        return self._zero
 
     def from_fraction(self, f):
-        return RationalFunctionQ.from_fraction(f)
+        return self._lift(LaurentPoly.q_power(0, f))
 
     def q_pow(self, n: int):
         out = self._qpow.get(n)
         if out is None:
-            out = RationalFunctionQ.q_power(n)
+            out = self._lift(LaurentPoly.q_power(n))
             self._qpow[n] = out
         return out
 
@@ -680,19 +906,27 @@ class SymbolicQ:
         out = self._qnum.get(n)
         if out is None:
             if n == 0:
-                out = RF_ZERO
+                out = self.zero()
             else:
-                out = RationalFunctionQ.from_laurent(
-                    LaurentPoly.from_terms([(n, _ONE), (-n, -_ONE)])
-                )
+                out = self._lift(LaurentPoly.from_terms([(n, _ONE), (-n, -_ONE)]))
             self._qnum[n] = out
         return out
 
     def qint(self, n: int):
-        return qint(n)
+        return self._lift(qint(n).num)
 
     def __repr__(self):
         return "SymbolicQ"
+
+
+class CyclotomicQ(SymbolicQ):
+    """Coefficient mode with q an indeterminate; scalars are
+    CyclotomicFraction, and every divisor must be a product of q-numbers."""
+
+    _lift = staticmethod(CyclotomicFraction.from_laurent)
+
+    def __repr__(self):
+        return "CyclotomicQ"
 
 
 class NumericQ:
@@ -731,6 +965,7 @@ class NumericQ:
 
 
 SYMBOLIC = SymbolicQ()
+CYCLOTOMIC = CyclotomicQ()
 
 
 # ---------------------------------------------------------------------------

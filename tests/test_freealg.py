@@ -72,6 +72,23 @@ class TestProperties:
         assert combo.is_zero
 
 
+class TestHash:
+    def test_equal_polynomials_hash_alike(self):
+        x = A * B + SYMBOLIC.qnum(2) * (B * A)
+        y = SYMBOLIC.qnum(2) * (B * A) + A * B
+        assert x is not y and x == y
+        assert hash(x) == hash(x) == hash(y)
+        assert {x: 1}[y] == 1
+        assert hash(NcPoly.zero(AB)) == hash(A - A)
+
+    def test_hashed_polynomial_stays_immutable(self):
+        x = A * B
+        hash(x)
+        for attr in ("terms", "alphabet", "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, None)
+
+
 class TestJson:
     def test_documented_form(self):
         data = {"alphabet": ["A", "B"], "terms": [{"word": ["B"], "coeff": 1}]}

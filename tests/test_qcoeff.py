@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qonsager import qcoeff
-from qonsager.errors import DivisionByZero, InvalidQ, PoleAtPoint
+from qonsager.errors import DivisionByZero, InvalidQ, NotCyclotomic, PoleAtPoint
 from qonsager.qcoeff import (
     _FORMATS,
     _LOOP_MAX_PRODUCTS,
+    CYCLOTOMIC,
+    CyclotomicFraction,
     LaurentPoly,
     NumericQ,
     RationalFunctionQ,
@@ -31,7 +33,7 @@ from qonsager.qcoeff import (
     rf_to_json,
 )
 
-Q = RationalFunctionQ.q_power
+Q = SYMBOLIC.q_pow
 
 
 def laurent_divide(num_terms, den_terms):
@@ -485,3 +487,115 @@ class TestHenriciOracle:
         s = x + y
         assert s.num == LaurentPoly.q_power(0, Fraction(3, 2))
         assert s.den.coeffs == (-2, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# values over cyclotomic denominators against RationalFunctionQ and NumericQ
+# ---------------------------------------------------------------------------
+
+def _cyclotomic_tree(rng, depth):
+    """A seeded expression: q-powers, q-numbers and rational constants under
+    +, -, * and division by rational multiples of q-powers times products of
+    q-numbers q^n - q^-n (n > 0) and q-integers [n] (written -n), the
+    divisor itself divided by one more q-number unless its last entry is 0."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.choice("qwc")
+        if kind == "q":
+            return ("q", rng.randint(-4, 4))
+        if kind == "w":
+            return ("w", rng.randint(1, 6))
+        return ("c", Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
+    op = rng.choice(["add", "sub", "mul", "div"])
+    x = _cyclotomic_tree(rng, depth - 1)
+    if op == "div":
+        ns = tuple(rng.choice([1, -1]) * rng.randint(1, 6) for _ in range(rng.randint(0, 3)))
+        return (op, x, Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)),
+                rng.randint(-3, 3), ns, rng.choice([0, 0, 1, 2, 5]))
+    return (op, x, _cyclotomic_tree(rng, depth - 1))
+
+
+def _in_mode(tree, mode):
+    kind = tree[0]
+    if kind == "q":
+        return mode.q_pow(tree[1])
+    if kind == "w":
+        return mode.qnum(tree[1])
+    if kind == "c":
+        return mode.from_fraction(tree[1])
+    x = _in_mode(tree[1], mode)
+    if kind == "div":
+        d = mode.from_fraction(tree[2]) * mode.q_pow(tree[3])
+        for n in tree[4]:
+            d = d * (mode.qnum(n) if n > 0 else mode.qint(-n))
+        if tree[5]:
+            d = d / mode.qnum(tree[5])
+        return x / d
+    y = _in_mode(tree[2], mode)
+    if kind == "add":
+        return x + y
+    return x - y if kind == "sub" else x * y
+
+
+class TestCyclotomicOracle:
+    """CyclotomicFraction arithmetic leaves its values unreduced; converted
+    to canonical form, every value must be the RationalFunctionQ of the same
+    expression, and must evaluate like the Fraction-only numeric mode."""
+
+    Q0 = (Fraction(5, 3), Fraction(-2, 7))
+
+    def check(self, tree):
+        value = _in_mode(tree, CYCLOTOMIC)
+        want = _in_mode(tree, SYMBOLIC)
+        assert type(value) is CyclotomicFraction
+        got = value.canonical()
+        assert (got.num, got.den) == (want.num, want.den), tree
+        assert value.is_zero == want.is_zero
+        for q0 in self.Q0:
+            assert value.eval_at(q0) == _in_mode(tree, NumericQ(q0))
+
+    def test_seeded_expressions(self):
+        rng = random.Random(20261018)
+        trees = [_cyclotomic_tree(rng, 4) for _ in range(150)]
+        # x - x, and sums whose terms share cyclotomic factors of the lcm
+        trees += [("sub", t, t) for t in trees[:20]]
+        trees += [("add", t, ("mul", ("c", Fraction(-1)), u)) for t, u in zip(trees, trees[1:30])]
+        zeros = 0
+        for tree in trees:
+            self.check(tree)
+            zeros += _in_mode(tree, CYCLOTOMIC).is_zero
+        assert zeros >= 20
+
+    def test_shared_factor_cancels_to_zero(self):
+        # (q^2 - q^-2)/(q - q^-1) - (q + q^-1) = 0 over Phi_1 Phi_2
+        w, q = CYCLOTOMIC.qnum, CYCLOTOMIC.q_pow
+        x = w(2) / w(1)
+        assert x.den == (1, 1) and not x.is_zero
+        assert (x - (q(1) + q(-1))).is_zero
+        assert x.canonical() == SYMBOLIC.q_pow(1) + SYMBOLIC.q_pow(-1)
+        tree = ("sub", ("div", ("w", 2), Fraction(1), 0, (1,), 0),
+                ("add", ("q", 1), ("q", -1)))
+        self.check(tree)
+
+    def test_sum_over_lcm(self):
+        # 1/[2] - 1/[3] over Phi_4 and Phi_3 Phi_6
+        one = CYCLOTOMIC.one()
+        x = one / CYCLOTOMIC.qint(2) - one / CYCLOTOMIC.qint(3)
+        assert x.den == (0, 0, 1, 1, 0, 1)
+        assert x.canonical() == 1 / qint(2) - 1 / qint(3)
+
+    def test_non_cyclotomic_divisor_raises(self):
+        q_minus_2 = CYCLOTOMIC.q_pow(1) - CYCLOTOMIC.from_fraction(2)
+        for x in (CYCLOTOMIC.one(), CYCLOTOMIC.zero(), CYCLOTOMIC.qnum(3)):
+            with pytest.raises(NotCyclotomic):
+                x / q_minus_2
+        # a cyclotomic part does not hide the rest, whatever its degree
+        q40_plus_2 = CYCLOTOMIC.q_pow(40) + CYCLOTOMIC.from_fraction(2)
+        for d in (q_minus_2 * CYCLOTOMIC.qnum(6), q40_plus_2):
+            with pytest.raises(NotCyclotomic):
+                CYCLOTOMIC.one() / d
+        with pytest.raises(DivisionByZero):
+            CYCLOTOMIC.one() / CYCLOTOMIC.zero()
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            CYCLOTOMIC.one().num = LaurentPoly.q_power(1)
