@@ -15,10 +15,6 @@ class PoleAtPoint(QonsagerError):
     """Evaluation point is a root of the denominator."""
 
 
-class NotCyclotomic(QonsagerError):
-    """A divisor is not a unit times a power of q times cyclotomic polynomials."""
-
-
 class InvalidQ(QonsagerError):
     """q was specialized to 0, 1 or -1, which the engine forbids."""
 

@@ -2,11 +2,10 @@
 
 Monomials are words (tuples of generator indices); a polynomial is a finite
 map from words to nonzero coefficients.  Coefficients may be symbolic
-(RationalFunctionQ or CyclotomicFraction) or numeric (Fraction); the
-arithmetic is agnostic.  Words are ordered degree-lexicographically using
-the alphabet's declaration order as precedence (earlier name = higher
-letter), which fixes a deterministic term order for iteration, display and
-serialization.
+(RationalFunctionQ) or numeric (Fraction); the arithmetic is agnostic.
+Words are ordered degree-lexicographically using the alphabet's
+declaration order as precedence (earlier name = higher letter), which fixes
+a deterministic term order for iteration, display and serialization.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlphabetMismatch, MissingImage, ParseError
-from .qcoeff import SYMBOLIC, RationalFunctionQ, canonical, rf_from_json, rf_to_json
+from .qcoeff import SYMBOLIC, RationalFunctionQ, rf_from_json, rf_to_json
 
 Word = tuple[int, ...]
 
@@ -237,7 +236,6 @@ class NcPoly:
 # ---------------------------------------------------------------------------
 
 def _coeff_to_json(c):
-    c = canonical(c)
     if isinstance(c, RationalFunctionQ):
         return rf_to_json(c)
     return str(c)
@@ -275,7 +273,10 @@ def ncpoly_from_json(data, mode=SYMBOLIC) -> NcPoly:
                 w = alphabet.word(t["word"])
             except ParseError as e:
                 raise ParseError(str(e), location=f"terms[{i}].word")
-            c = _coeff_from_json(t["coeff"], mode)
+            try:
+                c = _coeff_from_json(t["coeff"], mode)
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", location=f"terms[{i}].coeff")
             if w in terms:
                 c = terms[w] + c
             if c:

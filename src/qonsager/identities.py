@@ -20,7 +20,7 @@ from typing import Callable
 from .adjoint import INVERSE, ImageCache
 from .errors import InvalidParams
 from .freealg import Alphabet, NcPoly, ncpoly_to_json
-from .qcoeff import CYCLOTOMIC, SYMBOLIC, canonical
+from .qcoeff import SYMBOLIC
 from .report import CheckRecord, FAIL, PASS
 
 
@@ -64,9 +64,7 @@ class _Ctx(ImageCache):
 
 
 def make_context(mode=SYMBOLIC) -> _Ctx:
-    """Free A, X, Y over mode; a symbolic context computes over CYCLOTOMIC."""
-    if mode.is_symbolic:
-        mode = CYCLOTOMIC
+    """Free A, X, Y over mode."""
     al = Alphabet(["A", "X", "Y"])
     return _Ctx(
         mode,
@@ -389,7 +387,7 @@ def verify_identity(
         params=params,
         status=PASS if diff.is_zero else FAIL,
         anchor=name,
-        witness=None if diff.is_zero else diff.map_coeffs(canonical),
+        witness=None if diff.is_zero else diff,
         mode_label="symbolic" if mode.is_symbolic else "numeric",
     )
 

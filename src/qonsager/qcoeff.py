@@ -1,48 +1,43 @@
 """Exact arithmetic in the field of rational functions of q over the rationals.
 
-Values are quotients of Laurent polynomials in q with rational coefficients,
-kept in a canonical form so that structural equality coincides with equality
-in the field:
+There is one symbolic scalar, RationalFunctionQ.  Every divisor the engine
+meets is a product of q-numbers, and q^n - q^-n = q^-n prod_{d | 2n}
+Phi_d(q), so a value is kept as
 
-* the denominator is an ordinary polynomial with nonzero constant term,
-  integer coefficients of content 1 and positive leading coefficient;
-* any power of q is carried by the numerator's exponent offset;
-* numerator and denominator share no polynomial factor.
+    num / (prod_d Phi_d(q)^phi[d-1] * rest(q)):
+
+a Laurent polynomial num over a multiset of cyclotomic indices, held as the
+exponent tuple phi, times one primitive integer polynomial rest that no
+Phi_d divides.  rest is 1 for every value the engine builds; only a divisor
+that is not a product of cyclotomic polynomials, which an expression file
+may hold, leaves anything there.
+
+No operation takes a gcd.  A product convolves numerators and adds
+multisets; a sum brings both numerators to the lcm multiset; a quotient
+factors the divisor into a rational, a power of q and Phi_d's by exact
+trial division, and whatever is left joins rest.  The form is not reduced,
+but its zero test is exact: the denominator is a nonzero polynomial, so a
+value is zero exactly when its numerator is.  Equality compares values, by
+cross multiplication over the common denominator, and every value has the
+same hash, so values reached by different routes compare and hash alike.
+
+The reduced canonical form is made only where a value leaves the engine:
+canonical(), and through it rf_to_json and so every emitted coefficient and
+witness.  It divides the numerator by the Phi_d of the denominator as long
+as they divide exactly, and takes one gcd against rest when rest is not 1.
+In that form the denominator is an ordinary polynomial with nonzero constant
+term, integer coefficients of content 1 and positive leading coefficient,
+any power of q is carried by the numerator, and numerator and denominator
+share no polynomial factor; equal values have the same canonical form.
 
 Internally a Laurent polynomial is a primitive integer coefficient vector
 with positive leading entry times one rational scale; products of primitive
 vectors stay primitive (Gauss), so multiplication is a single integer
-convolution.  The integer kernels run on Python's big integers by Kronecker
+convolution.  Long products run on Python's big integers by Kronecker
 substitution: a vector whose entries fit a balanced 16-, 32- or 64-bit digit
-is packed into one int, its value at xi = 2^w.  A product is then one big-int
-multiply, and a gcd is the heuristic gcd (GCDHEU, Char, Geddes and Gonnet
-1989): the integer gcd of the two values at xi, read back as balanced
-digits, is the polynomial gcd whenever it divides both inputs within the
-digit bound.  Short products, vectors too large for 64-bit digits and gcds
-the heuristic cannot certify go to a schoolbook convolution and to a
-primitive pseudo-remainder sequence with exact division.
-
-Field operations take their gcds on the reduced factors, never on expanded
-products (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1).  For (a/b)(c/d) with
-g1 = gcd(a, d) and g2 = gcd(c, b), (a/g1 c/g2) / (b/g2 d/g1) is reduced
-because a/b and c/d are; a quotient multiplies by 1/(c/d) = d/c, canonical
-as it stands.  For a/b + c/d with g = gcd(b, d), t = a (d/g) + c (b/g) is
-prime to (b/g)(d/g), so only g2 = gcd(t, g) can cancel, and the sum is
-(t/g2) / ((b/g)(d/g)(g/g2)); g = 1 needs no second gcd.  Exact quotients of
-primitive positive-leading vectors by their gcd are again such vectors, and
-so are their products (Gauss), so every result is already canonical: the
-same form that one gcd of the expanded products gives.
-
-The identity catalogue computes in a second symbolic mode that takes no
-gcds.  Each divisor there is a product of q-numbers, and q^n - q^-n =
-q^-n prod_{d | 2n} Phi_d(q), so a value is kept as num / prod Phi_d(q): a
-Laurent polynomial over a multiset of cyclotomic indices.  A product
-convolves numerators and adds multisets; a sum brings both numerators to
-the lcm multiset; a quotient factors the divisor into a unit, a power of q
-and Phi_d's by exact trial division, and refuses any other divisor.  The
-form is not reduced, but its zero test is exact: the denominator is a
-nonzero polynomial, so the value is zero exactly when the numerator is.
-Values leave the engine converted to the canonical form above.
+is packed into one int, its value at xi = 2^w, and the product is one big-int
+multiply.  Short products and vectors too large for 64-bit digits go to a
+schoolbook convolution.
 
 A numeric mode is provided in which q is pinned to a fixed rational q0 with
 q0 not in {0, 1, -1}; scalars are then plain Fractions.  Symbolic values are
@@ -58,7 +53,7 @@ from fractions import Fraction
 from math import gcd as _gcd
 from operator import add as _add, sub as _sub
 
-from .errors import DivisionByZero, InvalidQ, NotCyclotomic, PoleAtPoint
+from .errors import DivisionByZero, InvalidQ, PoleAtPoint
 
 Rat = Fraction
 _ONE = Fraction(1)
@@ -133,9 +128,9 @@ def _convolve_loop(a, b) -> list[int]:
 # A digit format is an array typecode of width w plus the byte pattern of one
 # digit 2^(w-1).  Vectors go through array's native two's-complement bytes,
 # read in host order, so no Python loop runs per coefficient.  On a
-# big-endian host every vector is packed reversed; products, exact quotients
-# and gcds of vectors with nonzero end entries commute with reversal, and
-# _unpack reverses back, so every kernel returns the same vectors.
+# big-endian host every vector is packed reversed; products of vectors with
+# nonzero end entries commute with reversal, and _unpack reverses back, so
+# the kernel returns the same vectors.
 
 def _format(code: str):
     """(2^(w-1), digit format) for the array typecode of width w."""
@@ -192,69 +187,6 @@ def _convolve(a, b) -> list[int]:
     if digits is None:
         return _convolve_loop(a, b)
     return _unpack(_pack(a, digits) * _pack(b, digits), len(a) + len(b) - 1, digits)
-
-
-def _heuristic_gcd(a, b):
-    """GCDHEU for primitive vectors with nonzero end entries.
-
-    Returns (h, a/h, b/h) with h the gcd, primitive with positive leading
-    entry, or None when no digit width certifies a candidate.  A miss at
-    one width is tried again at the next wider one, since cofactors may
-    need wider digits than the inputs.
-    """
-    bound = max(_norm(a), _norm(b))
-    for half, digits in _FORMATS:
-        if bound < half:
-            split = _gcdheu(a, b, half, digits)
-            if split is not None:
-                return split
-    return None
-
-
-def _gcdheu(a, b, half: int, digits):
-    """One GCDHEU attempt at xi = 2*half, with |a|, |b| < half.
-
-    Then xi >= 2 max(|a|, |b|) + 2, so the primitive part h of the balanced
-    digits of gcd(a(xi), b(xi)) is the gcd as soon as it divides a and b.
-    Exact integer quotients A = a(xi)/h(xi) prove that division once the
-    polynomial a - h*A, whose entries are below |A| |h| min(len) + |a|, has
-    all entries under xi/2: it vanishes at xi, so it is zero.
-    """
-    va, vb = _pack(a, digits), _pack(b, digits)
-    gamma = _gcd(va, vb)
-    h = _unpack(gamma, gamma.bit_length() // (8 * len(digits[1])) + 2, digits)
-    # zero top digits pad the front of h on a big-endian host, the end otherwise
-    lo, hi = 0, len(h)
-    while not h[hi - 1]:
-        hi -= 1
-    while not h[lo]:
-        lo += 1
-    h = h[lo:hi]
-    if len(h) == 1:
-        return [1], list(a), list(b)
-    if len(h) > min(len(a), len(b)):
-        return None
-    c = _int_content(h)
-    # gamma > 0 makes its top digit positive, but on a big-endian host that
-    # digit is h[0] and the leading entry h[-1] may be negative
-    if h[-1] < 0:
-        c = -c
-    h = [x // c for x in h]
-    vh = _pack(h, digits)
-    qa, ra = divmod(va, vh)
-    qb, rb = divmod(vb, vh)
-    if ra or rb:
-        return None
-    try:
-        ca = _unpack(qa, len(a) - len(h) + 1, digits)
-        cb = _unpack(qb, len(b) - len(h) + 1, digits)
-    except OverflowError:
-        return None
-    nh = _norm(h)
-    for x, cx in ((a, ca), (b, cb)):
-        if _norm(cx) * nh * min(len(cx), len(h)) + _norm(x) >= half:
-            return None
-    return h, ca, cb
 
 
 # ---------------------------------------------------------------------------
@@ -438,239 +370,17 @@ _LP_ONE = _raw(0, (1,), _ONE)
 
 
 # ---------------------------------------------------------------------------
-# rational functions in q
-# ---------------------------------------------------------------------------
-
-class RationalFunctionQ:
-    """Canonical quotient of Laurent polynomials in q over the rationals."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly, _canonical: bool = False):
-        if not _canonical:
-            num, den = _canonicalize(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalFunctionQ is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "RationalFunctionQ":
-        return RF_ZERO
-
-    @staticmethod
-    def one() -> "RationalFunctionQ":
-        return RF_ONE
-
-    @staticmethod
-    def from_laurent(p: LaurentPoly) -> "RationalFunctionQ":
-        return RationalFunctionQ(p, _LP_ONE, _canonical=True)
-
-    @staticmethod
-    def from_fraction(f) -> "RationalFunctionQ":
-        f = Fraction(f)
-        if not f:
-            return RF_ZERO
-        return RationalFunctionQ(_raw(0, (1,), f), _LP_ONE, _canonical=True)
-
-    # -- predicates --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other) -> "RationalFunctionQ":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        # a/b + c/d = (t/g2) / ((b/g)(d/g)(g/g2)), g = gcd(b, d), g2 = gcd(t, g)
-        if self.den == other.den:
-            t = self.num + other.num
-            if t.is_zero:
-                return RF_ZERO
-            if len(self.den.coeffs) == 1:
-                return RationalFunctionQ(t, self.den, _canonical=True)
-            g, b1, d1 = self.den.coeffs, (1,), (1,)
-        else:
-            g, b1, d1 = _split(self.den.coeffs, other.den.coeffs)
-            t = _times_lp(self.num, d1) + _times_lp(other.num, b1)
-        _, t1, g1 = _split(t.coeffs, g)
-        return RationalFunctionQ(
-            _raw(t.offset, tuple(t1), t.scale),
-            _den(_times(_times(b1, d1), g1)),
-            _canonical=True,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunctionQ":
-        return RationalFunctionQ(-self.num, self.den, _canonical=True)
-
-    def __sub__(self, other) -> "RationalFunctionQ":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RationalFunctionQ":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RF_ZERO
-        return _mul(self.num, self.den, other.num, other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunctionQ":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise DivisionByZero("division by zero rational function")
-        if self.is_zero:
-            return RF_ZERO
-        # 1/(c/d) in canonical form: d over c's coefficients, q^-offset/scale
-        c, d = other.num, other.den
-        return _mul(
-            self.num, self.den, _raw(-c.offset, d.coeffs, 1 / c.scale), _den(c.coeffs)
-        )
-
-    def __rtruediv__(self, other) -> "RationalFunctionQ":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    # -- evaluation --------------------------------------------------------
-
-    def eval_at(self, q0) -> Rat:
-        """Exact substitution q -> q0; q0 must avoid 0, 1, -1 and poles."""
-        q0 = Fraction(q0)
-        if q0 in (0, 1, -1):
-            raise InvalidQ(f"q0 = {q0} is forbidden")
-        d = self.den.eval_at(q0)
-        if not d:
-            raise PoleAtPoint(f"denominator vanishes at q = {q0}")
-        return self.num.eval_at(q0) / d
-
-    # -- comparison / display ----------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunctionQ.from_fraction(other)
-        if not isinstance(other, RationalFunctionQ):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        if self.den == _LP_ONE:
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
-
-
-def _coerce(x):
-    if isinstance(x, RationalFunctionQ):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RationalFunctionQ.from_fraction(x)
-    return NotImplemented
-
-
-def _split(x, y):
-    """(gcd, x/gcd, y/gcd) of primitive positive-leading vectors."""
-    if len(x) == 1 or len(y) == 1:
-        return (1,), x, y
-    split = _heuristic_gcd(x, y)
-    if split is not None:
-        return split
-    g = _primitive_gcd(x, y)
-    return g, _exact_div_int(x, g), _exact_div_int(y, g)
-
-
-def _times(x, y) -> tuple[int, ...]:
-    """Product of primitive positive-leading vectors, (1,) being the unit."""
-    if len(x) == 1:
-        return tuple(y)
-    if len(y) == 1:
-        return tuple(x)
-    return tuple(_convolve(x, y))
-
-
-def _times_lp(p: LaurentPoly, cs) -> LaurentPoly:
-    """p times the polynomial with primitive positive-leading coefficients cs."""
-    return _raw(p.offset, _times(p.coeffs, cs), p.scale)
-
-
-def _den(cs) -> LaurentPoly:
-    """The canonical denominator with coefficients cs."""
-    return _LP_ONE if len(cs) == 1 else _raw(0, tuple(cs), _ONE)
-
-
-def _mul(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly):
-    """(a/b)(c/d) for canonical a/b and c/d, neither zero (Henrici)."""
-    _, a1, d1 = _split(a.coeffs, d.coeffs)
-    _, c1, b1 = _split(c.coeffs, b.coeffs)
-    num = _raw(a.offset + c.offset, _times(a1, c1), a.scale * c.scale)
-    return RationalFunctionQ(num, _den(_times(b1, d1)), _canonical=True)
-
-
-def _canonicalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    if den.is_zero:
-        raise DivisionByZero("zero denominator")
-    if num.is_zero:
-        return _LP_ZERO, _LP_ONE
-    _, na, da = _split(num.coeffs, den.coeffs)
-    shift = num.offset - den.offset
-    return _raw(shift, tuple(na), num.scale / den.scale), _den(da)
-
-
-RF_ZERO = RationalFunctionQ(_LP_ZERO, _LP_ONE, _canonical=True)
-RF_ONE = RationalFunctionQ(_LP_ONE, _LP_ONE, _canonical=True)
-
-
-def qint(n: int) -> RationalFunctionQ:
-    """The q-integer (q^n - q^-n)/(q - q^-1) as an explicit Laurent polynomial."""
-    if n == 0:
-        return RF_ZERO
-    sign = 1 if n > 0 else -1
-    m = abs(n)
-    p = LaurentPoly.from_terms((m - 1 - 2 * k, Fraction(sign)) for k in range(m))
-    return RationalFunctionQ.from_laurent(p)
-
-
-# ---------------------------------------------------------------------------
-# values over products of cyclotomic polynomials
+# cyclotomic polynomials
 # ---------------------------------------------------------------------------
 #
-# A denominator is a multiset of cyclotomic indices, held as the exponent
-# tuple e with e[d - 1] the multiplicity of Phi_d and no trailing zero.  The
-# tables below hold plain integer tuples and grow on first use.
+# A multiset of cyclotomic indices is held as the exponent tuple e with
+# e[d - 1] the multiplicity of Phi_d and no trailing zero.  The tables below
+# hold plain integer tuples and grow on first use; they never call the
+# operators of RationalFunctionQ, so a warm table changes no operation count.
 
 _PHI: dict[int, tuple[int, ...]] = {}
 _PHI_PRODUCTS: dict[tuple[int, ...], tuple[int, ...]] = {(): (1,)}
-_FACTORS: dict[tuple[int, ...], tuple[int, ...]] = {(1,): ()}
+_FACTORS: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {(1,): ((), (1,))}
 
 
 def _phi(d: int) -> tuple[int, ...]:
@@ -709,23 +419,20 @@ def _totient(n: int) -> int:
     return out - out // n if n > 1 else out
 
 
-def _cyclotomic_factors(cs: tuple[int, ...]) -> tuple[int, ...]:
-    """The exponent tuple e with cs = prod Phi_d^e[d-1], by trial division.
+def _cyclotomic_factors(cs: tuple[int, ...]):
+    """(e, rest) with cs = prod Phi_d^e[d-1] * rest, by trial division.
 
-    cs is primitive with positive leading and nonzero constant entry.  Phi_d
-    has degree totient(d) >= sqrt(d/2), so a factor of degree <= m has
-    d <= 2 m^2, and the search ends once d passes that bound for the
-    cofactor left.
+    cs is primitive with positive leading and nonzero constant entry, and so
+    is rest, which no Phi_d divides.  Phi_d has degree totient(d) >=
+    sqrt(d/2), so a factor of degree <= m has d <= 2 m^2, and the search
+    ends once d passes that bound for the cofactor left.
     """
     out = _FACTORS.get(cs)
     if out is None:
-        rest, e = list(cs), []
-        while len(rest) > 1:
-            d, m = len(e) + 1, len(rest) - 1
-            if d > 2 * m * m:
-                raise NotCyclotomic(f"divisor {list(cs)} is not a product of cyclotomics")
+        rest, e, d = list(cs), [], 1
+        while len(rest) > 1 and d <= 2 * (len(rest) - 1) ** 2:
             k = 0
-            if _totient(d) <= m:
+            if _totient(d) < len(rest):
                 phi = _phi(d)
                 while len(phi) <= len(rest):
                     try:
@@ -734,7 +441,10 @@ def _cyclotomic_factors(cs: tuple[int, ...]) -> tuple[int, ...]:
                         break
                     k += 1
             e.append(k)
-        out = _FACTORS[cs] = tuple(e)
+            d += 1
+        while e and not e[-1]:
+            e.pop()
+        out = _FACTORS[cs] = (tuple(e), tuple(rest))
     return out
 
 
@@ -758,25 +468,71 @@ def _lcm(a: tuple[int, ...], b: tuple[int, ...]):
     return lcm, tuple(map(_sub, lcm, a)) + lcm[len(a):], tuple(map(_sub, lcm, b)) + lcm[len(b):]
 
 
-class CyclotomicFraction:
-    """num / prod_{d in den} Phi_d(q): an element of Q(q), kept unreduced.
+def _times(x, y) -> tuple[int, ...]:
+    """Product of primitive positive-leading vectors, (1,) being the unit."""
+    if len(x) == 1:
+        return tuple(y)
+    if len(y) == 1:
+        return tuple(x)
+    return tuple(_convolve(x, y))
 
-    num is a LaurentPoly and den the exponent tuple of the cyclotomic
-    multiset.  The form is not canonical: equality and hashing are
-    structural, so two equal values reached by different routes may compare
-    unequal.  That only costs a cache miss; is_zero is exact, since the
-    denominator is a nonzero polynomial.  canonical() gives the
-    RationalFunctionQ of the value.
+
+def _times_lp(p: LaurentPoly, cs) -> LaurentPoly:
+    """p times the polynomial with primitive positive-leading coefficients cs."""
+    return _raw(p.offset, _times(p.coeffs, cs), p.scale)
+
+
+# ---------------------------------------------------------------------------
+# rational functions in q
+# ---------------------------------------------------------------------------
+
+class RationalFunctionQ:
+    """num / (prod Phi_d^phi[d-1] * rest): an element of Q(q), kept unreduced.
+
+    num is a LaurentPoly, phi the exponent tuple of a cyclotomic multiset
+    and rest a primitive integer vector with positive leading and nonzero
+    constant entry that no Phi_d divides, (1,) unless a divisor had another
+    factor.  canonical() gives the same value in reduced form.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "phi", "rest")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = _LP_ONE):
+        """The value num / den."""
+        if den.is_zero:
+            raise DivisionByZero("zero denominator")
+        if num.is_zero:
+            num, phi, rest = _LP_ZERO, (), (1,)
+        else:
+            phi, rest = _cyclotomic_factors(den.coeffs)
+            num = _raw(num.offset - den.offset, num.coeffs, num.scale / den.scale)
+        _SET_NUM(self, num)
+        _SET_PHI(self, phi)
+        _SET_REST(self, rest)
 
     def __setattr__(self, *a):
-        raise AttributeError("CyclotomicFraction is immutable")
+        raise AttributeError("RationalFunctionQ is immutable")
+
+    # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_laurent(p: LaurentPoly) -> "CyclotomicFraction":
-        return _cf(p, ()) if p.coeffs else CF_ZERO
+    def zero() -> "RationalFunctionQ":
+        return RF_ZERO
+
+    @staticmethod
+    def one() -> "RationalFunctionQ":
+        return RF_ONE
+
+    @staticmethod
+    def from_laurent(p: LaurentPoly) -> "RationalFunctionQ":
+        return _rf(p, (), (1,)) if p.coeffs else RF_ZERO
+
+    @staticmethod
+    def from_fraction(f) -> "RationalFunctionQ":
+        f = Fraction(f)
+        return _rf(_raw(0, (1,), f), (), (1,)) if f else RF_ZERO
+
+    # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
@@ -785,89 +541,195 @@ class CyclotomicFraction:
     def __bool__(self) -> bool:
         return bool(self.num.coeffs)
 
-    def __add__(self, other: "CyclotomicFraction") -> "CyclotomicFraction":
-        if not self.num.coeffs:
+    @property
+    def den(self) -> LaurentPoly:
+        """The denominator as one polynomial, offset 0 and scale 1."""
+        return _raw(0, _times(_phi_product(self.phi), self.rest), _ONE)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other) -> "RationalFunctionQ":
+        if type(other) is not RationalFunctionQ:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, c = self.num, other.num
+        if not a.coeffs:
             return other
-        if not other.num.coeffs:
+        if not c.coeffs:
             return self
-        if self.den == other.den:
-            den, t = self.den, self.num + other.num
+        rest = self.rest
+        if self.phi == other.phi and rest == other.rest:
+            phi, t = self.phi, a + c
         else:
-            den, ca, cb = _lcm(self.den, other.den)
-            t = _times_lp(self.num, _phi_product(ca)) + _times_lp(other.num, _phi_product(cb))
-        return _cf(t, den) if t.coeffs else CF_ZERO
+            phi, ca, cc = _lcm(self.phi, other.phi)
+            ma, mc = _phi_product(ca), _phi_product(cc)
+            if rest != other.rest:
+                ma, mc = _times(ma, other.rest), _times(mc, rest)
+                rest = _times(rest, other.rest)
+            t = _times_lp(a, ma) + _times_lp(c, mc)
+        return _rf(t, phi, rest) if t.coeffs else RF_ZERO
 
-    def __neg__(self) -> "CyclotomicFraction":
-        return _cf(-self.num, self.den)
+    __radd__ = __add__
 
-    def __sub__(self, other: "CyclotomicFraction") -> "CyclotomicFraction":
+    def __neg__(self) -> "RationalFunctionQ":
+        return _rf(-self.num, self.phi, self.rest)
+
+    def __sub__(self, other) -> "RationalFunctionQ":
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other):
-        if type(other) is not CyclotomicFraction:
-            return NotImplemented  # a polynomial's __rmul__ scales it
-        if not self.num.coeffs or not other.num.coeffs:
-            return CF_ZERO
-        return _cf(self.num * other.num, _merge(self.den, other.den))
+    def __rsub__(self, other) -> "RationalFunctionQ":
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
-    def __truediv__(self, other: "CyclotomicFraction") -> "CyclotomicFraction":
-        """Divide by a unit times a power of q times cyclotomic polynomials;
-        any other divisor raises NotCyclotomic."""
+    def __mul__(self, other):
+        if type(other) is not RationalFunctionQ:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented  # a polynomial's or a matrix's __rmul__ scales it
+        a, c = self.num, other.num
+        if not a.coeffs or not c.coeffs:
+            return RF_ZERO
+        return _rf(a * c, _merge(self.phi, other.phi), _times(self.rest, other.rest))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "RationalFunctionQ":
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         c = other.num
         if not c.coeffs:
             raise DivisionByZero("division by zero rational function")
-        factors = _cyclotomic_factors(c.coeffs)
-        if not self.num.coeffs:
-            return CF_ZERO
         a = self.num
-        num = _raw(a.offset - c.offset, _times(a.coeffs, _phi_product(other.den)),
-                   a.scale / c.scale)
-        return _cf(num, _merge(self.den, factors))
+        if not a.coeffs:
+            return RF_ZERO
+        # a/(F r) divided by c/(G s) is a G s / (F r c), c split into Phi_d's and the rest
+        phi, rest = _cyclotomic_factors(c.coeffs)
+        up = _times(_times(a.coeffs, _phi_product(other.phi)), other.rest)
+        num = _raw(a.offset - c.offset, up, a.scale / c.scale)
+        return _rf(num, _merge(self.phi, phi), _times(self.rest, rest))
+
+    def __rtruediv__(self, other) -> "RationalFunctionQ":
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    # -- the reduced form and evaluation -------------------------------------
+
+    def canonical(self) -> "RationalFunctionQ":
+        """The same value with numerator and denominator sharing no factor.
+
+        Each Phi_d of the denominator is divided out of the numerator as long
+        as it divides exactly, and the gcd with rest, when rest is not 1, by
+        the primitive remainder sequence.  Quotients of primitive
+        positive-leading vectors by such divisors are again such vectors.
+        """
+        a = self.num
+        if not a.coeffs:
+            return RF_ZERO
+        cs, phi = list(a.coeffs), list(self.phi)
+        for d, k in enumerate(self.phi, 1):
+            while k and len(cs) > 1:
+                try:
+                    cs = _exact_div_int(cs, _phi(d))
+                except ArithmeticError:
+                    break
+                k -= 1
+            phi[d - 1] = k
+        while phi and not phi[-1]:
+            phi.pop()
+        rest = self.rest
+        if len(rest) > 1 and len(cs) > 1:
+            g = _primitive_gcd(cs, rest)
+            if len(g) > 1:
+                cs, rest = _exact_div_int(cs, g), tuple(_exact_div_int(list(rest), g))
+        return _rf(_raw(a.offset, tuple(cs), a.scale), tuple(phi), rest)
 
     def eval_at(self, q0) -> Rat:
-        """Exact substitution q -> q0; q0 must avoid 0, 1, -1 and poles."""
+        """Exact substitution q -> q0; q0 must avoid 0, 1, -1 and poles.
+
+        Phi_d has no rational root but 1 and -1, so only rest can vanish at
+        q0, and then the reduced form decides whether q0 is a pole.
+        """
         q0 = Fraction(q0)
         if q0 in (0, 1, -1):
             raise InvalidQ(f"q0 = {q0} is forbidden")
-        d = _raw(0, _phi_product(self.den), _ONE).eval_at(q0)
+        x = self if len(self.rest) == 1 else self.canonical()
+        d = x.den.eval_at(q0)
         if not d:
             raise PoleAtPoint(f"denominator vanishes at q = {q0}")
-        return self.num.eval_at(q0) / d
+        return x.num.eval_at(q0) / d
 
-    def canonical(self) -> RationalFunctionQ:
-        """The same value in the canonical form of RationalFunctionQ."""
-        den = _raw(0, _phi_product(self.den), _ONE)
-        return RationalFunctionQ.from_laurent(self.num) / RationalFunctionQ.from_laurent(den)
+    # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclotomicFraction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if type(other) is not RationalFunctionQ:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.phi == other.phi and self.rest == other.rest:
+            return self.num == other.num
+        # a/(F r) = c/(G s) iff a (L/F) s = c (L/G) r over the lcm L of F, G
+        _, ca, cc = _lcm(self.phi, other.phi)
+        return (_times_lp(self.num, _times(_phi_product(ca), other.rest))
+                == _times_lp(other.num, _times(_phi_product(cc), self.rest)))
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # equal values may be held over different denominators, and only
+        # canonical() would tell which, so every value hashes alike
+        return 0
 
     def __repr__(self) -> str:
-        if not self.den:
-            return repr(self.num)
-        den = "*".join(f"Phi{d}^{k}" for d, k in enumerate(self.den, 1) if k)
-        return f"({self.num!r})/({den})"
+        x = self.canonical()
+        if not x.phi and x.rest == (1,):
+            return repr(x.num)
+        return f"({x.num!r})/({x.den!r})"
 
 
-def _cf(num: LaurentPoly, den: tuple[int, ...]) -> CyclotomicFraction:
-    x = object.__new__(CyclotomicFraction)
-    object.__setattr__(x, "num", num)
-    object.__setattr__(x, "den", den)
+# the slot descriptors store past the __setattr__ guard, and faster than
+# object.__setattr__, which looks each slot up by name
+_SET_NUM, _SET_PHI, _SET_REST = (
+    RationalFunctionQ.num.__set__, RationalFunctionQ.phi.__set__, RationalFunctionQ.rest.__set__
+)
+
+
+def _rf(num: LaurentPoly, phi: tuple[int, ...], rest: tuple[int, ...]) -> RationalFunctionQ:
+    """Wrap the parts of a value without checks."""
+    x = object.__new__(RationalFunctionQ)
+    _SET_NUM(x, num)
+    _SET_PHI(x, phi)
+    _SET_REST(x, rest)
     return x
 
 
-CF_ZERO = _cf(_LP_ZERO, ())
+def _coerce(x):
+    """x as a RationalFunctionQ when it is one, an int or a Fraction."""
+    if isinstance(x, RationalFunctionQ):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return RationalFunctionQ.from_fraction(x)
+    return NotImplemented
 
 
-def canonical(c):
-    """A coefficient as it leaves the engine: CyclotomicFraction values in
-    canonical RationalFunctionQ form, every other value as it is."""
-    return c.canonical() if isinstance(c, CyclotomicFraction) else c
+RF_ZERO = _rf(_LP_ZERO, (), (1,))
+RF_ONE = _rf(_LP_ONE, (), (1,))
+
+
+def qint(n: int) -> RationalFunctionQ:
+    """The q-integer (q^n - q^-n)/(q - q^-1) as an explicit Laurent polynomial."""
+    if n == 0:
+        return RF_ZERO
+    sign = 1 if n > 0 else -1
+    m = abs(n)
+    p = LaurentPoly.from_terms((m - 1 - 2 * k, Fraction(sign)) for k in range(m))
+    return RationalFunctionQ.from_laurent(p)
 
 
 # ---------------------------------------------------------------------------
@@ -878,55 +740,39 @@ class SymbolicQ:
     """Coefficient mode with q an indeterminate; scalars are RationalFunctionQ."""
 
     is_symbolic = True
-    _lift = staticmethod(RationalFunctionQ.from_laurent)
 
     def __init__(self):
         self._qpow: dict = {}
         self._qnum: dict = {}
-        self._zero, self._one = self._lift(_LP_ZERO), self._lift(_LP_ONE)
 
     def one(self):
-        return self._one
+        return RF_ONE
 
     def zero(self):
-        return self._zero
+        return RF_ZERO
 
     def from_fraction(self, f):
-        return self._lift(LaurentPoly.q_power(0, f))
+        return RationalFunctionQ.from_fraction(f)
 
     def q_pow(self, n: int):
         out = self._qpow.get(n)
         if out is None:
-            out = self._lift(LaurentPoly.q_power(n))
-            self._qpow[n] = out
+            out = self._qpow[n] = RationalFunctionQ.from_laurent(LaurentPoly.q_power(n))
         return out
 
     def qnum(self, n: int):
         """q^n - q^-n."""
         out = self._qnum.get(n)
         if out is None:
-            if n == 0:
-                out = self.zero()
-            else:
-                out = self._lift(LaurentPoly.from_terms([(n, _ONE), (-n, -_ONE)]))
-            self._qnum[n] = out
+            p = LaurentPoly.from_terms([(n, _ONE), (-n, -_ONE)]) if n else _LP_ZERO
+            out = self._qnum[n] = RationalFunctionQ.from_laurent(p)
         return out
 
     def qint(self, n: int):
-        return self._lift(qint(n).num)
+        return qint(n)
 
     def __repr__(self):
         return "SymbolicQ"
-
-
-class CyclotomicQ(SymbolicQ):
-    """Coefficient mode with q an indeterminate; scalars are
-    CyclotomicFraction, and every divisor must be a product of q-numbers."""
-
-    _lift = staticmethod(CyclotomicFraction.from_laurent)
-
-    def __repr__(self):
-        return "CyclotomicQ"
 
 
 class NumericQ:
@@ -965,7 +811,6 @@ class NumericQ:
 
 
 SYMBOLIC = SymbolicQ()
-CYCLOTOMIC = CyclotomicQ()
 
 
 # ---------------------------------------------------------------------------
@@ -981,6 +826,8 @@ def laurent_from_json(data) -> LaurentPoly:
 
 
 def rf_to_json(x: RationalFunctionQ) -> dict:
+    """The canonical form of x as JSON."""
+    x = x.canonical()
     return {"num": laurent_to_json(x.num), "den": laurent_to_json(x.den)}
 
 

@@ -77,6 +77,22 @@ class TestExitCodeContract:
         assert f"error: expression alphabet must be ['A', 'B'], got {alphabet}" in err
         assert f"(at {path})" in err
 
+    @pytest.mark.parametrize("coeff", [
+        "1/0",
+        {"num": [[0, "1/0"]], "den": [[0, "1"]]},
+        {"num": [[0, "1"]], "den": [[0, "1/0"]]},
+        {"num": [[0, "1"]], "den": []},
+        {"num": [[0, "1"]], "den": [[0, "0"]]},
+    ])
+    def test_zero_denominator_in_expression_is_74(self, coeff, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"alphabet": ["A", "B"], "terms": [
+            {"word": ["A"], "coeff": 1}, {"word": ["B"], "coeff": coeff}]}))
+        assert main(["onsager", "lusztig", "--expr", str(path)]) == EX_IOERR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: zero denominator (at terms[1].coeff)\n"
+
     def test_numeric_mode_requires_q(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "identities", "--max-index", "1", "--mode", "numeric"])
@@ -321,7 +337,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 class TestGoldenReports:
     """Reports of the current-algebra, presentation, matrix-model and
-    identity-catalogue checks stay byte for byte what tests/golden/ records."""
+    identity-catalogue checks, and images of an expression file, stay byte
+    for byte what tests/golden/ records."""
 
     @pytest.mark.parametrize(
         "argv,golden",
@@ -335,9 +352,15 @@ class TestGoldenReports:
              "repn-conjugation-d3.json"),
             ("verify identities --max-index 2 --json",
              "verify-identities-max-index2.json"),
+            # a coefficient over q - 2, which is not a cyclotomic polynomial
+            ("onsager lusztig --expr tests/golden/lusztig-noncyclotomic.json",
+             "lusztig-noncyclotomic-fwd.json"),
+            ("onsager lusztig --expr tests/golden/lusztig-noncyclotomic.json "
+             "--direction inv", "lusztig-noncyclotomic-inv.json"),
         ],
     )
-    def test_report_matches_golden(self, argv, golden, capsys):
+    def test_report_matches_golden(self, argv, golden, capsys, monkeypatch):
+        monkeypatch.chdir(GOLDEN.parent.parent)
         assert main(argv.split()) == 0
         out, err = capsys.readouterr()
         assert err == ""

@@ -7,13 +7,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qonsager import qcoeff
-from qonsager.errors import DivisionByZero, InvalidQ, NotCyclotomic, PoleAtPoint
+from qonsager.adjoint import ImageCache
+from qonsager.errors import DivisionByZero, InvalidQ, PoleAtPoint
+from qonsager.freealg import Alphabet, NcPoly
 from qonsager.qcoeff import (
     _FORMATS,
     _LOOP_MAX_PRODUCTS,
-    CYCLOTOMIC,
-    CyclotomicFraction,
     LaurentPoly,
     NumericQ,
     RationalFunctionQ,
@@ -22,8 +21,6 @@ from qonsager.qcoeff import (
     _convolve_loop,
     _digits,
     _exact_div_int,
-    _gcdheu,
-    _heuristic_gcd,
     _norm,
     _primitive_gcd,
     laurent_from_json,
@@ -128,7 +125,10 @@ class TestCanonicalIdempotence:
         ]
         for x in samples:
             again = RationalFunctionQ(x.num, x.den)
-            assert again.num == x.num and again.den == x.den
+            assert (again.num, again.phi, again.rest) == (x.num, x.phi, x.rest)
+            c = x.canonical()
+            cc = c.canonical()
+            assert (cc.num, cc.phi, cc.rest) == (c.num, c.phi, c.rest)
 
 
 small_rationals = st.fractions(
@@ -271,6 +271,7 @@ def test_canonical_form_matches_sympy_cancel():
     @given(_expression_trees())
     def check(tree):
         value, expr = _evaluate(tree, q)
+        value = value.canonical()
         num, den = sp.fraction(sp.cancel(sp.together(expr)))
         dpoly = sp.Poly(den, q)
         low = min(m[0] for m in dpoly.monoms())
@@ -310,11 +311,6 @@ def _random_vector(rng, length, size):
     out[0] = out[0] or 1
     out[-1] = out[-1] or -1
     return out
-
-
-def _reference_split(a, b):
-    g = _primitive_gcd(a, b)
-    return g, _exact_div_int(a, g), _exact_div_int(b, g)
 
 
 def _alternating(x, n):
@@ -360,52 +356,64 @@ class TestKroneckerProduct:
         assert _convolve(a, b) == _convolve_loop(a, b)
 
 
+def _lp(cs):
+    return LaurentPoly(0, cs)
+
+
 class TestHeuristicGcd:
+    """The gcd canonical() takes against the part of a denominator that is
+    not cyclotomic, with entries at and around each Kronecker digit width,
+    and the reduced values it gives."""
+
     def check(self, a, b):
-        """Compare with the remainder sequence; report whether GCDHEU hit."""
-        split = _heuristic_gcd(a, b)
-        if split is not None:
-            assert split == _reference_split(a, b)
-        return split is not None
+        """The gcd divides both inputs, leaves coprime cofactors and is
+        primitive with positive leading entry; returns it."""
+        g = _primitive_gcd(a, b)
+        ca, cb = _exact_div_int(a, g), _exact_div_int(b, g)
+        assert _primitive_gcd(ca, cb) == [1]
+        assert g[-1] > 0 and gcd(*g) == 1
+        return g
 
     @pytest.mark.parametrize("e", EDGES)
     def test_edges(self, e):
         h = [e, -1]
         a = _primitive(_convolve_loop(h, [1, 2, -1]))
         b = _primitive(_convolve_loop(h, [-1, 3]))
-        hit = self.check(a, b)
-        assert hit == (max(_norm(a), _norm(b)) < _FORMATS[-1][0])
+        assert self.check(a, b) == [-e, 1]
+        c = RationalFunctionQ(_lp(a), _lp(b)).canonical()
+        assert c.num == _lp([1, 2, -1]) and c.den.coeffs == (-1, 3)
 
     @pytest.mark.parametrize("e", EDGES)
     def test_coprime(self, e):
         a, b = [e, 1], [1, 0, e]
-        assert self.check(a, b) == (e < _FORMATS[-1][0])
-        if e < _FORMATS[-1][0]:
-            assert _heuristic_gcd(a, b)[0] == [1]
+        assert self.check(a, b) == [1]
+        c = RationalFunctionQ(_lp(a), _lp(b)).canonical()
+        assert c.num == _lp(a) and c.den.coeffs == (1, 0, e)
 
     @pytest.mark.parametrize("e", EDGES)
     def test_one_divides_the_other(self, e):
         b = [-1, 0, e]
         a = _primitive(_convolve_loop(b, [3, -2, 1, 7]))
-        assert self.check(a, b) == (max(_norm(a), _norm(b)) < _FORMATS[-1][0])
-        if e < _FORMATS[-1][0] // 8:
-            assert _heuristic_gcd(a, b) == ([-1, 0, e], [3, -2, 1, 7], [1])
+        assert self.check(a, b) == b
+        c = RationalFunctionQ(_lp(a), _lp(b)).canonical()
+        assert c.num == _lp([3, -2, 1, 7]) and (c.phi, c.rest) == ((), (1,))
 
     def test_negative_end_entries(self):
         h = [-5, 2, -3]
         a = _convolve_loop(h, [1, 4, 2])
         b = _convolve_loop(h, [7, 1])
         assert a[0] < 0 and a[-1] < 0 and b[0] < 0 and b[-1] < 0
-        assert self.check(a, b)
-        assert _heuristic_gcd(a, b) == ([5, -2, 3], [-1, -4, -2], [-7, -1])
+        assert self.check(a, b) == [5, -2, 3]
+        c = RationalFunctionQ(_lp(a), _lp(b)).canonical()
+        assert c.num == _lp([1, 4, 2]) and c.den.coeffs == (7, 1)
 
     def test_integer_division_alone_does_not_certify(self):
-        # at 16-bit digits h(xi) divides a(xi) and b(xi), but h does not
-        # divide a: only the size bound on the cofactors rejects h
+        # at 16-bit digits h(xi) divides a(xi) and b(xi) for h = gcd of the
+        # two values read back as digits, but h does not divide a
         a = [-3, -3, 28, -19, -7]
         b = [-3, -7, 11, -1, 80, -34, -39, -34, -40, 11, 5, 7]
-        assert _gcdheu(a, b, *_FORMATS[0]) is None
-        assert self.check(a, b)
+        g = self.check(a, b)
+        assert _primitive_gcd(_exact_div_int(a, g), _exact_div_int(b, g)) == [1]
 
     def test_random_cofactors(self):
         rng = random.Random(2024)
@@ -414,8 +422,8 @@ class TestHeuristicGcd:
             h = _random_vector(rng, rng.randint(1, 6), size)
             a = _primitive(_convolve_loop(h, _random_vector(rng, rng.randint(1, 8), size)))
             b = _primitive(_convolve_loop(h, _random_vector(rng, rng.randint(1, 8), size)))
-            # every pair whose inputs fit 64-bit digits is certified
-            assert self.check(a, b) == (max(_norm(a), _norm(b)) < _FORMATS[-1][0])
+            g = self.check(a, b)
+            _exact_div_int(g, _primitive(h))  # h divides the gcd
 
     def test_fallback_keeps_canonical_forms(self):
         big = 2**80 + 7
@@ -424,7 +432,24 @@ class TestHeuristicGcd:
         s_ = LaurentPoly.from_terms([(-1, 2), (1, 1)])
         x = RationalFunctionQ(p * r, p * s_)
         assert x == RationalFunctionQ(r, s_)
-        assert x.den.coeffs == (2, 0, 1)
+        assert x.canonical().den.coeffs == (2, 0, 1)
+
+
+def _one_gcd(num: LaurentPoly, den: LaurentPoly):
+    """(num, den) of num/den in canonical form by one gcd of the two
+    polynomials: the reduction canonical() reaches by trial division."""
+    g = _primitive_gcd(num.coeffs, den.coeffs)
+    n, d = _exact_div_int(list(num.coeffs), g), _exact_div_int(list(den.coeffs), g)
+    scale = num.scale / den.scale
+    if d[-1] < 0:
+        d, scale = [-c for c in d], -scale
+    return (LaurentPoly.from_terms((num.offset - den.offset + i, scale * c)
+                                   for i, c in enumerate(n)), _lp(d))
+
+
+def _parts(x):
+    c = x.canonical()
+    return c.num, c.den
 
 
 def _cyclotomic_value(rng):
@@ -445,9 +470,9 @@ def _cyclotomic_value(rng):
 
 
 class TestHenriciOracle:
-    """Products, quotients and sums take gcds of the factors only (Henrici);
-    each must give exactly the canonical form of the one gcd of the
-    expanded products."""
+    """Products, quotients and sums take no gcd; reduced, each must be
+    exactly the canonical form that one gcd of the expanded products
+    gives."""
 
     OPS = [
         ("mul", lambda x, y: x * y, lambda x, y: (x.num * y.num, x.den * y.den)),
@@ -458,7 +483,7 @@ class TestHenriciOracle:
          lambda x, y: (x.num * y.den + -(y.num * x.den), x.den * y.den)),
     ]
 
-    def check_all(self):
+    def test_against_one_gcd_route(self):
         rng = random.Random(20240601)
         values = [_cyclotomic_value(rng) for _ in range(40)]
         pairs = [(x, y) for x in values for y in rng.sample(values, 10)]
@@ -467,24 +492,18 @@ class TestHenriciOracle:
         pairs += [(x, RationalFunctionQ(*sub(w, x))) for x, w in zip(values, values[1:])]
         for x, y in pairs:
             for name, op, route in self.OPS:
-                got, want = op(x, y), RationalFunctionQ(*route(x, y))
-                for p in (got.num, got.den):
-                    assert type(p.coeffs) is tuple
-                assert (got.num, got.den) == (want.num, want.den), (name, x, y)
-
-    def test_against_one_gcd_route(self):
-        self.check_all()
-
-    def test_against_one_gcd_route_by_remainder_sequence(self, monkeypatch):
-        monkeypatch.setattr(qcoeff, "_heuristic_gcd", lambda a, b: None)
-        self.check_all()
+                got = op(x, y)
+                assert type(got.num.coeffs) is tuple
+                num, den = route(x, y)
+                want = _one_gcd(num, den) if num.coeffs else (num, _lp([1]))
+                assert _parts(got) == want, (name, x, y)
 
     def test_sum_cancels_a_shared_factor(self):
         # 1/((q+1)(q-1)) + (1/2)/((q+1)(q+2)) = (3/2)/((q-1)(q+2)): the
         # numerator over the lcm, (3/2)(q+1), shares q+1 with the gcd
         x = RationalFunctionQ.one() / (Q(2) - 1)
         y = RationalFunctionQ.from_fraction(Fraction(1, 2)) / ((Q(1) + 1) * (Q(1) + 2))
-        s = x + y
+        s = (x + y).canonical()
         assert s.num == LaurentPoly.q_power(0, Fraction(3, 2))
         assert s.den.coeffs == (-2, 1, 1)
 
@@ -537,19 +556,18 @@ def _in_mode(tree, mode):
 
 
 class TestCyclotomicOracle:
-    """CyclotomicFraction arithmetic leaves its values unreduced; converted
-    to canonical form, every value must be the RationalFunctionQ of the same
-    expression, and must evaluate like the Fraction-only numeric mode."""
+    """Arithmetic leaves values unreduced over cyclotomic denominators;
+    reduced, every value must be what one gcd of its numerator and
+    denominator gives, and it must evaluate like the Fraction-only numeric
+    mode."""
 
     Q0 = (Fraction(5, 3), Fraction(-2, 7))
 
     def check(self, tree):
-        value = _in_mode(tree, CYCLOTOMIC)
-        want = _in_mode(tree, SYMBOLIC)
-        assert type(value) is CyclotomicFraction
-        got = value.canonical()
-        assert (got.num, got.den) == (want.num, want.den), tree
-        assert value.is_zero == want.is_zero
+        value = _in_mode(tree, SYMBOLIC)
+        assert type(value) is RationalFunctionQ
+        want = _one_gcd(value.num, value.den) if value else (value.num, _lp([1]))
+        assert _parts(value) == want, tree
         for q0 in self.Q0:
             assert value.eval_at(q0) == _in_mode(tree, NumericQ(q0))
 
@@ -562,40 +580,186 @@ class TestCyclotomicOracle:
         zeros = 0
         for tree in trees:
             self.check(tree)
-            zeros += _in_mode(tree, CYCLOTOMIC).is_zero
+            zeros += _in_mode(tree, SYMBOLIC).is_zero
         assert zeros >= 20
 
     def test_shared_factor_cancels_to_zero(self):
         # (q^2 - q^-2)/(q - q^-1) - (q + q^-1) = 0 over Phi_1 Phi_2
-        w, q = CYCLOTOMIC.qnum, CYCLOTOMIC.q_pow
+        w, q = SYMBOLIC.qnum, SYMBOLIC.q_pow
         x = w(2) / w(1)
-        assert x.den == (1, 1) and not x.is_zero
+        assert x.phi == (1, 1) and not x.is_zero
         assert (x - (q(1) + q(-1))).is_zero
-        assert x.canonical() == SYMBOLIC.q_pow(1) + SYMBOLIC.q_pow(-1)
+        assert _parts(x) == (LaurentPoly.from_terms([(1, 1), (-1, 1)]), _lp([1]))
         tree = ("sub", ("div", ("w", 2), Fraction(1), 0, (1,), 0),
                 ("add", ("q", 1), ("q", -1)))
         self.check(tree)
 
     def test_sum_over_lcm(self):
-        # 1/[2] - 1/[3] over Phi_4 and Phi_3 Phi_6
-        one = CYCLOTOMIC.one()
-        x = one / CYCLOTOMIC.qint(2) - one / CYCLOTOMIC.qint(3)
-        assert x.den == (0, 0, 1, 1, 0, 1)
-        assert x.canonical() == 1 / qint(2) - 1 / qint(3)
+        # 1/[2] - 1/[3] = q/Phi_4 - q^2/(Phi_3 Phi_6) over Phi_3 Phi_4 Phi_6
+        one = SYMBOLIC.one()
+        x = one / SYMBOLIC.qint(2) - one / SYMBOLIC.qint(3)
+        assert x.phi == (0, 0, 1, 1, 0, 1) and x.rest == (1,)
+        # q (q^4 + q^2 + 1) - q^2 (q^2 + 1) = q - q^2 + q^3 - q^4 + q^5
+        num = LaurentPoly.from_terms([(1, 1), (2, -1), (3, 1), (4, -1), (5, 1)])
+        assert _parts(x) == (num, _lp([1, 0, 2, 0, 2, 0, 1]))
 
-    def test_non_cyclotomic_divisor_raises(self):
-        q_minus_2 = CYCLOTOMIC.q_pow(1) - CYCLOTOMIC.from_fraction(2)
-        for x in (CYCLOTOMIC.one(), CYCLOTOMIC.zero(), CYCLOTOMIC.qnum(3)):
-            with pytest.raises(NotCyclotomic):
-                x / q_minus_2
+    def test_non_cyclotomic_divisor_joins_rest(self):
+        q_minus_2 = SYMBOLIC.q_pow(1) - SYMBOLIC.from_fraction(2)
+        x = SYMBOLIC.qnum(3) / (q_minus_2 * SYMBOLIC.qnum(6))
+        # q^6 - q^-6 = q^-6 Phi_1 Phi_2 Phi_3 Phi_4 Phi_6 Phi_12, and the
+        # value is q^3 / ((q - 2)(q^6 + 1)) with q^6 + 1 = Phi_4 Phi_12
+        assert x.rest == (-2, 1) and x.phi == (1, 1, 1, 1, 0, 1) + (0,) * 5 + (1,)
+        assert _parts(x) == (LaurentPoly.q_power(3), _lp([-2, 1, 0, 0, 0, 0, -2, 1]))
         # a cyclotomic part does not hide the rest, whatever its degree
-        q40_plus_2 = CYCLOTOMIC.q_pow(40) + CYCLOTOMIC.from_fraction(2)
-        for d in (q_minus_2 * CYCLOTOMIC.qnum(6), q40_plus_2):
-            with pytest.raises(NotCyclotomic):
-                CYCLOTOMIC.one() / d
+        q40_plus_2 = SYMBOLIC.q_pow(40) + SYMBOLIC.from_fraction(2)
+        y = SYMBOLIC.one() / q40_plus_2
+        assert y.phi == () and y.rest == (2,) + (0,) * 39 + (1,)
+        assert y * q40_plus_2 == SYMBOLIC.one()
         with pytest.raises(DivisionByZero):
-            CYCLOTOMIC.one() / CYCLOTOMIC.zero()
+            SYMBOLIC.one() / SYMBOLIC.zero()
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
-            CYCLOTOMIC.one().num = LaurentPoly.q_power(1)
+            SYMBOLIC.one().num = LaurentPoly.q_power(1)
+
+
+class TestValueContract:
+    """== compares values and the hash agrees with it, so two routes to one
+    value that end over different denominators are one dictionary key, and
+    so are polynomials that hold them."""
+
+    def routes(self):
+        one, qint_ = SYMBOLIC.one(), SYMBOLIC.qint
+        x = one / qint_(2) + one / qint_(3)
+        y = one / qint_(3) + one / qint_(2)
+        # q^-5 Phi_1 Phi_2 Phi_5 Phi_10 over Phi_1 Phi_2, held unreduced
+        w = SYMBOLIC.qnum(5) / SYMBOLIC.qnum(1)
+        z = (x * w) / w
+        return x, y, z
+
+    def test_routes_compare_and_hash_alike(self):
+        x, y, z = self.routes()
+        assert z.phi != x.phi  # the same value over another denominator
+        for u, v in ((x, y), (x, z), (y, z)):
+            assert u == v and v == u and not (u != v)
+            assert hash(u) == hash(v)
+        w = SYMBOLIC.q_pow(2) + 1
+        assert (w * SYMBOLIC.qnum(4)) / SYMBOLIC.qnum(4) == w
+        assert hash((w * SYMBOLIC.qnum(4)) / SYMBOLIC.qnum(4)) == hash(w)
+        assert x != x + 1 and x != 0 and x * 0 == 0
+
+    def test_polynomials_share_an_image_cache_entry(self):
+        x, y, z = self.routes()
+        al = Alphabet(["A", "X"])
+        A, X = (NcPoly.generator(al, g) for g in "AX")
+        polys = [c * X + A * X for c in (x, y, z)]
+        assert polys[0] == polys[1] == polys[2]
+        assert len({hash(p) for p in polys}) == 1
+        cache = ImageCache(A)
+        first = cache.ad(1, polys[0])
+        assert all(cache.ad(1, p) is first for p in polys[1:])
+        assert len(cache._cache) == 1
+
+    @pytest.mark.parametrize("name", [
+        "__add__", "__radd__", "__sub__", "__rsub__",
+        "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+    ])
+    def test_operators_live_in_the_class_body(self, name):
+        # a per-layer tracer wraps each operator by its class attribute
+        assert name in RationalFunctionQ.__dict__
+
+
+# ---------------------------------------------------------------------------
+# emitted coefficients against sympy, which shares no code with qcoeff
+# ---------------------------------------------------------------------------
+
+# q - 2 over 1: the one leaf whose factor is not a cyclotomic polynomial
+Q_MINUS_2 = {"num": [[0, "-2"], [1, "1"]], "den": [[0, "1"]]}
+
+
+def _oracle_tree(rng, depth):
+    """A seeded expression over q-powers, q-numbers, q-integers, rationals
+    and q - 2 under +, -, * and /; a zero divisor is read as 1."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.choice("qwicx")
+        if kind == "c":
+            return ("c", Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
+        if kind == "x":
+            return ("x",)
+        return (kind, rng.randint(-4, 4) if kind == "q" else rng.randint(1, 6))
+    return (rng.choice("+-*/"), _oracle_tree(rng, depth - 1), _oracle_tree(rng, depth - 1))
+
+
+def _oracle_value(tree, q):
+    """The tree as (RationalFunctionQ, sympy expression)."""
+    kind = tree[0]
+    if kind == "q":
+        return SYMBOLIC.q_pow(tree[1]), q ** tree[1]
+    if kind == "w":
+        return SYMBOLIC.qnum(tree[1]), q ** tree[1] - q ** -tree[1]
+    if kind == "i":
+        n = tree[1]
+        return SYMBOLIC.qint(n), (q ** n - q ** -n) / (q - 1 / q)
+    if kind == "c":
+        return SYMBOLIC.from_fraction(tree[1]), tree[1]
+    if kind == "x":
+        return rf_from_json(Q_MINUS_2), q - 2
+    (x, sx), (y, sy) = _oracle_value(tree[1], q), _oracle_value(tree[2], q)
+    if kind == "+":
+        return x + y, sx + sy
+    if kind == "-":
+        return x - y, sx - sy
+    if kind == "*":
+        return x * y, sx * sy
+    if y.is_zero:
+        return x, sx
+    return x / y, sx / sy
+
+
+def _sympy_json(sp, q, expr):
+    """rf_to_json's form of expr, from sympy.cancel: the denominator with its
+    power of q and its content moved to the numerator, leading entry > 0."""
+    from sympy import Rational as R
+
+    num, den = sp.fraction(sp.cancel(sp.together(expr)))
+    dpoly = sp.Poly(den, q)
+    low = min(m[0] for m in dpoly.monoms())
+    content, prim = sp.Poly(sp.expand(den / q**low), q).primitive()
+    if prim.LC() < 0:
+        content, prim = -content, -prim
+    scaled = sp.expand(num / (content * q**low))
+
+    def terms(p):
+        out = {}
+        for t in sp.Add.make_args(p):
+            c, e = t.as_coeff_exponent(q)
+            if c:
+                out[int(e)] = out.get(int(e), 0) + R(c)
+        return [[e, str(Fraction(int(c.p), int(c.q)))] for e, c in sorted(out.items()) if c]
+
+    if num == 0:
+        return {"num": [], "den": [[0, "1"]]}
+    return {"num": terms(scaled), "den": terms(prim.as_expr())}
+
+
+def test_emitted_form_matches_sympy_cancel():
+    """rf_to_json of sums, differences, products and quotients of q-powers,
+    q-numbers, q-integers, rationals and q - 2 is the normalised
+    sympy.cancel of the same expression, including sums whose terms share
+    a cyclotomic factor that cancels."""
+    sp = pytest.importorskip("sympy")
+    q = sp.Symbol("q")
+    rng = random.Random(20261018)
+    trees = [_oracle_tree(rng, 3) for _ in range(120)]
+    # (q^2 - q^-2)/(q - q^-1) - (q + q^-1) = 0 over Phi_1 Phi_2
+    trees.append(("-", ("/", ("w", 2), ("w", 1)), ("+", ("q", 1), ("q", -1))))
+    # 1/[2] + 1/[3] - 1/[6]: lcm Phi_3 Phi_4 Phi_6 Phi_12, shared with q - 2
+    trees.append(("-", ("+", ("/", ("c", 1), ("i", 2)), ("/", ("c", 1), ("i", 3))),
+                  ("/", ("x",), ("*", ("i", 6), ("x",)))))
+    # x - x and x + (-1)(x + y): the lcm of both sides cancels
+    trees += [("-", t, t) for t in trees[:10]]
+    trees += [("+", t, ("*", ("c", Fraction(-1)), ("+", t, u)))
+              for t, u in zip(trees[:20], trees[20:40])]
+    for tree in trees:
+        value, expr = _oracle_value(tree, q)
+        assert rf_to_json(value) == _sympy_json(sp, q, expr), tree
