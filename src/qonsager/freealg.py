@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import AlphabetMismatch, MissingImage, ParseError
+from .errors import AlphabetMismatch, MissingImage, ParseError, PoleAtPoint
 from .qcoeff import SYMBOLIC, RationalFunctionQ, rf_from_json, rf_to_json
 
 Word = tuple[int, ...]
@@ -277,6 +277,8 @@ def ncpoly_from_json(data, mode=SYMBOLIC) -> NcPoly:
                 c = _coeff_from_json(t["coeff"], mode)
             except ZeroDivisionError:
                 raise ParseError("zero denominator", location=f"terms[{i}].coeff")
+            except PoleAtPoint as e:  # a coefficient with a pole at the numeric q
+                raise ParseError(str(e), location=f"terms[{i}].coeff")
             if w in terms:
                 c = terms[w] + c
             if c:

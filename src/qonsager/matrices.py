@@ -1,26 +1,61 @@
 """Dense exact matrices and the small amount of linear algebra the engine needs.
 
-Entries are Fractions.  Everything here is elementary and done over the
-rationals with no rounding: Gaussian elimination for solving.
+A matrix is integer numerators over one common denominator, kept in lowest
+terms, so a product is integer dot products and one gcd pass.  Everything
+here is elementary and done over the rationals with no rounding: Gaussian
+elimination for solving.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from numbers import Rational
+from operator import mul
 
 from .errors import DimensionMismatch
 
 
-class ExactMatrix:
-    """Immutable matrix with Fraction entries."""
+def _rational(x):
+    """x itself when it is an int or a Fraction (a numbers.Rational)."""
+    if not isinstance(x, Rational):
+        raise TypeError(f"matrix entries and scalars must be rational, not {type(x).__name__}")
+    return x
 
-    __slots__ = ("rows",)
+
+def _reduced(num, den: int) -> "ExactMatrix":
+    """The matrix num / den, den > 0, divided through by its content."""
+    g = gcd(den, *chain.from_iterable(num))
+    if g != 1:
+        num = [[x // g for x in r] for r in num]
+        den //= g
+    m = object.__new__(ExactMatrix)
+    object.__setattr__(m, "num", tuple(map(tuple, num)))
+    object.__setattr__(m, "den", den)
+    return m
+
+
+class ExactMatrix:
+    """Immutable rational matrix num / den: rows of integer numerators over
+    one denominator den > 0 with gcd(den, every numerator) = 1.
+
+    The form is unique (the zero matrix has den 1), so == and hash are
+    structural and exact.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(tuple(map(_rational, r)) for r in rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise DimensionMismatch("rows must be nonempty and of equal length")
-        object.__setattr__(self, "rows", rows)
+        # cleared to the lcm of the entries' denominators, which is lowest terms
+        den = lcm(*(x.denominator for x in chain.from_iterable(rows)))
+        object.__setattr__(self, "num", tuple(
+            tuple(x.numerator * (den // x.denominator) for x in r) for r in rows
+        ))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("ExactMatrix is immutable")
@@ -29,30 +64,29 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix.diagonal([Fraction(1)] * n)
+        return ExactMatrix.diagonal([1] * n)
 
     @staticmethod
     def zeros(n: int) -> "ExactMatrix":
-        return ExactMatrix([[Fraction(0)] * n for _ in range(n)])
+        return ExactMatrix([[0] * n for _ in range(n)])
 
     @staticmethod
     def diagonal(values) -> "ExactMatrix":
         values = list(values)
-        zero = 0 * values[0]
         n = len(values)
         return ExactMatrix(
-            [[values[i] if i == j else zero for j in range(n)] for i in range(n)]
+            [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
     # -- structure ---------------------------------------------------------
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.num)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return len(self.num[0])
 
     @property
     def dimension(self) -> int:
@@ -60,12 +94,18 @@ class ExactMatrix:
             raise DimensionMismatch("matrix is not square")
         return self.nrows
 
+    @property
+    def rows(self) -> tuple:
+        """The entries as rows of Fractions."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in r) for r in self.num)
+
     def __getitem__(self, rc):
         r, c = rc
-        return self.rows[r][c]
+        return Fraction(self.num[r][c], self.den)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not any(map(any, self.num))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -77,34 +117,39 @@ class ExactMatrix:
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check(other)
-        return ExactMatrix(
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return _reduced(
             [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
+                [x * a + y * b for x, y in zip(r1, r2)]
+                for r1, r2 in zip(self.num, other.num)
+            ],
+            den,
         )
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in r] for r in self.rows])
+        return _reduced([[-x for x in r] for r in self.num], self.den)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
-            return ExactMatrix([[a * other for a in r] for r in self.rows])
+            return self._scaled(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.ncols} columns vs {other.nrows} rows")
-        cols = list(zip(*other.rows))
-        return ExactMatrix(
-            [
-                [_dot(row, col) for col in cols]
-                for row in self.rows
-            ]
+        cols = list(zip(*other.num))
+        return _reduced(
+            [[sum(map(mul, row, col)) for col in cols] for row in self.num],
+            self.den * other.den,
         )
 
     def __rmul__(self, scalar) -> "ExactMatrix":
-        return ExactMatrix([[scalar * a for a in r] for r in self.rows])
+        return self._scaled(scalar)
+
+    def _scaled(self, scalar) -> "ExactMatrix":
+        n = _rational(scalar).numerator
+        return _reduced([[x * n for x in r] for r in self.num], self.den * scalar.denominator)
 
     def __pow__(self, n: int) -> "ExactMatrix":
         if n < 0:
@@ -119,22 +164,18 @@ class ExactMatrix:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ExactMatrix) and self.rows == other.rows
+        return (
+            isinstance(other, ExactMatrix)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"ExactMatrix[{body}]"
-
-
-def _dot(u, v):
-    out = None
-    for a, b in zip(u, v):
-        p = a * b
-        out = p if out is None else out + p
-    return out
 
 
 # ---------------------------------------------------------------------------

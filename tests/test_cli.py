@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qonsager import repn
 from qonsager.cli import EX_IOERR, EX_USAGE, emit_expression, main, parse_expression
 from qonsager.errors import ParseError
 from qonsager.freealg import Alphabet, NcPoly, ncpoly_to_json
@@ -92,6 +93,16 @@ class TestExitCodeContract:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: zero denominator (at terms[1].coeff)\n"
+
+    def test_pole_at_numeric_q_in_expression_is_74(self, capsys, monkeypatch):
+        """A coefficient 1/(q - 2) evaluated at q = 2 is bad input, not a failed check."""
+        monkeypatch.chdir(GOLDEN.parent.parent)
+        argv = ["onsager", "lusztig", "--expr", "tests/golden/lusztig-noncyclotomic.json",
+                "--mode", "numeric", "--q", "2"]
+        assert main(argv) == EX_IOERR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: denominator vanishes at q = 2 (at terms[0].coeff)\n"
 
     def test_numeric_mode_requires_q(self):
         with pytest.raises(SystemExit) as exc:
@@ -365,6 +376,24 @@ class TestGoldenReports:
         out, err = capsys.readouterr()
         assert err == ""
         assert out == (GOLDEN / golden).read_text()
+
+    def test_d3_pair_search_matches_golden(self):
+        """The pair file is the emitted diameter-3 split-form search result."""
+        text = json.dumps(repn.td_pair_to_json(repn.search_td_pair(3, "3", "5", "2")),
+                          indent=2, sort_keys=True) + "\n"
+        assert text == (GOLDEN / "pair-d3.json").read_text()
+
+    def test_twisted_d3_pair_matches_golden(self, capsys, monkeypatch, tmp_path):
+        """Both the report and the written pair of a diameter-3 twist."""
+        monkeypatch.chdir(GOLDEN.parent.parent)
+        out_path = tmp_path / "twisted.json"
+        argv = ["repn", "twist", "--file", "tests/golden/pair-d3.json", "--json",
+                "--out", str(out_path)]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == (GOLDEN / "repn-twist-d3.json").read_text()
+        assert out_path.read_text() == (GOLDEN / "repn-twist-d3-pair.json").read_text()
 
 
 class TestGoldenWitnesses:

@@ -1,0 +1,177 @@
+"""ExactMatrix against a nested-list Fraction reference that shares no code
+with matrices.py, and the canonical num / den form that == and hash rely on."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from qonsager.matrices import ExactMatrix
+from qonsager.qcoeff import SYMBOLIC
+
+
+# -- the reference: lists of Fraction rows, schoolbook arithmetic --------------
+
+def ref_add(x, y):
+    return [[a + b for a, b in zip(r, s)] for r, s in zip(x, y)]
+
+
+def ref_sub(x, y):
+    return [[a - b for a, b in zip(r, s)] for r, s in zip(x, y)]
+
+
+def ref_mul(x, y):
+    return [
+        [sum((x[i][k] * y[k][j] for k in range(len(y))), Fraction(0)) for j in range(len(y[0]))]
+        for i in range(len(x))
+    ]
+
+
+def ref_scale(c, x):
+    return [[c * a for a in r] for r in x]
+
+
+def ref_pow(x, n):
+    out = [[Fraction(int(i == j)) for j in range(len(x))] for i in range(len(x))]
+    for _ in range(n):
+        out = ref_mul(out, x)
+    return out
+
+
+def random_rows(rng, nrows, ncols):
+    """Mixed denominators, negative entries, ints beside Fractions, zero rows."""
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < 0.2:
+            rows.append([Fraction(0)] * ncols)
+            continue
+        row = []
+        for _ in range(ncols):
+            num = rng.choice((0, 0, rng.randint(-30, 30)))
+            den = rng.choice((1, 2, 3, 4, 6, 9, 10, 35, 49))
+            row.append(Fraction(num, den) if rng.random() < 0.7 else num)
+        rows.append(row)
+    return rows
+
+
+def entries(M):
+    return [[M[i, j] for j in range(M.ncols)] for i in range(M.nrows)]
+
+
+def assert_canonical(M):
+    assert M.den > 0
+    assert gcd(M.den, *(x for r in M.num for x in r)) == 1
+    assert all(type(x) is int for r in M.num for x in r)
+    if M.is_zero():
+        assert M.den == 1
+
+
+def assert_matches(M, ref):
+    assert_canonical(M)
+    assert entries(M) == ref
+    assert [list(r) for r in M.rows] == ref
+    assert M.is_zero() == all(not a for r in ref for a in r)
+
+
+SEEDS = range(12)
+SCALARS = (0, 1, -3, Fraction(0), Fraction(3, 7), Fraction(-10, 9), Fraction(1, 35))
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_construction(self, seed):
+        rng = random.Random(seed)
+        rows = random_rows(rng, rng.randint(1, 4), rng.randint(1, 4))
+        assert_matches(ExactMatrix(rows), [[Fraction(a) for a in r] for r in rows])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sum_and_difference(self, seed):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        x, y = random_rows(rng, n, m), random_rows(rng, n, m)
+        X, Y = ExactMatrix(x), ExactMatrix(y)
+        assert_matches(X + Y, ref_add(x, y))
+        assert_matches(X - Y, ref_sub(x, y))
+        assert_matches(X - X, ref_sub(x, x))
+        assert_matches(-X, ref_scale(-1, x))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rectangular_product(self, seed):
+        rng = random.Random(seed)
+        n, k, m = (rng.randint(1, 4) for _ in range(3))
+        x, y = random_rows(rng, n, k), random_rows(rng, k, m)
+        assert_matches(ExactMatrix(x) * ExactMatrix(y), ref_mul(x, y))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scalar_products(self, seed):
+        rng = random.Random(seed)
+        x = random_rows(rng, rng.randint(1, 4), rng.randint(1, 4))
+        X = ExactMatrix(x)
+        for c in SCALARS:
+            assert_matches(c * X, ref_scale(c, x))
+            assert_matches(X * c, ref_scale(c, x))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_powers(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        x = random_rows(rng, n, n)
+        for e in range(6):
+            assert_matches(ExactMatrix(x) ** e, ref_pow(x, e))
+
+
+class TestCanonicalForm:
+    def test_zero_matrix_has_denominator_one(self):
+        X = ExactMatrix([[Fraction(1, 6), Fraction(-5, 4)], [0, Fraction(7, 9)]])
+        for Z in (X - X, 0 * X, Fraction(0) * X, ExactMatrix.zeros(2),
+                  ExactMatrix([[Fraction(0, 7)] * 2] * 2)):
+            assert (Z.num, Z.den) == (((0, 0), (0, 0)), 1)
+
+    def test_cleared_to_lowest_terms(self):
+        X = ExactMatrix([[Fraction(1, 6), Fraction(-5, 4)], [0, Fraction(7, 9)]])
+        assert (X.num, X.den) == (((6, -45), (0, 28)), 36)
+        Y = ExactMatrix([[Fraction(1, 2), Fraction(1, 2)], [Fraction(3, 2), 0]])
+        assert (Y + Y).den == 1
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equal_values_by_different_routes(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        X, Y, Z = (ExactMatrix(random_rows(rng, n, n)) for _ in range(3))
+        pairs = [
+            ((X * Y) * Z, X * (Y * Z)),
+            (X + X, 2 * X),
+            ((X * Fraction(3, 7)) * Fraction(7, 3), X),
+            (X * Y - X * Y, ExactMatrix.zeros(n)),
+            (Fraction(1, 2) * X + Fraction(1, 2) * X, X),
+            (ExactMatrix(X.rows), X),
+        ]
+        for left, right in pairs:
+            assert_canonical(left)
+            assert left == right
+            assert hash(left) == hash(right)
+            assert len({left, right}) == 1
+
+    def test_unequal_values_differ(self):
+        X = ExactMatrix([[Fraction(1, 2)]])
+        assert X != 2 * X
+        assert X != ExactMatrix([[Fraction(1, 2), 0]])
+        assert X != [[Fraction(1, 2)]]
+
+
+class TestInputTypes:
+    """Only ints and Fractions are entries or scalars; nothing is stored silently."""
+
+    @pytest.mark.parametrize("entry", ["1", 1.0, 0.5, None])
+    def test_non_rational_entry_raises(self, entry):
+        with pytest.raises(TypeError):
+            ExactMatrix([[Fraction(1), entry]])
+
+    @pytest.mark.parametrize("scalar", [SYMBOLIC.q_pow(1), SYMBOLIC.one(), 0.5, "2"])
+    def test_non_rational_scalar_raises(self, scalar):
+        X = ExactMatrix([[Fraction(1, 2), 3], [0, -1]])
+        with pytest.raises(TypeError):
+            scalar * X
+        with pytest.raises(TypeError):
+            X * scalar
