@@ -202,7 +202,7 @@ def _cmd_repn_d1(args) -> Outcome:
     records = [
         CheckRecord(name="d1-pair", params=(args.a, args.b, args.q), status=PASS,
                     anchor="d1-pair", detail="all invariants validated"),
-        repn.check_dg_spectral(tp.A, tp.B, tp.q0, tp.theta, tp.theta_star),
+        repn.check_dg_spectral(tp),
     ]
     return Outcome(records, out=repn.td_pair_to_json(tp))
 
@@ -217,7 +217,11 @@ def _cmd_repn_import(args) -> Outcome:
 
 
 def _cmd_repn_twist(args) -> Outcome:
-    tp = repn.import_td_pair(args.file) if args.file else _d1_pair(args)
+    if args.file:  # the config records the pair's parameters, not the option defaults
+        tp = repn.import_td_pair(args.file)
+        config = {"a": str(tp.a), "b": str(tp.b), "q": str(tp.q0)}
+    else:
+        tp, config = _d1_pair(args), {}
     sd = repn.spectral_data(tp.d, tp.a, tp.q0, A=tp.A)
     direction = _direction_from(args)
     twisted = repn.twist_module(tp, sd, direction)
@@ -228,7 +232,7 @@ def _cmd_repn_twist(args) -> Outcome:
         CheckRecord(name="double-twist", status=PASS if back.B == tp.B else FAIL,
                     anchor="twist", detail="inverse twist restores the pair"),
     ]
-    return Outcome(records, out=repn.td_pair_to_json(twisted))
+    return Outcome(records, config, repn.td_pair_to_json(twisted))
 
 
 # -- the command table -----------------------------------------------------------

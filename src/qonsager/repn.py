@@ -22,6 +22,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .adjoint import FORWARD, INVERSE, apply_badprod, truncated_sum
@@ -277,9 +278,13 @@ def higher_dg_matrix(r: int, sd: SpectralData, seed: int) -> CheckRecord:
 # tridiagonal pairs
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TDPair:
-    """Exact matrix pair acting tridiagonally on each other's eigenbases."""
+    """Exact matrix pair acting tridiagonally on each other's eigenbases.
+
+    Eigenvalue arrays and idempotents are computed once, on first use; E
+    (E_star) is None unless A (B) has the spectrum theta (theta_star).
+    """
 
     d: int
     a: Fraction
@@ -288,13 +293,21 @@ class TDPair:
     A: ExactMatrix
     B: ExactMatrix
 
-    @property
+    @cached_property
     def theta(self) -> list[Fraction]:
         return theta_sequence(self.d, self.a, self.q0)
 
-    @property
+    @cached_property
     def theta_star(self) -> list[Fraction]:
         return theta_sequence(self.d, self.b, self.q0, "b")
+
+    @cached_property
+    def E(self) -> list[ExactMatrix] | None:
+        return _idempotents(self.A, self.theta)
+
+    @cached_property
+    def E_star(self) -> list[ExactMatrix] | None:
+        return _idempotents(self.B, self.theta_star)
 
 
 def _dg_defect(first: ExactMatrix, second: ExactMatrix, q0: Fraction) -> ExactMatrix:
@@ -348,14 +361,11 @@ def validate_td_pair(tp: TDPair) -> list[str]:
     if tp.A.dimension != n or tp.B.dimension != n:
         return ["dimension"]
     try:
-        theta = theta_sequence(tp.d, tp.a, tp.q0)
-        theta_star = theta_sequence(tp.d, tp.b, tp.q0, "b")
+        EA, EB = tp.E, tp.E_star
     except (DegenerateEigenvalues, InvalidQ, ValueError) as e:
         return [f"eigenvalue-arrays: {e}"]
-    EA = _idempotents(tp.A, theta)
     if EA is None:
         violations.append("first-generator-diagonalizable")
-    EB = _idempotents(tp.B, theta_star)
     if EB is None:
         violations.append("second-generator-diagonalizable")
     B_on_A = None if EA is None else _in_eigenbasis(EA, tp.B)
@@ -391,57 +401,31 @@ def td_pair_d1(a, b, q0) -> TDPair:
     return tp
 
 
-def check_dg_spectral(
-    A: ExactMatrix,
-    B: ExactMatrix,
-    q0,
-    theta: list[Fraction],
-    theta_star: list[Fraction] | None = None,
-) -> CheckRecord:
-    """Verify the first relation spectrally and directly; dually if possible.
+def _spectral_eigenlines(E: list[ExactMatrix], M: ExactMatrix, theta: list[Fraction],
+                         q0: Fraction) -> list[tuple[int, int]]:
+    """Eigenlines (i, j) where (theta_i - theta_j) p(theta_i, theta_j) E_i M E_j != 0, p the
+    adjacency polynomial; E has one idempotent per dimension (else DimensionMismatch)."""
+    P = _in_eigenbasis(E, M)
+    return [(i, j) for i, j in product(range(M.dimension), repeat=2)
+            if P[i, j] and (theta[i] - theta[j]) * _adjacency(theta[i], theta[j], q0)]
 
-    theta, the eigenvalue array of A, is required; theta_star, that of B,
-    adds the dual check of the second relation.  The spectral route:
-    sandwiching the relation defect between idempotents shows it vanishes
-    exactly when every eigenline with a nonzero scalar factor
-    (theta_i - theta_j) * p(theta_i, theta_j), p the adjacency polynomial,
-    carries a zero block E_i B E_j, read as an entry of B in the eigenbasis
-    of A (so theta must have one entry per dimension).  The direct route
-    evaluates the relation itself.  Both must agree.
+
+def check_dg_spectral(tp: TDPair) -> CheckRecord:
+    """Both defining relations by the spectral criterion, on a pair that passed
+    validate_td_pair (which evaluated them directly).  As A E_i = theta_i E_i,
+    one product gives E_i D E_j = (theta_i - theta_j) p(theta_i, theta_j) E_i B E_j
+    for the first relation's defect D; as sum E_i = I, D = 0 exactly when no
+    eigenline is found.  The second relation is the first with A and B swapped.
     """
-    q0 = Fraction(q0)
-    EA = _idempotents(A, theta)
-    if EA is None:
-        raise NotDiagonalizable("first matrix is not diagonalizable with the given spectrum")
-    n = A.dimension
-    B_on_A = _in_eigenbasis(EA, B)
-    problems = []
-    for i, j in product(range(n), repeat=2):
-        factor = (theta[i] - theta[j]) * _adjacency(theta[i], theta[j], q0)
-        if factor and B_on_A[i, j]:
-            problems.append(f"spectral-({i},{j})")
-        if abs(i - j) == 1 and not B_on_A[i, j]:
-            problems.append(f"offdiagonal-vanishes-({i},{j})")
-    if not _dg_defect(A, B, q0).is_zero():
-        problems.append("relation-1-direct")
-    detail = "relation 1 spectral + direct"
-    if theta_star is not None:
-        EB = _idempotents(B, theta_star)
-        if EB is None:
-            problems.append("second-generator-diagonalizable")
-        else:
-            A_on_B = _in_eigenbasis(EB, A)
-            for i, j in product(range(n), repeat=2):
-                if abs(i - j) > 1 and A_on_B[i, j]:
-                    problems.append(f"dual-band-({i},{j})")
-            if not _dg_defect(B, A, q0).is_zero():
-                problems.append("relation-2-direct")
-            detail = "both relations, spectral + direct"
+    problems = [f"{label}-({i},{j})"
+                for label, E, M, theta in (("spectral", tp.E, tp.B, tp.theta),
+                                           ("dual-spectral", tp.E_star, tp.A, tp.theta_star))
+                for i, j in _spectral_eigenlines(E, M, theta, tp.q0)]
     return CheckRecord(
         name="dg-spectral",
         status=FAIL if problems else PASS,
         anchor="spectral-criterion",
-        detail=detail if not problems else "; ".join(problems),
+        detail="; ".join(problems) or "both relations, spectral + direct",
     )
 
 
@@ -464,6 +448,8 @@ def matrix_from_json(data) -> ExactMatrix:
         raise ParseError(f"malformed matrix JSON: {e}")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError("matrix entries do not match the declared dimension")
+    if n < 1:
+        raise ParseError(f"matrix dimension must be at least 1, got {n}")
     return ExactMatrix(rows)
 
 

@@ -210,19 +210,31 @@ class TestCommands:
         path.write_text(_json.dumps(data))
         assert main(["repn", "import", "--file", str(path)]) == 1
 
+    def test_d1_reads_each_idempotent_and_defect_once(self, capsys, monkeypatch):
+        """Validation settles the idempotents and the direct relations; the
+        spectral record reuses the pair's idempotents."""
+        calls = {"_idempotents": 0, "_dg_defect": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(repn, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(repn, name, counted)
+        assert main(["repn", "d1", "--a", "3", "--b", "2", "--q", "2", "--json"]) == 0
+        assert calls == {"_idempotents": 2, "_dg_defect": 2}
 
-@pytest.mark.parametrize(
-    "key,value,named",
-    [
-        ("a", "1", "eigenvalue-arrays: "),  # the eigenvalues collide
-        ("q", "1", "eigenvalue-arrays: "),  # forbidden q
-        ("a", "0", "eigenvalue-arrays: "),
-        ("b", "0", "eigenvalue-arrays: "),
-        ("d", 0, "dimension"),  # the 2x2 matrices do not fit diameter 0
-    ],
-)
+
+BAD_PAIR_FIELDS = [
+    ("a", "1", "eigenvalue-arrays: "),  # the eigenvalues collide
+    ("q", "1", "eigenvalue-arrays: "),  # forbidden q
+    ("a", "0", "eigenvalue-arrays: "),
+    ("b", "0", "eigenvalue-arrays: "),
+    ("d", 0, "dimension"),  # the 2x2 matrices do not fit diameter 0
+]
+
+
 class TestBadPairFile:
-    """A pair file whose a/b/q/d give no eigenvalue arrays fails validation."""
+    """A pair file whose a/b/q/d give no eigenvalue arrays fails validation;
+    one whose matrix declares no dimension is malformed input."""
 
     @pytest.fixture
     def path(self, tmp_path, key, value):
@@ -234,6 +246,7 @@ class TestBadPairFile:
         path.write_text(json.dumps(data))
         return path
 
+    @pytest.mark.parametrize("key,value,named", BAD_PAIR_FIELDS)
     def test_import_is_a_fail_record(self, path, named, capsys):
         assert main(["repn", "import", "--file", str(path), "--json"]) == 1
         out, err = capsys.readouterr()
@@ -242,12 +255,22 @@ class TestBadPairFile:
         assert check["detail"].startswith("invariants violated: " + named)
         assert err == ""
 
+    @pytest.mark.parametrize("key,value,named", BAD_PAIR_FIELDS)
     def test_twist_is_an_error(self, path, named, capsys):
         assert main(["repn", "twist", "--file", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: invariants violated: " + named)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [(k, {"dimension": 0, "entries": []}) for k in "AB"],
+                             ids=["A", "B"])
+    @pytest.mark.parametrize("action", ["import", "twist"])
+    def test_dimension_zero_matrix_is_74(self, path, action, capsys):
+        assert main(["repn", action, "--file", str(path)]) == EX_IOERR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: matrix dimension must be at least 1, got 0\n"
 
 
 def _summary(passed):
@@ -321,6 +344,13 @@ class TestReportContract:
         assert set(twisted_pair) == keys
         assert twisted_pair["A"] == json.loads(pair.read_text())["A"]
 
+
+    def test_twist_from_a_file_records_the_file_parameters(self, capsys):
+        path = GOLDEN / "pair-d3.json"
+        assert main(["repn", "twist", "--file", str(path), "--json"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        pair = json.loads(path.read_text())
+        assert {k: config[k] for k in "abq"} == {k: pair[k] for k in "abq"}
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exact matrix realizations: spectra, scalar sums, conjugation, pairs."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,8 +17,10 @@ from qonsager.errors import (
 from qonsager.matrices import ExactMatrix
 from qonsager.repn import (
     TDPair,
+    _dg_defect,
     _idempotents,
     _in_eigenbasis,
+    _spectral_eigenlines,
     check_dg_spectral,
     higher_dg_matrix,
     import_td_pair,
@@ -227,30 +230,42 @@ class TestRandomTridiagonal:
 
 class TestSpectralCriterion:
     def test_d1_pair_passes_both_relations(self):
-        tp = td_pair_d1(3, 2, 2)
-        rec = check_dg_spectral(tp.A, tp.B, tp.q0, tp.theta, tp.theta_star)
-        assert rec.status == "pass"
+        rec = check_dg_spectral(td_pair_d1(3, 2, 2))
+        assert (rec.status, rec.detail) == ("pass", "both relations, spectral + direct")
 
-    def test_random_tridiagonal_passes_first_relation(self):
-        sd = spectral_data(3, 3, 2)
-        X = random_a1_matrix(sd, seed=9)
-        rec = check_dg_spectral(sd.A, X, sd.q0, sd.theta)
-        assert rec.status == "pass"
+    def test_agrees_with_direct_evaluation(self):
+        """No eigenline is found exactly when the first relation's defect is zero."""
+        import random
 
-    def test_far_entry_fails(self):
-        sd = spectral_data(2, 3, 2)
-        rows = [[Fraction(0)] * 3 for _ in range(3)]
-        rows[0][1] = rows[1][0] = rows[1][2] = rows[2][1] = Fraction(1)
-        rows[0][2] = Fraction(1)
-        rec = check_dg_spectral(sd.A, ExactMatrix(rows), sd.q0, sd.theta)
-        assert rec.status == "fail"
+        zeros = []
+        for d, q0 in product((2, 3), (2, Fraction(5, 3))):
+            sd = spectral_data(d, 3, q0)
+            n = d + 1
+            rng = random.Random(f"{d}-{q0}")
+            # tridiagonal ones plus one entry two off the diagonal
+            far = [[Fraction(int(abs(i - j) == 1 or (i, j) == (0, 2))) for j in range(n)]
+                   for i in range(n)]
+            sparse = [
+                ExactMatrix([[Fraction(rng.choice((0, 0, 0, -2, -1, 1, 3))) for _ in range(n)]
+                             for _ in range(n)])
+                for _ in range(30)
+            ]
+            for k, M in enumerate([random_a1_matrix(sd, seed) for seed in range(10)]
+                                  + [ExactMatrix(far)] + sparse):
+                zero = _dg_defect(sd.A, M, sd.q0).is_zero()
+                assert (not _spectral_eigenlines(sd.E, M, sd.theta, sd.q0)) == zero
+                if k <= 10:  # the tridiagonal matrices satisfy it, the far entry breaks it
+                    assert zero == (k < 10)
+                zeros.append(zero)
+        assert len(zeros) == 164 and 40 < sum(zeros) < 164
 
     def test_short_array_is_a_dimension_mismatch(self):
         # A is diagonalizable with theta, but theta has one entry too few
         theta = theta_sequence(2, 3, 2)
         A = ExactMatrix.diagonal(theta + [theta[-1]])
         with pytest.raises(DimensionMismatch):
-            check_dg_spectral(A, ExactMatrix.identity(4), 2, theta)
+            _spectral_eigenlines(_idempotents(A, theta), ExactMatrix.identity(4), theta,
+                                 Fraction(2))
 
 
 D1_PARAMETERS = [(3, 2, 2), ("5/2", 3, "3/2"), (4, "7/3", "5/2"), (2, 5, 3), ("3/2", "2/3", "7/4")]
