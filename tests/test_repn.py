@@ -233,6 +233,21 @@ class TestSpectralCriterion:
         rec = check_dg_spectral(td_pair_d1(3, 2, 2))
         assert (rec.status, rec.detail) == ("pass", "both relations, spectral + direct")
 
+    def test_random_tridiagonal_passes_first_relation(self):
+        sd = spectral_data(3, 3, 2)
+        X = random_a1_matrix(sd, seed=9)
+        assert _spectral_eigenlines(sd.E, X, sd.theta, sd.q0) == []
+        assert _dg_defect(sd.A, X, sd.q0).is_zero()
+
+    def test_far_entry_fails(self):
+        sd = spectral_data(2, 3, 2)
+        rows = [[Fraction(0)] * 3 for _ in range(3)]
+        rows[0][1] = rows[1][0] = rows[1][2] = rows[2][1] = Fraction(1)
+        rows[0][2] = Fraction(1)
+        X = ExactMatrix(rows)
+        assert _spectral_eigenlines(sd.E, X, sd.theta, sd.q0)
+        assert not _dg_defect(sd.A, X, sd.q0).is_zero()
+
     def test_agrees_with_direct_evaluation(self):
         """No eigenline is found exactly when the first relation's defect is zero."""
         import random
