@@ -285,7 +285,10 @@ COMMANDS = (
         Opt("--max-index", dict(type=int, default=3), low=0), *_MODE, *_OUT, _SEED)),
     Command("onsager", "lusztig", _cmd_onsager_lusztig, None, (
         Opt("--expr", dict(required=True, help="expression JSON file")), _DIRECTION,
-        *_MODE, *_OUT)),
+        *_MODE,
+        Opt("--json", dict(action="store_true", help="changes nothing: the image is "
+                           "always printed as expression JSON"), config=False),
+        Opt("--out", dict(help="write the image expression to this path"), config=False))),
     Command("onsager", "higher-dg", _cmd_onsager_higher_dg, "onsager-higher-dg", (
         _R, Opt("--method", dict(choices=["rewrite", "certified", "both"], default="both")),
         *_MODE, *_OUT)),

@@ -13,12 +13,14 @@ instantiated, the ones something reads:
   3p4a  [W(-k), W(-l)] = 0 for k < l
   3p4b  [W(k+1), W(l+1)] = 0 for k < l
 
-All six are oriented into the rewrite system behind the class and image
-checks; the proof chains cite 3p1a, 3p2a, 3p2b and 3p4a, replayed each in
-the subsystem of its cited families.  Orientation pushes W(0) to the right
-past W(k+1), W(-k) and G(k+1); the tilde family brackets W(0) from the
-other side, so that rule is oriented by giving the tilde generators
-precedence over W(0).  Zero normal forms are sound regardless of
+Each relation instance is oriented once, when the context is built; a
+subsystem selects the rules of the named families, the first rule per left
+side in relation order.  The rewrite system behind the class and image
+checks selects all six; the proof chains cite 3p1a, 3p2a, 3p2b and 3p4a,
+replayed each in the subsystem of its cited families.  Orientation pushes
+W(0) to the right past W(k+1), W(-k) and G(k+1); the tilde family brackets
+W(0) from the other side, so that rule is oriented by giving the tilde
+generators precedence over W(0).  Zero normal forms are sound regardless of
 completeness.
 """
 
@@ -29,7 +31,7 @@ from .errors import IndexOutOfRange, InvalidCutoff
 from .freealg import Alphabet, NcPoly
 from .qcoeff import SYMBOLIC
 from .report import CheckRecord, FAIL, PASS
-from .rewrite import MonomialOrder, RewriteSystem, make_system
+from .rewrite import MonomialOrder, RewriteSystem, orient
 
 
 def _w(n: int) -> str:
@@ -61,8 +63,10 @@ class AqContext:
             + [_w(-n) for n in range(1, K + 1)]
         )
         self.alphabet = Alphabet(names)
+        self.order = MonomialOrder(self.alphabet)
         self.relations: list[tuple[str, tuple[int, ...], NcPoly]] = []
         self._build_relations()
+        self.rules = [(rid, orient(p, p.leading_word())) for rid, _, p in self.relations]
         self.system = self.subsystem("3p1a", "3p1b", "3p2a", "3p2b", "3p4a", "3p4b")
 
     # -- generators ----------------------------------------------------------
@@ -111,14 +115,12 @@ class AqContext:
                 rel(("3p4b", (k, l), self.br(self.W(k + 1), self.W(l + 1))))
 
     def subsystem(self, *ids: str) -> RewriteSystem:
-        """Rewrite system using only the named relation families."""
-        rels = {}
-        for rid, idx, p in self.relations:
+        """Rewrite system of the named families' rules, the first per left side."""
+        rules = {}
+        for rid, rule in self.rules:
             if rid in ids:
-                rels.setdefault(p.leading_word(), p)
-        return make_system(
-            self.alphabet, MonomialOrder(self.alphabet), list(rels.values()), list(rels.keys())
-        )
+                rules.setdefault(rule.lhs, rule)
+        return RewriteSystem(self.alphabet, self.order, list(rules.values()))
 
 
 def aq_system(K: int, mode=SYMBOLIC) -> AqContext:

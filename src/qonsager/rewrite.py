@@ -2,17 +2,20 @@
 
 A rewrite system is a list of rules lhs -> rhs where lhs is a word, rhs a
 polynomial all of whose monomials are strictly smaller than lhs in the
-degree-lex order; rules come from solving presentation relations for their
-leading monomials.  Reduction replaces the leftmost occurrence of the first
-matching rule inside the order-maximal reducible monomial and therefore
-terminates: each step strictly decreases the monomial multiset in a well
-order.  The reducer works top-down on a heap of pending words, largest
-first, and keeps no state between calls.
+degree-lex order.  `orient` is the one place where a relation becomes a
+rule: it solves the relation for its leading monomial, so c * (lhs - rhs)
+is the relation, c the leading coefficient.  Reduction replaces the
+leftmost occurrence of the first matching rule inside the order-maximal
+reducible monomial and therefore terminates: each step strictly decreases
+the monomial multiset in a well order.  The reducer works top-down on a heap
+of pending words, largest first, and keeps no state between calls.
 
 A zero normal form proves membership in the two-sided ideal of the
-relations (the engine can replay the step trace into an explicit ideal
-combination); a nonzero normal form is inconclusive unless the system is
-known confluent, which is never assumed here.
+relations: the reference reducer `normal_form_traced` records each step as
+(c, left, rule index, right), and p - nf is the sum of
+c * left * (lhs - rhs) * right, an explicit ideal combination.  A nonzero
+normal form is inconclusive unless the system is known confluent, which is
+never assumed here.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ class RewriteRule:
     rhs: NcPoly
 
     def validate(self, order: MonomialOrder):
+        if self.rhs.alphabet != order.alphabet:
+            raise AlphabetMismatch("rule over a different alphabet")
         for w in self.rhs.support():
             if not order.less(w, self.lhs):
                 raise OrderViolation(
@@ -111,74 +116,36 @@ class RewriteSystem:
                     pending[v] = s + c * cu
         return NcPoly(self.alphabet, out)
 
-    def normal_form_traced(self, p: NcPoly) -> tuple[NcPoly, list[dict]]:
-        """Reduce step by step, recording each elementary rewrite.
+    def normal_form_traced(self, p: NcPoly) -> tuple[NcPoly, list[tuple]]:
+        """Reference reducer: one elementary rewrite per step.
 
         Each step rewrites the leftmost redex of the order-maximal reducible
-        monomial, so the result coincides with normal_form; the trace allows
-        third-party replay into an explicit ideal combination.
+        monomial, so the result coincides with normal_form.  Step
+        (c, left, rule index, right) subtracts c * left * (lhs - rhs) * right,
+        so p - nf is the sum of these terms over the steps.
         """
         if p.alphabet != self.alphabet:
             raise AlphabetMismatch("polynomial over a different alphabet")
-        trace: list[dict] = []
+        steps = []
         current = p
         while True:
-            target = None
             for w in sorted(current.support(), key=deglex_key, reverse=True):
                 m = self._find(w)
                 if m is not None:
-                    target = (w, m)
                     break
-            if target is None:
-                return current, trace
-            w, (pos, ridx) = target
+            else:
+                return current, steps
+            pos, ridx = m
             rule = self.rules[ridx]
             c = current.terms[w]
             left, right = w[:pos], w[pos + len(rule.lhs):]
-            spell = self.alphabet.spell
-            trace.append(
-                {
-                    "position": pos,
-                    "rule": ridx,
-                    "before": spell(w),
-                    "factorLeft": spell(left),
-                    "factorRight": spell(right),
-                }
-            )
+            steps.append((c, left, ridx, right))
             replacement = NcPoly.zero(self.alphabet)
             for u, cu in rule.rhs.terms.items():
                 replacement = replacement + NcPoly.monomial(
                     self.alphabet, left + u + right, c * cu
                 )
             current = current - NcPoly.monomial(self.alphabet, w, c) + replacement
-
-    def replay_trace(self, p: NcPoly, trace: list[dict]):
-        """Re-apply a recorded trace; returns (result, ideal combination).
-
-        The combination is a list of (coefficient, left word, rule index,
-        right word) with p - result equal to the sum of
-        coefficient * left * (lhs - rhs) * right, exactly.
-        """
-        current = p
-        combination = []
-        for step in trace:
-            rule = self.rules[step["rule"]]
-            left = self.alphabet.word(step["factorLeft"])
-            right = self.alphabet.word(step["factorRight"])
-            w = left + rule.lhs + right
-            if self.alphabet.spell(w) != step["before"]:
-                raise ValueError("trace step is inconsistent with its factors")
-            c = current.terms.get(w)
-            if c is None:
-                raise ValueError("trace step rewrites an absent monomial")
-            replacement = NcPoly.zero(self.alphabet)
-            for u, cu in rule.rhs.terms.items():
-                replacement = replacement + NcPoly.monomial(
-                    self.alphabet, left + u + right, c * cu
-                )
-            current = current - NcPoly.monomial(self.alphabet, w, c) + replacement
-            combination.append((c, left, step["rule"], right))
-        return current, combination
 
     # -- zero testing --------------------------------------------------------
 
@@ -198,30 +165,33 @@ class ReductionResult:
         return "Zero" if self.is_zero else f"NonzeroNormalForm({self.residue!r})"
 
 
+def orient(relation: NcPoly, word: Word) -> RewriteRule:
+    """Solve a relation for its orientation word.
+
+    The word must occur in the relation with nonzero coefficient c and be
+    its order-maximal monomial; the rule satisfies c * (lhs - rhs) = relation.
+    """
+    word = tuple(word)
+    c = relation.terms.get(word)
+    if c is None:
+        raise NotLeadingMonomial(f"{word} does not occur in the relation")
+    lead = relation.leading_word()
+    if word != lead:
+        raise NotLeadingMonomial(
+            f"{word} is not the order-maximal monomial (expected {lead})"
+        )
+    rest = relation - NcPoly.monomial(relation.alphabet, word, c)
+    return RewriteRule(word, (-1 / c) * rest)
+
+
 def make_system(
     alphabet: Alphabet,
     order: MonomialOrder,
     relations: list[NcPoly],
     orientations: list[Word],
 ) -> RewriteSystem:
-    """Solve each relation for its orientation word and validate the system.
-
-    The orientation word must occur in its relation with nonzero coefficient
-    and be the relation's order-maximal monomial.
-    """
+    """Orient each relation by its word and validate the system."""
     if len(relations) != len(orientations):
         raise ValueError("one orientation word per relation required")
-    rules = []
-    for rel, word in zip(relations, orientations):
-        word = tuple(word)
-        c = rel.terms.get(word)
-        if c is None:
-            raise NotLeadingMonomial(f"{word} does not occur in the relation")
-        lead = rel.leading_word()
-        if word != lead:
-            raise NotLeadingMonomial(
-                f"{word} is not the order-maximal monomial (expected {lead})"
-            )
-        rest = rel - NcPoly.monomial(alphabet, word, c)
-        rules.append(RewriteRule(word, (-1 / c) * rest))
+    rules = [orient(rel, word) for rel, word in zip(relations, orientations)]
     return RewriteSystem(alphabet, order, rules)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qonsager import repn
+from qonsager import currentalg, repn, rewrite
 from qonsager.cli import EX_IOERR, EX_USAGE, emit_expression, main, parse_expression
 from qonsager.errors import ParseError
 from qonsager.freealg import Alphabet, NcPoly, ncpoly_to_json
@@ -221,6 +221,26 @@ class TestCommands:
             monkeypatch.setattr(repn, name, counted)
         assert main(["repn", "d1", "--a", "3", "--b", "2", "--q", "2", "--json"]) == 0
         assert calls == {"_idempotents": 2, "_dg_defect": 2}
+
+    def test_current_verify_orients_each_relation_once(self, capsys, monkeypatch):
+        """The 68 relation instances at K = 6 are oriented when the context is
+        built; the proof replays select rules instead of orienting again."""
+        calls = []
+        def counted(relation, word, _f=rewrite.orient):
+            calls.append(word)
+            return _f(relation, word)
+        for module in (rewrite, currentalg):
+            monkeypatch.setattr(module, "orient", counted)
+        assert main(["current", "verify", "--kmax", "6", "--json"]) == 0
+        assert len(calls) == 68
+
+    def test_lusztig_help_names_the_expression_output(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["onsager", "lusztig", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--json changes nothing: the image is always printed as expression JSON" in out
+        assert "--out OUT write the image expression to this path" in out
 
 
 BAD_PAIR_FIELDS = [

@@ -16,6 +16,7 @@ from qonsager.currentalg import (
 from qonsager.errors import IndexOutOfRange, InvalidCutoff
 from qonsager.freealg import NcPoly
 from qonsager.qcoeff import NumericQ, SYMBOLIC as m
+from qonsager.rewrite import MonomialOrder, make_system
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,25 @@ class TestConstruction:
         ctx = aq_system(K)
         families = ctx.subsystem("3p1a", "3p1b", "3p2a", "3p2b", "3p4a", "3p4b")
         assert ctx.system.rules == families.rules
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_subsystems_match_filter_then_orient(self, K):
+        """Selecting oriented rules gives the system that orients the
+        family's relations afresh: filter by family, keep the first relation
+        per leading word, then make_system."""
+        ctx = aq_system(K)
+        cited = {just for gen in ("Wplus", "G", "Gt") for k in range(K)
+                 for _, just in proof_chain(ctx, gen, k) if isinstance(just, tuple)}
+        assert len(cited) == 5
+        for ids in cited | {("3p1a", "3p1b", "3p2a", "3p2b", "3p4a", "3p4b")}:
+            rels = {}
+            for rid, _, p in ctx.relations:
+                if rid in ids:
+                    rels.setdefault(p.leading_word(), p)
+            fresh = make_system(
+                ctx.alphabet, MonomialOrder(ctx.alphabet), list(rels.values()), list(rels)
+            )
+            assert ctx.subsystem(*ids).rules == fresh.rules, ids
 
     def test_rho_at_two(self):
         from fractions import Fraction

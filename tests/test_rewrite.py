@@ -1,13 +1,14 @@
-"""Rewriting: orientation, normal forms, traces, zero testing."""
+"""Rewriting: orientation, normal forms, traces, zero testing, proofs."""
 
 import random
 
 import pytest
 
 from qonsager.adjoint import apply_badprod
+from qonsager.currentalg import aq_system
 from qonsager.errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from qonsager.freealg import Alphabet, NcPoly
-from qonsager.onsager import defining_relations
+from qonsager.onsager import defining_relations, onsager_context
 from qonsager.qcoeff import SYMBOLIC as m
 from qonsager.qcoeff import NumericQ
 from qonsager.rewrite import MonomialOrder, RewriteRule, RewriteSystem, make_system
@@ -15,6 +16,40 @@ from qonsager.rewrite import MonomialOrder, RewriteRule, RewriteSystem, make_sys
 AB = Alphabet(["A", "B"])
 A = NcPoly.generator(AB, "A")
 B = NcPoly.generator(AB, "B")
+
+
+def ideal_combination(rs, steps, one):
+    """Sum of c * left * (lhs - rhs) * right over traced steps, built by
+    polynomial multiplication alone."""
+    total = NcPoly.zero(rs.alphabet)
+    for c, left, ridx, right in steps:
+        rule = rs.rules[ridx]
+        relation = NcPoly.monomial(rs.alphabet, rule.lhs, one) - rule.rhs
+        total = total + (
+            NcPoly.monomial(rs.alphabet, left, c)
+            * relation
+            * NcPoly.monomial(rs.alphabet, right, one)
+        )
+    return total
+
+
+def reducible(rs, w):
+    """Whether some rule's left side occurs in w, found by slicing."""
+    return any(
+        w[i : i + len(rule.lhs)] == rule.lhs for rule in rs.rules for i in range(len(w))
+    )
+
+
+def assert_rules_solve(rs, relations, one):
+    """Each rule satisfies c * (lhs - rhs) = its relation, c the coefficient
+    of lhs there; a rule's relation is the first one led by its lhs."""
+    by_lead = {}
+    for rel in relations:
+        by_lead.setdefault(rel.leading_word(), rel)
+    for rule in rs.rules:
+        rel = by_lead[rule.lhs]
+        c = rel.terms[rule.lhs]
+        assert c * (NcPoly.monomial(rs.alphabet, rule.lhs, one) - rule.rhs) == rel
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +85,13 @@ class TestMakeSystem:
         rels = defining_relations(AB)
         with pytest.raises(NotLeadingMonomial):
             make_system(AB, MonomialOrder(AB), rels, [AB.word("BBBB"), AB.word("ABBB")])
+
+    def test_relations_over_another_alphabet_rejected(self):
+        ABC = Alphabet(["A", "B", "C"])
+        with pytest.raises(AlphabetMismatch):
+            make_system(
+                ABC, MonomialOrder(ABC), defining_relations(AB), [AB.word("AAAB"), AB.word("ABBB")]
+            )
 
     def test_order_violating_rule_rejected(self):
         bad = RewriteRule(AB.word("AB"), A * B * A)
@@ -125,31 +167,18 @@ class TestTrace:
             assert nf == qdg.normal_form(p)
 
     def test_trace_fields(self, qdg):
-        _, trace = qdg.normal_form_traced(A * A * A * B * B)
-        assert trace, "reduction must record at least one step"
-        step = trace[0]
-        assert set(step) == {"position", "rule", "before", "factorLeft", "factorRight"}
-        lhs = qdg.rules[step["rule"]].lhs
-        rebuilt = (
-            AB.word(step["factorLeft"]) + lhs + AB.word(step["factorRight"])
-        )
-        assert AB.spell(rebuilt) == step["before"]
-        assert step["position"] == len(step["factorLeft"])
+        _, steps = qdg.normal_form_traced(A * A * A * B * B)
+        assert steps, "reduction must record at least one step"
+        c, left, ridx, right = steps[0]
+        assert c == m.one()
+        assert left + qdg.rules[ridx].lhs + right == AB.word("AAABB")
 
     def test_replay_reproduces_and_witnesses_ideal_membership(self, qdg):
         p = apply_badprod(2, A, B) * B + A * random_like()
-        nf, trace = qdg.normal_form_traced(p)
-        replayed, combination = qdg.replay_trace(p, trace)
-        assert replayed == nf
-        # the combination is an explicit two-sided ideal witness
-        acc = NcPoly.zero(AB)
-        for c, left, ridx, right in combination:
-            rule = qdg.rules[ridx]
-            lmono = NcPoly.monomial(AB, left, m.one())
-            rmono = NcPoly.monomial(AB, right, m.one())
-            rel = NcPoly.monomial(AB, rule.lhs, m.one()) - rule.rhs
-            acc = acc + c * (lmono * rel * rmono)
-        assert p - nf == acc
+        nf, steps = qdg.normal_form_traced(p)
+        assert nf == qdg.normal_form(p)
+        # the steps are an explicit two-sided ideal witness
+        assert p - nf == ideal_combination(qdg, steps, m.one())
 
 
 MODES = [pytest.param(m, id="symbolic"), pytest.param(NumericQ("5/3"), id="numeric")]
@@ -171,7 +200,8 @@ def oracle_poly(rng, mode, pool):
 
 class TestOracle:
     """normal_form against the step-by-step traced reduction, which shares
-    only the matching and the rules with it."""
+    only the matching and the rules with it; the traced steps against p - nf,
+    summed by polynomial multiplication."""
 
     @pytest.fixture(scope="class", params=MODES)
     def system(self, request):
@@ -187,7 +217,14 @@ class TestOracle:
     def test_agrees_with_traced(self, system):
         mode, rs = system
         for p in self.polys(mode, 2024, 40):
-            assert rs.normal_form(p) == rs.normal_form_traced(p)[0]
+            nf, steps = rs.normal_form_traced(p)
+            assert p - nf == ideal_combination(rs, steps, mode.one())
+            assert not any(reducible(rs, w) for w in nf.support())
+            assert rs.normal_form(p) == nf
+
+    def test_rules_solve_their_relations(self, system):
+        mode, rs = system
+        assert_rules_solve(rs, defining_relations(AB, mode), mode.one())
 
     def test_cancellation_to_zero(self, system):
         mode, rs = system
@@ -225,3 +262,49 @@ class TestCongruence:
             lhs = qdg.normal_form(p * r)
             rhs = qdg.normal_form(qdg.normal_form(p) * qdg.normal_form(r))
             assert lhs == rhs
+
+
+def assert_proved(rs, value, one):
+    """The reference reducer takes value to zero, and its steps sum to it."""
+    nf, steps = rs.normal_form_traced(value)
+    assert nf.is_zero
+    assert ideal_combination(rs, steps, one) == value
+
+
+class TestProofs:
+    """Each zero behind a PASS of higher-dg, the presentation's bound check
+    and the current algebra's class checks is an explicit ideal combination
+    of rules that solve the presentation's relations."""
+
+    @pytest.fixture(scope="class")
+    def onsager(self):
+        return onsager_context()
+
+    @pytest.fixture(scope="class")
+    def aq(self):
+        return aq_system(2)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_higher_dg_rewrite_values(self, onsager, r):
+        power = NcPoly.one(AB, m)
+        for _ in range(r):
+            power = power * onsager.B
+        assert_proved(onsager.qdg, apply_badprod(r + 1, onsager.A, power), m.one())
+
+    def test_order_two_balanced_product_of_B(self, onsager):
+        assert_proved(onsager.qdg, apply_badprod(2, onsager.A, onsager.B), m.one())
+
+    def test_class_check_elements(self, aq):
+        W0 = aq.W(0)
+        values = [aq.br(W0, aq.W(-k)) for k in range(aq.K + 1)]
+        for k in range(aq.K):
+            for X in (aq.W(k + 1), aq.G(k + 1), aq.Gt(k + 1)):
+                nested = aq.br(W0, aq.qbr(W0, aq.qbr(W0, X, 1), -1))
+                values.append(nested - aq.rho * aq.br(W0, X))
+                values.append(apply_badprod(2, W0, X, aq.mode))
+        for value in values:
+            assert_proved(aq.system, value, m.one())
+
+    def test_current_algebra_rules_solve_their_relations(self, aq):
+        # TestOracle checks the rules of the A/B presentation in both modes
+        assert_rules_solve(aq.system, [p for _, _, p in aq.relations], m.one())
