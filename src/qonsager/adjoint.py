@@ -19,8 +19,9 @@ Everything works uniformly for free-algebra polynomials and exact matrices;
 only +, -, * and left scalar action are used.  Primitives with distinct
 twists commute, so the twist primitive of a shift map may be applied after
 its balanced product.  ImageCache states the balanced product and the shift
-maps once, memoized over a fixed base; the apply_* functions are the same
-maps without the memo.
+maps once over a fixed base, and memoizes them together with products of
+operands; its twist primitive ad is apply_ad, not memoized.  The apply_*
+functions are the same maps without the memo.
 """
 
 from __future__ import annotations
@@ -54,11 +55,16 @@ def apply_bad(n: int, A, X, mode=SYMBOLIC):
 
 
 class ImageCache:
-    """Images of the adjoint maps over a fixed base A, memoized.
+    """Balanced products, shift maps and products of operands over a fixed
+    base A, memoized.
 
     Keys are (operation, order, operand), the operation of a shift map
     being its direction, so an image computed once is reused by every
     later request, including as a prefix of a longer balanced product.
+    A product is keyed by its factors, so it is built once however many
+    twists are later applied to it.  The twist primitive ad is not
+    memoized: its operand is mostly such a product under a twist that no
+    later request repeats.
     """
 
     def __init__(self, A, mode=SYMBOLIC):
@@ -67,10 +73,17 @@ class ImageCache:
         self._cache: dict = {}
 
     def ad(self, r: int, V):
-        key = ("ad", r, V)
+        return apply_ad(r, self.A, V, self.mode)
+
+    def mul(self, *factors):
+        """The product of factors, left to right."""
+        key = ("mul", factors)
         out = self._cache.get(key)
         if out is None:
-            out = self._cache[key] = apply_ad(r, self.A, V, self.mode)
+            out = factors[0]
+            for f in factors[1:]:
+                out = out * f
+            self._cache[key] = out
         return out
 
     def bad(self, n: int, V):

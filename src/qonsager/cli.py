@@ -222,7 +222,7 @@ def _cmd_repn_twist(args) -> Outcome:
         config = {"a": str(tp.a), "b": str(tp.b), "q": str(tp.q0)}
     else:
         tp, config = _d1_pair(args), {}
-    sd = repn.spectral_data(tp.d, tp.a, tp.q0, A=tp.A)
+    sd = repn.spectral_data(tp.d, tp.a, tp.q0, A=tp.A, E=tp.E)
     direction = _direction_from(args)
     twisted = repn.twist_module(tp, sd, direction)
     back = repn.twist_module(twisted, sd, INVERSE if direction == FORWARD else FORWARD)
@@ -324,6 +324,8 @@ def _report(cmd: Command, args) -> int:
             raise UsageError(f"{opt.flag} must be at least {opt.low}, got {value}")
     outcome = cmd.handler(args)
     config = {opt.dest: getattr(args, opt.dest) for opt in cmd.options if opt.config}
+    if config.get("mode") == "symbolic":  # only numeric mode reads --q
+        config["q"] = None
     report = Report(cmd.suite, outcome.records, {**config, **outcome.config})
     print(report.dumps() if args.json else report.render_text())
     if args.out:

@@ -145,12 +145,42 @@ class NcPoly:
         return NcPoly(self.alphabet, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
-        return self + (-other)
+        self._check(other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            s = out.get(w)
+            if s is None:
+                out[w] = -c
+            else:
+                s = s - c
+                if s:
+                    out[w] = s
+                else:
+                    del out[w]
+        return NcPoly(self.alphabet, out)
+
+    def _unit_word(self):
+        """The word of a single-term polynomial with coefficient 1, else None."""
+        if len(self.terms) == 1:
+            (w, c), = self.terms.items()
+            if c == 1:
+                return w
+        return None
 
     def __mul__(self, other) -> "NcPoly":
         if not isinstance(other, NcPoly):
             return self.scaled(other)
         self._check(other)
+        # a unit word times a polynomial shifts its words: distinct words stay
+        # distinct, so no coefficient is added or multiplied
+        u = self._unit_word()
+        if u is not None:
+            return NcPoly(self.alphabet, {u + w: c for w, c in other.terms.items()})
+        u = other._unit_word()
+        if u is not None:
+            return NcPoly(self.alphabet, {w + u: c for w, c in self.terms.items()})
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():

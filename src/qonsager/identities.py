@@ -46,7 +46,9 @@ class _Ctx(ImageCache):
     """Free generators A, X, Y over the image cache of base A.
 
     The builders reuse images like the balanced product of X many times per
-    instance; the cache keeps the sweep fast without changing any value.
+    instance, and products such as S_i(X) S_j(Y) across instances that
+    differ only in a twist; the cache keeps the sweep fast without changing
+    any value.
     """
 
     def __init__(self, mode, A: NcPoly, X: NcPoly, Y: NcPoly):
@@ -151,9 +153,9 @@ def _ad_bad(c: _Ctx, i: int, j: int):
     lhs = c.ad(i, c.bp(j, c.X)) + c.ad(i, c.bp(j, c.Y))
     rhs = (
         (c.q(i - j) * c.w(2 * j)) * c.S(j, c.X)
-        + (c.q(-j) * (c.q(i - j) - c.q(j - i))) * (c.bp(j, c.X) * c.A)
+        + (c.q(-j) * (c.q(i - j) - c.q(j - i))) * c.mul(c.bp(j, c.X), c.A)
         + (c.q(j - i) * c.w(2 * j)) * c.S(j, c.Y)
-        + (c.q(j) * (c.q(i - j) - c.q(j - i))) * (c.A * c.bp(j, c.Y))
+        + (c.q(j) * (c.q(i - j) - c.q(j - i))) * c.mul(c.A, c.bp(j, c.Y))
     )
     return lhs, rhs
 
@@ -163,10 +165,10 @@ def _ad_i_sj(c: _Ctx, i: int, j: int):
     rhs = (
         (c.q(i + j) * c.w(2 * j + 1)) * c.bp(j + 1, c.X)
         - (c.q(i + j) * c.w(2 * j)) * c.bp(j, c.X)
-        + (c.q(j) * (c.q(i + j) - c.q(-i - j))) * (c.S(j, c.X) * c.A)
+        + (c.q(j) * (c.q(i + j) - c.q(-i - j))) * c.mul(c.S(j, c.X), c.A)
         + (c.q(-i - j) * c.w(2 * j + 1)) * c.bp(j + 1, c.Y)
         - (c.q(-i - j) * c.w(2 * j)) * c.bp(j, c.Y)
-        + (c.q(-j) * (c.q(i + j) - c.q(-i - j))) * (c.A * c.S(j, c.Y))
+        + (c.q(-j) * (c.q(i + j) - c.q(-i - j))) * c.mul(c.A, c.S(j, c.Y))
     )
     return lhs, rhs
 
@@ -183,48 +185,48 @@ def _leibniz(c: _Ctx, h: int, i: int, j: int):
 
 def _ada_bb(c: _Ctx, h: int, i: int, j: int):
     bx, by = c.bp(i, c.X), c.bp(j, c.Y)
-    lhs = c.ad(h, bx * by)
+    lhs = c.ad(h, c.mul(bx, by))
     rhs = (
-        (c.q(h - i) * c.w(2 * i)) * (c.S(i, c.X) * by)
-        + (c.q(j - h) * c.w(2 * j)) * (bx * c.S(j, c.Y))
-        + (c.q(j - i) * (c.q(h - i - j) - c.q(i + j - h))) * (bx * c.A * by)
+        (c.q(h - i) * c.w(2 * i)) * c.mul(c.S(i, c.X), by)
+        + (c.q(j - h) * c.w(2 * j)) * c.mul(bx, c.S(j, c.Y))
+        + (c.q(j - i) * (c.q(h - i - j) - c.q(i + j - h))) * c.mul(bx, c.A, by)
     )
     return lhs, rhs
 
 
 def _ada_ss(c: _Ctx, h: int, i: int, j: int):
     sx, sy = c.S(i, c.X), c.S(j, c.Y)
-    lhs = c.ad(h, sx * sy)
+    lhs = c.ad(h, c.mul(sx, sy))
     rhs = (
-        (c.q(h + i) * c.w(2 * i + 1)) * (c.bp(i + 1, c.X) * sy)
-        - (c.q(h + i) * c.w(2 * i)) * (c.bp(i, c.X) * sy)
-        + (c.q(-h - j) * c.w(2 * j + 1)) * (sx * c.bp(j + 1, c.Y))
-        - (c.q(-h - j) * c.w(2 * j)) * (sx * c.bp(j, c.Y))
-        + (c.q(i - j) * (c.q(h + i + j) - c.q(-h - i - j))) * (sx * c.A * sy)
+        (c.q(h + i) * c.w(2 * i + 1)) * c.mul(c.bp(i + 1, c.X), sy)
+        - (c.q(h + i) * c.w(2 * i)) * c.mul(c.bp(i, c.X), sy)
+        + (c.q(-h - j) * c.w(2 * j + 1)) * c.mul(sx, c.bp(j + 1, c.Y))
+        - (c.q(-h - j) * c.w(2 * j)) * c.mul(sx, c.bp(j, c.Y))
+        + (c.q(i - j) * (c.q(h + i + j) - c.q(-h - i - j))) * c.mul(sx, c.A, sy)
     )
     return lhs, rhs
 
 
 def _ada_sb(c: _Ctx, h: int, i: int, j: int):
     sx, by = c.S(i, c.X), c.bp(j, c.Y)
-    lhs = c.ad(h, sx * by)
+    lhs = c.ad(h, c.mul(sx, by))
     rhs = (
-        (c.q(h + i) * c.w(2 * i + 1)) * (c.bp(i + 1, c.X) * by)
-        - (c.q(h + i) * c.w(2 * i)) * (c.bp(i, c.X) * by)
-        + (c.q(j - h) * c.w(2 * j)) * (sx * c.S(j, c.Y))
-        + (c.q(i + j) * (c.q(h + i - j) - c.q(j - h - i))) * (sx * c.A * by)
+        (c.q(h + i) * c.w(2 * i + 1)) * c.mul(c.bp(i + 1, c.X), by)
+        - (c.q(h + i) * c.w(2 * i)) * c.mul(c.bp(i, c.X), by)
+        + (c.q(j - h) * c.w(2 * j)) * c.mul(sx, c.S(j, c.Y))
+        + (c.q(i + j) * (c.q(h + i - j) - c.q(j - h - i))) * c.mul(sx, c.A, by)
     )
     return lhs, rhs
 
 
 def _ada_bs(c: _Ctx, h: int, i: int, j: int):
     bx, sy = c.bp(i, c.X), c.S(j, c.Y)
-    lhs = c.ad(h, bx * sy)
+    lhs = c.ad(h, c.mul(bx, sy))
     rhs = (
-        (c.q(-h - j) * c.w(2 * j + 1)) * (bx * c.bp(j + 1, c.Y))
-        - (c.q(-h - j) * c.w(2 * j)) * (bx * c.bp(j, c.Y))
-        + (c.q(h - i) * c.w(2 * i)) * (c.S(i, c.X) * sy)
-        + (c.q(-i - j) * (c.q(h - i + j) - c.q(i - h - j))) * (bx * c.A * sy)
+        (c.q(-h - j) * c.w(2 * j + 1)) * c.mul(bx, c.bp(j + 1, c.Y))
+        - (c.q(-h - j) * c.w(2 * j)) * c.mul(bx, c.bp(j, c.Y))
+        + (c.q(h - i) * c.w(2 * i)) * c.mul(c.S(i, c.X), sy)
+        + (c.q(-i - j) * (c.q(h - i + j) - c.q(i - h - j))) * c.mul(bx, c.A, sy)
     )
     return lhs, rhs
 

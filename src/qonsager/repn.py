@@ -115,7 +115,8 @@ class SpectralData:
     PsiInv: ExactMatrix
 
 
-def spectral_data(d: int, a, q0, A: ExactMatrix | None = None) -> SpectralData:
+def spectral_data(d: int, a, q0, A: ExactMatrix | None = None,
+                  E: list[ExactMatrix] | None = None) -> SpectralData:
     """Idempotents by Lagrange interpolation, twist scalars, and the twist.
 
     With A omitted the diagonal model is used, but the Lagrange route is
@@ -127,6 +128,9 @@ def spectral_data(d: int, a, q0, A: ExactMatrix | None = None) -> SpectralData:
     E_i E_j = delta_ij E_i follow.  The d + 1 ranks of the E_i then sum to
     d + 1, so requiring every E_i nonzero makes each of rank one: A has
     every theta_i as an eigenvalue, none repeated.
+
+    E, when given, must be those idempotents of A, as the validated TDPair
+    of A caches them; they are then neither computed nor checked again.
     """
     a = Fraction(a)
     mode = NumericQ(q0)
@@ -137,9 +141,10 @@ def spectral_data(d: int, a, q0, A: ExactMatrix | None = None) -> SpectralData:
         A = ExactMatrix.diagonal(theta)
     if A.dimension != d + 1:
         raise DimensionMismatch("matrix dimension must be d + 1")
-    E = _idempotents(A, theta)
     if E is None:
-        raise NotDiagonalizable("matrix does not act by its eigenvalue array")
+        E = _idempotents(A, theta)
+        if E is None:
+            raise NotDiagonalizable("matrix does not act by its eigenvalue array")
     Psi = PsiInv = ExactMatrix.zeros(d + 1)
     for i in range(d + 1):
         Psi = Psi + t[i] * E[i]
@@ -493,12 +498,15 @@ def twist_module(tp: TDPair, sd: SpectralData, direction: str = FORWARD) -> TDPa
     """Action of the pair on the twisted module: conjugate B by the twist.
 
     The first generator commutes with the twist and is unchanged; the
-    output is revalidated and keeps both eigenvalue arrays.
+    output is revalidated, keeps both eigenvalue arrays and carries over
+    the idempotents of the first generator.
     """
     if sd.A != tp.A:
         raise DimensionMismatch("spectral data does not belong to this pair")
     left, right = (sd.Psi, sd.PsiInv) if direction == FORWARD else (sd.PsiInv, sd.Psi)
     out = replace(tp, B=left * tp.B * right)
+    if "E" in vars(tp):  # cached on tp; out has the same A and the same array
+        vars(out)["E"] = vars(tp)["E"]
     violations = validate_td_pair(out)
     if violations:
         raise InvariantViolation(violations)

@@ -222,6 +222,20 @@ class TestCommands:
         assert main(["repn", "d1", "--a", "3", "--b", "2", "--q", "2", "--json"]) == 0
         assert calls == {"_idempotents": 2, "_dg_defect": 2}
 
+    def test_twist_computes_the_idempotents_of_A_once(self, capsys, monkeypatch):
+        """The import validates the pair; the spectral data and both twisted
+        pairs reuse its idempotents of A, so only each new B's are computed."""
+        calls = []
+        def counted(M, eigs, _f=repn._idempotents):
+            calls.append(M)
+            return _f(M, eigs)
+        monkeypatch.setattr(repn, "_idempotents", counted)
+        path = GOLDEN / "pair-d3.json"
+        assert main(["repn", "twist", "--file", str(path), "--json"]) == 0
+        A = repn.td_pair_from_json(json.loads(path.read_text())).A
+        assert len(calls) == 4
+        assert sum(M == A for M in calls) == 1
+
     def test_current_verify_orients_each_relation_once(self, capsys, monkeypatch):
         """The 68 relation instances at K = 6 are oriented when the context is
         built; the proof replays select rules instead of orienting again."""
@@ -364,13 +378,28 @@ class TestReportContract:
         assert set(twisted_pair) == keys
         assert twisted_pair["A"] == json.loads(pair.read_text())["A"]
 
-
     def test_twist_from_a_file_records_the_file_parameters(self, capsys):
         path = GOLDEN / "pair-d3.json"
         assert main(["repn", "twist", "--file", str(path), "--json"]) == 0
         config = json.loads(capsys.readouterr().out)["config"]
         pair = json.loads(path.read_text())
         assert {k: config[k] for k in "abq"} == {k: pair[k] for k in "abq"}
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "identities", "--max-index", "1"],
+        ["onsager", "higher-dg", "--r", "1"],
+        ["onsager", "homcheck", "--w1", "A", "--w2", "B"],
+        ["current", "verify", "--kmax", "1"],
+    ])
+    def test_symbolic_run_records_no_q(self, argv, capsys):
+        """Only numeric mode reads --q, so a symbolic report names no q."""
+        assert main(argv + ["--q", "7", "--json"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["mode"], config["q"]) == ("symbolic", None)
+        assert main(argv + ["--mode", "numeric", "--q", "7", "--json"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["mode"], config["q"]) == ("numeric", "7")
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, capsys):

@@ -72,6 +72,92 @@ class TestProperties:
         assert combo.is_zero
 
 
+def expanded_product(p, r):
+    """p * r term by term, the oracle for the word-shift path."""
+    out = {}
+    for w1, c1 in p.terms.items():
+        for w2, c2 in r.terms.items():
+            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return NcPoly(p.alphabet, out)
+
+
+def _counting(op):
+    def counted(self, other):
+        _Counted.ops += 1
+        return op(self, other)
+    return counted
+
+
+class _Counted(Fraction):
+    """A Fraction that counts the sums and products it takes part in."""
+
+    ops = 0
+    __add__, __radd__ = _counting(Fraction.__add__), _counting(Fraction.__radd__)
+    __mul__, __rmul__ = _counting(Fraction.__mul__), _counting(Fraction.__rmul__)
+
+
+class TestWordShift:
+    """A single word with coefficient 1 times a polynomial shifts its words."""
+
+    P = A * B * B + SYMBOLIC.qnum(2) * (B * A) - SYMBOLIC.q_pow(3) * NcPoly.one(AB)
+
+    @pytest.mark.parametrize("unit", [A, B * A, NcPoly.one(AB)], ids=["A", "BA", "empty"])
+    def test_equals_the_expanded_product(self, unit):
+        for p in (self.P, NcPoly.zero(AB), unit):
+            assert unit * p == expanded_product(unit, p)
+            assert p * unit == expanded_product(p, unit)
+        assert NcPoly.one(AB) * self.P == self.P == self.P * NcPoly.one(AB)
+
+    @settings(max_examples=50, deadline=None)
+    @given(polys, words)
+    def test_equals_the_expanded_product_on_random_polynomials(self, p, w):
+        unit = NcPoly.monomial(AB, w, SYMBOLIC.one())
+        assert unit * p == expanded_product(unit, p)
+        assert p * unit == expanded_product(p, unit)
+
+    def test_takes_no_coefficient_arithmetic(self):
+        p = NcPoly(AB, {AB.word(w): _Counted(k) for k, w in ((2, "AB"), (-3, "B"), (5, ""))})
+        unit = NcPoly.monomial(AB, AB.word("BA"), _Counted(1))
+        _Counted.ops = 0
+        assert (unit * p).terms == {AB.word(w): k for k, w in ((2, "BAAB"), (-3, "BAB"), (5, "BA"))}
+        assert (p * unit).terms == {AB.word(w): k for k, w in ((2, "ABBA"), (-3, "BBA"), (5, "BA"))}
+        assert _Counted.ops == 0
+
+    def test_other_coefficient_takes_the_general_path(self):
+        p = NcPoly(AB, {AB.word(w): _Counted(k) for k, w in ((2, "AB"), (-3, "B"))})
+        scaled = NcPoly.monomial(AB, AB.word("BA"), _Counted(2))
+        _Counted.ops = 0
+        assert scaled * p == expanded_product(scaled, p)
+        assert _Counted.ops > 0
+
+
+class TestSubtraction:
+    @settings(max_examples=50, deadline=None)
+    @given(polys, polys)
+    def test_equals_adding_the_negative(self, p, r):
+        assert p - r == p + (-r)
+        assert (p - p).is_zero
+
+    def test_cancellation_and_zero(self):
+        zero = NcPoly.zero(AB)
+        x = A * B - SYMBOLIC.qnum(2) * (B * A)
+        assert x - x == zero == zero - zero
+        assert zero - x == -x and x - zero == x
+        assert (x + B) - x == B
+
+    def test_alphabet_mismatch(self):
+        other = NcPoly.generator(Alphabet(["X"]), "X")
+        with pytest.raises(AlphabetMismatch):
+            A - other
+        with pytest.raises(AlphabetMismatch):
+            NcPoly.zero(AB) - other
+
+    @pytest.mark.parametrize("name", ["__add__", "__sub__", "__mul__", "__rmul__", "scaled"])
+    def test_operators_live_in_the_class_body(self, name):
+        # a per-layer tracer wraps each operator by its class attribute
+        assert name in NcPoly.__dict__
+
+
 class TestHash:
     def test_equal_polynomials_hash_alike(self):
         x = A * B + SYMBOLIC.qnum(2) * (B * A)

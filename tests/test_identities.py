@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qonsager.errors import InvalidParams
+from qonsager.freealg import NcPoly
 from qonsager.identities import (
     IDENTITIES,
     make_context,
@@ -113,6 +114,43 @@ class TestSuite:
             "mode": "symbolic",
             "status": "pass",
         }
+
+
+class TestProductMemo:
+    """Operand products are built once per context and change no record."""
+
+    @pytest.mark.parametrize("name", ["ADA_BB", "ADA_SS", "ADA_SB", "ADA_BS"])
+    def test_twists_share_the_operand_products(self, name, monkeypatch):
+        counts = {}  # products of two polynomials, neither a word with coefficient 1
+        mul = NcPoly.__mul__
+
+        def unit(p):
+            return len(p.terms) == 1 and next(iter(p.terms.values())) == 1
+
+        def counted(self, other):
+            if isinstance(other, NcPoly) and not unit(self) and not unit(other):
+                counts[twists] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(NcPoly, "__mul__", counted)
+        mode = NumericQ("5/3")
+        for twists in ((1,), tuple(range(-3, 5))):
+            counts[twists] = 0
+            ctx = make_context(mode)
+            for h in twists:
+                assert verify_identity(name, (h, 2, 1), mode, _ctx=ctx).status == "pass"
+        one, every = counts.values()
+        assert one > 0 and every == one
+
+    @pytest.mark.parametrize("mode", [SYMBOLIC, NumericQ("7/5")], ids=["symbolic", "7/5"])
+    def test_fresh_and_shared_contexts_give_the_same_records(self, mode):
+        shared = [r.to_json() for r in run_identity_suite(max_index=2, mode=mode)]
+        fresh = [
+            verify_identity(name, combo, mode).to_json()
+            for name, spec in IDENTITIES.items()
+            for combo in parameter_grid(spec, 2)
+        ]
+        assert shared == fresh
 
 
 @pytest.fixture(scope="module")

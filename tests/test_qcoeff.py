@@ -656,8 +656,8 @@ class TestValueContract:
         assert polys[0] == polys[1] == polys[2]
         assert len({hash(p) for p in polys}) == 1
         cache = ImageCache(A)
-        first = cache.ad(1, polys[0])
-        assert all(cache.ad(1, p) is first for p in polys[1:])
+        first = cache.mul(polys[0], A)
+        assert all(cache.mul(p, A) is first for p in polys[1:])
         assert len(cache._cache) == 1
 
     @pytest.mark.parametrize("name", [
