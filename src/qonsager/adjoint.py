@@ -1,7 +1,10 @@
 """Quantum adjoint operator calculus.
 
 For a fixed element A of an associative algebra the primitive map with twist
-r sends X to q^r*A*X - q^-r*X*A.  From these primitives the module builds
+r sends X to q^r*A*X - q^-r*X*A.  ad_terms states it once, as the two
+(scalar, product) pairs of that sum, so a caller that collects linear
+combinations (the identity verifier) can take them unexpanded; apply_ad is
+their sum.  From these primitives the module builds
 
 * the balanced maps: twist 0 is the plain commutator divided by q - q^-1,
   and for n >= 1 the combination
@@ -37,9 +40,15 @@ def _check_direction(direction: str):
         raise ValueError(f"direction must be {FORWARD!r} or {INVERSE!r}")
 
 
+def ad_terms(r: int, A, X, mode=SYMBOLIC):
+    """The twist-r primitive q^r*A*X - q^-r*X*A as (scalar, product) pairs."""
+    return [(mode.q_pow(r), A * X), (-mode.q_pow(-r), X * A)]
+
+
 def apply_ad(r: int, A, X, mode=SYMBOLIC):
-    """q^r*A*X - q^-r*X*A."""
-    return mode.q_pow(r) * (A * X) - mode.q_pow(-r) * (X * A)
+    """q^r*A*X - q^-r*X*A: the sum of ad_terms."""
+    (a, ax), (b, xa) = ad_terms(r, A, X, mode)
+    return a * ax + b * xa
 
 
 def apply_bad(n: int, A, X, mode=SYMBOLIC):
@@ -74,6 +83,9 @@ class ImageCache:
 
     def ad(self, r: int, V):
         return apply_ad(r, self.A, V, self.mode)
+
+    def ad_terms(self, r: int, V):
+        return ad_terms(r, self.A, V, self.mode)
 
     def mul(self, *factors):
         """The product of factors, left to right."""

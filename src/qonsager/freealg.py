@@ -11,6 +11,7 @@ a deterministic term order for iteration, display and serialization.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import AlphabetMismatch, MissingImage, ParseError, PoleAtPoint
 from .qcoeff import SYMBOLIC, RationalFunctionQ, rf_from_json, rf_to_json
@@ -66,11 +67,11 @@ def deglex_key(w: Word):
 class NcPoly:
     """Immutable noncommutative polynomial: word -> nonzero coefficient."""
 
-    __slots__ = ("alphabet", "terms", "_hash")
+    __slots__ = ("alphabet", "terms", "_hash", "_ints")
 
     def __init__(self, alphabet: Alphabet, terms: dict):
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "terms", {w: c for w, c in terms.items() if c})
+        _SET_ALPHABET(self, alphabet)
+        _SET_TERMS(self, {w: c for w, c in terms.items() if c})
 
     def __setattr__(self, *a):
         raise AttributeError("NcPoly is immutable")
@@ -139,10 +140,10 @@ class NcPoly:
                     out[w] = s
                 else:
                     del out[w]
-        return NcPoly(self.alphabet, out)
+        return _wrap(self.alphabet, out)
 
     def __neg__(self) -> "NcPoly":
-        return NcPoly(self.alphabet, {w: -c for w, c in self.terms.items()})
+        return _wrap(self.alphabet, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         self._check(other)
@@ -159,7 +160,7 @@ class NcPoly:
                     out[w] = s
                 else:
                     del out[w]
-        return NcPoly(self.alphabet, out)
+        return _wrap(self.alphabet, out)
 
     def _unit_word(self):
         """The word of a single-term polynomial with coefficient 1, else None."""
@@ -177,10 +178,10 @@ class NcPoly:
         # distinct, so no coefficient is added or multiplied
         u = self._unit_word()
         if u is not None:
-            return NcPoly(self.alphabet, {u + w: c for w, c in other.terms.items()})
+            return _wrap(self.alphabet, {u + w: c for w, c in other.terms.items()})
         u = other._unit_word()
         if u is not None:
-            return NcPoly(self.alphabet, {w + u: c for w, c in self.terms.items()})
+            return _wrap(self.alphabet, {w + u: c for w, c in self.terms.items()})
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -195,15 +196,71 @@ class NcPoly:
                         out[w] = s
                     else:
                         del out[w]
-        return NcPoly(self.alphabet, out)
+        return _wrap(self.alphabet, out)
 
     def __rmul__(self, coeff) -> "NcPoly":
         return self.scaled(coeff)
 
     def scaled(self, coeff) -> "NcPoly":
         if not coeff:
-            return NcPoly(self.alphabet, {})
-        return NcPoly(self.alphabet, {w: coeff * c for w, c in self.terms.items()})
+            return _wrap(self.alphabet, {})
+        return _wrap(self.alphabet, {w: coeff * c for w, c in self.terms.items()})
+
+    @staticmethod
+    def combine(alphabet: Alphabet, pairs) -> "NcPoly":
+        """The sum of c * P over (scalar c, polynomial P) pairs, in one pass.
+
+        The coefficient type picks the path.  With every scalar and
+        coefficient rational (int or Fraction: numeric mode) each P is read
+        in its integer form, numerators over one denominator D, kept on P.
+        Each c / D becomes one integer multiplier over a common denominator
+        m, the sum runs over plain ints, and only a word left nonzero gets
+        a Fraction.  Summing scaled polynomials instead normalizes a
+        Fraction, with a gcd, for every term of every summand; a sum that
+        cancels here builds none.  Any other scalar (a RationalFunctionQ of
+        symbolic mode) is summed with its own * and +, and the zeros are
+        dropped at the end.
+        """
+        pairs = [(c, p) for c, p in pairs if c and p.terms]
+        for _, p in pairs:
+            if p.alphabet != alphabet:
+                raise AlphabetMismatch(f"{alphabet!r} vs {p.alphabet!r}")
+        forms = None
+        if all(isinstance(c, _RATIONAL) for c, _ in pairs):
+            forms = [p._integer_form() for _, p in pairs]
+        if forms is None or None in forms:
+            out: dict = {}
+            for c, p in pairs:
+                for w, x in p.terms.items():
+                    t = c * x
+                    s = out.get(w)
+                    out[w] = t if s is None else s + t
+            return _wrap(alphabet, {w: x for w, x in out.items() if x})
+        scales = [Fraction(c.numerator, c.denominator * d) for (c, _), (d, _) in zip(pairs, forms)]
+        m = lcm(*(f.denominator for f in scales))
+        acc: dict = {}
+        get = acc.get
+        for f, (_, p), (_, nums) in zip(scales, pairs, forms):
+            k = f.numerator * (m // f.denominator)
+            for w, n in zip(p.terms, nums):
+                acc[w] = get(w, 0) + k * n
+        return _wrap(alphabet, {w: Fraction(v, m) for w, v in acc.items() if v})
+
+    def _integer_form(self):
+        """The coefficients as numerators over one denominator: (D, nums),
+        nums in the order of terms and D the lcm of the denominators; None
+        if a coefficient is not rational.  Computed once and kept, as a
+        tuple rather than a dict to keep it small."""
+        try:
+            return self._ints
+        except AttributeError:
+            pass
+        form = None
+        if all(isinstance(c, _RATIONAL) for c in self.terms.values()):
+            d = lcm(*(c.denominator for c in self.terms.values()))
+            form = (d, tuple([c.numerator * (d // c.denominator) for c in self.terms.values()]))
+        _SET_INTS(self, form)
+        return form
 
     def __eq__(self, other) -> bool:
         return (
@@ -259,6 +316,22 @@ class NcPoly:
             mono = "*".join(self.alphabet.spell(w)) if w else "1"
             parts.append(f"({c!r})*{mono}" if w else f"({c!r})")
         return " + ".join(parts)
+
+
+_RATIONAL = (int, Fraction)
+
+# the slot descriptors store past the __setattr__ guard
+_SET_ALPHABET, _SET_TERMS, _SET_INTS = (
+    NcPoly.alphabet.__set__, NcPoly.terms.__set__, NcPoly._ints.__set__
+)
+
+
+def _wrap(alphabet: Alphabet, terms: dict) -> NcPoly:
+    """An NcPoly over terms that hold no zero coefficient, without the filter."""
+    p = object.__new__(NcPoly)
+    _SET_ALPHABET(p, alphabet)
+    _SET_TERMS(p, terms)
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Catalogue of exact operator identities and their verifier.
 
 Each identity is a statement about the adjoint calculus that holds in every
-associative algebra.  The verifier instantiates it with A, X, Y as free
-generators of a three-letter alphabet, expands both sides fully, and reports
-pass exactly when the difference is the zero polynomial.  Failures carry the
+associative algebra.  Each side is a linear combination of adjoint images
+and their products (the automorphism and its inverse are formal sums of
+quantum adjoints), so a builder returns each side as (scalar, polynomial)
+pairs, leaving a twist primitive as its two ad_terms.  The verifier
+instantiates an identity with A, X, Y as free generators of a three-letter
+alphabet, forms lhs - rhs as one sum of these pairs (NcPoly.combine), and
+reports pass exactly when it is the zero polynomial.  Failures carry the
 nonzero difference as a witness.
 
 Identity ids, the number and typing of their integer parameters, and the
@@ -77,245 +81,245 @@ def make_context(mode=SYMBOLIC) -> _Ctx:
 
 
 # ---------------------------------------------------------------------------
-# identity builders: params -> (lhs, rhs)
+# identity builders: params -> (lhs terms, rhs terms), each side a list of
+# (scalar, polynomial) pairs whose sum is that side
 # ---------------------------------------------------------------------------
 
+def _scaled(k, terms):
+    return [(k * c, p) for c, p in terms]
+
+
 def _plus(c: _Ctx, i: int):
-    lhs = c.ad(i, c.X) + c.ad(-i, c.X)
-    rhs = (c.q(i) + c.q(-i)) * c.ad(0, c.X)
+    lhs = c.ad_terms(i, c.X) + c.ad_terms(-i, c.X)
+    rhs = _scaled(c.q(i) + c.q(-i), c.ad_terms(0, c.X))
     return lhs, rhs
 
 
 def _s_plus_sp(c: _Ctx, i: int):
-    lhs = c.S(i, c.X) + c.Sp(i, c.X)
-    rhs = (c.mode.one() / c.w(i)) * c.bp(i, c.ad(0, c.X))
+    lhs = [(1, c.S(i, c.X)), (1, c.Sp(i, c.X))]
+    rhs = [(c.mode.one() / c.w(i), c.bp(i, c.ad(0, c.X)))]
     return lhs, rhs
 
 
 def _adad(c: _Ctx, i: int):
-    lhs = (c.mode.one() / (c.w(2 * i) * c.w(2 * i))) * c.ad(i, c.ad(-i, c.X)) + c.X
-    rhs = (c.w(2 * i + 1) / c.w(2 * i)) * c.bad(i, c.X)
+    lhs = _scaled(c.mode.one() / (c.w(2 * i) * c.w(2 * i)), c.ad_terms(i, c.ad(-i, c.X)))
+    lhs.append((1, c.X))
+    rhs = [(c.w(2 * i + 1) / c.w(2 * i), c.bad(i, c.X))]
     return lhs, rhs
 
 
 def _ss(c: _Ctx, i: int):
-    lhs = c.S(i, c.Sp(i, c.X)) + c.bp(i, c.bp(i, c.X))
-    rhs = (c.w(2 * i + 1) / c.w(2 * i)) * c.bp(i, c.bp(i + 1, c.X))
+    lhs = [(1, c.S(i, c.Sp(i, c.X))), (1, c.bp(i, c.bp(i, c.X)))]
+    rhs = [(c.w(2 * i + 1) / c.w(2 * i), c.bp(i, c.bp(i + 1, c.X)))]
     return lhs, rhs
 
 
 def _pm_ad(c: _Ctx, i: int, j: int):
-    lhs = (c.mode.one() / (c.w(2 * i) * c.w(2 * j))) * (
-        c.ad(i, c.ad(-j, c.X)) + c.ad(-i, c.ad(j, c.X))
-    ) + (c.q(i - j) + c.q(j - i)) * c.X
-    rhs = (c.w(2 * i + 1) / c.w(i + j)) * c.bad(i, c.X) + (
-        c.w(2 * j + 1) / c.w(i + j)
-    ) * c.bad(j, c.X)
+    lhs = _scaled(
+        c.mode.one() / (c.w(2 * i) * c.w(2 * j)),
+        c.ad_terms(i, c.ad(-j, c.X)) + c.ad_terms(-i, c.ad(j, c.X)),
+    )
+    lhs.append((c.q(i - j) + c.q(j - i), c.X))
+    rhs = [
+        (c.w(2 * i + 1) / c.w(i + j), c.bad(i, c.X)),
+        (c.w(2 * j + 1) / c.w(i + j), c.bad(j, c.X)),
+    ]
     return lhs, rhs
 
 
 def _pm_ss(c: _Ctx, i: int, j: int):
-    lhs = (
-        c.S(i, c.Sp(j, c.X))
-        + c.Sp(i, c.S(j, c.X))
-        + (c.q(i - j) + c.q(j - i)) * c.bp(i, c.bp(j, c.X))
-    )
-    rhs = (c.w(2 * i + 1) / c.w(i + j)) * c.bp(i + 1, c.bp(j, c.X)) + (
-        c.w(2 * j + 1) / c.w(i + j)
-    ) * c.bp(i, c.bp(j + 1, c.X))
+    lhs = [
+        (1, c.S(i, c.Sp(j, c.X))),
+        (1, c.Sp(i, c.S(j, c.X))),
+        (c.q(i - j) + c.q(j - i), c.bp(i, c.bp(j, c.X))),
+    ]
+    rhs = [
+        (c.w(2 * i + 1) / c.w(i + j), c.bp(i + 1, c.bp(j, c.X))),
+        (c.w(2 * j + 1) / c.w(i + j), c.bp(i, c.bp(j + 1, c.X))),
+    ]
     return lhs, rhs
 
 
 def _ttp(c: _Ctx, n: int):
-    inner = NcPoly.zero(c.X.alphabet)
-    for j in range(n + 1):
-        inner = inner + c.Sp(j, c.X)
-    lhs = NcPoly.zero(c.X.alphabet)
-    for i in range(n + 1):
-        lhs = lhs + c.S(i, inner)
-    acc = NcPoly.zero(c.X.alphabet)
-    for r in range(n):
-        acc = acc + (c.w(2 * n + 1) / c.w(n + r + 1)) * c.bp(r + 1, c.X)
-    rhs = c.X + c.bp(n + 1, acc)
+    al = c.X.alphabet
+    inner = NcPoly.combine(al, [(1, c.Sp(j, c.X)) for j in range(n + 1)])
+    lhs = [(1, c.S(i, inner)) for i in range(n + 1)]
+    acc = NcPoly.combine(
+        al, [(c.w(2 * n + 1) / c.w(n + r + 1), c.bp(r + 1, c.X)) for r in range(n)]
+    )
+    rhs = [(1, c.X), (1, c.bp(n + 1, acc))]
     return lhs, rhs
 
 
 def _xa_ay(c: _Ctx, i: int, j: int):
     scale = c.mode.one() / (c.q(i - j) - c.q(j - i))
-    lhs = (c.X * c.A) + (c.A * c.Y)
-    rhs = scale * (c.q(j) * c.ad(i, c.X) - c.q(i) * c.ad(j, c.X)) + scale * (
-        c.q(-j) * c.ad(i, c.Y) - c.q(-i) * c.ad(j, c.Y)
+    lhs = [(1, c.X * c.A), (1, c.A * c.Y)]
+    rhs = (
+        _scaled(scale * c.q(j), c.ad_terms(i, c.X))
+        + _scaled(-scale * c.q(i), c.ad_terms(j, c.X))
+        + _scaled(scale * c.q(-j), c.ad_terms(i, c.Y))
+        + _scaled(-scale * c.q(-i), c.ad_terms(j, c.Y))
     )
     return lhs, rhs
 
 
 def _ad_bad(c: _Ctx, i: int, j: int):
-    lhs = c.ad(i, c.bp(j, c.X)) + c.ad(i, c.bp(j, c.Y))
-    rhs = (
-        (c.q(i - j) * c.w(2 * j)) * c.S(j, c.X)
-        + (c.q(-j) * (c.q(i - j) - c.q(j - i))) * c.mul(c.bp(j, c.X), c.A)
-        + (c.q(j - i) * c.w(2 * j)) * c.S(j, c.Y)
-        + (c.q(j) * (c.q(i - j) - c.q(j - i))) * c.mul(c.A, c.bp(j, c.Y))
-    )
+    lhs = c.ad_terms(i, c.bp(j, c.X)) + c.ad_terms(i, c.bp(j, c.Y))
+    rhs = [
+        (c.q(i - j) * c.w(2 * j), c.S(j, c.X)),
+        (c.q(-j) * (c.q(i - j) - c.q(j - i)), c.mul(c.bp(j, c.X), c.A)),
+        (c.q(j - i) * c.w(2 * j), c.S(j, c.Y)),
+        (c.q(j) * (c.q(i - j) - c.q(j - i)), c.mul(c.A, c.bp(j, c.Y))),
+    ]
     return lhs, rhs
 
 
 def _ad_i_sj(c: _Ctx, i: int, j: int):
-    lhs = c.ad(i, c.S(j, c.X)) + c.ad(i, c.S(j, c.Y))
-    rhs = (
-        (c.q(i + j) * c.w(2 * j + 1)) * c.bp(j + 1, c.X)
-        - (c.q(i + j) * c.w(2 * j)) * c.bp(j, c.X)
-        + (c.q(j) * (c.q(i + j) - c.q(-i - j))) * c.mul(c.S(j, c.X), c.A)
-        + (c.q(-i - j) * c.w(2 * j + 1)) * c.bp(j + 1, c.Y)
-        - (c.q(-i - j) * c.w(2 * j)) * c.bp(j, c.Y)
-        + (c.q(-j) * (c.q(i + j) - c.q(-i - j))) * c.mul(c.A, c.S(j, c.Y))
-    )
+    lhs = c.ad_terms(i, c.S(j, c.X)) + c.ad_terms(i, c.S(j, c.Y))
+    rhs = [
+        (c.q(i + j) * c.w(2 * j + 1), c.bp(j + 1, c.X)),
+        (-(c.q(i + j) * c.w(2 * j)), c.bp(j, c.X)),
+        (c.q(j) * (c.q(i + j) - c.q(-i - j)), c.mul(c.S(j, c.X), c.A)),
+        (c.q(-i - j) * c.w(2 * j + 1), c.bp(j + 1, c.Y)),
+        (-(c.q(-i - j) * c.w(2 * j)), c.bp(j, c.Y)),
+        (c.q(-j) * (c.q(i + j) - c.q(-i - j)), c.mul(c.A, c.S(j, c.Y))),
+    ]
     return lhs, rhs
 
 
 def _leibniz(c: _Ctx, h: int, i: int, j: int):
-    lhs = c.ad(h, c.X * c.Y)
-    rhs = (
-        c.q(h - i) * (c.ad(i, c.X) * c.Y)
-        + c.q(j - h) * (c.X * c.ad(j, c.Y))
-        + (c.q(j - i) * (c.q(h - i - j) - c.q(i + j - h))) * (c.X * c.A * c.Y)
-    )
+    lhs = c.ad_terms(h, c.X * c.Y)
+    rhs = [
+        (c.q(h - i), c.ad(i, c.X) * c.Y),
+        (c.q(j - h), c.X * c.ad(j, c.Y)),
+        (c.q(j - i) * (c.q(h - i - j) - c.q(i + j - h)), c.X * c.A * c.Y),
+    ]
     return lhs, rhs
 
 
 def _ada_bb(c: _Ctx, h: int, i: int, j: int):
     bx, by = c.bp(i, c.X), c.bp(j, c.Y)
-    lhs = c.ad(h, c.mul(bx, by))
-    rhs = (
-        (c.q(h - i) * c.w(2 * i)) * c.mul(c.S(i, c.X), by)
-        + (c.q(j - h) * c.w(2 * j)) * c.mul(bx, c.S(j, c.Y))
-        + (c.q(j - i) * (c.q(h - i - j) - c.q(i + j - h))) * c.mul(bx, c.A, by)
-    )
+    lhs = c.ad_terms(h, c.mul(bx, by))
+    rhs = [
+        (c.q(h - i) * c.w(2 * i), c.mul(c.S(i, c.X), by)),
+        (c.q(j - h) * c.w(2 * j), c.mul(bx, c.S(j, c.Y))),
+        (c.q(j - i) * (c.q(h - i - j) - c.q(i + j - h)), c.mul(bx, c.A, by)),
+    ]
     return lhs, rhs
 
 
 def _ada_ss(c: _Ctx, h: int, i: int, j: int):
     sx, sy = c.S(i, c.X), c.S(j, c.Y)
-    lhs = c.ad(h, c.mul(sx, sy))
-    rhs = (
-        (c.q(h + i) * c.w(2 * i + 1)) * c.mul(c.bp(i + 1, c.X), sy)
-        - (c.q(h + i) * c.w(2 * i)) * c.mul(c.bp(i, c.X), sy)
-        + (c.q(-h - j) * c.w(2 * j + 1)) * c.mul(sx, c.bp(j + 1, c.Y))
-        - (c.q(-h - j) * c.w(2 * j)) * c.mul(sx, c.bp(j, c.Y))
-        + (c.q(i - j) * (c.q(h + i + j) - c.q(-h - i - j))) * c.mul(sx, c.A, sy)
-    )
+    lhs = c.ad_terms(h, c.mul(sx, sy))
+    rhs = [
+        (c.q(h + i) * c.w(2 * i + 1), c.mul(c.bp(i + 1, c.X), sy)),
+        (-(c.q(h + i) * c.w(2 * i)), c.mul(c.bp(i, c.X), sy)),
+        (c.q(-h - j) * c.w(2 * j + 1), c.mul(sx, c.bp(j + 1, c.Y))),
+        (-(c.q(-h - j) * c.w(2 * j)), c.mul(sx, c.bp(j, c.Y))),
+        (c.q(i - j) * (c.q(h + i + j) - c.q(-h - i - j)), c.mul(sx, c.A, sy)),
+    ]
     return lhs, rhs
 
 
 def _ada_sb(c: _Ctx, h: int, i: int, j: int):
     sx, by = c.S(i, c.X), c.bp(j, c.Y)
-    lhs = c.ad(h, c.mul(sx, by))
-    rhs = (
-        (c.q(h + i) * c.w(2 * i + 1)) * c.mul(c.bp(i + 1, c.X), by)
-        - (c.q(h + i) * c.w(2 * i)) * c.mul(c.bp(i, c.X), by)
-        + (c.q(j - h) * c.w(2 * j)) * c.mul(sx, c.S(j, c.Y))
-        + (c.q(i + j) * (c.q(h + i - j) - c.q(j - h - i))) * c.mul(sx, c.A, by)
-    )
+    lhs = c.ad_terms(h, c.mul(sx, by))
+    rhs = [
+        (c.q(h + i) * c.w(2 * i + 1), c.mul(c.bp(i + 1, c.X), by)),
+        (-(c.q(h + i) * c.w(2 * i)), c.mul(c.bp(i, c.X), by)),
+        (c.q(j - h) * c.w(2 * j), c.mul(sx, c.S(j, c.Y))),
+        (c.q(i + j) * (c.q(h + i - j) - c.q(j - h - i)), c.mul(sx, c.A, by)),
+    ]
     return lhs, rhs
 
 
 def _ada_bs(c: _Ctx, h: int, i: int, j: int):
     bx, sy = c.bp(i, c.X), c.S(j, c.Y)
-    lhs = c.ad(h, c.mul(bx, sy))
-    rhs = (
-        (c.q(-h - j) * c.w(2 * j + 1)) * c.mul(bx, c.bp(j + 1, c.Y))
-        - (c.q(-h - j) * c.w(2 * j)) * c.mul(bx, c.bp(j, c.Y))
-        + (c.q(h - i) * c.w(2 * i)) * c.mul(c.S(i, c.X), sy)
-        + (c.q(-i - j) * (c.q(h - i + j) - c.q(i - h - j))) * c.mul(bx, c.A, sy)
-    )
+    lhs = c.ad_terms(h, c.mul(bx, sy))
+    rhs = [
+        (c.q(-h - j) * c.w(2 * j + 1), c.mul(bx, c.bp(j + 1, c.Y))),
+        (-(c.q(-h - j) * c.w(2 * j)), c.mul(bx, c.bp(j, c.Y))),
+        (c.q(h - i) * c.w(2 * i), c.mul(c.S(i, c.X), sy)),
+        (c.q(-i - j) * (c.q(h - i + j) - c.q(i - h - j)), c.mul(bx, c.A, sy)),
+    ]
     return lhs, rhs
 
 
 def _txy_s(c: _Ctx, n: int):
-    lhs = NcPoly.zero(c.X.alphabet)
     xy = c.X * c.Y
-    for i in range(n + 1):
-        lhs = lhs + c.S(i, xy)
-    rhs = NcPoly.zero(c.X.alphabet)
-    for r in range(n + 1):
-        for s in range(n + 1 - r):
-            rhs = rhs + c.S(r, c.X) * c.S(s, c.Y)
+    lhs = [(1, c.S(i, xy)) for i in range(n + 1)]
+    rhs = [(1, c.S(r, c.X) * c.S(s, c.Y)) for r in range(n + 1) for s in range(n + 1 - r)]
     for r in range(n):
         s = n - 1 - r
-        rhs = rhs + c.q(r - s) * (c.bp(r + 1, c.X) * c.bp(s + 1, c.Y))
+        rhs.append((c.q(r - s), c.bp(r + 1, c.X) * c.bp(s + 1, c.Y)))
     return lhs, rhs
 
 
 def _txy_b(c: _Ctx, n: int):
-    lhs = c.bp(n + 1, c.X * c.Y)
-    rhs = NcPoly.zero(c.X.alphabet)
+    lhs = [(1, c.bp(n + 1, c.X * c.Y))]
+    rhs = []
     for r in range(n + 1):
         s = n - r
-        rhs = rhs + c.q(-r) * (c.S(r, c.X) * c.bp(s + 1, c.Y))
-        rhs = rhs + c.q(s) * (c.bp(r + 1, c.X) * c.S(s, c.Y))
+        rhs.append((c.q(-r), c.S(r, c.X) * c.bp(s + 1, c.Y)))
+        rhs.append((c.q(s), c.bp(r + 1, c.X) * c.S(s, c.Y)))
     for r in range(n):
         s = n - 1 - r
-        rhs = rhs - c.bp(r + 1, c.X) * c.A * c.bp(s + 1, c.Y)
+        rhs.append((-1, c.bp(r + 1, c.X) * c.A * c.bp(s + 1, c.Y)))
     return lhs, rhs
 
 
 def _primever_s(c: _Ctx, n: int):
-    lhs = NcPoly.zero(c.X.alphabet)
     xy = c.X * c.Y
-    for i in range(n + 1):
-        lhs = lhs + c.Sp(i, xy)
-    rhs = NcPoly.zero(c.X.alphabet)
-    for r in range(n + 1):
-        for s in range(n + 1 - r):
-            rhs = rhs + c.Sp(r, c.X) * c.Sp(s, c.Y)
+    lhs = [(1, c.Sp(i, xy)) for i in range(n + 1)]
+    rhs = [(1, c.Sp(r, c.X) * c.Sp(s, c.Y)) for r in range(n + 1) for s in range(n + 1 - r)]
     for r in range(n):
         s = n - 1 - r
-        rhs = rhs + c.q(s - r) * (c.bp(r + 1, c.X) * c.bp(s + 1, c.Y))
+        rhs.append((c.q(s - r), c.bp(r + 1, c.X) * c.bp(s + 1, c.Y)))
     return lhs, rhs
 
 
 def _primever_b(c: _Ctx, n: int):
-    lhs = c.bp(n + 1, c.X * c.Y)
-    rhs = NcPoly.zero(c.X.alphabet)
+    lhs = [(1, c.bp(n + 1, c.X * c.Y))]
+    rhs = []
     for r in range(n + 1):
         s = n - r
-        rhs = rhs + c.q(r) * (c.Sp(r, c.X) * c.bp(s + 1, c.Y))
-        rhs = rhs + c.q(-s) * (c.bp(r + 1, c.X) * c.Sp(s, c.Y))
+        rhs.append((c.q(r), c.Sp(r, c.X) * c.bp(s + 1, c.Y)))
+        rhs.append((c.q(-s), c.bp(r + 1, c.X) * c.Sp(s, c.Y)))
     for r in range(n):
         s = n - 1 - r
-        rhs = rhs + c.bp(r + 1, c.X) * c.A * c.bp(s + 1, c.Y)
+        rhs.append((1, c.bp(r + 1, c.X) * c.A * c.bp(s + 1, c.Y)))
     return lhs, rhs
 
 
 def _badprod_1(c: _Ctx, n: int):
-    lhs = c.bp(n + 1, c.X * c.Y)
-    rhs = NcPoly.zero(c.X.alphabet)
+    lhs = [(1, c.bp(n + 1, c.X * c.Y))]
+    rhs = []
     for r in range(n + 1):
         s = n - r
-        rhs = rhs + c.q(-r) * (c.S(r, c.X) * c.bp(s + 1, c.Y))
-        rhs = rhs + c.q(-s) * (c.bp(r + 1, c.X) * c.Sp(s, c.Y))
+        rhs.append((c.q(-r), c.S(r, c.X) * c.bp(s + 1, c.Y)))
+        rhs.append((c.q(-s), c.bp(r + 1, c.X) * c.Sp(s, c.Y)))
     return lhs, rhs
 
 
 def _badprod_2(c: _Ctx, n: int):
-    lhs = c.bp(n + 1, c.X * c.Y)
-    rhs = NcPoly.zero(c.X.alphabet)
+    lhs = [(1, c.bp(n + 1, c.X * c.Y))]
+    rhs = []
     for r in range(n + 1):
         s = n - r
-        rhs = rhs + c.q(r) * (c.Sp(r, c.X) * c.bp(s + 1, c.Y))
-        rhs = rhs + c.q(s) * (c.bp(r + 1, c.X) * c.S(s, c.Y))
+        rhs.append((c.q(r), c.Sp(r, c.X) * c.bp(s + 1, c.Y)))
+        rhs.append((c.q(s), c.bp(r + 1, c.X) * c.S(s, c.Y)))
     return lhs, rhs
 
 
 def _sp1(c: _Ctx, i: int):
-    lhs = c.q(-i) * c.S(i, c.X) - c.q(i) * c.Sp(i, c.X)
-    rhs = c.bp(i, c.X) * c.A
+    lhs = [(c.q(-i), c.S(i, c.X)), (-c.q(i), c.Sp(i, c.X))]
+    rhs = [(1, c.bp(i, c.X) * c.A)]
     return lhs, rhs
 
 
 def _sp2(c: _Ctx, i: int):
-    lhs = c.q(i) * c.S(i, c.Y) - c.q(-i) * c.Sp(i, c.Y)
-    rhs = c.A * c.bp(i, c.Y)
+    lhs = [(c.q(i), c.S(i, c.Y)), (-c.q(-i), c.Sp(i, c.Y))]
+    rhs = [(1, c.A * c.bp(i, c.Y))]
     return lhs, rhs
 
 
@@ -326,7 +330,19 @@ INT, POS, NAT = "int", "pos", "nat"
 class IdentitySpec:
     name: str
     params: tuple[tuple[str, str], ...]  # (param name, type)
-    build: Callable
+    terms: Callable  # (ctx, *params) -> (lhs pairs, rhs pairs)
+
+    def build(self, ctx: _Ctx, *params) -> tuple[NcPoly, NcPoly]:
+        """Both sides of one instance, each summed into a polynomial."""
+        lhs, rhs = self.terms(ctx, *params)
+        al = ctx.X.alphabet
+        return NcPoly.combine(al, lhs), NcPoly.combine(al, rhs)
+
+    def difference(self, ctx: _Ctx, *params) -> NcPoly:
+        """lhs - rhs of one instance as one linear combination: zero exactly
+        when the instance holds."""
+        lhs, rhs = self.terms(ctx, *params)
+        return NcPoly.combine(ctx.X.alphabet, lhs + [(-c, p) for c, p in rhs])
 
     def validate(self, values: tuple[int, ...]):
         if len(values) != len(self.params):
@@ -375,15 +391,14 @@ IDENTITIES: dict[str, IdentitySpec] = {
 def verify_identity(
     name: str, params: tuple[int, ...], mode=SYMBOLIC, _ctx: _Ctx | None = None
 ) -> CheckRecord:
-    """Expand both sides of one identity instance and compare exactly."""
+    """Form lhs - rhs of one identity instance and test it for zero exactly."""
     if name not in IDENTITIES:
         raise InvalidParams(f"unknown identity {name!r}")
     spec = IDENTITIES[name]
     params = tuple(int(p) for p in params)
     spec.validate(params)
     ctx = _ctx if _ctx is not None else make_context(mode)
-    lhs, rhs = spec.build(ctx, *params)
-    diff = lhs - rhs
+    diff = spec.difference(ctx, *params)
     return IdentityRecord(
         name=name,
         params=params,

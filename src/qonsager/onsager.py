@@ -190,8 +190,7 @@ def higher_dg_check(ctx: OnsagerContext, r: int, method: str = "rewrite") -> Che
     ok = True
     for j in range(2, r + 1):
         c.Y = _pow(ctx, B, j - 1)
-        lhs, rhs = identities.IDENTITIES["TXY_B"].build(c, j)
-        if not (lhs - rhs).is_zero:
+        if not identities.IDENTITIES["TXY_B"].difference(c, j).is_zero:
             evidence.append(f"level {j}: product expansion failed")
             ok = False
             break

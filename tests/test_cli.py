@@ -1,6 +1,7 @@
 """Batch driver: expression I/O, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from qonsager import currentalg, repn, rewrite
 from qonsager.cli import EX_IOERR, EX_USAGE, emit_expression, main, parse_expression
 from qonsager.errors import ParseError
-from qonsager.freealg import Alphabet, NcPoly, ncpoly_to_json
+from qonsager.freealg import Alphabet, NcPoly, ncpoly_from_json, ncpoly_to_json
 from qonsager.identities import IDENTITIES, make_context
+from qonsager.qcoeff import NumericQ
 from qonsager.report import CheckRecord, Report
 
 
@@ -492,3 +494,24 @@ class TestGoldenWitnesses:
         diff = lhs - ctx.mode.q_pow(1) * rhs
         out = json.dumps(ncpoly_to_json(diff), indent=2, sort_keys=True) + "\n"
         assert out == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize(
+        "name,params,golden",
+        [
+            ("ADA_SB", (1, 1, 1), "witness-ada-sb-1-1-1-scaled-rhs.json"),
+            ("TTP", (2,), "witness-ttp-2-scaled-rhs.json"),
+        ],
+    )
+    def test_numeric_witness_is_the_golden_at_five_thirds(self, name, params, golden):
+        """lhs - q*rhs summed in one integer-numerator combination at q = 5/3
+        is the golden Q(q) witness evaluated coefficient-wise at 5/3."""
+        mode = NumericQ("5/3")
+        ctx = make_context(mode)
+        want = ncpoly_from_json(json.loads((GOLDEN / golden).read_text()), mode)
+        lhs, rhs = IDENTITIES[name].terms(ctx, *params)
+        q = mode.q_pow(1)
+        diff = NcPoly.combine(ctx.X.alphabet, lhs + [(-q * c, p) for c, p in rhs])
+        assert diff and diff == want
+        assert all(type(c) is Fraction for c in diff.terms.values())
+        lhs, rhs = IDENTITIES[name].build(ctx, *params)
+        assert lhs - q * rhs == want

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qonsager.errors import AlphabetMismatch, MissingImage, ParseError
 from qonsager.freealg import Alphabet, NcPoly, ncpoly_from_json, ncpoly_to_json
-from qonsager.qcoeff import SYMBOLIC, NumericQ, RationalFunctionQ
+from qonsager.qcoeff import SYMBOLIC, NumericQ, RationalFunctionQ, rf_from_json
 
 AB = Alphabet(["A", "B"])
 A = NcPoly.generator(AB, "A")
@@ -204,3 +204,109 @@ class TestJson:
         data = {"alphabet": ["A"], "terms": [{"word": ["A"], "coeff": "3/2"}]}
         p = ncpoly_from_json(data, mode)
         assert p.terms == {(0,): Fraction(3, 2)}
+
+
+def reference_sum(alphabet, pairs):
+    """Sum of c * P by scaled and +, the oracle for combine."""
+    out = NcPoly.zero(alphabet)
+    for c, p in pairs:
+        out = out + p.scaled(c)
+    return out
+
+
+def random_poly(rng, alphabet, coeff, size=6):
+    words = [tuple(rng.randrange(len(alphabet)) for _ in range(rng.randrange(4)))
+             for _ in range(size)]
+    return NcPoly(alphabet, {w: coeff(rng) for w in words})
+
+
+def random_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 9, 25, 27, 125]))
+
+
+class TestCombine:
+    """NcPoly.combine is the sum of c * P over (scalar, polynomial) pairs."""
+
+    AXY = Alphabet(["A", "X", "Y"])
+
+    def check(self, pairs):
+        got = NcPoly.combine(self.AXY, pairs)
+        want = reference_sum(self.AXY, pairs)
+        assert got == want
+        assert ncpoly_to_json(got) == ncpoly_to_json(want)
+        return got
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_numeric_mixed_denominators_int_and_zero_scalars(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        polys = [random_poly(rng, self.AXY, random_fraction) for _ in range(5)]
+        scalars = [random_fraction(rng), rng.randint(-4, 4), 0, Fraction(0), random_fraction(rng)]
+        got = self.check(list(zip(scalars, polys)))
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_numeric_full_cancellation(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        p, r = (random_poly(rng, self.AXY, random_fraction) for _ in range(2))
+        c = random_fraction(rng) or Fraction(1, 7)
+        pairs = [(c, p), (3, r), (-c, p), (Fraction(-3, 2), r + r)]
+        assert self.check(pairs).is_zero
+
+    def test_empty_pair_list_is_zero(self):
+        assert self.check([]).is_zero
+        assert NcPoly.combine(self.AXY, [(Fraction(2), NcPoly.zero(self.AXY))]).is_zero
+
+    def test_integer_coefficients(self):
+        p = NcPoly(self.AXY, {(0,): 2, (1, 2): -3})
+        self.check([(Fraction(1, 2), p), (5, p), (Fraction(-1, 3), NcPoly.one(self.AXY, NumericQ(2)))])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_symbolic_with_a_non_cyclotomic_rest(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        odd = rf_from_json({"num": [[0, "2"], [1, "-1"]], "den": [[0, "1"], [1, "-3"], [2, "1"]]})
+        assert odd.rest != (1,)
+
+        def coeff(r):
+            return RationalFunctionQ.from_fraction(random_fraction(r)) * SYMBOLIC.q_pow(r.randint(-2, 2)) \
+                + SYMBOLIC.qnum(r.randint(1, 3))
+
+        polys = [random_poly(rng, self.AXY, coeff, size=4) for _ in range(3)]
+        polys.append(NcPoly(self.AXY, {(1,): odd, (0, 1): SYMBOLIC.qnum(2)}))
+        scalars = [SYMBOLIC.q_pow(1), 1, SYMBOLIC.one() / SYMBOLIC.qnum(2), odd]
+        got = self.check(list(zip(scalars, polys)))
+        assert got and all(type(c) is RationalFunctionQ for c in got.terms.values())
+        minus = [(-c, p) for c, p in zip(scalars, polys)]
+        assert self.check(list(zip(scalars, polys)) + minus).is_zero
+
+    def test_alphabet_mismatch(self):
+        with pytest.raises(AlphabetMismatch):
+            NcPoly.combine(self.AXY, [(1, A)])
+
+
+class TestZeroCoefficientsVanish:
+    """The public constructors drop a zero coefficient they are given."""
+
+    def test_constructor(self):
+        assert NcPoly(AB, {(0,): Fraction(0), (1,): Fraction(2)}).terms == {(1,): 2}
+        assert NcPoly(AB, {(0,): SYMBOLIC.qnum(0)}).is_zero
+
+    def test_monomial(self):
+        assert NcPoly.monomial(AB, (0, 1), Fraction(0)).is_zero
+        assert NcPoly.monomial(AB, (0, 1), SYMBOLIC.zero()).is_zero
+
+    def test_map_coeffs(self):
+        p = NcPoly(AB, {(0,): Fraction(2), (1,): Fraction(3)})
+        assert p.map_coeffs(lambda c: c - 2).terms == {(1,): 1}
+
+    @pytest.mark.parametrize("mode", [SYMBOLIC, NumericQ(2)], ids=["symbolic", "numeric"])
+    def test_ncpoly_from_json(self, mode):
+        data = {"alphabet": ["A", "B"],
+                "terms": [{"word": ["A"], "coeff": "0"}, {"word": ["B"], "coeff": "0/5"},
+                          {"word": [], "coeff": {"num": [], "den": [[0, "1"]]}}]}
+        assert ncpoly_from_json(data, mode).is_zero

@@ -96,7 +96,7 @@ class TestSuite:
         from qonsager.identities import IdentitySpec, INT
 
         bogus = IdentitySpec(
-            "PLUS", (("i", INT),), lambda c, i: (c.ad(i, c.X), c.ad(-i, c.X))
+            "PLUS", (("i", INT),), lambda c, i: (c.ad_terms(i, c.X), c.ad_terms(-i, c.X))
         )
         monkeypatch.setitem(IDENTITIES, "PLUS", bogus)
         rec = verify_identity("PLUS", (2,))
