@@ -153,7 +153,7 @@ def _cmd_onsager_homcheck(args) -> Outcome:
     except ParseError as e:
         raise UsageError(f"--w1/--w2: {e}") from None
     records = [onsager.homomorphism_spotcheck(ctx, u, v) for u, v in words]
-    return Outcome(records, {"pairs": ["".join(p) for p in pairs]})
+    return Outcome(records, {"pairs": [list(p) for p in pairs]})
 
 
 def _cmd_current_verify(args) -> Outcome:
@@ -282,7 +282,7 @@ _A, _B, _Q = (Opt(f"--{n}", dict(required=True)) for n in ("a", "b", "q"))
 
 COMMANDS = (
     Command("verify", "identities", _cmd_verify_identities, "identities", (
-        Opt("--max-index", dict(type=int, default=3), low=0), *_MODE, *_OUT, _SEED)),
+        Opt("--max-index", dict(type=int, default=3), low=0), *_MODE, *_OUT)),
     Command("onsager", "lusztig", _cmd_onsager_lusztig, None, (
         Opt("--expr", dict(required=True, help="expression JSON file")), _DIRECTION,
         *_MODE,

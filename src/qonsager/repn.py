@@ -5,9 +5,10 @@ array theta_i = a*q^(d-2i) + a^(-1)*q^(2i-d), the primitive idempotents E_i
 come from Lagrange interpolation, the scalars t_i = a^(2i)*q^(2i(d-i))
 assemble the invertible twisting element Psi = sum t_i E_i, and the shift
 automorphism acts by conjugation: its image of X equals Psi^(-1) X Psi.
-The truncated operator sum, the entrywise scalar sums and the conjugation
-are three independent routes to the same map, and the module checks them
-against each other exactly.
+Three routes reach that map and are checked against each other exactly:
+the adjoint engine's truncated shift-map sum on the whole model; the same
+maps on each eigenline, diag(theta_i, theta_j) acting on the unit e_01,
+whose sum must be the scalar t_j / t_i; and conjugation by Psi.
 
 Tridiagonal pairs are realized with exact rational entries.  The diameter-1
 pair has a closed form; larger diameters go through a file import or a
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .adjoint import FORWARD, INVERSE, apply_badprod, truncated_sum
+from .adjoint import FORWARD, INVERSE, ImageCache, apply_badprod, truncated_sum
 from .errors import (
     DegenerateEigenvalues,
     DimensionMismatch,
@@ -113,6 +114,7 @@ class SpectralData:
     E: list[ExactMatrix]
     Psi: ExactMatrix
     PsiInv: ExactMatrix
+    lines: dict = field(default_factory=dict, compare=False, repr=False)  # (i, j) -> ImageCache
 
 
 def spectral_data(d: int, a, q0, A: ExactMatrix | None = None,
@@ -157,45 +159,37 @@ def spectral_data(d: int, a, q0, A: ExactMatrix | None = None,
 # scalar sums
 # ---------------------------------------------------------------------------
 
-def sigma_factor(r: int, i: int, j: int, sd: SpectralData):
-    """Scalar of the balanced map of twist r on the (i, j) eigenline."""
-    m = sd.mode
-    th_i, th_j = sd.theta[i], sd.theta[j]
-    num = m.qnum(2 * r) ** 2 + (m.q_pow(r) * th_i - m.q_pow(-r) * th_j) * (
-        m.q_pow(-r) * th_i - m.q_pow(r) * th_j
-    )
-    return num / (m.qnum(2 * r) * m.qnum(2 * r + 1))
+_E01 = ExactMatrix([[0, 1], [0, 0]])
+
+
+def _eigenline(i: int, j: int, sd: SpectralData) -> ImageCache:
+    """The adjoint maps over diag(theta_i, theta_j), memoized on sd.  Like the
+    first generator on e_ij, this base scales e_01 by theta_i on the left and
+    theta_j on the right, so each map acts on e_01 by its (i, j) scalar."""
+    maps = sd.lines.get((i, j))
+    if maps is None:
+        A = ExactMatrix.diagonal([sd.theta[i], sd.theta[j]])
+        maps = sd.lines[i, j] = ImageCache(A, sd.mode)
+    return maps
 
 
 def sigma_prefactor(n: int, i: int, j: int, sd: SpectralData):
-    """Scalar of the order-n balanced product preceded by the commutator.
+    """Scalar of the order-n balanced product on the (i, j) eigenline.
 
-    This is the parenthetical factor of the n-th summand; it vanishes for
-    n > |i - j|.
+    It is 1 for n = 0 and vanishes for n > |i - j|.
     """
-    m = sd.mode
-    out = (sd.theta[i] - sd.theta[j]) / m.qnum(1)
-    for r in range(1, n):
-        out = out * sigma_factor(r, i, j, sd)
-    return out
+    return _eigenline(i, j, sd).bp(n, _E01)[0, 1]
 
 
 def scalar_S_ratio(i: int, j: int, sd: SpectralData, direction: str = FORWARD):
-    """Truncated scalar sum on the (i, j) eigenline.
+    """Truncated shift-map sum on the (i, j) eigenline.
 
     Forward it equals t_j / t_i and inverse t_i / t_j; truncation at
-    n = |i - j| is exact because the prefactor vanishes beyond it.
+    n = |i - j| is exact because the balanced products vanish beyond it.
     """
-    m = sd.mode
-    th_i, th_j = sd.theta[i], sd.theta[j]
-    out = m.one()
-    for n in range(1, abs(i - j) + 1):
-        if direction == FORWARD:
-            last = (m.q_pow(n) * th_i - m.q_pow(-n) * th_j) / m.qnum(2 * n)
-        else:
-            last = (m.q_pow(-n) * th_i - m.q_pow(n) * th_j) / m.qnum(2 * n)
-        out = out + sigma_prefactor(n, i, j, sd) * last
-    return out
+    maps = _eigenline(i, j, sd)
+    return sum((maps.S(n, _E01, direction)[0, 1] for n in range(1, abs(i - j) + 1)),
+               sd.mode.one())
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,22 @@ class TestUsageErrors:
         assert f"error: {message}" in captured.err
         assert "Traceback" not in captured.err and not captured.out
 
+    def test_identities_take_no_seed(self, capsys):
+        """The catalogue draws nothing at random, so it has no --seed."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "identities", "--max-index", "1", "--seed", "9"])
+        assert exc.value.code == EX_USAGE
+        assert "error: unrecognized arguments: --seed 9" in capsys.readouterr().err
+
+    def test_negative_rational_needs_the_equals_form(self, capsys):
+        """argparse reads "--a -2/3" as --a with no value; "--a=-2/3" passes it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["repn", "ssum", "--d", "2", "--a", "-2/3", "--q", "2"])
+        assert exc.value.code == EX_USAGE
+        assert "error: argument --a: expected one argument" in capsys.readouterr().err
+        assert main(["repn", "ssum", "--d", "2", "--a=-2/3", "--q", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["a"] == "-2/3"
+
     def test_smallest_counts_still_run(self, capsys):
         assert main(["verify", "identities", "--max-index", "0"]) == 0
         assert main(["onsager", "higher-dg", "--r", "1", "--method", "certified"]) == 0
@@ -320,16 +336,16 @@ class TestReportContract:
         "argv,suite,config,passed",
         [
             (["verify", "identities", "--max-index", "1"], "identities",
-             {"max_index": 1, "mode": "symbolic", "q": None, "seed": 0}, 57),
+             {"max_index": 1, "mode": "symbolic", "q": None}, 57),
             (["verify", "identities", "--max-index", "1", "--mode", "numeric",
-              "--q", "5/3", "--seed", "9"], "identities",
-             {"max_index": 1, "mode": "numeric", "q": "5/3", "seed": 9}, 57),
+              "--q", "5/3"], "identities",
+             {"max_index": 1, "mode": "numeric", "q": "5/3"}, 57),
             (["onsager", "higher-dg", "--r", "1"], "onsager-higher-dg",
              {"r": 1, "method": "both", "mode": "symbolic", "q": None}, 2),
             (["onsager", "homcheck"], "onsager-homcheck",
-             {"pairs": ["AB", "BA", "BB"], "mode": "symbolic", "q": None}, 3),
+             {"pairs": [["A", "B"], ["B", "A"], ["B", "B"]], "mode": "symbolic", "q": None}, 3),
             (["onsager", "homcheck", "--w1", "A", "--w2", "B"], "onsager-homcheck",
-             {"pairs": ["AB"], "mode": "symbolic", "q": None}, 1),
+             {"pairs": [["A", "B"]], "mode": "symbolic", "q": None}, 1),
             (["current", "verify", "--kmax", "1"], "current-verify",
              {"kmax": 1, "mode": "symbolic", "q": None}, 9),
             (["repn", "ssum", "--d", "2", "--a", "3", "--q", "2"], "repn-ssum",
@@ -402,14 +418,22 @@ class TestReportContract:
         config = json.loads(capsys.readouterr().out)["config"]
         assert (config["mode"], config["q"]) == ("numeric", "7")
 
+    def test_homcheck_records_each_word_of_a_pair(self, capsys):
+        """The pairs ("", "AB") and ("A", "B") spell the same letters but are
+        different checks, so their configs differ."""
+        configs = []
+        for w1, w2 in (("", "AB"), ("A", "B")):
+            assert main(["onsager", "homcheck", "--w1", w1, "--w2", w2, "--json"]) == 0
+            configs.append(json.loads(capsys.readouterr().out)["config"])
+        assert [c["pairs"] for c in configs] == [[["", "AB"]], [["A", "B"]]]
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for out in (out1, out2):
             code = main(
-                ["verify", "identities", "--max-index", "1", "--seed", "9",
-                 "--out", str(out)]
+                ["verify", "identities", "--max-index", "1", "--out", str(out)]
             )
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -444,6 +468,7 @@ class TestGoldenReports:
              "repn-conjugation-d3.json"),
             ("verify identities --max-index 2 --json",
              "verify-identities-max-index2.json"),
+            ("repn ssum --d 4 --a 5/2 --q 3/2 --json", "repn-ssum-d4.json"),
             # a coefficient over q - 2, which is not a cyclotomic polynomial
             ("onsager lusztig --expr tests/golden/lusztig-noncyclotomic.json",
              "lusztig-noncyclotomic-fwd.json"),

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from qonsager.adjoint import FORWARD, INVERSE, apply_badprod
+from qonsager.adjoint import FORWARD, INVERSE, apply_bad, apply_badprod
 from qonsager.errors import (
     DegenerateEigenvalues,
     DimensionMismatch,
@@ -30,7 +30,6 @@ from qonsager.repn import (
     random_a1_matrix,
     scalar_S_ratio,
     search_td_pair,
-    sigma_factor,
     sigma_prefactor,
     spectral_data,
     td_pair_d1,
@@ -141,14 +140,104 @@ class TestScalarSums:
                 for n in range(abs(i - j) + 1, sd.d + 3):
                     assert not sigma_prefactor(n, i, j, sd)
 
+    def test_prefactor_of_order_zero_is_one(self, sd):
+        """The balanced product of order 0 is the identity."""
+        for i, j in product(range(5), repeat=2):
+            assert sigma_prefactor(0, i, j, sd) == 1
+
     def test_sigma_vanishing_characterization(self):
+        """The balanced map of twist r >= 1 kills the (i, j) eigenline, the
+        unit e_01 under diag(theta_i, theta_j), exactly when |i - j| = r."""
         for a, q0 in ((Fraction(3), Fraction(2)), (Fraction(5, 2), Fraction(3, 2))):
             sd = spectral_data(4, a, q0)
             for r in range(1, 5):
                 for i in range(5):
                     for j in range(5):
-                        vanished = not sigma_factor(r, i, j, sd)
+                        A = ExactMatrix.diagonal([sd.theta[i], sd.theta[j]])
+                        vanished = apply_bad(r, A, E01, sd.mode).is_zero()
                         assert vanished == (abs(i - j) == r)
+
+
+E01 = ExactMatrix([[0, 1], [0, 0]])
+ORACLE_AQ = ((Fraction(5, 2), Fraction(3, 2)), (Fraction(-2, 3), Fraction(7, 5)))
+
+
+def oracle_scalars(d, a, q0, odd=lambda n: 2 * n + 1):
+    """sympy's scalars on each eigenline e_ij at (a, q0), for i, j = 0..d:
+    {(i, j): (balanced products of order 0..d+2, forward sum, inverse sum)}.
+
+    They are built from the two defining formulas alone and share no code
+    with adjoint, matrices or qcoeff.  On e_ij the twist-r primitive
+    q^r A X - q^-r X A multiplies by q^r lam - q^-r mu, with
+    (lam, mu) = (theta_i, theta_j), and the balanced map of twist n >= 1 is
+    [(q^2n - q^-2n)^2 X + twist(n, twist(-n, X))] / [(q^2n - q^-2n)(q^odd(n) - q^-odd(n))],
+    odd(n) = 2n + 1; twist 0 is the commutator over q - q^-1.
+    """
+    sp = pytest.importorskip("sympy")
+    q, lam, mu = sp.symbols("q lam mu")
+    qn = lambda n: q ** n - q ** -n
+    prim = lambda r: q ** r * lam - q ** -r * mu
+    bal = [prim(0) / qn(1)] + [
+        (qn(2 * n) ** 2 + prim(n) * prim(-n)) / (qn(2 * n) * qn(odd(n)))
+        for n in range(1, d + 2)
+    ]
+    bp = [sp.Integer(1)]
+    for b in bal:
+        bp.append(bp[-1] * b)
+    sums = {e: 1 + sum(bp[n] * prim(e * n) / qn(2 * n) for n in range(1, d + 1))
+            for e in (1, -1)}
+    a, q0 = sp.Rational(str(a)), sp.Rational(str(q0))
+    theta = [a * q0 ** (d - 2 * i) + q0 ** (2 * i - d) / a for i in range(d + 1)]
+    out = {}
+    for i, j in product(range(d + 1), repeat=2):
+        at = {q: q0, lam: theta[i], mu: theta[j]}
+        values = [p.xreplace(at) for p in bp + [sums[1], sums[-1]]]
+        out[i, j] = [Fraction(int(v.p), int(v.q)) for v in values]
+    return out
+
+
+def oracle_mismatches(d, a, q0, odd=lambda n: 2 * n + 1):
+    """Where the engine's eigenline scalars differ from oracle_scalars.
+
+    The oracle's sums are truncated at d; a sum up to |i - j| is the same
+    sum because the oracle's balanced products vanish beyond |i - j|.
+    """
+    sd = spectral_data(d, a, q0)
+    bad = []
+    for (i, j), values in oracle_scalars(d, a, q0, odd).items():
+        *pre, fwd, inv = values
+        e = ExactMatrix([[int((r, c) == (i, j)) for c in range(d + 1)] for r in range(d + 1)])
+        got = [sigma_prefactor(n, i, j, sd) for n in range(d + 3)]
+        got += [scalar_S_ratio(i, j, sd, FORWARD), scalar_S_ratio(i, j, sd, INVERSE)]
+        got += [matrix_lusztig(e, sd, FORWARD) == fwd * e,
+                matrix_lusztig(e, sd, INVERSE) == inv * e]
+        if got != pre + [fwd, inv, True, True]:
+            bad.append((i, j))
+    return bad
+
+
+class TestEigenlineOracle:
+    """The engine's eigenline scalars, and the full model's action on each
+    matrix unit, against sympy's scalars built from the defining formulas."""
+
+    @pytest.mark.parametrize("a,q0", ORACLE_AQ)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_engine_matches_oracle(self, d, a, q0):
+        assert oracle_mismatches(d, a, q0) == []
+
+    @pytest.mark.parametrize("a,q0", ORACLE_AQ)
+    def test_oracle_sums_are_the_twist_ratios(self, a, q0):
+        """The oracle itself: the forward sum is t_j / t_i, t_i = a^2i q^2i(d-i)."""
+        d = 4
+        t = [a ** (2 * i) * q0 ** (2 * i * (d - i)) for i in range(d + 1)]
+        for (i, j), (*_, fwd, inv) in oracle_scalars(d, a, q0).items():
+            assert (fwd, inv) == (t[j] / t[i], t[i] / t[j])
+
+    def test_oracle_catches_a_mutated_balanced_map(self):
+        """[2n+1] replaced by [2n] in the oracle's balanced map: every eigenline
+        with |i - j| >= 2 then differs from the engine."""
+        bad = oracle_mismatches(4, *ORACLE_AQ[0], odd=lambda n: 2 * n)
+        assert bad == [(i, j) for i, j in product(range(5), repeat=2) if abs(i - j) >= 2]
 
 
 class TestMatrixAutomorphism:
