@@ -70,6 +70,8 @@ class ImageCache:
     Keys are (operation, order, operand), the operation of a shift map
     being its direction, so an image computed once is reused by every
     later request, including as a prefix of a longer balanced product.
+    Each image is stored under one key: a balanced product is not also
+    stored as the balanced map of the product one order lower.
     A product is keyed by its factors, so it is built once however many
     twists are later applied to it.  The twist primitive ad is not
     memoized: its operand is mostly such a product under a twist that no
@@ -112,7 +114,7 @@ class ImageCache:
         key = ("bp", n, V)
         out = self._cache.get(key)
         if out is None:
-            out = self._cache[key] = self.bad(n - 1, self.bp(n - 1, V))
+            out = self._cache[key] = apply_bad(n - 1, self.A, self.bp(n - 1, V), self.mode)
         return out
 
     def S(self, n: int, V, direction: str = FORWARD):

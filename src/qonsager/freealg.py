@@ -6,6 +6,12 @@ map from words to nonzero coefficients.  Coefficients may be symbolic
 Words are ordered degree-lexicographically using the alphabet's
 declaration order as precedence (earlier name = higher letter), which fixes
 a deterministic term order for iteration, display and serialization.
+
+Linear combinations, the bulk of the identity verifier's work, go through
+NcPoly.combine.  It reads each polynomial in an integer form kept on it,
+numerators over one denominator (a cyclotomic one in symbolic mode), so a
+sum runs on plain integers and builds a coefficient only for a word that
+survives.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import AlphabetMismatch, MissingImage, ParseError, PoleAtPoint
-from .qcoeff import SYMBOLIC, RationalFunctionQ, rf_from_json, rf_to_json
+from .qcoeff import SYMBOLIC, RationalFunctionQ, lifted_form, lifted_sum, rf_from_json, rf_to_json
 
 Word = tuple[int, ...]
 
@@ -72,6 +78,7 @@ class NcPoly:
     def __init__(self, alphabet: Alphabet, terms: dict):
         _SET_ALPHABET(self, alphabet)
         _SET_TERMS(self, {w: c for w, c in terms.items() if c})
+        _SET_INTS(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("NcPoly is immutable")
@@ -175,13 +182,14 @@ class NcPoly:
             return self.scaled(other)
         self._check(other)
         # a unit word times a polynomial shifts its words: distinct words stay
-        # distinct, so no coefficient is added or multiplied
+        # distinct, so no coefficient is added or multiplied, and the same
+        # coefficients in the same order keep the same integer form
         u = self._unit_word()
         if u is not None:
-            return _wrap(self.alphabet, {u + w: c for w, c in other.terms.items()})
+            return _wrap(self.alphabet, {u + w: c for w, c in other.terms.items()}, other._ints)
         u = other._unit_word()
         if u is not None:
-            return _wrap(self.alphabet, {w + u: c for w, c in self.terms.items()})
+            return _wrap(self.alphabet, {w + u: c for w, c in self.terms.items()}, self._ints)
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -210,57 +218,69 @@ class NcPoly:
     def combine(alphabet: Alphabet, pairs) -> "NcPoly":
         """The sum of c * P over (scalar c, polynomial P) pairs, in one pass.
 
-        The coefficient type picks the path.  With every scalar and
-        coefficient rational (int or Fraction: numeric mode) each P is read
-        in its integer form, numerators over one denominator D, kept on P.
-        Each c / D becomes one integer multiplier over a common denominator
-        m, the sum runs over plain ints, and only a word left nonzero gets
-        a Fraction.  Summing scaled polynomials instead normalizes a
-        Fraction, with a gcd, for every term of every summand; a sum that
-        cancels here builds none.  Any other scalar (a RationalFunctionQ of
-        symbolic mode) is summed with its own * and +, and the zeros are
-        dropped at the end.
+        Each P is read in its integer form, kept on P (_integer_form), so no
+        coefficient is multiplied or added as a scalar, and only a word left
+        nonzero gets a coefficient.  In numeric mode (every scalar and
+        coefficient an int or Fraction) each c / D becomes one integer
+        multiplier over a common denominator m and the terms add as ints.
+        In symbolic mode the whole sum goes over one cyclotomic denominator,
+        the lcm of the Phi_d multisets of its pairs (qcoeff.lifted_sum): one
+        multiplier per pair, one big-int product per term and big-int sums
+        per word.  The zero test stays exact, the denominator being a
+        nonzero polynomial.  Only a scalar or coefficient with a rest other
+        than 1, which an expression file can hold, or a mix of the two
+        modes, is summed with its own * and +, the zeros dropped at the end.
         """
         pairs = [(c, p) for c, p in pairs if c and p.terms]
         for _, p in pairs:
             if p.alphabet != alphabet:
                 raise AlphabetMismatch(f"{alphabet!r} vs {p.alphabet!r}")
-        forms = None
-        if all(isinstance(c, _RATIONAL) for c, _ in pairs):
-            forms = [p._integer_form() for _, p in pairs]
-        if forms is None or None in forms:
-            out: dict = {}
-            for c, p in pairs:
-                for w, x in p.terms.items():
-                    t = c * x
-                    s = out.get(w)
-                    out[w] = t if s is None else s + t
-            return _wrap(alphabet, {w: x for w, x in out.items() if x})
-        scales = [Fraction(c.numerator, c.denominator * d) for (c, _), (d, _) in zip(pairs, forms)]
-        m = lcm(*(f.denominator for f in scales))
-        acc: dict = {}
-        get = acc.get
-        for f, (_, p), (_, nums) in zip(scales, pairs, forms):
-            k = f.numerator * (m // f.denominator)
-            for w, n in zip(p.terms, nums):
-                acc[w] = get(w, 0) + k * n
-        return _wrap(alphabet, {w: Fraction(v, m) for w, v in acc.items() if v})
+        forms = [p._integer_form() for _, p in pairs]
+        if None not in forms:  # a numeric form is (D, nums), a symbolic one longer
+            if all(len(f) == 2 for f in forms) and all(isinstance(c, _RATIONAL) for c, _ in pairs):
+                scales = [Fraction(c.numerator, c.denominator * d)
+                          for (c, _), (d, _) in zip(pairs, forms)]
+                m = lcm(*(f.denominator for f in scales))
+                acc: dict = {}
+                get = acc.get
+                for f, (_, p), (_, nums) in zip(scales, pairs, forms):
+                    k = f.numerator * (m // f.denominator)
+                    for w, n in zip(p.terms, nums):
+                        acc[w] = get(w, 0) + k * n
+                return _wrap(alphabet, {w: Fraction(v, m) for w, v in acc.items() if v})
+            if all(len(f) > 2 for f in forms):
+                out = lifted_sum([(c, f, p.terms) for (c, p), f in zip(pairs, forms)])
+                if out is not None:
+                    return _wrap(alphabet, out)
+        out: dict = {}
+        for c, p in pairs:
+            for w, x in p.terms.items():
+                t = c * x
+                s = out.get(w)
+                out[w] = t if s is None else s + t
+        return _wrap(alphabet, {w: x for w, x in out.items() if x})
 
     def _integer_form(self):
-        """The coefficients as numerators over one denominator: (D, nums),
-        nums in the order of terms and D the lcm of the denominators; None
-        if a coefficient is not rational.  Computed once and kept, as a
-        tuple rather than a dict to keep it small."""
-        try:
-            return self._ints
-        except AttributeError:
-            pass
-        form = None
-        if all(isinstance(c, _RATIONAL) for c in self.terms.values()):
-            d = lcm(*(c.denominator for c in self.terms.values()))
-            form = (d, tuple([c.numerator * (d // c.denominator) for c in self.terms.values()]))
-        _SET_INTS(self, form)
-        return form
+        """The coefficients as integers over one denominator, in the order
+        of terms; None if there is no such form.
+
+        Numeric coefficients (int, Fraction) give (D, nums), D the lcm of
+        their denominators and nums their numerators over it.  Symbolic ones
+        give qcoeff.lifted_form, numerator vectors over the lcm of their
+        Phi_d multisets, with each coefficient's own tuple shared where it
+        already has that denominator.  Computed once and kept in _ints; a
+        word shift hands P's kept form on to A*P and P*A.
+        """
+        form = self._ints
+        if form is None:
+            cs = self.terms.values()
+            if all(isinstance(c, _RATIONAL) for c in cs):
+                d = lcm(*(c.denominator for c in cs))
+                form = (d, tuple([c.numerator * (d // c.denominator) for c in cs]))
+            elif all(type(c) is RationalFunctionQ for c in cs):
+                form = lifted_form(cs)
+            _SET_INTS(self, form or _NO_FORM)
+        return form or None
 
     def __eq__(self, other) -> bool:
         return (
@@ -319,6 +339,8 @@ class NcPoly:
 
 
 _RATIONAL = (int, Fraction)
+# _ints is None until P's integer form is computed, then the form or _NO_FORM
+_NO_FORM = ()
 
 # the slot descriptors store past the __setattr__ guard
 _SET_ALPHABET, _SET_TERMS, _SET_INTS = (
@@ -326,11 +348,13 @@ _SET_ALPHABET, _SET_TERMS, _SET_INTS = (
 )
 
 
-def _wrap(alphabet: Alphabet, terms: dict) -> NcPoly:
-    """An NcPoly over terms that hold no zero coefficient, without the filter."""
+def _wrap(alphabet: Alphabet, terms: dict, ints=None) -> NcPoly:
+    """An NcPoly over terms that hold no zero coefficient, without the filter;
+    ints is their integer form when known."""
     p = object.__new__(NcPoly)
     _SET_ALPHABET(p, alphabet)
     _SET_TERMS(p, terms)
+    _SET_INTS(p, ints)
     return p
 
 

@@ -21,6 +21,10 @@ value is zero exactly when its numerator is.  Equality compares values, by
 cross multiplication over the common denominator, and every value has the
 same hash, so values reached by different routes compare and hash alike.
 
+A long linear combination is cheaper over one denominator for the whole
+sum: lifted_form holds values as integer vectors over the lcm of their
+multisets, and lifted_sum adds their multiples as packed big integers.
+
 The reduced canonical form is made only where a value leaves the engine:
 canonical(), and through it rf_to_json and so every emitted coefficient and
 witness.  It divides the numerator by the Phi_d of the denominator as long
@@ -50,8 +54,8 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from math import gcd as _gcd
-from operator import add as _add, sub as _sub
+from math import gcd as _gcd, lcm as _int_lcm
+from operator import add as _add, mul as _mul, sub as _sub
 
 from .errors import DivisionByZero, InvalidQ, PoleAtPoint
 
@@ -720,6 +724,83 @@ def _coerce(x):
 
 RF_ZERO = _rf(_LP_ZERO, (), (1,))
 RF_ONE = _rf(_LP_ONE, (), (1,))
+
+
+# ---------------------------------------------------------------------------
+# sums of products over one cyclotomic denominator
+# ---------------------------------------------------------------------------
+
+def lifted_form(xs):
+    """Values xs over one denominator: (phi, D, ks, offsets, vectors, height).
+
+    phi is the lcm multiset of their denominators, and value i equals
+    ks[i] / D * q^offsets[i] * vectors[i] / prod Phi_d^phi[d-1], with D and
+    the ks integers; height bounds |ks[i]| times every entry of vectors[i].
+    A value whose multiset is phi already keeps its own coefficient tuple as
+    its vector, shared, and its scale in ks[i].  None when some value has a
+    rest other than 1.
+    """
+    xs = list(xs)
+    if any(x.rest != (1,) for x in xs):
+        return None
+    phi = ()
+    for e in {x.phi for x in xs}:
+        phi = _lcm(phi, e)[0]
+    scales = [x.num.scale for x in xs]
+    d = _int_lcm(*(s.denominator for s in scales))
+    ks = tuple([s.numerator * (d // s.denominator) for s in scales])
+    vectors = tuple([x.num.coeffs if x.phi == phi
+                     else _times(x.num.coeffs, _phi_product(_lcm(phi, x.phi)[2])) for x in xs])
+    height = max(map(_mul, map(abs, ks), map(_norm, vectors)), default=0)
+    return phi, d, ks, tuple([x.num.offset for x in xs]), vectors, height
+
+
+def lifted_sum(items):
+    """The sum of c * x over (c, form, keys) items, grouped by key.
+
+    form is lifted_form of values x in the order of keys, and c a
+    RationalFunctionQ, int or Fraction.  The sum goes over the lcm multiset
+    phi of all its products and the lcm m of their scale denominators, at
+    xi = 2^w: one packed multiplier per item (c's numerator times the
+    cofactor of Phi_d's up to phi), one big-int product per value and one
+    big-int sum per key.  A key takes at most one value from each item, so
+    the heights bound every entry of every sum, which fixes w.  Returns
+    {key: value} for the keys whose sum is nonzero; None when some c has a
+    rest other than 1 or an entry could pass the 64-bit digit.
+    """
+    parts, phi = [], ()
+    for c, form, keys in items:
+        c = _coerce(c)
+        if c.rest != (1,):
+            return None
+        e = _merge(c.phi, form[0])
+        phi = _lcm(phi, e)[0]
+        parts.append((c.num, e, form, keys))
+    m = _int_lcm(*(num.scale.denominator * form[1] for num, _, form, _ in parts))
+    low = min((num.offset + min(form[3]) for num, _, form, _ in parts), default=0)
+    bound, mults = 0, []
+    for num, e, form, _ in parts:
+        mult = _times(num.coeffs, _phi_product(_lcm(phi, e)[2]))
+        f = num.scale.numerator * (m // (num.scale.denominator * form[1]))
+        bound += abs(f) * len(mult) * _norm(mult) * form[5]
+        mults.append((mult, f))
+    digits = _digits(bound)
+    if digits is None:
+        return None
+    w = 8 * len(digits[1])
+    acc: dict = {}
+    get = acc.get
+    for (num, _, (_, _, ks, offsets, vectors, _), keys), (mult, f) in zip(parts, mults):
+        pm = _pack(mult, digits) * f
+        base = num.offset - low
+        for key, k, off, vec in zip(keys, ks, offsets, vectors):
+            t = _pack(vec, digits) * pm
+            if k != 1:
+                t *= k
+            acc[key] = get(key, 0) + (t << w * (base + off))
+    scale = Fraction(1, m)
+    return {key: _rf(_make(low, _unpack(v, abs(v).bit_length() // w + 1, digits), scale), phi, (1,))
+            for key, v in acc.items() if v}
 
 
 def qint(n: int) -> RationalFunctionQ:

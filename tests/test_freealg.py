@@ -224,6 +224,16 @@ def random_fraction(rng):
     return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 9, 25, 27, 125]))
 
 
+def random_rf(rng):
+    """A nonzero Q(q) value: a rational times a power of q over a product of
+    q-numbers, plus a q-integer, so its cyclotomic multiset varies."""
+    x = RationalFunctionQ.from_fraction(random_fraction(rng) or Fraction(5, 2))
+    x = x * SYMBOLIC.q_pow(rng.randint(-3, 3))
+    for _ in range(rng.randint(0, 2)):
+        x = x / SYMBOLIC.qnum(rng.randint(1, 5))
+    return x + SYMBOLIC.qint(rng.randint(0, 3)) or SYMBOLIC.one()
+
+
 class TestCombine:
     """NcPoly.combine is the sum of c * P over (scalar, polynomial) pairs."""
 
@@ -287,6 +297,83 @@ class TestCombine:
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatch):
             NcPoly.combine(self.AXY, [(1, A)])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_symbolic_over_different_multisets_with_mixed_scalars(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        polys = [random_poly(rng, self.AXY, random_rf) for _ in range(5)]
+        scalars = [random_rf(rng), rng.randint(-4, 4), random_fraction(rng) or Fraction(1, 3),
+                   0, Fraction(0), SYMBOLIC.zero(), random_rf(rng)]
+        polys += [random_poly(rng, self.AXY, random_rf) for _ in range(2)]
+        got = self.check(list(zip(scalars, polys)))
+        assert all(type(c) is RationalFunctionQ for c in got.terms.values())
+        assert len({c.phi for p in polys for c in p.terms.values()}) > 1
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_symbolic_full_cancellation(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        p, r = (random_poly(rng, self.AXY, random_rf) for _ in range(2))
+        c = random_rf(rng)
+        # [2]_q = (q^2 - q^-2) / (q - q^-1) = q + q^-1: cancels only over a common denominator
+        two = SYMBOLIC.qnum(2) / SYMBOLIC.qnum(1)
+        pairs = [(c, p), (two, r), (-c, p), (-SYMBOLIC.q_pow(1), r), (-SYMBOLIC.q_pow(-1), r)]
+        assert self.check(pairs).is_zero
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_symbolic_entries_wider_than_64_bits(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        big = Fraction(rng.choice([-1, 1]) * (2 ** 70 + rng.randrange(2 ** 40)), 3)
+        polys = [random_poly(rng, self.AXY, random_rf) for _ in range(3)]
+        scalars = [random_rf(rng) * big, big, -random_rf(rng)]
+        pairs = list(zip(scalars, polys))
+        self.check(pairs)
+        assert self.check(pairs + [(-c, p) for c, p in pairs]).is_zero
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_symbolic_result_feeds_a_second_sum(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        polys = [random_poly(rng, self.AXY, random_rf) for _ in range(4)]
+        scalars = [random_rf(rng) for _ in polys]
+        inner = self.check(list(zip(scalars, polys)))
+        pairs = [(random_rf(rng), inner), (Fraction(-2, 3), polys[0]), (1, inner)]
+        got = NcPoly.combine(self.AXY, pairs)
+        inner_by_reference = reference_sum(self.AXY, list(zip(scalars, polys)))
+        want = reference_sum(self.AXY, [(c, inner_by_reference if p is inner else p) for c, p in pairs])
+        assert got == want
+        assert ncpoly_to_json(got) == ncpoly_to_json(want)
+
+
+class TestShiftKeepsTheIntegerForm:
+    """A word shift hands a polynomial's kept integer form on, in both modes."""
+
+    @pytest.mark.parametrize("coeff", [random_rf, random_fraction], ids=["symbolic", "numeric"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_carried_form_is_the_form_of_the_product(self, coeff, seed):
+        import random
+
+        rng = random.Random(seed)
+        mode = SYMBOLIC if coeff is random_rf else NumericQ(2)
+        p = random_poly(rng, AB, coeff)
+        form = p._integer_form()
+        assert form is not None
+        a = NcPoly.generator(AB, "A", mode)
+        for product in (a * p, p * a):
+            assert product._integer_form() is form
+            assert product._integer_form() == NcPoly(AB, dict(product.terms))._integer_form()
+
+    def test_no_form_is_made_for_a_polynomial_without_one(self):
+        p = NcPoly(AB, {(0, 1): SYMBOLIC.qnum(2), (1,): SYMBOLIC.q_pow(-1)})
+        for product in (A * p, p * A, B * B * p):
+            assert product._ints is None
+        assert p._ints is None
 
 
 class TestZeroCoefficientsVanish:

@@ -153,6 +153,20 @@ class TestProductMemo:
         assert shared == fresh
 
 
+def test_sweep_stores_each_image_under_one_key():
+    """After a max-index-3 sweep no cached image sits under two keys."""
+    mode = NumericQ("5/3")
+    ctx = make_context(mode)
+    for name, spec in IDENTITIES.items():
+        for combo in parameter_grid(spec, 3):
+            verify_identity(name, combo, mode, _ctx=ctx)
+    keys_of = {}
+    for key, image in ctx._cache.items():
+        keys_of.setdefault(id(image), []).append(key)
+    assert any(key[0] == "bp" for key in ctx._cache)
+    assert [keys for keys in keys_of.values() if len(keys) > 1] == []
+
+
 @pytest.fixture(scope="module")
 def symbolic_ctx():
     return make_context(SYMBOLIC)
