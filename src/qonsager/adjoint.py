@@ -24,7 +24,9 @@ twists commute, so the twist primitive of a shift map may be applied after
 its balanced product.  ImageCache states the balanced product and the shift
 maps once over a fixed base, and memoizes them together with products of
 operands; its twist primitive ad is apply_ad, not memoized.  The apply_*
-functions are the same maps without the memo.
+functions and truncated_sum are the same maps without the memo:
+apply_badprod is a loop over apply_bad, and the last step of every shift
+map, cached or not, is one function (_outer_shift).
 """
 
 from __future__ import annotations
@@ -125,39 +127,24 @@ class ImageCache:
         out = self._cache.get(key)
         if out is None:
             _check_direction(direction)
-            out = self._cache[key] = self.outer_shift(n, self.bp(n, V), direction)
+            out = self._cache[key] = _outer_shift(n, self.A, self.bp(n, V), direction, self.mode)
         return out
 
-    def outer_shift(self, n: int, image, direction: str):
-        """The shift map of order n, given the balanced product of order n of
-        its operand: the twist +-n primitive of image, divided by q^2n - q^-2n."""
-        r = n if direction == FORWARD else -n
-        return (self.mode.one() / self.mode.qnum(2 * n)) * self.ad(r, image)
 
-
-class _Discard:
-    """A cache that keeps nothing: lookups miss without hashing the key."""
-
-    def get(self, key):
-        return None
-
-    def __setitem__(self, key, value):
-        pass
-
-
-class _Eager(ImageCache):
-    """The same maps with nothing stored, for one-off images."""
-
-    def __init__(self, A, mode=SYMBOLIC):
-        super().__init__(A, mode)
-        self._cache = _Discard()
+def _outer_shift(n: int, A, image, direction: str, mode):
+    """The shift map of order n, given the balanced product of order n of its
+    operand: the twist +-n primitive of image, divided by q^2n - q^-2n."""
+    r = n if direction == FORWARD else -n
+    return (mode.one() / mode.qnum(2 * n)) * apply_ad(r, A, image, mode)
 
 
 def apply_badprod(n: int, A, X, mode=SYMBOLIC):
     """Apply the balanced maps 0 .. n-1 in turn; n = 0 is the identity."""
     if n < 0:
         raise ValueError("balanced product needs n >= 0")
-    return _Eager(A, mode).bp(n, X)
+    for k in range(n):
+        X = apply_bad(k, A, X, mode)
+    return X
 
 
 def apply_S(n: int, A, X, direction: str = FORWARD, mode=SYMBOLIC):
@@ -165,7 +152,9 @@ def apply_S(n: int, A, X, direction: str = FORWARD, mode=SYMBOLIC):
     _check_direction(direction)
     if n < 0:
         raise ValueError("shift map needs n >= 0")
-    return _Eager(A, mode).S(n, X, direction)
+    if n == 0:
+        return X
+    return _outer_shift(n, A, apply_badprod(n, A, X, mode), direction, mode)
 
 
 def truncated_sum(A, X, N: int, direction: str = FORWARD, mode=SYMBOLIC):
@@ -177,11 +166,10 @@ def truncated_sum(A, X, N: int, direction: str = FORWARD, mode=SYMBOLIC):
     factor at a time, so the sum costs N balanced maps, not N(N+1)/2.
     """
     _check_direction(direction)
-    maps = _Eager(A, mode)
     out = image = X
     for n in range(1, N + 1):
-        image = maps.bad(n - 1, image)
-        out = out + maps.outer_shift(n, image, direction)
+        image = apply_bad(n - 1, A, image, mode)
+        out = out + _outer_shift(n, A, image, direction, mode)
     return out
 
 

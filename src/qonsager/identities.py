@@ -1,14 +1,36 @@
 """Catalogue of exact operator identities and their verifier.
 
 Each identity is a statement about the adjoint calculus that holds in every
-associative algebra.  Each side is a linear combination of adjoint images
-and their products (the automorphism and its inverse are formal sums of
-quantum adjoints), so a builder returns each side as (scalar, polynomial)
-pairs, leaving a twist primitive as its two ad_terms.  The verifier
-instantiates an identity with A, X, Y as free generators of a three-letter
-alphabet, forms lhs - rhs as one sum of these pairs (NcPoly.combine), and
-reports pass exactly when it is the zero polynomial.  Failures carry the
-nonzero difference as a witness.
+associative algebra.  The automorphism and its inverse are formal sums of
+quantum adjoints, so each side is a linear combination of adjoint images and
+their products; a builder returns it as (scalar, polynomial) pairs, leaving
+a twist primitive as its two ad_terms.  The verifier instantiates an
+identity with A, X, Y as free generators of a three-letter alphabet, forms
+lhs - rhs as one sum of these pairs (NcPoly.combine), and reports pass
+exactly when it is the zero polynomial.  Failures carry the nonzero
+difference as a witness.
+
+Fifteen families are five rules over factors.  With w(n) = q^n - q^-n, a
+factor is (U, twist t, ad_t(U) as pairs): the balanced product
+(bp_i V, i, w(2i) S_i V), the shift map (S_i V, -i, w(2i+1) bp_i+1 V -
+w(2i) bp_i V) or the plain (V, t, ad_t V).  For factors U of X, V of Y with
+twists a, b:
+
+* Leibniz (LEIBNIZ, ADA_BB, ADA_SS, ADA_SB, ADA_BS): ad_h(UV) = q^(h-a)
+  ad_a(U) V + q^(b-h) U ad_b(V) + q^(b-a) (q^(h-a-b) - q^(a+b-h)) U A V;
+* twist change (AD_BAD, AD_I_SJ): ad_i(U) = q^(i-a) ad_a(U) + q^-a
+  (q^(i-a) - q^(a-i)) U A, ad_i(V) = q^(b-i) ad_b(V) + q^b (q^(i-b) -
+  q^(b-i)) A V;
+* bp_n+1(XY) (TXY_B, PRIMEVER_B, BADPROD_1, BADPROD_2): the sum over
+  r + s = n of q^(-ex r) S_r(X) bp_s+1(Y) + q^(ey s) bp_r+1(X) S_s(Y), with
+  shift maps of direction ex on X and ey on Y (+1 forward, -1 inverse),
+  less ex times the sum over r + s = n - 1 of bp_r+1(X) A bp_s+1(Y) when
+  ex = ey;
+* shift sum (TXY_S, PRIMEVER_S): the shift maps of direction e of orders
+  0 .. n on XY sum to the S_r(X) S_s(Y) over r + s <= n plus the
+  q^(e(r-s)) bp_r+1(X) bp_s+1(Y) over r + s = n - 1;
+* SP by side (SP1, SP2): q^-i S_i(X) - q^i S'_i(X) = bp_i(X) A and
+  q^i S_i(Y) - q^-i S'_i(Y) = A bp_i(Y), S' the inverse shift map.
 
 Identity ids, the number and typing of their integer parameters, and the
 builder for each side are registered in IDENTITIES.  Parameter types:
@@ -18,10 +40,11 @@ naturals; the twist pair of XA_AY must be distinct.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .adjoint import INVERSE, ImageCache
+from .adjoint import FORWARD, INVERSE, ImageCache
 from .errors import InvalidParams
 from .freealg import Alphabet, NcPoly, ncpoly_to_json
 from .qcoeff import SYMBOLIC
@@ -72,17 +95,12 @@ class _Ctx(ImageCache):
 def make_context(mode=SYMBOLIC) -> _Ctx:
     """Free A, X, Y over mode."""
     al = Alphabet(["A", "X", "Y"])
-    return _Ctx(
-        mode,
-        NcPoly.generator(al, "A", mode),
-        NcPoly.generator(al, "X", mode),
-        NcPoly.generator(al, "Y", mode),
-    )
+    return _Ctx(mode, *(NcPoly.generator(al, name, mode) for name in "AXY"))
 
 
 # ---------------------------------------------------------------------------
-# identity builders: params -> (lhs terms, rhs terms), each side a list of
-# (scalar, polynomial) pairs whose sum is that side
+# identity builders: params -> (lhs, rhs), each a list of (scalar, polynomial)
+# pairs summing to that side; after XA_AY, three factors and five rules
 # ---------------------------------------------------------------------------
 
 def _scaled(k, terms):
@@ -163,164 +181,97 @@ def _xa_ay(c: _Ctx, i: int, j: int):
     return lhs, rhs
 
 
-def _ad_bad(c: _Ctx, i: int, j: int):
-    lhs = c.ad_terms(i, c.bp(j, c.X)) + c.ad_terms(i, c.bp(j, c.Y))
-    rhs = [
-        (c.q(i - j) * c.w(2 * j), c.S(j, c.X)),
-        (c.q(-j) * (c.q(i - j) - c.q(j - i)), c.mul(c.bp(j, c.X), c.A)),
-        (c.q(j - i) * c.w(2 * j), c.S(j, c.Y)),
-        (c.q(j) * (c.q(i - j) - c.q(j - i)), c.mul(c.A, c.bp(j, c.Y))),
-    ]
-    return lhs, rhs
+def _bp(c: _Ctx, i: int, V):
+    return c.bp(i, V), i, [(c.w(2 * i), c.S(i, V))]
 
 
-def _ad_i_sj(c: _Ctx, i: int, j: int):
-    lhs = c.ad_terms(i, c.S(j, c.X)) + c.ad_terms(i, c.S(j, c.Y))
-    rhs = [
-        (c.q(i + j) * c.w(2 * j + 1), c.bp(j + 1, c.X)),
-        (-(c.q(i + j) * c.w(2 * j)), c.bp(j, c.X)),
-        (c.q(j) * (c.q(i + j) - c.q(-i - j)), c.mul(c.S(j, c.X), c.A)),
-        (c.q(-i - j) * c.w(2 * j + 1), c.bp(j + 1, c.Y)),
-        (-(c.q(-i - j) * c.w(2 * j)), c.bp(j, c.Y)),
-        (c.q(-j) * (c.q(i + j) - c.q(-i - j)), c.mul(c.A, c.S(j, c.Y))),
-    ]
-    return lhs, rhs
+def _S(c: _Ctx, i: int, V):
+    return c.S(i, V), -i, [(c.w(2 * i + 1), c.bp(i + 1, V)), (-c.w(2 * i), c.bp(i, V))]
 
 
-def _leibniz(c: _Ctx, h: int, i: int, j: int):
-    lhs = c.ad_terms(h, c.X * c.Y)
-    rhs = [
-        (c.q(h - i), c.ad(i, c.X) * c.Y),
-        (c.q(j - h), c.X * c.ad(j, c.Y)),
-        (c.q(j - i) * (c.q(h - i - j) - c.q(i + j - h)), c.X * c.A * c.Y),
-    ]
-    return lhs, rhs
+def _plain(c: _Ctx, t: int, V):
+    return V, t, [(1, c.ad(t, V))]
 
 
-def _ada_bb(c: _Ctx, h: int, i: int, j: int):
-    bx, by = c.bp(i, c.X), c.bp(j, c.Y)
-    lhs = c.ad_terms(h, c.mul(bx, by))
-    rhs = [
-        (c.q(h - i) * c.w(2 * i), c.mul(c.S(i, c.X), by)),
-        (c.q(j - h) * c.w(2 * j), c.mul(bx, c.S(j, c.Y))),
-        (c.q(j - i) * (c.q(h - i - j) - c.q(i + j - h)), c.mul(bx, c.A, by)),
-    ]
-    return lhs, rhs
+def _with_a(c: _Ctx, side: int, U):
+    """U A on the side of X (side 1), A U on the side of Y (side -1)."""
+    return c.mul(U, c.A) if side > 0 else c.mul(c.A, U)
 
 
-def _ada_ss(c: _Ctx, h: int, i: int, j: int):
-    sx, sy = c.S(i, c.X), c.S(j, c.Y)
-    lhs = c.ad_terms(h, c.mul(sx, sy))
-    rhs = [
-        (c.q(h + i) * c.w(2 * i + 1), c.mul(c.bp(i + 1, c.X), sy)),
-        (-(c.q(h + i) * c.w(2 * i)), c.mul(c.bp(i, c.X), sy)),
-        (c.q(-h - j) * c.w(2 * j + 1), c.mul(sx, c.bp(j + 1, c.Y))),
-        (-(c.q(-h - j) * c.w(2 * j)), c.mul(sx, c.bp(j, c.Y))),
-        (c.q(i - j) * (c.q(h + i + j) - c.q(-h - i - j)), c.mul(sx, c.A, sy)),
-    ]
-    return lhs, rhs
+def _leibniz(left, right):
+    """ad_h of a factor of X (left) times a factor of Y (right)."""
+
+    def terms(c: _Ctx, h: int, i: int, j: int):
+        U, a, ad_u = left(c, i, c.X)
+        V, b, ad_v = right(c, j, c.Y)
+        rhs = [(c.q(h - a) * k, c.mul(P, V)) for k, P in ad_u]
+        rhs += [(c.q(b - h) * k, c.mul(U, P)) for k, P in ad_v]
+        rhs.append((c.q(b - a) * (c.q(h - a - b) - c.q(a + b - h)), c.mul(U, c.A, V)))
+        return c.ad_terms(h, c.mul(U, V)), rhs
+
+    return terms
 
 
-def _ada_sb(c: _Ctx, h: int, i: int, j: int):
-    sx, by = c.S(i, c.X), c.bp(j, c.Y)
-    lhs = c.ad_terms(h, c.mul(sx, by))
-    rhs = [
-        (c.q(h + i) * c.w(2 * i + 1), c.mul(c.bp(i + 1, c.X), by)),
-        (-(c.q(h + i) * c.w(2 * i)), c.mul(c.bp(i, c.X), by)),
-        (c.q(j - h) * c.w(2 * j), c.mul(sx, c.S(j, c.Y))),
-        (c.q(i + j) * (c.q(h + i - j) - c.q(j - h - i)), c.mul(sx, c.A, by)),
-    ]
-    return lhs, rhs
+def _twist_change(factor):
+    """ad_i of the factor of order j, on X and on Y, from its own twist."""
+
+    def terms(c: _Ctx, i: int, j: int):
+        lhs, rhs = [], []
+        for side, V in ((1, c.X), (-1, c.Y)):
+            U, t, ad_u = factor(c, j, V)
+            lhs += c.ad_terms(i, U)
+            rhs += _scaled(c.q(side * (i - t)), ad_u)
+            rhs.append((c.q(-side * t) * (c.q(i - t) - c.q(t - i)), _with_a(c, side, U)))
+        return lhs, rhs
+
+    return terms
 
 
-def _ada_bs(c: _Ctx, h: int, i: int, j: int):
-    bx, sy = c.bp(i, c.X), c.S(j, c.Y)
-    lhs = c.ad_terms(h, c.mul(bx, sy))
-    rhs = [
-        (c.q(-h - j) * c.w(2 * j + 1), c.mul(bx, c.bp(j + 1, c.Y))),
-        (-(c.q(-h - j) * c.w(2 * j)), c.mul(bx, c.bp(j, c.Y))),
-        (c.q(h - i) * c.w(2 * i), c.mul(c.S(i, c.X), sy)),
-        (c.q(-i - j) * (c.q(h - i + j) - c.q(i - h - j)), c.mul(bx, c.A, sy)),
-    ]
-    return lhs, rhs
+_DIRECTION = {1: FORWARD, -1: INVERSE}
 
 
-def _txy_s(c: _Ctx, n: int):
-    xy = c.X * c.Y
-    lhs = [(1, c.S(i, xy)) for i in range(n + 1)]
-    rhs = [(1, c.S(r, c.X) * c.S(s, c.Y)) for r in range(n + 1) for s in range(n + 1 - r)]
-    for r in range(n):
-        s = n - 1 - r
-        rhs.append((c.q(r - s), c.bp(r + 1, c.X) * c.bp(s + 1, c.Y)))
-    return lhs, rhs
+def _bp_of_product(ex: int, ey: int):
+    """bp_n+1(XY) under shift maps of direction ex on X and ey on Y."""
+    dx, dy = _DIRECTION[ex], _DIRECTION[ey]
+
+    def terms(c: _Ctx, n: int):
+        rhs = []
+        for r in range(n + 1):
+            s = n - r
+            rhs.append((c.q(-ex * r), c.mul(c.S(r, c.X, dx), c.bp(s + 1, c.Y))))
+            rhs.append((c.q(ey * s), c.mul(c.bp(r + 1, c.X), c.S(s, c.Y, dy))))
+        if ex == ey:
+            rhs += [(-ex, c.mul(c.bp(r + 1, c.X), c.A, c.bp(n - r, c.Y))) for r in range(n)]
+        return [(1, c.bp(n + 1, c.mul(c.X, c.Y)))], rhs
+
+    return terms
 
 
-def _txy_b(c: _Ctx, n: int):
-    lhs = [(1, c.bp(n + 1, c.X * c.Y))]
-    rhs = []
-    for r in range(n + 1):
-        s = n - r
-        rhs.append((c.q(-r), c.S(r, c.X) * c.bp(s + 1, c.Y)))
-        rhs.append((c.q(s), c.bp(r + 1, c.X) * c.S(s, c.Y)))
-    for r in range(n):
-        s = n - 1 - r
-        rhs.append((-1, c.bp(r + 1, c.X) * c.A * c.bp(s + 1, c.Y)))
-    return lhs, rhs
+def _shift_sum(e: int):
+    """The shift maps of direction e of orders 0 .. n, summed on XY."""
+    d = _DIRECTION[e]
+
+    def terms(c: _Ctx, n: int):
+        lhs = [(1, c.S(i, c.mul(c.X, c.Y), d)) for i in range(n + 1)]
+        rhs = [(1, c.mul(c.S(r, c.X, d), c.S(s, c.Y, d)))
+               for r in range(n + 1) for s in range(n + 1 - r)]
+        for r in range(n):
+            s = n - 1 - r
+            rhs.append((c.q(e * (r - s)), c.mul(c.bp(r + 1, c.X), c.bp(s + 1, c.Y))))
+        return lhs, rhs
+
+    return terms
 
 
-def _primever_s(c: _Ctx, n: int):
-    xy = c.X * c.Y
-    lhs = [(1, c.Sp(i, xy)) for i in range(n + 1)]
-    rhs = [(1, c.Sp(r, c.X) * c.Sp(s, c.Y)) for r in range(n + 1) for s in range(n + 1 - r)]
-    for r in range(n):
-        s = n - 1 - r
-        rhs.append((c.q(s - r), c.bp(r + 1, c.X) * c.bp(s + 1, c.Y)))
-    return lhs, rhs
+def _sp(side: int):
+    """S_i - S'_i on X (side 1) or Y (side -1), with A on that side."""
 
+    def terms(c: _Ctx, i: int):
+        V = c.X if side > 0 else c.Y
+        lhs = [(c.q(-side * i), c.S(i, V)), (-c.q(side * i), c.Sp(i, V))]
+        return lhs, [(1, _with_a(c, side, c.bp(i, V)))]
 
-def _primever_b(c: _Ctx, n: int):
-    lhs = [(1, c.bp(n + 1, c.X * c.Y))]
-    rhs = []
-    for r in range(n + 1):
-        s = n - r
-        rhs.append((c.q(r), c.Sp(r, c.X) * c.bp(s + 1, c.Y)))
-        rhs.append((c.q(-s), c.bp(r + 1, c.X) * c.Sp(s, c.Y)))
-    for r in range(n):
-        s = n - 1 - r
-        rhs.append((1, c.bp(r + 1, c.X) * c.A * c.bp(s + 1, c.Y)))
-    return lhs, rhs
-
-
-def _badprod_1(c: _Ctx, n: int):
-    lhs = [(1, c.bp(n + 1, c.X * c.Y))]
-    rhs = []
-    for r in range(n + 1):
-        s = n - r
-        rhs.append((c.q(-r), c.S(r, c.X) * c.bp(s + 1, c.Y)))
-        rhs.append((c.q(-s), c.bp(r + 1, c.X) * c.Sp(s, c.Y)))
-    return lhs, rhs
-
-
-def _badprod_2(c: _Ctx, n: int):
-    lhs = [(1, c.bp(n + 1, c.X * c.Y))]
-    rhs = []
-    for r in range(n + 1):
-        s = n - r
-        rhs.append((c.q(r), c.Sp(r, c.X) * c.bp(s + 1, c.Y)))
-        rhs.append((c.q(s), c.bp(r + 1, c.X) * c.S(s, c.Y)))
-    return lhs, rhs
-
-
-def _sp1(c: _Ctx, i: int):
-    lhs = [(c.q(-i), c.S(i, c.X)), (-c.q(i), c.Sp(i, c.X))]
-    rhs = [(1, c.bp(i, c.X) * c.A)]
-    return lhs, rhs
-
-
-def _sp2(c: _Ctx, i: int):
-    lhs = [(c.q(i), c.S(i, c.Y)), (-c.q(-i), c.Sp(i, c.Y))]
-    rhs = [(1, c.A * c.bp(i, c.Y))]
-    return lhs, rhs
+    return terms
 
 
 INT, POS, NAT = "int", "pos", "nat"
@@ -369,21 +320,21 @@ IDENTITIES: dict[str, IdentitySpec] = {
         IdentitySpec("PM_SS", (("i", POS), ("j", POS)), _pm_ss),
         IdentitySpec("TTP", (("n", NAT),), _ttp),
         IdentitySpec("XA_AY", (("i", INT), ("j", INT)), _xa_ay),
-        IdentitySpec("AD_BAD", (("i", INT), ("j", POS)), _ad_bad),
-        IdentitySpec("AD_I_SJ", (("i", INT), ("j", NAT)), _ad_i_sj),
-        IdentitySpec("LEIBNIZ", (("h", INT), ("i", INT), ("j", INT)), _leibniz),
-        IdentitySpec("ADA_BB", (("h", INT), ("i", POS), ("j", POS)), _ada_bb),
-        IdentitySpec("ADA_SS", (("h", INT), ("i", NAT), ("j", NAT)), _ada_ss),
-        IdentitySpec("ADA_SB", (("h", INT), ("i", NAT), ("j", POS)), _ada_sb),
-        IdentitySpec("ADA_BS", (("h", INT), ("i", POS), ("j", NAT)), _ada_bs),
-        IdentitySpec("TXY_S", (("n", NAT),), _txy_s),
-        IdentitySpec("TXY_B", (("n", NAT),), _txy_b),
-        IdentitySpec("PRIMEVER_S", (("n", NAT),), _primever_s),
-        IdentitySpec("PRIMEVER_B", (("n", NAT),), _primever_b),
-        IdentitySpec("BADPROD_1", (("n", NAT),), _badprod_1),
-        IdentitySpec("BADPROD_2", (("n", NAT),), _badprod_2),
-        IdentitySpec("SP1", (("i", POS),), _sp1),
-        IdentitySpec("SP2", (("i", POS),), _sp2),
+        IdentitySpec("AD_BAD", (("i", INT), ("j", POS)), _twist_change(_bp)),
+        IdentitySpec("AD_I_SJ", (("i", INT), ("j", NAT)), _twist_change(_S)),
+        IdentitySpec("LEIBNIZ", (("h", INT), ("i", INT), ("j", INT)), _leibniz(_plain, _plain)),
+        IdentitySpec("ADA_BB", (("h", INT), ("i", POS), ("j", POS)), _leibniz(_bp, _bp)),
+        IdentitySpec("ADA_SS", (("h", INT), ("i", NAT), ("j", NAT)), _leibniz(_S, _S)),
+        IdentitySpec("ADA_SB", (("h", INT), ("i", NAT), ("j", POS)), _leibniz(_S, _bp)),
+        IdentitySpec("ADA_BS", (("h", INT), ("i", POS), ("j", NAT)), _leibniz(_bp, _S)),
+        IdentitySpec("TXY_S", (("n", NAT),), _shift_sum(1)),
+        IdentitySpec("TXY_B", (("n", NAT),), _bp_of_product(1, 1)),
+        IdentitySpec("PRIMEVER_S", (("n", NAT),), _shift_sum(-1)),
+        IdentitySpec("PRIMEVER_B", (("n", NAT),), _bp_of_product(-1, -1)),
+        IdentitySpec("BADPROD_1", (("n", NAT),), _bp_of_product(1, -1)),
+        IdentitySpec("BADPROD_2", (("n", NAT),), _bp_of_product(-1, 1)),
+        IdentitySpec("SP1", (("i", POS),), _sp(1)),
+        IdentitySpec("SP2", (("i", POS),), _sp(-1)),
     ]
 }
 
@@ -410,19 +361,14 @@ def verify_identity(
 
 
 def parameter_grid(spec: IdentitySpec, max_index: int = 3):
-    """Cartesian sweep: pos in 1..m, nat in 0..m, int in -(m-1)..m."""
-    import itertools
-
-    domains = []
-    for _, ptype in spec.params:
-        if ptype == POS:
-            domains.append(range(1, max_index + 1))
-        elif ptype == NAT:
-            domains.append(range(0, max_index + 1))
-        else:
-            domains.append(range(-(max_index - 1), max_index + 1))
+    """Cartesian sweep: pos in 1..m, nat in 0..m, int in -(m-1)..m, keeping
+    the combinations that spec.validate accepts."""
+    low = {POS: 1, NAT: 0, INT: 1 - max_index}
+    domains = [range(low[ptype], max_index + 1) for _, ptype in spec.params]
     for combo in itertools.product(*domains):
-        if spec.name == "XA_AY" and combo[0] == combo[1]:
+        try:
+            spec.validate(combo)
+        except InvalidParams:
             continue
         yield combo
 

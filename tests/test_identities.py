@@ -1,11 +1,14 @@
 """Identity catalogue: spot instances, parameter validation, suite mechanics."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qonsager.errors import InvalidParams
-from qonsager.freealg import NcPoly
+from qonsager.freealg import NcPoly, ncpoly_to_json
 from qonsager.identities import (
     IDENTITIES,
     make_context,
@@ -76,6 +79,14 @@ class TestGrids:
 
     def test_distinctness_filter(self):
         assert all(i != j for i, j in parameter_grid(IDENTITIES["XA_AY"], 2))
+
+    @pytest.mark.parametrize("name", sorted(IDENTITIES))
+    def test_grid_grows_with_max_index(self, name):
+        """Every instance of a smaller sweep is in every larger one, so the
+        max-index-4 catalogue checks all that max index 3 checks."""
+        spec = IDENTITIES[name]
+        for m in range(1, 5):
+            assert set(parameter_grid(spec, m)) <= set(parameter_grid(spec, m + 1))
 
 
 class TestSuite:
@@ -227,3 +238,17 @@ def test_cyclotomic_route_matches_rational_function_route(symbolic_sides):
             ):
                 mismatches.append((name, combo))
     assert mismatches == []
+
+
+def test_sides_match_golden(symbolic_sides):
+    """Each side of each max-index-2 instance is the polynomial recorded in
+    tests/golden: a change that adds the same term to both sides still
+    leaves lhs - rhs zero, but changes the statement."""
+    path = Path(__file__).parent / "golden" / "identity-sides-max-index2.json"
+    golden = json.loads(path.read_text())
+    got = {}
+    for (name, combo), sides in symbolic_sides.items():
+        blob = json.dumps([ncpoly_to_json(p) for p in sides], sort_keys=True, separators=(",", ":"))
+        got[f"{name} {','.join(map(str, combo))}"] = hashlib.sha256(blob.encode()).hexdigest()
+    assert list(got) == list(golden)
+    assert [key for key in golden if got[key] != golden[key]] == []
