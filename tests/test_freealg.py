@@ -397,3 +397,111 @@ class TestZeroCoefficientsVanish:
                 "terms": [{"word": ["A"], "coeff": "0"}, {"word": ["B"], "coeff": "0/5"},
                           {"word": [], "coeff": {"num": [], "den": [[0, "1"]]}}]}
         assert ncpoly_from_json(data, mode).is_zero
+
+
+# ---------------------------------------------------------------------------
+# sympy oracle for P + Q, P - Q and P * Q
+# ---------------------------------------------------------------------------
+
+AXY = Alphabet(["A", "X", "Y"])
+AXY_WORDS = [()] + [(a,) for a in range(3)] + [(a, b) for a in range(3) for b in range(3)] \
+    + [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+Q0 = Fraction(5, 3)
+
+
+def random_coeff(rng, sp, q):
+    """One coefficient three ways: (RationalFunctionQ, sympy expression, its
+    Fraction value at q = Q0), each built on its own.  It is a Fraction, a
+    power of q, a product of 1/(q^n - q^-n), or a product of these."""
+    kinds = rng.choice([("frac",), ("pow",), ("inv",), ("frac", "pow"), ("frac", "inv"),
+                        ("pow", "inv"), ("frac", "pow", "inv", "inv")])
+    x, e, v = SYMBOLIC.one(), sp.Integer(1), Fraction(1)
+    for kind in kinds:
+        if kind == "frac":
+            f = random_fraction(rng) or Fraction(7, 2)
+            x, e, v = x * f, e * sp.Rational(f.numerator, f.denominator), v * f
+        elif kind == "pow":
+            n = rng.choice([-3, -2, -1, 1, 2, 3])
+            x, e, v = x * SYMBOLIC.q_pow(n), e * q**n, v * Q0**n
+        else:
+            n = rng.randint(1, 4)
+            x, e, v = x / SYMBOLIC.qnum(n), e / (q**n - q**-n), v / (Q0**n - Q0**-n)
+    return x, e, v
+
+
+def oracle_operands(seed, sp, q):
+    """Two random polynomials over {A, X, Y} of 1-6 terms, each as
+    (symbolic NcPoly, numeric NcPoly at Q0, {word: sympy}, {word: Fraction}).
+    Every third seed puts one coefficient over q - 2 into one of them, a
+    value with no cyclotomic form."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(2):
+        words = rng.sample(AXY_WORDS, rng.randint(1, 6))
+        triples = [random_coeff(rng, sp, q) for _ in words]
+        out.append([words, triples])
+    if seed % 3 == 0:
+        words, triples = out[rng.randrange(2)]
+        i = rng.randrange(len(words))
+        x, e, v = triples[i]
+        triples[i] = (x / (SYMBOLIC.q_pow(1) - 2), e / (q - 2), v / (Q0 - 2))
+    return [(NcPoly(AXY, {w: x for w, (x, _, _) in zip(words, ts)}),
+             NcPoly(AXY, {w: v for w, (_, _, v) in zip(words, ts)}),
+             {w: e for w, (_, e, _) in zip(words, ts)},
+             {w: v for w, (_, _, v) in zip(words, ts)}) for words, ts in out]
+
+
+def oracle_result(op, p, r):
+    """op on {word: coefficient} maps, summed word by word without NcPoly."""
+    out: dict = {}
+    if op == "*":
+        for u, c in p.items():
+            for v, d in r.items():
+                out[u + v] = out.get(u + v, 0) + c * d
+        return out
+    sign = 1 if op == "+" else -1
+    for w, c in p.items():
+        out[w] = out.get(w, 0) + c
+    for w, d in r.items():
+        out[w] = out.get(w, 0) + sign * d
+    return out
+
+
+OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+
+
+class TestArithmeticOracle:
+    """P + Q, P - Q and P * Q against sympy's cancelled word sums
+    sum_{u.v = w} c_u d_v (symbolic) and plain Fractions at q = 5/3 (numeric).
+    Neither oracle uses NcPoly or qcoeff arithmetic."""
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_symbolic_against_sympy(self, op, seed):
+        sp = pytest.importorskip("sympy")
+        q = sp.Symbol("q")
+
+        def as_sympy(x):
+            return sum((sp.Rational(c.numerator, c.denominator) * q**e for e, c in x.num.terms()),
+                       sp.Integer(0)) / sum((sp.Rational(c.numerator, c.denominator) * q**e
+                                             for e, c in x.den.terms()), sp.Integer(0))
+
+        (p, _, pe, _), (r, _, re_, _) = oracle_operands(seed, sp, q)
+        got = OPS[op](p, r)
+        want = oracle_result(op, pe, re_)
+        assert all(type(c) is RationalFunctionQ and c for c in got.terms.values())
+        for w in set(want) | set(got.terms):
+            x = got.terms.get(w)
+            diff = (as_sympy(x) if x is not None else 0) - want.get(w, 0)
+            assert sp.cancel(sp.together(diff)) == 0, (op, seed, AXY.spell(w))
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_numeric_against_fractions(self, op, seed):
+        sp = pytest.importorskip("sympy")
+        (_, p, _, pv), (_, r, _, rv) = oracle_operands(seed, sp, sp.Symbol("q"))
+        got = OPS[op](p, r)
+        want = {w: c for w, c in oracle_result(op, pv, rv).items() if c}
+        assert got.terms == want
