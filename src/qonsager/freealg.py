@@ -8,10 +8,11 @@ declaration order as precedence (earlier name = higher letter), which fixes
 a deterministic term order for iteration, display and serialization.
 
 Linear combinations, the bulk of the identity verifier's work, go through
-NcPoly.combine.  It reads each polynomial in an integer form kept on it,
-numerators over one denominator (a cyclotomic one in symbolic mode), so a
-sum runs on plain integers and builds a coefficient only for a word that
-survives.
+NcPoly.combine; a product P * Q is one, the sum of c_u times the word shift
+u * Q over the terms c_u * u of P.  combine reads each polynomial in an
+integer form kept on it, numerators over one denominator (a cyclotomic one
+in symbolic mode), so a sum runs on plain integers and builds a coefficient
+only for a word that survives.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ class NcPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def sorted_terms(self, reverse: bool = True):
-        """(word, coeff) pairs in deglex order, leading term first by default."""
-        return sorted(self.terms.items(), key=lambda t: deglex_key(t[0]), reverse=reverse)
+    def sorted_terms(self):
+        """(word, coeff) pairs in deglex order, leading term first."""
+        return sorted(self.terms.items(), key=lambda t: deglex_key(t[0]), reverse=True)
 
     def leading_word(self) -> Word:
         if not self.terms:
@@ -153,21 +154,7 @@ class NcPoly:
         return _wrap(self.alphabet, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
-        self._check(other)
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            if s is None:
-                out[w] = -c
-            else:
-                s = s - c
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return _wrap(self.alphabet, out)
+        return self + (-other)
 
     def _unit_word(self):
         """The word of a single-term polynomial with coefficient 1, else None."""
@@ -190,21 +177,11 @@ class NcPoly:
         u = other._unit_word()
         if u is not None:
             return _wrap(self.alphabet, {w + u: c for w, c in self.terms.items()}, self._ints)
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                if s is None:
-                    out[w] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[w] = s
-                    else:
-                        del out[w]
-        return _wrap(self.alphabet, out)
+        other._integer_form()  # each shift u * Q below shares Q's form
+        return NcPoly.combine(self.alphabet, [
+            (c, _wrap(self.alphabet, {u + w: x for w, x in other.terms.items()}, other._ints))
+            for u, c in self.terms.items()
+        ])
 
     def __rmul__(self, coeff) -> "NcPoly":
         return self.scaled(coeff)
@@ -220,7 +197,8 @@ class NcPoly:
 
         Each P is read in its integer form, kept on P (_integer_form), so no
         coefficient is multiplied or added as a scalar, and only a word left
-        nonzero gets a coefficient.  In numeric mode (every scalar and
+        nonzero gets a coefficient; a product P * Q sums the word shifts
+        u * Q, which share Q's form.  In numeric mode (every scalar and
         coefficient an int or Fraction) each c / D becomes one integer
         multiplier over a common denominator m and the terms add as ints.
         In symbolic mode the whole sum goes over one cyclotomic denominator,
@@ -269,7 +247,7 @@ class NcPoly:
         give qcoeff.lifted_form, numerator vectors over the lcm of their
         Phi_d multisets, with each coefficient's own tuple shared where it
         already has that denominator.  Computed once and kept in _ints; a
-        word shift hands P's kept form on to A*P and P*A.
+        word shift u*P or P*u, also inside a product, gets P's kept form.
         """
         form = self._ints
         if form is None:

@@ -23,7 +23,9 @@ same hash, so values reached by different routes compare and hash alike.
 
 A long linear combination is cheaper over one denominator for the whole
 sum: lifted_form holds values as integer vectors over the lcm of their
-multisets, and lifted_sum adds their multiples as packed big integers.
+multisets, and lifted_sum adds their multiples as packed big integers.  A
+free-algebra product is such a sum whose items all share one form, so
+lifted_sum packs each distinct form's vectors once per call.
 
 The reduced canonical form is made only where a value leaves the engine:
 canonical(), and through it rf_to_json and so every emitted coefficient and
@@ -73,9 +75,6 @@ def _int_content(cs) -> int:
 
 def _exact_div_int(num: list[int], den: list[int]) -> list[int]:
     """Exact division of integer polynomials; remainder must be zero."""
-    if len(den) == 1:
-        d = den[0]
-        return [c // d for c in num]
     out = [0] * (len(num) - len(den) + 1)
     rem = list(num)
     for k in range(len(out) - 1, -1, -1):
@@ -762,11 +761,12 @@ def lifted_sum(items):
     RationalFunctionQ, int or Fraction.  The sum goes over the lcm multiset
     phi of all its products and the lcm m of their scale denominators, at
     xi = 2^w: one packed multiplier per item (c's numerator times the
-    cofactor of Phi_d's up to phi), one big-int product per value and one
-    big-int sum per key.  A key takes at most one value from each item, so
-    the heights bound every entry of every sum, which fixes w.  Returns
-    {key: value} for the keys whose sum is nonzero; None when some c has a
-    rest other than 1 or an entry could pass the 64-bit digit.
+    cofactor of Phi_d's up to phi), one packing per distinct form, one
+    big-int product per value and one big-int sum per key.  A key takes at
+    most one value from each item, so the heights bound every entry of
+    every sum, which fixes w.  Returns {key: value} for the keys whose sum
+    is nonzero; None when some c has a rest other than 1 or an entry could
+    pass the 64-bit digit.
     """
     parts, phi = [], ()
     for c, form, keys in items:
@@ -790,11 +790,15 @@ def lifted_sum(items):
     w = 8 * len(digits[1])
     acc: dict = {}
     get = acc.get
-    for (num, _, (_, _, ks, offsets, vectors, _), keys), (mult, f) in zip(parts, mults):
+    packed: dict = {}  # id(form) -> its packed vectors
+    for (num, _, form, keys), (mult, f) in zip(parts, mults):
+        vs = packed.get(id(form))
+        if vs is None:
+            vs = packed[id(form)] = [_pack(vec, digits) for vec in form[4]]
         pm = _pack(mult, digits) * f
         base = num.offset - low
-        for key, k, off, vec in zip(keys, ks, offsets, vectors):
-            t = _pack(vec, digits) * pm
+        for key, k, off, v in zip(keys, form[2], form[3], vs):
+            t = v * pm
             if k != 1:
                 t *= k
             acc[key] = get(key, 0) + (t << w * (base + off))

@@ -129,6 +129,15 @@ class TestImages:
         rec = verify_S_images(ctx, k)
         assert rec.status == "pass"
 
+    def test_fixed_wminus_needs_the_commuting_relations(self):
+        # without 3p4a, W(-k) for k >= 1 does not commute with W(0) modulo the
+        # system, so its order-1 balanced product does not reduce to zero
+        ctx = aq_system(3)
+        ctx.system = ctx.subsystem("3p1a", "3p1b", "3p2a", "3p2b", "3p4b")
+        for k in (1, 2):
+            rec = verify_S_images(ctx, k)
+            assert rec.status == "fail" and "fixed-Wminus" in rec.detail.split("; ")
+
     def test_image_of_commuting_generator_is_exact(self, ctx):
         from qonsager.adjoint import FORWARD, truncated_sum
 

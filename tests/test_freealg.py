@@ -1,6 +1,7 @@
 """Free algebra: products, evaluation, canonical JSON."""
 
 import json
+import operator
 from fractions import Fraction
 
 import pytest
@@ -469,7 +470,7 @@ def oracle_result(op, p, r):
     return out
 
 
-OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 class TestArithmeticOracle:
