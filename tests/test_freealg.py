@@ -1,5 +1,6 @@
 """Free algebra: products, evaluation, canonical JSON."""
 
+import itertools
 import json
 import operator
 from fractions import Fraction
@@ -405,8 +406,7 @@ class TestZeroCoefficientsVanish:
 # ---------------------------------------------------------------------------
 
 AXY = Alphabet(["A", "X", "Y"])
-AXY_WORDS = [()] + [(a,) for a in range(3)] + [(a, b) for a in range(3) for b in range(3)] \
-    + [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+AXY_WORDS = [w for n in range(4) for w in itertools.product(range(3), repeat=n)]
 Q0 = Fraction(5, 3)
 
 
