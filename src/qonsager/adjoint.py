@@ -8,7 +8,9 @@ their sum.  From these primitives the module builds
 
 * the balanced maps: twist 0 is the plain commutator divided by q - q^-1,
   and for n >= 1 the combination
-  [(q^2n - q^-2n)^2 X + twist(n, twist(-n, X))] / [(q^2n - q^-2n)(q^2n+1 - q^-2n-1)];
+  [(q^2n - q^-2n)^2 X + twist(n, twist(-n, X))] / [(q^2n - q^-2n)(q^2n+1 - q^-2n-1)],
+  whose inner part expands to A*A*X - (q^2n + q^-2n) A*X*A + X*A*A, so the
+  map is one four-term sum;
 * their running compositions (balanced product of order n applies the
   balanced maps 0 .. n-1 in turn, order 0 being the identity);
 * the shift maps: order 0 is the identity, order n composes the balanced
@@ -19,18 +21,22 @@ their sum.  From these primitives the module builds
   sum truncated at order 1.
 
 Everything works uniformly for free-algebra polynomials and exact matrices;
-only +, -, * and left scalar action are used.  Primitives with distinct
-twists commute, so the twist primitive of a shift map may be applied after
-its balanced product.  ImageCache states the balanced product and the shift
-maps once over a fixed base, and memoizes them together with products of
-operands; its twist primitive ad is apply_ad, not memoized.  The apply_*
-functions and truncated_sum are the same maps without the memo:
-apply_badprod is a loop over apply_bad, and the last step of every shift
-map, cached or not, is one function (_outer_shift).
+only +, -, * and left scalar action are used.  A balanced map, and the last
+step of a shift map, is one linear combination: for polynomials one
+NcPoly.combine, whose products with a generator A are word shifts of the
+operand that all carry its one integer form; for matrices a sum of scaled
+products.  Primitives with distinct twists commute, so the twist primitive
+of a shift map may be applied after its balanced product.  ImageCache
+states the balanced product and the shift maps once over a fixed base, and
+memoizes them together with products of operands; its twist primitive ad is
+apply_ad, not memoized.  The apply_* functions and truncated_sum are the
+same maps without the memo: apply_badprod is a loop over apply_bad, and the
+last step of every shift map, cached or not, is one function (_outer_shift).
 """
 
 from __future__ import annotations
 
+from .freealg import NcPoly
 from .qcoeff import SYMBOLIC
 
 FORWARD = "forward"
@@ -54,15 +60,34 @@ def apply_ad(r: int, A, X, mode=SYMBOLIC):
 
 
 def apply_bad(n: int, A, X, mode=SYMBOLIC):
-    """Apply the balanced map of twist n (n >= 0)."""
+    """Apply the balanced map of twist n (n >= 0) as one sum (of four terms
+    for n >= 1, two for n = 0)."""
     if n < 0:
         raise ValueError("balanced map needs n >= 0")
+    ax, xa = A * _with_form(X), X * A
     if n == 0:
-        return (mode.one() / mode.qnum(1)) * apply_ad(0, A, X, mode)
-    s = mode.qnum(2 * n)
-    t = mode.qnum(2 * n + 1)
-    inner = apply_ad(n, A, apply_ad(-n, A, X, mode), mode)
-    return (mode.one() / (s * t)) * ((s * s) * X + inner)
+        u = mode.one() / mode.qnum(1)
+        return _sum([(u, ax), (-u, xa)])
+    s, t = mode.qnum(2 * n), mode.qnum(2 * n + 1)
+    u = mode.one() / (s * t)
+    mid = -(mode.q_pow(2 * n) + mode.q_pow(-2 * n)) * u
+    return _sum([(s / t, X), (u, A * ax), (mid, ax * A), (u, xa * A)])
+
+
+def _with_form(X):
+    """X, its integer form made first if it is a polynomial, for its shifts to share."""
+    if isinstance(X, NcPoly):
+        X._integer_form()
+    return X
+
+
+def _sum(pairs):
+    """The sum of c * P over (scalar, operand) pairs: one NcPoly.combine for
+    polynomials, + and scalar action for anything else (exact matrices)."""
+    (c, P), *rest = pairs
+    if isinstance(P, NcPoly):
+        return NcPoly.combine(P.alphabet, pairs)
+    return sum((d * Q for d, Q in rest), c * P)
 
 
 class ImageCache:
@@ -134,8 +159,9 @@ class ImageCache:
 def _outer_shift(n: int, A, image, direction: str, mode):
     """The shift map of order n, given the balanced product of order n of its
     operand: the twist +-n primitive of image, divided by q^2n - q^-2n."""
-    r = n if direction == FORWARD else -n
-    return (mode.one() / mode.qnum(2 * n)) * apply_ad(r, A, image, mode)
+    (a, ax), (b, xa) = ad_terms(n if direction == FORWARD else -n, A, _with_form(image), mode)
+    w = mode.qnum(2 * n)
+    return _sum([(a / w, ax), (b / w, xa)])
 
 
 def apply_badprod(n: int, A, X, mode=SYMBOLIC):

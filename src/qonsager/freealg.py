@@ -21,7 +21,9 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import AlphabetMismatch, MissingImage, ParseError, PoleAtPoint
-from .qcoeff import SYMBOLIC, RationalFunctionQ, lifted_form, lifted_sum, rf_from_json, rf_to_json
+from .qcoeff import (
+    RF_ONE, SYMBOLIC, RationalFunctionQ, lifted_form, lifted_sum, rf_from_json, rf_to_json,
+)
 
 Word = tuple[int, ...]
 
@@ -160,7 +162,7 @@ class NcPoly:
         """The word of a single-term polynomial with coefficient 1, else None."""
         if len(self.terms) == 1:
             (w, c), = self.terms.items()
-            if c == 1:
+            if c is RF_ONE or c == 1:  # a symbolic generator's 1 without a comparison
                 return w
         return None
 
@@ -204,10 +206,12 @@ class NcPoly:
         In symbolic mode the whole sum goes over one cyclotomic denominator,
         the lcm of the Phi_d multisets of its pairs (qcoeff.lifted_sum): one
         multiplier per pair, one big-int product per term and big-int sums
-        per word.  The zero test stays exact, the denominator being a
-        nonzero polynomial.  Only a scalar or coefficient with a rest other
-        than 1, which an expression file can hold, or a mix of the two
-        modes, is summed with its own * and +, the zeros dropped at the end.
+        per word.  Either way the result keeps its own integer form, so a
+        later sum or product over it reads it as it is.  The zero test stays
+        exact, the denominator being a nonzero polynomial.  Only a scalar or
+        coefficient with a rest other than 1, which an expression file can
+        hold, or a mix of the two modes, is summed with its own * and +, the
+        zeros dropped at the end.
         """
         pairs = [(c, p) for c, p in pairs if c and p.terms]
         for _, p in pairs:
@@ -225,11 +229,13 @@ class NcPoly:
                     k = f.numerator * (m // f.denominator)
                     for w, n in zip(p.terms, nums):
                         acc[w] = get(w, 0) + k * n
-                return _wrap(alphabet, {w: Fraction(v, m) for w, v in acc.items() if v})
+                acc = {w: v for w, v in acc.items() if v}
+                return _wrap(alphabet, {w: Fraction(v, m) for w, v in acc.items()},
+                             (m, tuple(acc.values())))
             if all(len(f) > 2 for f in forms):
                 out = lifted_sum([(c, f, p.terms) for (c, p), f in zip(pairs, forms)])
                 if out is not None:
-                    return _wrap(alphabet, out)
+                    return _wrap(alphabet, *out)
         out: dict = {}
         for c, p in pairs:
             for w, x in p.terms.items():
@@ -242,12 +248,13 @@ class NcPoly:
         """The coefficients as integers over one denominator, in the order
         of terms; None if there is no such form.
 
-        Numeric coefficients (int, Fraction) give (D, nums), D the lcm of
-        their denominators and nums their numerators over it.  Symbolic ones
+        Numeric coefficients (int, Fraction) give (D, nums), nums their
+        numerators over D, the lcm of their denominators.  Symbolic ones
         give qcoeff.lifted_form, numerator vectors over the lcm of their
         Phi_d multisets, with each coefficient's own tuple shared where it
         already has that denominator.  Computed once and kept in _ints; a
-        word shift u*P or P*u, also inside a product, gets P's kept form.
+        word shift u*P or P*u, also inside a product, gets P's kept form,
+        and a sum from combine its own, over the sum's common denominator.
         """
         form = self._ints
         if form is None:

@@ -24,8 +24,9 @@ same hash, so values reached by different routes compare and hash alike.
 A long linear combination is cheaper over one denominator for the whole
 sum: lifted_form holds values as integer vectors over the lcm of their
 multisets, and lifted_sum adds their multiples as packed big integers.  A
-free-algebra product is such a sum whose items all share one form, so
-lifted_sum packs each distinct form's vectors once per call.
+free-algebra product is such a sum whose items all share one form.  A
+form keeps its vectors packed per digit width, and a sum returns the form of
+its result, so a value summed again is neither lifted nor packed again.
 
 The reduced canonical form is made only where a value leaves the engine:
 canonical(), and through it rf_to_json and so every emitted coefficient and
@@ -384,6 +385,7 @@ _LP_ONE = _raw(0, (1,), _ONE)
 _PHI: dict[int, tuple[int, ...]] = {}
 _PHI_PRODUCTS: dict[tuple[int, ...], tuple[int, ...]] = {(): (1,)}
 _FACTORS: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {(1,): ((), (1,))}
+_LCMS: dict = {}
 
 
 def _phi(d: int) -> tuple[int, ...]:
@@ -464,11 +466,12 @@ def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def _lcm(a: tuple[int, ...], b: tuple[int, ...]):
     """(lcm, lcm - a, lcm - b) of two multisets."""
-    if len(a) < len(b):
-        lcm = tuple(map(max, a, b)) + b[len(a):]
-    else:
-        lcm = tuple(map(max, a, b)) + a[len(b):]
-    return lcm, tuple(map(_sub, lcm, a)) + lcm[len(a):], tuple(map(_sub, lcm, b)) + lcm[len(b):]
+    out = _LCMS.get((a, b))
+    if out is None:
+        lcm = tuple(map(max, a, b)) + (b[len(a):] if len(a) < len(b) else a[len(b):])
+        out = _LCMS[a, b] = (lcm, tuple(map(_sub, lcm, a)) + lcm[len(a):],
+                             tuple(map(_sub, lcm, b)) + lcm[len(b):])
+    return out
 
 
 def _times(x, y) -> tuple[int, ...]:
@@ -730,14 +733,15 @@ RF_ONE = _rf(_LP_ONE, (), (1,))
 # ---------------------------------------------------------------------------
 
 def lifted_form(xs):
-    """Values xs over one denominator: (phi, D, ks, offsets, vectors, height).
+    """Values xs over one denominator: (phi, D, ks, offsets, vectors, height, packs).
 
     phi is the lcm multiset of their denominators, and value i equals
     ks[i] / D * q^offsets[i] * vectors[i] / prod Phi_d^phi[d-1], with D and
     the ks integers; height bounds |ks[i]| times every entry of vectors[i].
     A value whose multiset is phi already keeps its own coefficient tuple as
-    its vector, shared, and its scale in ks[i].  None when some value has a
-    rest other than 1.
+    its vector, shared, and its scale in ks[i].  packs, empty here, is where
+    lifted_sum keeps the packed vectors, one list per digit width.  None
+    when some value has a rest other than 1.
     """
     xs = list(xs)
     if any(x.rest != (1,) for x in xs):
@@ -750,8 +754,13 @@ def lifted_form(xs):
     ks = tuple([s.numerator * (d // s.denominator) for s in scales])
     vectors = tuple([x.num.coeffs if x.phi == phi
                      else _times(x.num.coeffs, _phi_product(_lcm(phi, x.phi)[2])) for x in xs])
+    return _form(phi, d, ks, tuple([x.num.offset for x in xs]), vectors)
+
+
+def _form(phi, d, ks, offsets, vectors):
+    """A lifted form of the given parts, its height computed and no packs."""
     height = max(map(_mul, map(abs, ks), map(_norm, vectors)), default=0)
-    return phi, d, ks, tuple([x.num.offset for x in xs]), vectors, height
+    return phi, d, ks, offsets, vectors, height, {}
 
 
 def lifted_sum(items):
@@ -761,12 +770,14 @@ def lifted_sum(items):
     RationalFunctionQ, int or Fraction.  The sum goes over the lcm multiset
     phi of all its products and the lcm m of their scale denominators, at
     xi = 2^w: one packed multiplier per item (c's numerator times the
-    cofactor of Phi_d's up to phi), one packing per distinct form, one
-    big-int product per value and one big-int sum per key.  A key takes at
-    most one value from each item, so the heights bound every entry of
-    every sum, which fixes w.  Returns {key: value} for the keys whose sum
-    is nonzero; None when some c has a rest other than 1 or an entry could
-    pass the 64-bit digit.
+    cofactor of Phi_d's up to phi), one packing of a form's vectors per
+    width w, kept in its packs, one big-int product per value and one big-int
+    sum per key.  A key takes at most one value from each item, so the
+    heights bound every entry of every sum, which fixes w.  Returns
+    ({key: value}, form) for the keys whose sum is nonzero, form being the
+    values' own lifted form over phi and m, made from their contents and
+    primitive numerators; None when some c has a rest other than 1 or an
+    entry could pass the 64-bit digit.
     """
     parts, phi = [], ()
     for c, form, keys in items:
@@ -790,11 +801,10 @@ def lifted_sum(items):
     w = 8 * len(digits[1])
     acc: dict = {}
     get = acc.get
-    packed: dict = {}  # id(form) -> its packed vectors
     for (num, _, form, keys), (mult, f) in zip(parts, mults):
-        vs = packed.get(id(form))
+        vs = form[6].get(w)
         if vs is None:
-            vs = packed[id(form)] = [_pack(vec, digits) for vec in form[4]]
+            vs = form[6][w] = [_pack(vec, digits) for vec in form[4]]
         pm = _pack(mult, digits) * f
         base = num.offset - low
         for key, k, off, v in zip(keys, form[2], form[3], vs):
@@ -803,8 +813,11 @@ def lifted_sum(items):
                 t *= k
             acc[key] = get(key, 0) + (t << w * (base + off))
     scale = Fraction(1, m)
-    return {key: _rf(_make(low, _unpack(v, abs(v).bit_length() // w + 1, digits), scale), phi, (1,))
-            for key, v in acc.items() if v}
+    out = {key: _rf(_make(low, _unpack(v, abs(v).bit_length() // w + 1, digits), scale), phi, (1,))
+           for key, v in acc.items() if v}
+    nums = [x.num for x in out.values()]
+    ks = tuple([p.scale.numerator * (m // p.scale.denominator) for p in nums])
+    return out, _form(phi, m, ks, tuple([p.offset for p in nums]), tuple([p.coeffs for p in nums]))
 
 
 def qint(n: int) -> RationalFunctionQ:

@@ -64,6 +64,38 @@ class TestBalanced:
             apply_bad(-1, A, X)
 
 
+def composed_bad(n, base, V, mode):
+    """The balanced map of twist n as the composition of its two twist
+    primitives, scaled: the oracle for apply_bad's four-term sum."""
+    if n == 0:
+        return (mode.one() / mode.qnum(1)) * apply_ad(0, base, V, mode)
+    s, t = mode.qnum(2 * n), mode.qnum(2 * n + 1)
+    inner = apply_ad(n, base, apply_ad(-n, base, V, mode), mode)
+    return (mode.one() / (s * t)) * ((s * s) * V + inner)
+
+
+class TestBalancedOracle:
+    @pytest.mark.parametrize("operands", ["poly-symbolic", "poly-numeric", "poly-base-sum",
+                                          "matrix-d3"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_four_term_sum_equals_the_composition(self, operands, seed):
+        rng = random.Random(seed)
+        if operands == "matrix-d3":
+            sd = spectral_data(3, 3, 2)
+            mode, base = sd.mode, sd.A
+            V = ExactMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+                             for _ in range(4)])
+        else:
+            mode = NumericQ(Fraction(5, 3)) if operands == "poly-numeric" else m
+            base = NcPoly.generator(AXY, "A", mode)
+            if operands == "poly-base-sum":  # not a word: products take the general path
+                base = base + mode.q_pow(1) * NcPoly.generator(AXY, "Y", mode)
+            scalar = rng.choice([mode.q_pow(-2), mode.one() / mode.qnum(3)])
+            V = random_poly(rng, mode) + scalar * random_poly(rng, mode)
+        for n in range(4):
+            assert apply_bad(n, base, V, mode) == composed_bad(n, base, V, mode)
+
+
 class TestBalancedProduct:
     def test_order_zero_is_identity_map(self):
         assert apply_badprod(0, A, X) == X

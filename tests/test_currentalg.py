@@ -139,9 +139,14 @@ class TestImages:
             assert rec.status == "fail" and "fixed-Wminus" in rec.detail.split("; ")
 
     def test_image_of_commuting_generator_is_exact(self, ctx):
-        from qonsager.adjoint import FORWARD, truncated_sum
+        # the order-1 sum adds the shift map of order 1 to W(-2): a nonzero
+        # polynomial, but zero modulo the system, since W(-2) commutes with W0
+        from qonsager.adjoint import FORWARD, INVERSE, truncated_sum
 
-        assert truncated_sum(ctx.W(0), ctx.W(-2), 0, FORWARD, m) == ctx.W(-2)
+        for direction in (FORWARD, INVERSE):
+            shift = truncated_sum(ctx.W(0), ctx.W(-2), 1, direction, m) - ctx.W(-2)
+            assert not shift.is_zero
+            assert ctx.system.is_zero_mod(shift).is_zero
 
     def test_closed_image_shape(self, ctx):
         from qonsager.adjoint import FORWARD

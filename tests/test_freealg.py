@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qonsager.errors import AlphabetMismatch, MissingImage, ParseError
 from qonsager.freealg import Alphabet, NcPoly, ncpoly_from_json, ncpoly_to_json
-from qonsager.qcoeff import SYMBOLIC, NumericQ, RationalFunctionQ, rf_from_json
+from qonsager.qcoeff import SYMBOLIC, LaurentPoly, NumericQ, RationalFunctionQ, rf_from_json
 
 AB = Alphabet(["A", "B"])
 A = NcPoly.generator(AB, "A")
@@ -126,11 +126,16 @@ class TestWordShift:
         assert _Counted.ops == 0
 
     def test_other_coefficient_takes_the_general_path(self):
-        p = NcPoly(AB, {AB.word(w): _Counted(k) for k, w in ((2, "AB"), (-3, "B"))})
-        scaled = NcPoly.monomial(AB, AB.word("BA"), _Counted(2))
-        _Counted.ops = 0
-        assert scaled * p == expanded_product(scaled, p)
-        assert _Counted.ops > 0
+        # a unit-word path would hand on p's kept form, whose values are p's
+        # coefficients and not the product's
+        for coeff in (Fraction(2), SYMBOLIC.q_pow(1)):
+            p = NcPoly(AB, {AB.word(w): coeff * k for k, w in ((2, "AB"), (-3, "B"))})
+            form = p._integer_form()
+            scaled = NcPoly.monomial(AB, AB.word("BA"), coeff * 2)
+            for product, want in ((scaled * p, expanded_product(scaled, p)),
+                                  (p * scaled, expanded_product(p, scaled))):
+                assert product == want
+                assert product._integer_form() is not form
 
 
 class TestSubtraction:
@@ -376,6 +381,66 @@ class TestShiftKeepsTheIntegerForm:
         for product in (A * p, p * A, B * B * p):
             assert product._ints is None
         assert p._ints is None
+
+
+def rebuilt(form):
+    """The values a kept integer form stands for, rebuilt on their own: nums[i]
+    / D for a numeric form (D, nums), and ks[i] / D * q^offsets[i] *
+    vectors[i] / prod Phi_d^phi[d-1] for a symbolic one, each Phi_d taken
+    from sympy."""
+    if len(form) == 2:
+        d, nums = form
+        return [Fraction(n, d) for n in nums]
+    import sympy as sp
+
+    phi, d, ks, offsets, vectors = form[:5]
+    q = sp.Symbol("q")
+    den = sp.Poly(sp.prod([sp.cyclotomic_poly(i + 1, q) ** e for i, e in enumerate(phi)]), q)
+    den = LaurentPoly(0, [Fraction(int(c)) for c in reversed(den.all_coeffs())])
+    return [RationalFunctionQ(LaurentPoly(off, [Fraction(k * v, d) for v in vec]), den)
+            for k, off, vec in zip(ks, offsets, vectors)]
+
+
+class TestSumKeepsItsForm:
+    """combine hands its result the result's own integer form, which the next
+    sum and every product over the result read instead of making it again."""
+
+    AXY = Alphabet(["A", "X", "Y"])
+
+    def summed(self, rng, coeff):
+        pairs = [(coeff(rng) or 1, random_poly(rng, self.AXY, coeff)) for _ in range(4)]
+        got = NcPoly.combine(self.AXY, pairs)
+        assert got == reference_sum(self.AXY, pairs)
+        return got
+
+    @pytest.mark.parametrize("coeff", [random_rf, random_fraction], ids=["symbolic", "numeric"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_form_rebuilds_the_coefficients(self, coeff, seed):
+        import random
+
+        got = self.summed(random.Random(seed), coeff)
+        form = got._ints  # set by the sum, not made on request
+        assert form
+        assert rebuilt(form) == list(got.terms.values())
+        if len(form) > 2:
+            phi, _, ks, _, vectors, height, packs = form
+            assert height == max(abs(k) * max(map(abs, v)) for k, v in zip(ks, vectors))
+            assert all(c.phi == phi for c in got.terms.values()) and packs == {}
+
+    @pytest.mark.parametrize("coeff", [random_rf, random_fraction], ids=["symbolic", "numeric"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_result_feeds_a_second_sum_and_products(self, coeff, seed):
+        import random
+
+        rng = random.Random(seed)
+        inner = self.summed(rng, coeff)
+        p = random_poly(rng, self.AXY, coeff)
+        pairs = [(coeff(rng) or 1, inner), (Fraction(-2, 3), p), (1, inner)]
+        assert NcPoly.combine(self.AXY, pairs) == reference_sum(self.AXY, pairs)
+        assert inner * p == expanded_product(inner, p)
+        assert p * inner == expanded_product(p, inner)
+        if coeff is random_rf:  # the sums above packed inner's form at least once
+            assert inner._ints[6]
 
 
 class TestZeroCoefficientsVanish:

@@ -25,6 +25,8 @@ from qonsager.qcoeff import (
     _primitive_gcd,
     laurent_from_json,
     laurent_to_json,
+    lifted_form,
+    lifted_sum,
     qint,
     rf_from_json,
     rf_to_json,
@@ -354,6 +356,29 @@ class TestKroneckerProduct:
     )
     def test_random_against_loop(self, a, b):
         assert _convolve(a, b) == _convolve_loop(a, b)
+
+
+class TestLiftedSumPacks:
+    """A form keeps its packed vectors per digit width, and lifted_sum
+    returns its result's own form."""
+
+    XS = [SYMBOLIC.q_pow(2) * 3, SYMBOLIC.qnum(2), SYMBOLIC.one() / SYMBOLIC.qnum(3),
+          qint(3) / (SYMBOLIC.qnum(1) * SYMBOLIC.qnum(2)), Fraction(-5, 4) * SYMBOLIC.q_pow(-1)]
+
+    def test_one_form_at_two_digit_widths(self):
+        form, keys = lifted_form(self.XS), list(range(len(self.XS)))
+        small = Fraction(3, 2) * SYMBOLIC.q_pow(1)
+        big = RationalFunctionQ.from_fraction(2 ** 40 + 1) / SYMBOLIC.qnum(3)
+        packs = []
+        for c, width in ((small, 16), (big, 64), (small, 16)):
+            out, out_form = lifted_sum([(c, form, keys)])
+            assert out == {i: c * x for i, x in enumerate(self.XS)}
+            packs.append(form[6][width])
+            # the returned form is the values' own: a second sum reads it
+            again, _ = lifted_sum([(SYMBOLIC.qnum(1), out_form, list(out))])
+            assert again == {i: SYMBOLIC.qnum(1) * x for i, x in out.items()}
+        assert set(form[6]) == {16, 64}
+        assert packs[2] is packs[0]
 
 
 def _lp(cs):
