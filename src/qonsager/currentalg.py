@@ -63,6 +63,8 @@ class AqContext:
             + [_w(-n) for n in range(1, K + 1)]
         )
         self.alphabet = Alphabet(names)
+        # each generator is built once, so its integer form is made once
+        self._gens = {name: NcPoly.generator(self.alphabet, name, mode) for name in names}
         self.order = MonomialOrder(self.alphabet)
         self.relations: list[tuple[str, tuple[int, ...], NcPoly]] = []
         self._build_relations()
@@ -74,17 +76,17 @@ class AqContext:
     def W(self, n: int) -> NcPoly:
         if not -self.K <= n <= self.K + 1:
             raise IndexOutOfRange(f"W({n}) not instantiated at cutoff {self.K}")
-        return NcPoly.generator(self.alphabet, _w(n), self.mode)
+        return self._gens[_w(n)]
 
     def G(self, k: int) -> NcPoly:
         if not 1 <= k <= self.K + 1:
             raise IndexOutOfRange(f"G({k}) not instantiated at cutoff {self.K}")
-        return NcPoly.generator(self.alphabet, _g(k), self.mode)
+        return self._gens[_g(k)]
 
     def Gt(self, k: int) -> NcPoly:
         if not 1 <= k <= self.K + 1:
             raise IndexOutOfRange(f"Gt({k}) not instantiated at cutoff {self.K}")
-        return NcPoly.generator(self.alphabet, _gt(k), self.mode)
+        return self._gens[_gt(k)]
 
     # -- brackets -------------------------------------------------------------
 

@@ -174,6 +174,44 @@ def _unpack(v: int, n: int, digits) -> list[int]:
     return out.tolist()
 
 
+# Digits of any multiple w of 64 bits are split into w/64 limbs, little-endian
+# on every host: one limb goes through array's 64-bit entries, several
+# through int.to_bytes per entry, and the same mask turns two's-complement
+# digits into balanced ones and back.
+
+def _limb_mask(n: int, w: int) -> int:
+    """The sum of 2^(w-1) xi^i over n digits."""
+    return int.from_bytes((b"\0" * (w // 8 - 1) + b"\x80") * n, "little")
+
+
+def pack_limbs(cs, w: int) -> int:
+    """Value at xi = 2^w of a vector whose entries fit the balanced range of
+    w bits, w a multiple of 64."""
+    mask = _limb_mask(len(cs), w)
+    if w == 64:
+        raw = array("q", cs)
+        if _HOST == "big":
+            raw.byteswap()
+        raw = raw.tobytes()
+    else:
+        raw = b"".join([c.to_bytes(w // 8, "little", signed=True) for c in cs])
+    return (int.from_bytes(raw, "little") ^ mask) - mask
+
+
+def unpack_limbs(v: int, w: int) -> list[int]:
+    """The balanced w-bit digits of v, lowest first; a leading digit may be 0."""
+    n, step = abs(v).bit_length() // w + 1, w // 8
+    mask = _limb_mask(n, w)
+    raw = ((v + mask) ^ mask).to_bytes(step * n, "little")
+    if w == 64:
+        out = array("q")
+        out.frombytes(raw)
+        if _HOST == "big":
+            out.byteswap()
+        return out.tolist()
+    return [int.from_bytes(raw[i:i + step], "little", signed=True) for i in range(0, len(raw), step)]
+
+
 # Up to this many partial products the loop is faster than packing; the
 # crossover measured between 48 and 72 (CPython 3.11, x86-64).
 _LOOP_MAX_PRODUCTS = 64
@@ -812,9 +850,19 @@ def lifted_sum(items):
             if k != 1:
                 t *= k
             acc[key] = get(key, 0) + (t << w * (base + off))
+    return lifted_values(((key, low, _unpack(v, abs(v).bit_length() // w + 1, digits))
+                          for key, v in acc.items() if v), phi, m)
+
+
+def lifted_values(items, phi, m):
+    """({key: value}, form) over (key, offset, ints) items, ints not all 0.
+
+    The value is q^offset times the polynomial of ints over m prod
+    Phi_d^phi[d-1]; form is the values' own lifted form over phi and m, made
+    from their contents and primitive numerators.
+    """
     scale = Fraction(1, m)
-    out = {key: _rf(_make(low, _unpack(v, abs(v).bit_length() // w + 1, digits), scale), phi, (1,))
-           for key, v in acc.items() if v}
+    out = {key: _rf(_make(offset, ints, scale), phi, (1,)) for key, offset, ints in items}
     nums = [x.num for x in out.values()]
     ks = tuple([p.scale.numerator * (m // p.scale.denominator) for p in nums])
     return out, _form(phi, m, ks, tuple([p.offset for p in nums]), tuple([p.coeffs for p in nums]))
@@ -883,6 +931,8 @@ class NumericQ:
         if q0 in (0, 1, -1):
             raise InvalidQ(f"q0 = {q0} is forbidden")
         self.q0 = q0
+        self._qpow: dict = {}
+        self._qnum: dict = {}
 
     def one(self):
         return _ONE
@@ -894,10 +944,17 @@ class NumericQ:
         return Fraction(f)
 
     def q_pow(self, n: int):
-        return self.q0 ** n
+        out = self._qpow.get(n)
+        if out is None:
+            out = self._qpow[n] = self.q0 ** n
+        return out
 
     def qnum(self, n: int):
-        return self.q0 ** n - self.q0 ** (-n)
+        """q0^n - q0^-n."""
+        out = self._qnum.get(n)
+        if out is None:
+            out = self._qnum[n] = self.q_pow(n) - self.q_pow(-n)
+        return out
 
     def qint(self, n: int):
         if n == 0:

@@ -85,6 +85,21 @@ class TestConstruction:
         with pytest.raises(IndexOutOfRange):
             verify_S_images(ctx, ctx.K)
 
+    def test_generators_built_once(self, ctx):
+        K = ctx.K
+        for n in range(-K, K + 2):
+            assert ctx.W(n) is ctx.W(n)
+            assert ctx.W(n) == NcPoly.generator(ctx.alphabet, f"W{n}")
+        for k in range(1, K + 2):
+            assert ctx.G(k) is ctx.G(k)
+            assert ctx.Gt(k) is ctx.Gt(k)
+            assert ctx.G(k) == NcPoly.generator(ctx.alphabet, f"G{k}")
+            assert ctx.Gt(k) == NcPoly.generator(ctx.alphabet, f"Gt{k}")
+        for bad in (lambda: ctx.W(-K - 1), lambda: ctx.W(K + 2), lambda: ctx.G(0),
+                    lambda: ctx.G(K + 2), lambda: ctx.Gt(0), lambda: ctx.Gt(K + 2)):
+            with pytest.raises(IndexOutOfRange):
+                bad()
+
 
 class TestGeneratorClasses:
     @pytest.mark.parametrize("gen", GENERATOR_CLASSES)

@@ -210,6 +210,18 @@ class TestModes:
                 assert SYMBOLIC.qnum(n).eval_at(num.q0) == num.qnum(n)
             assert SYMBOLIC.qint(n).eval_at(num.q0) == num.qint(n)
 
+    def test_numeric_powers_are_memoized_per_mode(self):
+        q0 = Fraction(5, 3)
+        num = NumericQ(q0)
+        for n in (-4, -1, 0, 1, 3):
+            assert num.q_pow(n) == q0 ** n
+            assert num.qnum(n) == q0 ** n - q0 ** (-n)
+            assert num.q_pow(n) is num.q_pow(n)
+            assert num.qnum(n) is num.qnum(n)
+        other = NumericQ(2)  # a memo held by one mode is not read by another
+        assert other.q_pow(3) == 8 and other.qnum(1) == Fraction(3, 2)
+        assert num.q_pow(3) == q0 ** 3
+
 
 class TestJson:
     def test_laurent_roundtrip(self):

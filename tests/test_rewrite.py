@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from qonsager.adjoint import apply_badprod
+from qonsager.adjoint import apply_bad, apply_badprod
 from qonsager.currentalg import aq_system
 from qonsager.errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from qonsager.freealg import Alphabet, NcPoly
 from qonsager.onsager import defining_relations, onsager_context
 from qonsager.qcoeff import SYMBOLIC as m
-from qonsager.qcoeff import NumericQ
+from qonsager.qcoeff import LaurentPoly, NumericQ, RationalFunctionQ
 from qonsager.rewrite import MonomialOrder, RewriteRule, RewriteSystem, make_system
+from test_freealg import rebuilt
 
 AB = Alphabet(["A", "B"])
 A = NcPoly.generator(AB, "A")
@@ -244,6 +245,129 @@ class TestOracle:
         for s in ("", "B", "AAAB", "ABBB", "AAABBB", "BAAABBBA", "AAABAAAB"):
             w = AB.word(s)
             assert rs.normal_form_word(w) == rs.normal_form(NcPoly.monomial(AB, w, mode.one()))
+
+    # -- the reduction over one denominator (RewriteSystem._reduce_packed) --
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """The digit width of every packed pass, in call order."""
+        seen = []
+        reduce = RewriteSystem._reduce_packed
+
+        def spy(rs, *args):
+            seen.append(args[-1])
+            return reduce(rs, *args)
+
+        monkeypatch.setattr(RewriteSystem, "_reduce_packed", spy)
+        return seen
+
+    def assert_agrees(self, rs, p):
+        """normal_form equals the traced reduction, and a packed result keeps
+        a lifted form that rebuilds its coefficients."""
+        nf = rs.normal_form(p)
+        assert nf == rs.normal_form_traced(p)[0]
+        form = nf._ints
+        if form:
+            assert rebuilt(form) == list(nf.terms.values())
+            phi, _, ks, _, vectors, height, packs = form
+            assert height == max(abs(k) * max(map(abs, v)) for k, v in zip(ks, vectors))
+            assert all(c.phi == phi for c in nf.terms.values()) and packs == {}
+        return nf
+
+    @staticmethod
+    def q_poly(rng, alphabet, pool, count, big=1):
+        """count terms over pool words (and their one-letter extensions),
+        each an integer up to big times a power of q."""
+        terms = {}
+        for _ in range(count):
+            w = rng.choice(pool) + tuple(rng.randrange(len(alphabet)) for _ in range(rng.randint(0, 2)))
+            k = rng.randint(-big, big) or 1
+            terms[w] = terms.get(w, m.zero()) + k * m.q_pow(rng.randint(-3, 3))
+        return NcPoly(alphabet, terms)
+
+    def test_packed_on_the_presentation(self, widths):
+        rng = random.Random(7)
+        rs = onsager_context().qdg
+        pool = [AB.word(s) for s in ("AAAB", "ABBB", "AAABB", "BAAAB", "ABBBA", "AAABBBAB")]
+        for _ in range(30):
+            self.assert_agrees(rs, self.q_poly(rng, AB, pool, rng.randint(2, 10)))
+        assert widths and set(widths) == {64}
+
+    @pytest.mark.parametrize("ids", [("3p2a",), ("3p2b",), ("3p4a",), ("3p2a", "3p2b", "3p4a")])
+    def test_packed_on_integral_current_algebra_subsystems(self, widths, ids):
+        aq = aq_system(2)
+        rs = aq.subsystem(*ids)
+        pool = [rule.lhs for rule in rs.rules]
+        rng = random.Random(11)
+        for _ in range(15):
+            self.assert_agrees(rs, self.q_poly(rng, aq.alphabet, pool, rng.randint(2, 8)))
+        assert widths
+
+    def test_packed_over_different_cyclotomic_denominators(self, widths):
+        rs = onsager_context().qdg
+        rng = random.Random(5)
+        for _ in range(4):
+            xs = [NcPoly.monomial(AB, tuple(rng.randint(0, 1) for _ in range(rng.randint(2, 4))),
+                                  m.one()) for _ in range(3)]
+            p = apply_bad(0, A, xs[0]) + apply_bad(1, A, xs[1]) + apply_bad(2, A, xs[2] * B)
+            assert len({c.phi for c in p.terms.values()}) > 1
+            self.assert_agrees(rs, p)
+        assert widths
+
+    def test_coefficient_past_two_to_the_64(self, widths):
+        rs = onsager_context().qdg
+        k = 2 ** 70 + 3
+        p = (k * m.q_pow(2)) * (A * A * A * B * B) - (k - 5) * (A * B * B * B * A) + A * A * A * B
+        nf = self.assert_agrees(rs, p)
+        assert not nf.is_zero
+        assert widths == [128]
+
+    @pytest.mark.parametrize("k, big, small", [
+        (2 ** 62 + 1, ("AAAB",), ("ABBB",)),
+        (2 ** 61 + 5, ("AAABAB", "ABBBAB", "BAAAB"), ()),
+        (2 ** 62 - 3, ("AABBB",), ("AAABA", "ABBBB")),
+    ])
+    def test_bound_passing_64_bits_restarts_wider(self, widths, k, big, small):
+        """Entries just below 2^63 fit the first width; rewrites by rule
+        coefficients of l1 norm 3 and 4 take entries past 2^63, and the pass
+        runs again wider."""
+        rs = onsager_context().qdg
+        p = NcPoly(AB, {AB.word(s): (k - i) * m.q_pow(i) for i, s in enumerate(big)}
+                   | {AB.word(s): m.q_pow(-i) for i, s in enumerate(small)})
+        nf = self.assert_agrees(rs, p)
+        assert not nf.is_zero
+        assert widths[0] == 64 and widths[-1] > 64
+
+    def test_higher_dg_r5_reads_heights_to_stay_at_64_bits(self, widths):
+        """The sum and product bounds alone pass 64 bits here (79 bits against
+        23 bits of actual coefficients); reading the exact height of a word
+        whose bound nears the limit keeps the reduction at 64 bits."""
+        ctx = onsager_context()
+        power = NcPoly.one(AB, m)
+        for _ in range(5):
+            power = power * ctx.B
+        nf = self.assert_agrees(ctx.qdg, apply_badprod(6, ctx.A, power))
+        assert nf.is_zero
+        assert widths == [64]
+
+    def test_fallback_systems_keep_the_loop(self, widths):
+        rng = random.Random(3)
+        aq = aq_system(2)
+        assert not all(rule.integral for rule in aq.system.rules)  # 3p1a/3p1b: 1/(q + 1/q)
+        pool = [rule.lhs for rule in aq.system.rules]
+        for _ in range(10):
+            self.assert_agrees(aq.system, self.q_poly(rng, aq.alphabet, pool, 6))
+        num = NumericQ("5/3")
+        rs = make_system(AB, MonomialOrder(AB), defining_relations(AB, num),
+                         [AB.word("AAAB"), AB.word("ABBB")])
+        for p in self.polys(num, 99, 10):
+            self.assert_agrees(rs, p)
+        # a coefficient whose denominator has a factor that is no Phi_d
+        rest = RationalFunctionQ(LaurentPoly(0, [1]), LaurentPoly(0, [1, 0, 2]))
+        assert rest.rest != (1,)
+        p = rest * (A * A * A * B * B) + A * B * B * B + A * A * A * B
+        self.assert_agrees(onsager_context().qdg, p)
+        assert widths == []
 
 
 def random_like():
