@@ -44,7 +44,8 @@ convolution.  Long products run on Python's big integers by Kronecker
 substitution: a vector whose entries fit a balanced 16-, 32- or 64-bit digit
 is packed into one int, its value at xi = 2^w, and the product is one big-int
 multiply.  Short products and vectors too large for 64-bit digits go to a
-schoolbook convolution.
+schoolbook convolution.  pack_limbs and unpack_limbs take digits of any
+multiple of 64 bits; the rewriter reduces on them.
 
 A numeric mode is provided in which q is pinned to a fixed rational q0 with
 q0 not in {0, 1, -1}; scalars are then plain Fractions.  Symbolic values are

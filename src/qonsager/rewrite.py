@@ -221,7 +221,6 @@ class RewriteSystem:
                    for word, k, e, vec in zip(words, ks, offsets, vectors)}
         heap = [(-len(word), word) for word in pending]
         heapq.heapify(heap)
-        rules, packs = self.rules, [None] * len(self.rules)
         out = {}
         while heap:
             word = heapq.heappop(heap)[1]
@@ -237,12 +236,9 @@ class RewriteSystem:
             if h >= tight:  # the digits are exact while h < 2^(w-1): read the height
                 h = max(map(abs, unpack_limbs(n, w)))
             pos, ridx = m
-            rule = rules[ridx]
+            rule = self.rules[ridx]
             left, right = word[:pos], word[pos + len(rule.lhs):]
-            terms = packs[ridx]
-            if terms is None:
-                terms = packs[ridx] = rule.packed(w)
-            for parts, l1, targets in terms:
+            for parts, l1, targets in rule.packed(w):
                 nc = None
                 for shift, x in parts:
                     t = (n if x == 1 else n * x) << shift
