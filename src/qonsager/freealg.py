@@ -11,8 +11,12 @@ Linear combinations, the bulk of the identity verifier's work, go through
 NcPoly.combine; a product P * Q is one, the sum of c_u times the word shift
 u * Q over the terms c_u * u of P.  combine reads each polynomial in an
 integer form kept on it, numerators over one denominator (a cyclotomic one
-in symbolic mode), so a sum runs on plain integers and builds a coefficient
-only for a word that survives.
+in symbolic mode), so a sum runs on plain integers.  Its result is lazy: it
+carries the surviving words and their integer form, and builds its
+coefficients (Fractions, or RationalFunctionQ values through
+qcoeff.form_values) only when terms is first read, by ==, hash, scaling,
++, evaluation or JSON.  Word shifts, further sums and the zero test read
+the words and the form alone.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from math import lcm
 
 from .errors import AlphabetMismatch, MissingImage, ParseError, PoleAtPoint
 from .qcoeff import (
-    RF_ONE, SYMBOLIC, RationalFunctionQ, lifted_form, lifted_sum, rf_from_json, rf_to_json,
+    RF_ONE, SYMBOLIC, RationalFunctionQ, form_values, lifted_form, lifted_sum, rf_from_json, rf_to_json,
 )
 
 Word = tuple[int, ...]
@@ -74,13 +78,20 @@ def deglex_key(w: Word):
 
 
 class NcPoly:
-    """Immutable noncommutative polynomial: word -> nonzero coefficient."""
+    """Immutable noncommutative polynomial: word -> nonzero coefficient.
 
-    __slots__ = ("alphabet", "terms", "_hash", "_ints")
+    _words is the terms dict itself or, for a lazy polynomial (a sum's
+    result), its words in the order of its integer form _ints; its _terms
+    is None until the first read of terms builds and keeps them.
+    """
+
+    __slots__ = ("alphabet", "_terms", "_words", "_hash", "_ints")
 
     def __init__(self, alphabet: Alphabet, terms: dict):
         _SET_ALPHABET(self, alphabet)
-        _SET_TERMS(self, {w: c for w, c in terms.items() if c})
+        terms = {w: c for w, c in terms.items() if c}
+        _SET_TERMS(self, terms)
+        _SET_WORDS(self, terms)
         _SET_INTS(self, None)
 
     def __setattr__(self, *a):
@@ -107,23 +118,36 @@ class NcPoly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """word -> nonzero coefficient."""
+        terms = self._terms
+        if terms is None:
+            form = self._ints
+            values = form_values(form) if len(form) > 2 else [Fraction(n, form[0]) for n in form[1]]
+            terms = dict(zip(self._words, values))
+            _SET_TERMS(self, terms)
+        return terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._words
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._words)
 
     def sorted_terms(self):
         """(word, coeff) pairs in deglex order, leading term first."""
         return sorted(self.terms.items(), key=lambda t: deglex_key(t[0]), reverse=True)
 
     def leading_word(self) -> Word:
-        if not self.terms:
+        if not self:
             raise ValueError("zero polynomial has no leading word")
-        return max(self.terms, key=deglex_key)
+        return max(self._words, key=deglex_key)
 
     def support(self):
-        return self.terms.keys()
+        """The words with a nonzero coefficient, in the order of terms;
+        builds no coefficient."""
+        return self._words
 
     # -- arithmetic --------------------------------------------------------
 
@@ -135,9 +159,9 @@ class NcPoly:
 
     def __add__(self, other: "NcPoly") -> "NcPoly":
         self._check(other)
-        if not self.terms:
+        if not self._words:
             return other
-        if not other.terms:
+        if not other._words:
             return self
         out = dict(self.terms)
         for w, c in other.terms.items():
@@ -160,7 +184,7 @@ class NcPoly:
 
     def _unit_word(self):
         """The word of a single-term polynomial with coefficient 1, else None."""
-        if len(self.terms) == 1:
+        if len(self._words) == 1:
             (w, c), = self.terms.items()
             if c is RF_ONE or c == 1:  # a symbolic generator's 1 without a comparison
                 return w
@@ -170,20 +194,26 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return self.scaled(other)
         self._check(other)
-        # a unit word times a polynomial shifts its words: distinct words stay
-        # distinct, so no coefficient is added or multiplied, and the same
-        # coefficients in the same order keep the same integer form
+        # a unit word times a polynomial shifts its words
         u = self._unit_word()
         if u is not None:
-            return _wrap(self.alphabet, {u + w: c for w, c in other.terms.items()}, other._ints)
+            return other._shifted(u, ())
         u = other._unit_word()
         if u is not None:
-            return _wrap(self.alphabet, {w + u: c for w, c in self.terms.items()}, self._ints)
-        other._integer_form()  # each shift u * Q below shares Q's form
-        return NcPoly.combine(self.alphabet, [
-            (c, _wrap(self.alphabet, {u + w: x for w, x in other.terms.items()}, other._ints))
-            for u, c in self.terms.items()
-        ])
+            return self._shifted((), u)
+        form = other._integer_form()  # combine reads a shift u * Q in Q's form alone
+        shifts = [other._shifted(u, ()) if form is None else
+                  _lazy(self.alphabet, tuple([u + w for w in other._words]), form) for u in self._words]
+        return NcPoly.combine(self.alphabet, zip(self.terms.values(), shifts))
+
+    def _shifted(self, left: Word, right: Word) -> "NcPoly":
+        """left * self * right for words left and right, lazy when self is:
+        the same coefficients, in the same order, on distinct words, so the
+        same integer form."""
+        words = self._words
+        if type(words) is dict:  # the terms themselves
+            return _wrap(self.alphabet, {left + w + right: c for w, c in words.items()}, self._ints)
+        return _lazy(self.alphabet, tuple([left + w + right for w in words]), self._ints)
 
     def __rmul__(self, coeff) -> "NcPoly":
         return self.scaled(coeff)
@@ -198,22 +228,22 @@ class NcPoly:
         """The sum of c * P over (scalar c, polynomial P) pairs, in one pass.
 
         Each P is read in its integer form, kept on P (_integer_form), so no
-        coefficient is multiplied or added as a scalar, and only a word left
-        nonzero gets a coefficient; a product P * Q sums the word shifts
-        u * Q, which share Q's form.  In numeric mode (every scalar and
+        coefficient is multiplied or added as a scalar, and the result is
+        lazy, its nonzero words and their form; a product P * Q sums the
+        word shifts u * Q, which share Q's form.  In numeric mode (every scalar and
         coefficient an int or Fraction) each c / D becomes one integer
         multiplier over a common denominator m and the terms add as ints.
         In symbolic mode the whole sum goes over one cyclotomic denominator,
         the lcm of the Phi_d multisets of its pairs (qcoeff.lifted_sum): one
         multiplier per pair, one big-int product per term and big-int sums
-        per word.  Either way the result keeps its own integer form, so a
+        per word.  Either way the result's integer form is its own, so a
         later sum or product over it reads it as it is.  The zero test stays
         exact, the denominator being a nonzero polynomial.  Only a scalar or
         coefficient with a rest other than 1, which an expression file can
         hold, or a mix of the two modes, is summed with its own * and +, the
         zeros dropped at the end.
         """
-        pairs = [(c, p) for c, p in pairs if c and p.terms]
+        pairs = [(c, p) for c, p in pairs if c and p._words]
         for _, p in pairs:
             if p.alphabet != alphabet:
                 raise AlphabetMismatch(f"{alphabet!r} vs {p.alphabet!r}")
@@ -227,15 +257,14 @@ class NcPoly:
                 get = acc.get
                 for f, (_, p), (_, nums) in zip(scales, pairs, forms):
                     k = f.numerator * (m // f.denominator)
-                    for w, n in zip(p.terms, nums):
+                    for w, n in zip(p._words, nums):
                         acc[w] = get(w, 0) + k * n
                 acc = {w: v for w, v in acc.items() if v}
-                return _wrap(alphabet, {w: Fraction(v, m) for w, v in acc.items()},
-                             (m, tuple(acc.values())))
+                return _lazy(alphabet, tuple(acc), (m, tuple(acc.values())))
             if all(len(f) > 2 for f in forms):
-                out = lifted_sum([(c, f, p.terms) for (c, p), f in zip(pairs, forms)])
+                out = lifted_sum([(c, f, p._words) for (c, p), f in zip(pairs, forms)])
                 if out is not None:
-                    return _wrap(alphabet, *out)
+                    return _lazy(alphabet, *out)
         out: dict = {}
         for c, p in pairs:
             for w, x in p.terms.items():
@@ -254,7 +283,8 @@ class NcPoly:
         Phi_d multisets, with each coefficient's own tuple shared where it
         already has that denominator.  Computed once and kept in _ints; a
         word shift u*P or P*u, also inside a product, gets P's kept form,
-        and a sum from combine its own, over the sum's common denominator.
+        and a sum from combine its own, over the sum's common denominator
+        (a lazy polynomial is made with its form).
         """
         form = self._ints
         if form is None:
@@ -328,8 +358,8 @@ _RATIONAL = (int, Fraction)
 _NO_FORM = ()
 
 # the slot descriptors store past the __setattr__ guard
-_SET_ALPHABET, _SET_TERMS, _SET_INTS = (
-    NcPoly.alphabet.__set__, NcPoly.terms.__set__, NcPoly._ints.__set__
+_SET_ALPHABET, _SET_TERMS, _SET_WORDS, _SET_INTS = (
+    NcPoly.alphabet.__set__, NcPoly._terms.__set__, NcPoly._words.__set__, NcPoly._ints.__set__
 )
 
 
@@ -339,7 +369,18 @@ def _wrap(alphabet: Alphabet, terms: dict, ints=None) -> NcPoly:
     p = object.__new__(NcPoly)
     _SET_ALPHABET(p, alphabet)
     _SET_TERMS(p, terms)
+    _SET_WORDS(p, terms)
     _SET_INTS(p, ints)
+    return p
+
+
+def _lazy(alphabet: Alphabet, words: tuple, form) -> NcPoly:
+    """A lazy NcPoly over distinct words and their integer form, no value 0."""
+    p = object.__new__(NcPoly)
+    _SET_ALPHABET(p, alphabet)
+    _SET_TERMS(p, None)
+    _SET_WORDS(p, words)
+    _SET_INTS(p, form)
     return p
 
 

@@ -26,7 +26,8 @@ sum: lifted_form holds values as integer vectors over the lcm of their
 multisets, and lifted_sum adds their multiples as packed big integers.  A
 free-algebra product is such a sum whose items all share one form.  A
 form keeps its vectors packed per digit width, and a sum returns the form of
-its result, so a value summed again is neither lifted nor packed again.
+its result, so a value summed again is neither lifted nor packed again; no
+value is made until form_values is asked for them.
 
 The reduced canonical form is made only where a value leaves the engine:
 canonical(), and through it rf_to_json and so every emitted coefficient and
@@ -812,11 +813,10 @@ def lifted_sum(items):
     cofactor of Phi_d's up to phi), one packing of a form's vectors per
     width w, kept in its packs, one big-int product per value and one big-int
     sum per key.  A key takes at most one value from each item, so the
-    heights bound every entry of every sum, which fixes w.  Returns
-    ({key: value}, form) for the keys whose sum is nonzero, form being the
-    values' own lifted form over phi and m, made from their contents and
-    primitive numerators; None when some c has a rest other than 1 or an
-    entry could pass the 64-bit digit.
+    heights bound every entry of every sum, which fixes w.  Returns (keys,
+    form) for the keys whose sum is nonzero, form being the sums' own lifted
+    form over phi and m (unpacked_form), so no value is made; None when some
+    c has a rest other than 1 or an entry could pass the 64-bit digit.
     """
     parts, phi = [], ()
     for c, form, keys in items:
@@ -851,22 +851,33 @@ def lifted_sum(items):
             if k != 1:
                 t *= k
             acc[key] = get(key, 0) + (t << w * (base + off))
-    return lifted_values(((key, low, _unpack(v, abs(v).bit_length() // w + 1, digits))
+    return unpacked_form(((key, low, _unpack(v, abs(v).bit_length() // w + 1, digits))
                           for key, v in acc.items() if v), phi, m)
 
 
-def lifted_values(items, phi, m):
-    """({key: value}, form) over (key, offset, ints) items, ints not all 0.
+def unpacked_form(items, phi, m):
+    """(keys, lifted form) of the values q^offset * ints / (m prod
+    Phi_d^phi[d-1]) over (key, offset, ints) items, ints not all 0: every k
+    is 1 and each vector is ints trimmed of zeros.  No value is made."""
+    keys, offsets, vectors = [], [], []
+    for key, offset, ints in items:
+        lo, hi = 0, len(ints)
+        while not ints[hi - 1]:
+            hi -= 1
+        while not ints[lo]:
+            lo += 1
+        keys.append(key)
+        offsets.append(offset + lo)
+        vectors.append(tuple(ints[lo:hi]))
+    return tuple(keys), _form(phi, m, (1,) * len(keys), tuple(offsets), tuple(vectors))
 
-    The value is q^offset times the polynomial of ints over m prod
-    Phi_d^phi[d-1]; form is the values' own lifted form over phi and m, made
-    from their contents and primitive numerators.
-    """
-    scale = Fraction(1, m)
-    out = {key: _rf(_make(offset, ints, scale), phi, (1,)) for key, offset, ints in items}
-    nums = [x.num for x in out.values()]
-    ks = tuple([p.scale.numerator * (m // p.scale.denominator) for p in nums])
-    return out, _form(phi, m, ks, tuple([p.offset for p in nums]), tuple([p.coeffs for p in nums]))
+
+def form_values(form):
+    """The values a symbolic lifted form stands for, in its order."""
+    phi, d, ks, offsets, vectors = form[:5]
+    one = Fraction(1, d)
+    return [_rf(_make(offset, vec, one if k == 1 else Fraction(k, d)), phi, (1,))
+            for k, offset, vec in zip(ks, offsets, vectors)]
 
 
 def qint(n: int) -> RationalFunctionQ:

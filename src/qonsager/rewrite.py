@@ -24,8 +24,8 @@ unpacking are exact while every digit stays in the balanced range, so the
 bounds are tracked (h(c r) <= h(c) |r|_1, h(a + b) <= h(a) + h(b)); a word
 whose bound nears 2^(w-1) has its exact height read from its digits, and a
 pass whose bound reaches 2^(w-1) runs again wider; w is a multiple of 64.
-Only a word that ends irreducible and nonzero gets a coefficient, and the
-result keeps its lifted form.  Numeric mode, a rule with a denominator, an
+The result is lazy (freealg): the irreducible nonzero words and their
+lifted form, no coefficient built until one is read.  Numeric mode, a rule with a denominator, an
 input coefficient with a rest and an input with at most one reducible word
 go through the per-coefficient loop instead.
 
@@ -43,8 +43,8 @@ import heapq
 from dataclasses import dataclass, field
 
 from .errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
-from .freealg import Alphabet, NcPoly, Word, _wrap, deglex_key
-from .qcoeff import RationalFunctionQ, lifted_values, pack_limbs, unpack_limbs
+from .freealg import Alphabet, NcPoly, Word, _lazy, deglex_key
+from .qcoeff import RationalFunctionQ, pack_limbs, unpack_limbs, unpacked_form
 
 
 class MonomialOrder:
@@ -114,16 +114,20 @@ class RewriteSystem:
         for rule in self.rules:
             rule.validate(order)
         self._integral = all(rule.integral for rule in self.rules)
+        # per letter, in declared order, the rules whose left side can match
+        # at a position holding it: (index, lhs, len(lhs))
+        self._starts = [[(ridx, rule.lhs, len(rule.lhs)) for ridx, rule in enumerate(self.rules)
+                         if rule.lhs[:1] in ((), (letter,))] for letter in range(len(alphabet))]
 
     # -- matching ----------------------------------------------------------
 
     def _find(self, w: Word):
         """Leftmost match; ties at a position go to the first declared rule."""
         n = len(w)
-        for pos in range(n):
-            for ridx, rule in enumerate(self.rules):
-                L = len(rule.lhs)
-                if pos + L <= n and w[pos : pos + L] == rule.lhs:
+        starts = self._starts
+        for pos, letter in enumerate(w):
+            for ridx, lhs, L in starts[letter]:
+                if pos + L <= n and w[pos : pos + L] == lhs:
                     return pos, ridx
         return None
 
@@ -143,8 +147,8 @@ class RewriteSystem:
         When every rule coefficient is an integral Laurent polynomial, at
         least two words of p are reducible and p has a lifted form (symbolic
         coefficients, rest 1), the reduction runs over p's one denominator
-        on packed integers (_reduce_packed) and the result keeps its lifted
-        form.  Otherwise each coefficient is multiplied and added as a
+        on packed integers (_reduce_packed) and the result is lazy, its
+        words and their lifted form.  Otherwise each coefficient is multiplied and added as a
         scalar: in numeric mode, for a rule with a denominator, for a
         coefficient with a rest, and from at most one reducible word, where
         the reduction is mostly a few steps and lifting costs more than it
@@ -152,7 +156,7 @@ class RewriteSystem:
         """
         if p.alphabet != self.alphabet:
             raise AlphabetMismatch("polynomial over a different alphabet")
-        reducible = filter(self._find, p.terms)
+        reducible = filter(self._find, p.support())
         if (self._integral and next(reducible, None) is not None
                 and next(reducible, None) is not None):
             form = p._integer_form()
@@ -191,14 +195,14 @@ class RewriteSystem:
         phi, d, ks, offsets, vectors, bound = form[:6]
         while True:
             w = 64 * (bound.bit_length() // 64 + 1)
-            out = self._reduce_packed(p.terms, ks, offsets, vectors, w)
+            out = self._reduce_packed(p.support(), ks, offsets, vectors, w)
             if type(out) is dict:
                 break
             bound = max(out, 1 << (2 * w - 2))  # a word outgrew w: at least double it
         if not out:
-            return _wrap(self.alphabet, {})
-        values = ((word, e, unpack_limbs(n, w)) for word, (e, n) in out.items())
-        return _wrap(self.alphabet, *lifted_values(values, phi, d))
+            return NcPoly.zero(self.alphabet)
+        items = ((word, e, unpack_limbs(n, w)) for word, (e, n) in out.items())
+        return _lazy(self.alphabet, *unpacked_form(items, phi, d))
 
     def _reduce_packed(self, words, ks, offsets, vectors, w: int):
         """The heap reduction on numerators packed at xi = 2^w.

@@ -182,6 +182,22 @@ class TestHash:
                 setattr(x, attr, None)
 
 
+    @pytest.mark.parametrize("coeff", ["random_rf", "random_fraction"], ids=["symbolic", "numeric"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lazy_and_eager_of_one_value_hash_alike(self, coeff, seed):
+        import random
+
+        rng = random.Random(seed)
+        coeff = globals()[coeff]
+        pairs = [(coeff(rng), random_poly(rng, AB, coeff)) for _ in range(3)]
+        lazy = NcPoly.combine(AB, pairs)
+        eager = reference_sum(AB, pairs)
+        assert lazy._terms is None and eager._terms is not None
+        assert lazy == eager and eager == lazy
+        assert hash(lazy) == hash(eager)
+        assert {lazy: 1}[eager] == 1 and {eager: 1}[lazy] == 1
+
+
 class TestJson:
     def test_documented_form(self):
         data = {"alphabet": ["A", "B"], "terms": [{"word": ["B"], "coeff": 1}]}
@@ -557,6 +573,10 @@ class TestArithmeticOracle:
         (p, _, pe, _), (r, _, re_, _) = oracle_operands(seed, sp, q)
         got = OPS[op](p, r)
         want = oracle_result(op, pe, re_)
+        nonzero = {w for w, e in want.items() if sp.cancel(sp.together(e)) != 0}
+        lazy = self.read_words_first(got, nonzero)
+        if op == "*" and seed % 3 and p._unit_word() is None is r._unit_word():
+            assert lazy  # a product with integer forms and no unit-word factor
         assert all(type(c) is RationalFunctionQ and c for c in got.terms.values())
         for w in set(want) | set(got.terms):
             x = got.terms.get(w)
@@ -570,4 +590,19 @@ class TestArithmeticOracle:
         (_, p, _, pv), (_, r, _, rv) = oracle_operands(seed, sp, sp.Symbol("q"))
         got = OPS[op](p, r)
         want = {w: c for w, c in oracle_result(op, pv, rv).items() if c}
+        lazy = self.read_words_first(got, set(want))
+        if op == "*" and p._unit_word() is None is r._unit_word():
+            assert lazy
         assert got.terms == want
+
+    @staticmethod
+    def read_words_first(got, nonzero):
+        """is_zero and support() of got, read before its terms, match the
+        oracle's nonzero words and build no coefficient; the terms then list
+        the support in its order.  Returns whether got was lazy."""
+        lazy = got._terms is None
+        assert got.is_zero == (not nonzero) and set(got.support()) == nonzero
+        assert (got._terms is None) == lazy
+        support = list(got.support())
+        assert list(got.terms) == support
+        return lazy

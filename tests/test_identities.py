@@ -164,6 +164,40 @@ class TestProductMemo:
         assert shared == fresh
 
 
+class TestLazyCoefficients:
+    """A sum's result builds its coefficients only when they are read: the
+    zero test reads none, and a witness reads them to print."""
+
+    def test_pass_builds_no_product_coefficient(self):
+        ctx = make_context(SYMBOLIC)
+        assert verify_identity("ADA_SS", (0, 1, 1), _ctx=ctx).status == "pass"
+        products = [p for key, p in ctx._cache.items()
+                    if key[0] == "mul" and all(len(f.support()) > 1 for f in key[1])]
+        assert products and all(p._terms is None for p in products)
+
+    @pytest.mark.parametrize("mode", [SYMBOLIC, NumericQ("5/3")], ids=["symbolic", "5/3"])
+    @pytest.mark.parametrize("name, params", [("ADA_SB", (1, 1, 1)), ("TTP", (2,))])
+    def test_witness_prints_as_the_per_coefficient_difference(self, monkeypatch, mode,
+                                                              name, params):
+        from qonsager.identities import IdentitySpec
+
+        spec = IDENTITIES[name]
+
+        def scaled_rhs(c, *args):
+            lhs, rhs = spec.terms(c, *args)
+            return lhs, [(c.q(1) * k, p) for k, p in rhs]
+
+        scaled = IdentitySpec(name, spec.params, scaled_rhs)
+        monkeypatch.setitem(IDENTITIES, name, scaled)
+        rec = verify_identity(name, params, mode)
+        assert rec.status == "fail" and rec.witness._terms is None
+        lhs, rhs = scaled.terms(make_context(mode), *params)
+        want = NcPoly.zero(rec.witness.alphabet)
+        for k, p in lhs + [(-k, p) for k, p in rhs]:
+            want = want + p.scaled(k)
+        assert json.dumps(rec.to_json()["witness"]) == json.dumps(ncpoly_to_json(want))
+
+
 def test_sweep_stores_each_image_under_one_key():
     """After a max-index-3 sweep no cached image sits under two keys."""
     mode = NumericQ("5/3")

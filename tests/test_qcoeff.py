@@ -23,6 +23,7 @@ from qonsager.qcoeff import (
     _exact_div_int,
     _norm,
     _primitive_gcd,
+    form_values,
     laurent_from_json,
     laurent_to_json,
     lifted_form,
@@ -379,16 +380,19 @@ class TestLiftedSumPacks:
 
     def test_one_form_at_two_digit_widths(self):
         form, keys = lifted_form(self.XS), list(range(len(self.XS)))
+        assert form_values(form) == self.XS
         small = Fraction(3, 2) * SYMBOLIC.q_pow(1)
         big = RationalFunctionQ.from_fraction(2 ** 40 + 1) / SYMBOLIC.qnum(3)
         packs = []
         for c, width in ((small, 16), (big, 64), (small, 16)):
             out, out_form = lifted_sum([(c, form, keys)])
-            assert out == {i: c * x for i, x in enumerate(self.XS)}
+            values = [c * x for x in self.XS]
+            assert out == tuple(keys) and form_values(out_form) == values
             packs.append(form[6][width])
-            # the returned form is the values' own: a second sum reads it
-            again, _ = lifted_sum([(SYMBOLIC.qnum(1), out_form, list(out))])
-            assert again == {i: SYMBOLIC.qnum(1) * x for i, x in out.items()}
+            # the returned form is the sums' own: a second sum reads it
+            again, again_form = lifted_sum([(SYMBOLIC.qnum(1), out_form, out)])
+            assert again == out
+            assert form_values(again_form) == [SYMBOLIC.qnum(1) * x for x in values]
         assert set(form[6]) == {16, 64}
         assert packs[2] is packs[0]
 

@@ -100,6 +100,47 @@ class TestMakeSystem:
             RewriteSystem(AB, MonomialOrder(AB), [bad])
 
 
+class TestMatching:
+    """_find takes the leftmost position and, there, the first declared rule."""
+
+    ABC = Alphabet(["A", "B", "C"])
+
+    def system(self, *sides):
+        """Rules lhs -> C over ABC, in the given order."""
+        c = NcPoly.generator(self.ABC, "C")
+        return RewriteSystem(self.ABC, MonomialOrder(self.ABC),
+                             [RewriteRule(self.ABC.word(s), c) for s in sides])
+
+    @staticmethod
+    def scan(rs, w):
+        """The match by trying every rule at every position."""
+        for pos in range(len(w)):
+            for ridx, rule in enumerate(rs.rules):
+                if w[pos : pos + len(rule.lhs)] == rule.lhs:
+                    return pos, ridx
+        return None
+
+    def test_two_left_sides_at_one_position(self):
+        w = self.ABC.word("CABBA")
+        assert self.system("AB", "ABB")._find(w) == (1, 0)
+        assert self.system("ABB", "AB")._find(w) == (1, 0)
+        assert self.system("BA", "ABB", "AB")._find(w) == (1, 1)
+
+    def test_leftmost_position_before_declared_order(self):
+        rs = self.system("AB", "BB", "CA")
+        assert rs._find(self.ABC.word("BBAB")) == (0, 1)
+        assert rs._find(self.ABC.word("CAB")) == (0, 2)
+        assert rs._find(self.ABC.word("CCC")) is None
+        assert rs._find(()) is None
+
+    def test_random_words_against_the_scan(self):
+        rng = random.Random(3)
+        rs = self.system("AB", "ABA", "BAB", "BB", "CAB", "CC", "ACB", "BA")
+        for _ in range(400):
+            w = tuple(rng.randrange(3) for _ in range(rng.randint(0, 7)))
+            assert rs._find(w) == self.scan(rs, w)
+
+
 class TestNormalForm:
     def test_irreducible_fixed(self, qdg):
         assert qdg.normal_form(A * B) == A * B
