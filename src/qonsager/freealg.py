@@ -26,7 +26,8 @@ from math import lcm
 
 from .errors import AlphabetMismatch, MissingImage, ParseError, PoleAtPoint
 from .qcoeff import (
-    RF_ONE, SYMBOLIC, RationalFunctionQ, form_values, lifted_form, lifted_sum, rf_from_json, rf_to_json,
+    RF_ONE, SYMBOLIC, RationalFunctionQ, form_values, lifted_form, lifted_sum, rf_from_json,
+    rf_to_json,
 )
 
 Word = tuple[int, ...]
@@ -202,8 +203,9 @@ class NcPoly:
         if u is not None:
             return self._shifted((), u)
         form = other._integer_form()  # combine reads a shift u * Q in Q's form alone
+        words = other._words
         shifts = [other._shifted(u, ()) if form is None else
-                  _lazy(self.alphabet, tuple([u + w for w in other._words]), form) for u in self._words]
+                  _lazy(self.alphabet, tuple([u + w for w in words]), form) for u in self._words]
         return NcPoly.combine(self.alphabet, zip(self.terms.values(), shifts))
 
     def _shifted(self, left: Word, right: Word) -> "NcPoly":

@@ -25,9 +25,9 @@ bounds are tracked (h(c r) <= h(c) |r|_1, h(a + b) <= h(a) + h(b)); a word
 whose bound nears 2^(w-1) has its exact height read from its digits, and a
 pass whose bound reaches 2^(w-1) runs again wider; w is a multiple of 64.
 The result is lazy (freealg): the irreducible nonzero words and their
-lifted form, no coefficient built until one is read.  Numeric mode, a rule with a denominator, an
-input coefficient with a rest and an input with at most one reducible word
-go through the per-coefficient loop instead.
+lifted form, no coefficient built until one is read.  Numeric mode, a rule
+with a denominator, an input coefficient with a rest and an input with at
+most one reducible word go through the per-coefficient loop instead.
 
 A zero normal form proves membership in the two-sided ideal of the
 relations: the reference reducer `normal_form_traced` records each step as
@@ -148,11 +148,12 @@ class RewriteSystem:
         least two words of p are reducible and p has a lifted form (symbolic
         coefficients, rest 1), the reduction runs over p's one denominator
         on packed integers (_reduce_packed) and the result is lazy, its
-        words and their lifted form.  Otherwise each coefficient is multiplied and added as a
-        scalar: in numeric mode, for a rule with a denominator, for a
-        coefficient with a rest, and from at most one reducible word, where
-        the reduction is mostly a few steps and lifting costs more than it
-        saves.  The path is chosen before anything is lifted.
+        words and their lifted form.  Otherwise each coefficient is
+        multiplied and added as a scalar: in numeric mode, for a rule with a
+        denominator, for a coefficient with a rest, and from at most one
+        reducible word, where the reduction is mostly a few steps and
+        lifting costs more than it saves.  The path is chosen before
+        anything is lifted.
         """
         if p.alphabet != self.alphabet:
             raise AlphabetMismatch("polynomial over a different alphabet")
