@@ -42,11 +42,12 @@ Internally a Laurent polynomial is a primitive integer coefficient vector
 with positive leading entry times one rational scale; products of primitive
 vectors stay primitive (Gauss), so multiplication is a single integer
 convolution.  Long products run on Python's big integers by Kronecker
-substitution: a vector whose entries fit a balanced 16-, 32- or 64-bit digit
-is packed into one int, its value at xi = 2^w, and the product is one big-int
-multiply.  Short products and vectors too large for 64-bit digits go to a
-schoolbook convolution.  pack_limbs and unpack_limbs take digits of any
-multiple of 64 bits; the rewriter reduces on them.
+substitution: a vector is packed into one int, its value at xi = 2^w, with
+balanced digits of the narrowest width w, 16, 32 or a multiple of 64 bits,
+that holds every entry of the product, and the product is one big-int
+multiply; short products go to a schoolbook convolution.  One codec, pack
+and unpack, serves every packed path, the rewriter's included, with digits
+little-endian on every host at any width.
 
 A numeric mode is provided in which q is pinned to a fixed rational q0 with
 q0 not in {0, 1, -1}; scalars are then plain Fractions.  Symbolic values are
@@ -131,21 +132,17 @@ def _convolve_loop(a, b) -> list[int]:
 # Kronecker substitution: a coefficient vector as its value at xi = 2^w
 # ---------------------------------------------------------------------------
 #
-# A digit format is an array typecode of width w plus the byte pattern of one
-# digit 2^(w-1).  Vectors go through array's native two's-complement bytes,
-# read in host order, so no Python loop runs per coefficient.  On a
-# big-endian host every vector is packed reversed; products of vectors with
-# nonzero end entries commute with reversal, and _unpack reverses back, so
-# the kernel returns the same vectors.
+# A digit format of width w, 16, 32 or any multiple of 64, is (w, array
+# typecode of that item size or None, little-endian bytes of the digit
+# 2^(w-1)).  Digits are little-endian on every host: up to 64 bits they go
+# through array's two's-complement entries, byteswapped on a big-endian
+# host, so no Python loop runs per coefficient; wider ones through
+# int.to_bytes per entry.  Adding the mask, the sum of 2^(w-1) xi^i, turns
+# balanced digits into unsigned ones and back.
 
-def _format(code: str):
-    """(2^(w-1), digit format) for the array typecode of width w."""
-    half = 1 << (8 * array(code).itemsize - 1)
-    return half, (code, array(code, [-half]).tobytes())
-
-
-_HOST = sys.byteorder
-_FORMATS = tuple(_format(code) for code in ("h", "i", "q"))
+_BIG_ENDIAN = sys.byteorder == "big"
+_CODES = {8 * array(code).itemsize: code for code in "hilq"}
+_WIDTHS: dict = {}
 
 
 def _norm(cs) -> int:
@@ -153,64 +150,44 @@ def _norm(cs) -> int:
 
 
 def _digits(bound: int):
-    """The narrowest digit format whose balanced range holds |c| <= bound."""
-    for half, digits in _FORMATS:
-        if bound < half:
-            return digits
-    return None
+    """The digit format of the narrowest width whose balanced range holds
+    |c| <= bound."""
+    w = 16 if bound < 1 << 15 else 32 if bound < 1 << 31 else 64 * (bound.bit_length() // 64 + 1)
+    digits = _WIDTHS.get(w)
+    if digits is None:
+        digits = _WIDTHS[w] = (w, _CODES.get(w), bytes(w // 8 - 1) + b"\x80")
+    return digits
 
 
-def _pack(cs, digits) -> int:
-    """Value at xi of a vector whose entries fit the balanced digit range."""
-    code, pattern = digits
-    mask = int.from_bytes(pattern * len(cs), _HOST)  # sum of 2^(w-1) xi^i
-    return (int.from_bytes(array(code, cs).tobytes(), _HOST) ^ mask) - mask
-
-
-def _unpack(v: int, n: int, digits) -> list[int]:
-    """The n balanced digits of v; OverflowError when v has no such form."""
-    code, pattern = digits
-    mask = int.from_bytes(pattern * n, _HOST)
-    out = array(code)
-    out.frombytes(((v + mask) ^ mask).to_bytes(len(pattern) * n, _HOST))
-    return out.tolist()
-
-
-# Digits of any multiple w of 64 bits are split into w/64 limbs, little-endian
-# on every host: one limb goes through array's 64-bit entries, several
-# through int.to_bytes per entry, and the same mask turns two's-complement
-# digits into balanced ones and back.
-
-def _limb_mask(n: int, w: int) -> int:
-    """The sum of 2^(w-1) xi^i over n digits."""
-    return int.from_bytes((b"\0" * (w // 8 - 1) + b"\x80") * n, "little")
-
-
-def pack_limbs(cs, w: int) -> int:
-    """Value at xi = 2^w of a vector whose entries fit the balanced range of
-    w bits, w a multiple of 64."""
-    mask = _limb_mask(len(cs), w)
-    if w == 64:
-        raw = array("q", cs)
-        if _HOST == "big":
+def pack(cs, digits) -> int:
+    """Value at xi = 2^w of a vector whose entries fit the balanced digit range."""
+    w, code, pattern = digits
+    if code:
+        raw = array(code, cs)
+        if _BIG_ENDIAN:
             raw.byteswap()
         raw = raw.tobytes()
     else:
         raw = b"".join([c.to_bytes(w // 8, "little", signed=True) for c in cs])
+    mask = int.from_bytes(pattern * len(cs), "little")
     return (int.from_bytes(raw, "little") ^ mask) - mask
 
 
-def unpack_limbs(v: int, w: int) -> list[int]:
-    """The balanced w-bit digits of v, lowest first; a leading digit may be 0."""
-    n, step = abs(v).bit_length() // w + 1, w // 8
-    mask = _limb_mask(n, w)
-    raw = ((v + mask) ^ mask).to_bytes(step * n, "little")
-    if w == 64:
-        out = array("q")
+def unpack(v: int, digits, n: int | None = None) -> list[int]:
+    """The n balanced digits of v, lowest first, by default as many as v
+    needs (a leading digit may be 0); OverflowError when v has no such form."""
+    w, code, pattern = digits
+    if n is None:
+        n = abs(v).bit_length() // w + 1
+    mask = int.from_bytes(pattern * n, "little")
+    raw = ((v + mask) ^ mask).to_bytes(w // 8 * n, "little")
+    if code:
+        out = array(code)
         out.frombytes(raw)
-        if _HOST == "big":
+        if _BIG_ENDIAN:
             out.byteswap()
         return out.tolist()
+    step = w // 8
     return [int.from_bytes(raw[i:i + step], "little", signed=True) for i in range(0, len(raw), step)]
 
 
@@ -222,15 +199,14 @@ _LOOP_MAX_PRODUCTS = 64
 def _convolve(a, b) -> list[int]:
     """Product of integer coefficient vectors, neither all zero.
 
-    One big-int multiply when the product is long enough to repay packing
-    and every entry of it fits a digit; the loop otherwise.
+    One big-int multiply, at the width that holds every entry of the
+    product, when the product is long enough to repay packing; the loop
+    otherwise.
     """
     if len(a) * len(b) <= _LOOP_MAX_PRODUCTS:
         return _convolve_loop(a, b)
     digits = _digits(min(len(a), len(b)) * _norm(a) * _norm(b))
-    if digits is None:
-        return _convolve_loop(a, b)
-    return _unpack(_pack(a, digits) * _pack(b, digits), len(a) + len(b) - 1, digits)
+    return unpack(pack(a, digits) * pack(b, digits), digits, len(a) + len(b) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -813,10 +789,10 @@ def lifted_sum(items):
     cofactor of Phi_d's up to phi), one packing of a form's vectors per
     width w, kept in its packs, one big-int product per value and one big-int
     sum per key.  A key takes at most one value from each item, so the
-    heights bound every entry of every sum, which fixes w.  Returns (keys,
-    form) for the keys whose sum is nonzero, form being the sums' own lifted
-    form over phi and m (unpacked_form), so no value is made; None when some
-    c has a rest other than 1 or an entry could pass the 64-bit digit.
+    heights bound every entry of every sum, which fixes w, however wide the
+    entries are.  Returns (keys, form) for the keys whose sum is nonzero,
+    form being the sums' own lifted form over phi and m (unpacked_form), so
+    no value is made; None when some c has a rest other than 1.
     """
     parts, phi = [], ()
     for c, form, keys in items:
@@ -835,24 +811,21 @@ def lifted_sum(items):
         bound += abs(f) * len(mult) * _norm(mult) * form[5]
         mults.append((mult, f))
     digits = _digits(bound)
-    if digits is None:
-        return None
-    w = 8 * len(digits[1])
+    w = digits[0]
     acc: dict = {}
     get = acc.get
     for (num, _, form, keys), (mult, f) in zip(parts, mults):
         vs = form[6].get(w)
         if vs is None:
-            vs = form[6][w] = [_pack(vec, digits) for vec in form[4]]
-        pm = _pack(mult, digits) * f
+            vs = form[6][w] = [pack(vec, digits) for vec in form[4]]
+        pm = pack(mult, digits) * f
         base = num.offset - low
         for key, k, off, v in zip(keys, form[2], form[3], vs):
             t = v * pm
             if k != 1:
                 t *= k
             acc[key] = get(key, 0) + (t << w * (base + off))
-    return unpacked_form(((key, low, _unpack(v, abs(v).bit_length() // w + 1, digits))
-                          for key, v in acc.items() if v), phi, m)
+    return unpacked_form(((key, low, unpack(v, digits)) for key, v in acc.items() if v), phi, m)
 
 
 def unpacked_form(items, phi, m):

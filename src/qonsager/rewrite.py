@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from .errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from .freealg import Alphabet, NcPoly, Word, _lazy, deglex_key
-from .qcoeff import RationalFunctionQ, pack_limbs, unpack_limbs, unpacked_form
+from .qcoeff import RationalFunctionQ, _digits, pack, unpack, unpacked_form
 
 
 class MonomialOrder:
@@ -191,38 +191,41 @@ class RewriteSystem:
         return NcPoly(self.alphabet, out)
 
     def _normal_form_packed(self, p: NcPoly, form) -> NcPoly:
-        """normal_form over the lifted form of p, at the narrowest width that
-        holds every tracked bound."""
+        """normal_form over the lifted form of p, at the narrowest multiple
+        of 64 bits that holds every tracked bound."""
         phi, d, ks, offsets, vectors, bound = form[:6]
         while True:
-            w = 64 * (bound.bit_length() // 64 + 1)
-            out = self._reduce_packed(p.support(), ks, offsets, vectors, w)
+            digits = _digits(max(bound, 1 << 31))  # past 2^31 w is a multiple of 64
+            out = self._reduce_packed(p.support(), ks, offsets, vectors, digits)
             if type(out) is dict:
                 break
-            bound = max(out, 1 << (2 * w - 2))  # a word outgrew w: at least double it
+            bound = max(out, 1 << (2 * digits[0] - 2))  # a word outgrew w: at least double it
         if not out:
             return NcPoly.zero(self.alphabet)
-        items = ((word, e, unpack_limbs(n, w)) for word, (e, n) in out.items())
+        items = ((word, e, unpack(n, digits)) for word, (e, n) in out.items())
         return _lazy(self.alphabet, *unpacked_form(items, phi, d))
 
-    def _reduce_packed(self, words, ks, offsets, vectors, w: int):
-        """The heap reduction on numerators packed at xi = 2^w.
+    def _reduce_packed(self, words, ks, offsets, vectors, digits):
+        """The heap reduction on numerators packed at xi = 2^w, w the width
+        of the digit format digits (qcoeff.pack).
 
         A pending word holds (e, n, h): its value is q^e times the
         polynomial whose digits n has at xi, over the input's common
         denominator, and h bounds its coefficients: h(c r) <= h(c) |r|_1
         for a rule coefficient r and h(a + b) <= h(a) + h(b).  While h <
         2^(w-1) the digits are balanced and unique (Cauchy), so n = 0 is an
-        exact zero test and unpack_limbs recovers the polynomial.  The sums
-        of bounds overshoot the coefficients by far (79 bits against 23 in
-        the order-6 balanced product of B^5), so a reducible word whose
-        bound is within 2^16 of the limit takes its exact height from its
-        digits instead.  Returns {word: (e, n)} for the irreducible nonzero
-        words, or the bound of the first popped word that reaches 2^(w-1).
+        exact zero test and unpack recovers the polynomial, through the
+        same codec as every other packed sum.  The sums of bounds overshoot
+        the coefficients by far (79 bits against 23 in the order-6 balanced
+        product of B^5), so a reducible word whose bound is within 2^16 of
+        the limit takes its exact height from its digits instead.  Returns
+        {word: (e, n)} for the irreducible nonzero words, or the bound of
+        the first popped word that reaches 2^(w-1).
         """
+        w = digits[0]
         limit = 1 << (w - 1)
         tight = limit >> 16
-        pending = {word: (e, pack_limbs(vec, w) * k, abs(k) * max(map(abs, vec)))
+        pending = {word: (e, pack(vec, digits) * k, abs(k) * max(map(abs, vec)))
                    for word, k, e, vec in zip(words, ks, offsets, vectors)}
         heap = [(-len(word), word) for word in pending]
         heapq.heapify(heap)
@@ -239,7 +242,7 @@ class RewriteSystem:
                 out[word] = (e, n)
                 continue
             if h >= tight:  # the digits are exact while h < 2^(w-1): read the height
-                h = max(map(abs, unpack_limbs(n, w)))
+                h = max(map(abs, unpack(n, digits)))
             pos, ridx = m
             rule = self.rules[ridx]
             left, right = word[:pos], word[pos + len(rule.lhs):]

@@ -474,6 +474,11 @@ class TestGoldenReports:
              "lusztig-noncyclotomic-fwd.json"),
             ("onsager lusztig --expr tests/golden/lusztig-noncyclotomic.json "
              "--direction inv", "lusztig-noncyclotomic-inv.json"),
+            # coefficients past 2^64, packed at 128-bit digits
+            ("onsager lusztig --expr tests/golden/lusztig-wide.json",
+             "lusztig-wide-fwd.json"),
+            ("onsager lusztig --expr tests/golden/lusztig-wide.json --direction inv",
+             "lusztig-wide-inv.json"),
         ],
     )
     def test_report_matches_golden(self, argv, golden, capsys, monkeypatch):

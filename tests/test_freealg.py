@@ -355,6 +355,10 @@ class TestCombine:
         polys = [random_poly(rng, self.AXY, random_rf) for _ in range(3)]
         scalars = [random_rf(rng) * big, big, -random_rf(rng)]
         pairs = list(zip(scalars, polys))
+        # packed like any other sum: the result is lazy, no value made
+        got = NcPoly.combine(self.AXY, pairs)
+        assert got._terms is None
+        assert got == reference_sum(self.AXY, pairs)
         self.check(pairs)
         assert self.check(pairs + [(-c, p) for c, p in pairs]).is_zero
 

@@ -1,17 +1,18 @@
 """Coefficient field: canonical forms, exact arithmetic, evaluation."""
 
 import random
+from array import array
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qonsager import qcoeff
 from qonsager.adjoint import ImageCache
 from qonsager.errors import DivisionByZero, InvalidQ, PoleAtPoint
 from qonsager.freealg import Alphabet, NcPoly
 from qonsager.qcoeff import (
-    _FORMATS,
     _LOOP_MAX_PRODUCTS,
     LaurentPoly,
     NumericQ,
@@ -28,9 +29,11 @@ from qonsager.qcoeff import (
     laurent_to_json,
     lifted_form,
     lifted_sum,
+    pack,
     qint,
     rf_from_json,
     rf_to_json,
+    unpack,
 )
 
 Q = SYMBOLIC.q_pow
@@ -306,11 +309,14 @@ def test_canonical_form_matches_sympy_cancel():
 # big-integer kernels against the loop references they replace
 # ---------------------------------------------------------------------------
 
+# the balanced ranges 2^(w-1) of the digit widths w = 16, 32, 64 and 128
+HALVES = [1 << 15, 1 << 31, 1 << 63, 1 << 127]
+
 # entries just below, at and just above the balanced range of each digit
-# width, so the products and gcds below reach every width and the fallback
+# width, so the products and gcds below reach every width
 EDGES = [
     e + d
-    for half, _ in _FORMATS
+    for half in HALVES
     for e in (half // 2, half)
     for d in (-1, 0, 1)
 ]
@@ -332,11 +338,54 @@ def _alternating(x, n):
     return [x if i % 2 == 0 else -x for i in range(n)]
 
 
+class TestCodec:
+    """pack is the value at xi = 2^w, unpack inverts it, at every width."""
+
+    WIDTHS = [16, 32, 64, 128, 192]
+
+    @staticmethod
+    def vectors(rng, w):
+        half = 1 << (w - 1)
+        yield [-half, half - 1, 0, -1, 1]
+        yield [0, 0, 5, 0, 0]
+        yield [half - 1]
+        for _ in range(20):
+            yield [rng.randrange(-half, half) for _ in range(rng.randrange(1, 12))]
+
+    @pytest.mark.parametrize("w", WIDTHS)
+    def test_pack_is_the_value_at_two_to_the_w(self, w):
+        digits = _digits((1 << (w - 1)) - 1)
+        assert digits[0] == w
+        for cs in self.vectors(random.Random(w), w):
+            assert pack(cs, digits) == sum(c << (w * i) for i, c in enumerate(cs))
+
+    @pytest.mark.parametrize("w", WIDTHS)
+    def test_unpack_inverts_pack(self, w):
+        digits = _digits((1 << (w - 1)) - 1)
+        for cs in self.vectors(random.Random(w), w):
+            v = pack(cs, digits)
+            assert unpack(v, digits, len(cs)) == cs
+            assert unpack(v, digits, len(cs) + 2) == cs + [0, 0]
+            # by default as many digits as v needs, at most one leading 0
+            out = unpack(v, digits)
+            top = max((i for i, c in enumerate(cs) if c), default=0)
+            assert top < len(out) <= top + 2
+            assert out == (cs + [0] * len(out))[:len(out)]
+
+    @pytest.mark.parametrize("w", WIDTHS)
+    def test_array_typecode_of_the_digit_width(self, w):
+        code = _digits((1 << (w - 1)) - 1)[1]
+        if w <= 64:
+            assert array(code).itemsize * 8 == w
+        else:
+            assert code is None
+
+
 class TestKroneckerProduct:
     # 9 x 9 entries pass _LOOP_MAX_PRODUCTS; the middle product entry is
     # 9 x e, the bound itself, so e = (half - 1) // 9 fills a width exactly
     FACTORS = EDGES + [
-        f for half, _ in _FORMATS for f in ((half - 1) // 9, (half - 1) // 9 + 1)
+        f for half in HALVES for f in ((half - 1) // 9, (half - 1) // 9 + 1)
     ]
     CASES = [
         (_alternating(e, 9), _alternating(s, 9)) for e in FACTORS for s in (1, -1)
@@ -349,18 +398,27 @@ class TestKroneckerProduct:
         assert _convolve(a, b) == _convolve_loop(a, b)
         assert _convolve(b, a) == _convolve_loop(a, b)
 
-    def test_every_width_and_the_fallback_run(self):
+    def test_every_width_runs_packed(self, monkeypatch):
         assert all(len(a) * len(b) > _LOOP_MAX_PRODUCTS for a, b in self.CASES)
         reached = {
-            _digits(min(len(a), len(b)) * _norm(a) * _norm(b)) for a, b in self.CASES
+            _digits(min(len(a), len(b)) * _norm(a) * _norm(b))[0] for a, b in self.CASES
         }
-        assert reached == {digits for _, digits in _FORMATS} | {None}
+        assert reached == {16, 32, 64, 128, 192}
+        want = [_convolve_loop(a, b) for a, b in self.CASES]
+
+        def no_loop(a, b):
+            raise AssertionError("a long product took the loop")
+
+        monkeypatch.setattr(qcoeff, "_convolve_loop", no_loop)
+        assert [_convolve(a, b) for a, b in self.CASES] == want
 
     def test_digit_width_boundaries(self):
-        widths = [digits for _, digits in _FORMATS] + [None]
-        for k, (half, digits) in enumerate(_FORMATS):
-            assert _digits(half - 1) == digits
-            assert _digits(half) == widths[k + 1]
+        for half, wider in zip(HALVES, (32, 64, 128, 192)):
+            w = half.bit_length()
+            assert _digits(half - 1)[0] == w
+            assert _digits(half)[0] == wider
+        assert _digits(0)[0] == 16
+        assert _digits((1 << 255) - 1)[0] == 256 and _digits(1 << 255)[0] == 320
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -369,6 +427,61 @@ class TestKroneckerProduct:
     )
     def test_random_against_loop(self, a, b):
         assert _convolve(a, b) == _convolve_loop(a, b)
+
+
+class BigEndianArray(array):
+    """array as a big-endian host has it: each entry's bytes in the
+    opposite order to this host's."""
+
+    def tobytes(self):
+        out = array(self.typecode, self)
+        out.byteswap()
+        return out.tobytes()
+
+    def frombytes(self, raw):
+        out = array(self.typecode)
+        out.frombytes(raw)
+        out.byteswap()
+        self.extend(out)
+
+
+class TestBigEndianHost:
+    """On an emulated big-endian host the codec packs the same values, so
+    sums of packed ints of different lengths stay right."""
+
+    @pytest.fixture(autouse=True)
+    def big_endian(self, monkeypatch):
+        monkeypatch.setattr(qcoeff, "array", BigEndianArray)
+        monkeypatch.setattr(qcoeff, "_BIG_ENDIAN", not qcoeff._BIG_ENDIAN)
+
+    @pytest.mark.parametrize("w", [16, 32, 64])
+    def test_pack_and_unpack(self, w):
+        digits = _digits((1 << (w - 1)) - 1)
+        cs = [-(1 << (w - 1)), 7, 0, (1 << (w - 1)) - 1, -1]
+        v = pack(cs, digits)
+        assert v == sum(c << (w * i) for i, c in enumerate(cs))
+        assert unpack(v, digits, len(cs)) == cs
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lifted_sum_matches_per_coefficient_sums(self, seed):
+        rng = random.Random(seed)
+        scalars = [_cyclotomic_value(rng), Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                   SYMBOLIC.q_pow(rng.randint(-3, 3))]
+        items, want = [], {}
+        for c in scalars:
+            keys = rng.sample(range(4), 3)  # a key takes one value per item
+            xs = [_cyclotomic_value(rng) for _ in keys]
+            items.append((c, lifted_form(xs), keys))
+            for key, x in zip(keys, xs):
+                want[key] = want.get(key, SYMBOLIC.zero()) + c * x
+        got_keys, got_form = lifted_sum(items)
+        assert dict(zip(got_keys, form_values(got_form))) == {k: v for k, v in want.items() if v}
+
+    def test_symbolic_catalogue_passes(self):
+        from qonsager.identities import run_identity_suite
+
+        records = run_identity_suite(max_index=1)
+        assert records and all(r.status == "pass" for r in records)
 
 
 class TestLiftedSumPacks:

@@ -296,7 +296,7 @@ class TestOracle:
         reduce = RewriteSystem._reduce_packed
 
         def spy(rs, *args):
-            seen.append(args[-1])
+            seen.append(args[-1][0])  # the width w of the digit format
             return reduce(rs, *args)
 
         monkeypatch.setattr(RewriteSystem, "_reduce_packed", spy)
