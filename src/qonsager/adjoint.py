@@ -190,13 +190,17 @@ def truncated_sum(A, X, N: int, direction: str = FORWARD, mode=SYMBOLIC):
     equals the full formal sum, since every higher shift map contains that
     balanced product as a factor.  One balanced product of X is extended a
     factor at a time, so the sum costs N balanced maps, not N(N+1)/2.
+    Polynomial summands are added as one NcPoly.combine, matrices one
+    after another.
     """
     _check_direction(direction)
-    out = image = X
+    image, terms = X, [X]
     for n in range(1, N + 1):
         image = apply_bad(n - 1, A, image, mode)
-        out = out + _outer_shift(n, A, image, direction, mode)
-    return out
+        terms.append(_outer_shift(n, A, image, direction, mode))
+    if isinstance(X, NcPoly) and N > 0:
+        return NcPoly.combine(X.alphabet, [(1, p) for p in terms])
+    return sum(terms[1:], X)
 
 
 def closed_form_sum(A, X, direction: str = FORWARD, mode=SYMBOLIC):

@@ -14,9 +14,11 @@ integer form kept on it, numerators over one denominator (a cyclotomic one
 in symbolic mode), so a sum runs on plain integers.  Its result is lazy: it
 carries the surviving words and their integer form, and builds its
 coefficients (Fractions, or RationalFunctionQ values through
-qcoeff.form_values) only when terms is first read, by ==, hash, scaling,
-+, evaluation or JSON.  Word shifts, further sums and the zero test read
-the words and the form alone.
+qcoeff.form_values) only when terms is first read, by ==, scaling, +,
+evaluation or JSON.  Word shifts, further sums, the hash and the zero test
+read the words and the form alone.  A symbolic form made by a sum keeps
+the packed integers the sum made, so the next sum at that width reads them
+instead of packing; the zero test and the exact heights are unchanged.
 """
 
 from __future__ import annotations
@@ -307,11 +309,13 @@ class NcPoly:
         )
 
     def __hash__(self) -> int:
-        # terms is never mutated after construction, so hash it once
+        # equal polynomials have the same words, so the words alone are
+        # hashed and no lazy coefficient is built; they never change, so
+        # the hash is taken once
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.alphabet, frozenset(self.terms.items())))
+            h = hash((self.alphabet, frozenset(self._words)))
             object.__setattr__(self, "_hash", h)
             return h
 

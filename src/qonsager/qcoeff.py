@@ -26,8 +26,11 @@ sum: lifted_form holds values as integer vectors over the lcm of their
 multisets, and lifted_sum adds their multiples as packed big integers.  A
 free-algebra product is such a sum whose items all share one form.  A
 form keeps its vectors packed per digit width, and a sum returns the form of
-its result, so a value summed again is neither lifted nor packed again; no
-value is made until form_values is asked for them.
+its result with the packed big integers it made, under the width it made
+them at, so a value summed again at that width is neither lifted nor packed
+again.  The sums are unpacked only for their vectors and exact heights,
+which fix the widths of later sums; no value is made until form_values is
+asked for them.
 
 The reduced canonical form is made only where a value leaves the engine:
 canonical(), and through it rf_to_json and so every emitted coefficient and
@@ -755,9 +758,10 @@ def lifted_form(xs):
     ks[i] / D * q^offsets[i] * vectors[i] / prod Phi_d^phi[d-1], with D and
     the ks integers; height bounds |ks[i]| times every entry of vectors[i].
     A value whose multiset is phi already keeps its own coefficient tuple as
-    its vector, shared, and its scale in ks[i].  packs, empty here, is where
-    lifted_sum keeps the packed vectors, one list per digit width.  None
-    when some value has a rest other than 1.
+    its vector, shared, and its scale in ks[i].  packs, empty here, holds
+    the packed vectors, one list per digit width, as lifted_sum packs them
+    or unpacked_form keeps them.  None when some value has a rest other
+    than 1.
     """
     xs = list(xs)
     if any(x.rest != (1,) for x in xs):
@@ -791,8 +795,9 @@ def lifted_sum(items):
     sum per key.  A key takes at most one value from each item, so the
     heights bound every entry of every sum, which fixes w, however wide the
     entries are.  Returns (keys, form) for the keys whose sum is nonzero,
-    form being the sums' own lifted form over phi and m (unpacked_form), so
-    no value is made; None when some c has a rest other than 1.
+    form being the sums' own lifted form over phi and m (unpacked_form),
+    which keeps the packed sums at w, so no value is made and a later sum
+    at w packs nothing of it; None when some c has a rest other than 1.
     """
     parts, phi = [], ()
     for c, form, keys in items:
@@ -825,24 +830,36 @@ def lifted_sum(items):
             if k != 1:
                 t *= k
             acc[key] = get(key, 0) + (t << w * (base + off))
-    return unpacked_form(((key, low, unpack(v, digits)) for key, v in acc.items() if v), phi, m)
+    return unpacked_form(((key, low, v) for key, v in acc.items() if v), phi, m, digits)
 
 
-def unpacked_form(items, phi, m):
-    """(keys, lifted form) of the values q^offset * ints / (m prod
-    Phi_d^phi[d-1]) over (key, offset, ints) items, ints not all 0: every k
-    is 1 and each vector is ints trimmed of zeros.  No value is made."""
-    keys, offsets, vectors = [], [], []
-    for key, offset, ints in items:
-        lo, hi = 0, len(ints)
-        while not ints[hi - 1]:
-            hi -= 1
-        while not ints[lo]:
-            lo += 1
+def unpacked_form(items, phi, m, digits):
+    """(keys, lifted form) of the values q^offset * P / (m prod
+    Phi_d^phi[d-1]) over (key, offset, v) items, P the nonzero polynomial
+    whose balanced digits v has at xi = 2^w in the digit format digits.
+
+    Every k is 1.  The zero low digits are shifted off v, which is exact
+    (the lowest set bit of v lies in its lowest nonzero digit), and what is
+    left, the packed vector at width w, is kept in the form's packs, so a
+    later sum at w packs nothing.  The vectors are unpacked only for the
+    exact height, which fixes the width of every later sum.  No value is
+    made.
+    """
+    w = digits[0]
+    keys, offsets, vectors, packed = [], [], [], []
+    for key, offset, v in items:
+        lo = ((v & -v).bit_length() - 1) // w
+        v >>= w * lo
+        ints = unpack(v, digits)
+        while not ints[-1]:
+            ints.pop()
         keys.append(key)
         offsets.append(offset + lo)
-        vectors.append(tuple(ints[lo:hi]))
-    return tuple(keys), _form(phi, m, (1,) * len(keys), tuple(offsets), tuple(vectors))
+        vectors.append(tuple(ints))
+        packed.append(v)
+    form = _form(phi, m, (1,) * len(keys), tuple(offsets), tuple(vectors))
+    form[6][w] = packed
+    return tuple(keys), form
 
 
 def form_values(form):

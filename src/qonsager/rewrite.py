@@ -202,8 +202,8 @@ class RewriteSystem:
             bound = max(out, 1 << (2 * digits[0] - 2))  # a word outgrew w: at least double it
         if not out:
             return NcPoly.zero(self.alphabet)
-        items = ((word, e, unpack(n, digits)) for word, (e, n) in out.items())
-        return _lazy(self.alphabet, *unpacked_form(items, phi, d))
+        items = ((word, e, n) for word, (e, n) in out.items())
+        return _lazy(self.alphabet, *unpacked_form(items, phi, d, digits))
 
     def _reduce_packed(self, words, ks, offsets, vectors, digits):
         """The heap reduction on numerators packed at xi = 2^w, w the width

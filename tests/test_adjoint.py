@@ -161,6 +161,31 @@ class TestTruncatedSum:
         assert truncated_sum(A, A, 3, FORWARD) == A
         assert truncated_sum(A, A, 3, INVERSE) == A
 
+    @pytest.mark.parametrize("mode", [m, NumericQ(Fraction(5, 3))], ids=["symbolic", "numeric"])
+    def test_polynomial_sum_is_one_lazy_combine(self, mode):
+        base = NcPoly.generator(AXY, "A", mode)
+        V = random_poly(random.Random(5), mode)
+        got = truncated_sum(base, V, 3, FORWARD, mode)
+        assert got._terms is None  # a running + would have built the coefficients
+        assert got == V + sum((apply_S(n, base, V, FORWARD, mode) for n in (1, 2, 3)), NcPoly.zero(AXY))
+
+    def test_matrix_sum_scales_nothing_by_one(self, monkeypatch):
+        sd = spectral_data(3, 3, 2)
+        V = ExactMatrix([[sd.mode.from_fraction(i - j) for j in range(4)] for i in range(4)])
+        scalars = []
+        rmul = ExactMatrix.__rmul__
+
+        def spy(M, scalar):
+            scalars.append(scalar)
+            return rmul(M, scalar)
+
+        monkeypatch.setattr(ExactMatrix, "__rmul__", spy)
+        got = truncated_sum(sd.A, V, 3, FORWARD, sd.mode)
+        monkeypatch.undo()
+        assert scalars and not any(type(c) is int and c == 1 for c in scalars)
+        assert got == V + apply_S(1, sd.A, V, FORWARD, sd.mode) + apply_S(2, sd.A, V, FORWARD, sd.mode) \
+            + apply_S(3, sd.A, V, FORWARD, sd.mode)
+
     @pytest.mark.parametrize("operands", ["poly-symbolic", "poly-numeric", "matrix-d3"])
     def test_matches_naive_shift_sum(self, operands):
         """The sum built from one growing balanced product equals the sum of

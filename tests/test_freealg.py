@@ -8,9 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qonsager import qcoeff
 from qonsager.errors import AlphabetMismatch, MissingImage, ParseError
 from qonsager.freealg import Alphabet, NcPoly, ncpoly_from_json, ncpoly_to_json
-from qonsager.qcoeff import SYMBOLIC, LaurentPoly, NumericQ, RationalFunctionQ, rf_from_json
+from qonsager.qcoeff import (
+    SYMBOLIC, LaurentPoly, NumericQ, RationalFunctionQ, _digits, pack, rf_from_json,
+)
 
 AB = Alphabet(["A", "B"])
 A = NcPoly.generator(AB, "A")
@@ -192,9 +195,10 @@ class TestHash:
         pairs = [(coeff(rng), random_poly(rng, AB, coeff)) for _ in range(3)]
         lazy = NcPoly.combine(AB, pairs)
         eager = reference_sum(AB, pairs)
+        h = hash(lazy)  # over the words: builds no coefficient
         assert lazy._terms is None and eager._terms is not None
         assert lazy == eager and eager == lazy
-        assert hash(lazy) == hash(eager)
+        assert h == hash(eager)
         assert {lazy: 1}[eager] == 1 and {eager: 1}[lazy] == 1
 
 
@@ -435,9 +439,19 @@ class TestSumKeepsItsForm:
 
     @pytest.mark.parametrize("coeff", [random_rf, random_fraction], ids=["symbolic", "numeric"])
     @pytest.mark.parametrize("seed", range(10))
-    def test_form_rebuilds_the_coefficients(self, coeff, seed):
+    def test_form_rebuilds_the_coefficients(self, coeff, seed, monkeypatch):
+        """The sum's form rebuilds its values, its height is exact, and it
+        keeps the packed vectors at the width the sum ran at, and no other."""
         import random
 
+        formats = []
+        unpacked = qcoeff.unpacked_form
+
+        def spy(items, phi, m, digits):
+            formats.append(digits)
+            return unpacked(items, phi, m, digits)
+
+        monkeypatch.setattr(qcoeff, "unpacked_form", spy)
         got = self.summed(random.Random(seed), coeff)
         form = got._ints  # set by the sum, not made on request
         assert form
@@ -445,7 +459,9 @@ class TestSumKeepsItsForm:
         if len(form) > 2:
             phi, _, ks, _, vectors, height, packs = form
             assert height == max(abs(k) * max(map(abs, v)) for k, v in zip(ks, vectors))
-            assert all(c.phi == phi for c in got.terms.values()) and packs == {}
+            assert all(c.phi == phi for c in got.terms.values())
+            digits = formats[0]  # the combine above; the reference sum packs nothing
+            assert packs == {digits[0]: [pack(v, digits) for v in vectors]}
 
     @pytest.mark.parametrize("coeff", [random_rf, random_fraction], ids=["symbolic", "numeric"])
     @pytest.mark.parametrize("seed", range(10))
@@ -461,6 +477,64 @@ class TestSumKeepsItsForm:
         assert p * inner == expanded_product(p, inner)
         if coeff is random_rf:  # the sums above packed inner's form at least once
             assert inner._ints[6]
+
+    @staticmethod
+    def small_poly(rng, alphabet):
+        """Coefficients k q^j with |k| <= 3, so every sum over them runs at
+        16-bit digits."""
+        return NcPoly(alphabet, {tuple(rng.randrange(3) for _ in range(rng.randrange(4))):
+                                 rng.choice([-3, -2, -1, 1, 2, 3]) * SYMBOLIC.q_pow(rng.randint(-2, 2))
+                                 for _ in range(5)})
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sum_of_sums_packs_only_multipliers_and_new_forms(self, seed, monkeypatch):
+        """A sum reads the packs a sum at its width kept: it packs one
+        multiplier per pair and the vectors of forms that no sum made."""
+        import random
+
+        rng = random.Random(seed)
+        inner = [NcPoly.combine(self.AXY, [(SYMBOLIC.q_pow(rng.randint(-2, 2)) * rng.randint(1, 3),
+                                            self.small_poly(rng, self.AXY)) for _ in range(3)])
+                 for _ in range(2)]
+        p = self.small_poly(rng, self.AXY)
+        p._integer_form()  # lifted here, so only the sum below packs it
+        assert all(set(q._ints[6]) == {16} for q in inner)
+        pairs = [(SYMBOLIC.q_pow(1), inner[0]), (-2, inner[1]), (SYMBOLIC.q_pow(-1), p),
+                 (3, inner[0])]
+        calls, widths = [], []
+        packer, unpacked = qcoeff.pack, qcoeff.unpacked_form
+
+        def counted(cs, digits):
+            calls.append(len(cs))
+            return packer(cs, digits)
+
+        def spy(items, phi, m, digits):
+            widths.append(digits[0])
+            return unpacked(items, phi, m, digits)
+
+        monkeypatch.setattr(qcoeff, "pack", counted)
+        monkeypatch.setattr(qcoeff, "unpacked_form", spy)
+        got = NcPoly.combine(self.AXY, pairs)
+        monkeypatch.undo()
+        assert widths == [16]
+        assert len(calls) == len(pairs) + len(p._words)
+        assert got == reference_sum(self.AXY, pairs)
+
+    def test_form_read_wider_than_it_was_made_is_packed_again(self):
+        import random
+
+        rng = random.Random(4)
+        inner = NcPoly.combine(self.AXY, [(random_rf(rng), self.small_poly(rng, self.AXY))
+                                          for _ in range(3)])
+        form = inner._ints
+        (w0, kept), = form[6].items()
+        assert w0 < 64
+        pairs = [(2 ** 40, inner), (SYMBOLIC.q_pow(1), inner)]
+        got = NcPoly.combine(self.AXY, pairs)
+        assert got == reference_sum(self.AXY, pairs)
+        assert set(form[6]) == {w0, 64} and form[6][w0] is kept
+        digits = _digits((1 << 63) - 1)
+        assert form[6][64] == [pack(v, digits) for v in form[4]]
 
 
 class TestZeroCoefficientsVanish:

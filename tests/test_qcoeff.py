@@ -34,6 +34,7 @@ from qonsager.qcoeff import (
     rf_from_json,
     rf_to_json,
     unpack,
+    unpacked_form,
 )
 
 Q = SYMBOLIC.q_pow
@@ -379,6 +380,33 @@ class TestCodec:
             assert array(code).itemsize * 8 == w
         else:
             assert code is None
+
+
+class TestUnpackedForm:
+    """unpacked_form shifts the zero low digits off a packed value and keeps
+    what is left as the packed vector of its trimmed digits."""
+
+    @pytest.mark.parametrize("w", [16, 32, 64, 128])
+    def test_low_digit_trim_is_the_pack_of_the_trimmed_vector(self, w):
+        rng = random.Random(w)
+        digits = _digits((1 << (w - 1)) - 1)
+        half = 1 << (w - 1)
+        items, want = [], []
+        for i in range(40):
+            cs = [rng.randrange(-half, half) for _ in range(rng.randrange(0, 6))]
+            lowest = -rng.randrange(1, half + 1) if i % 2 else rng.choice([-half, -1, 1, half - 1])
+            cs = [lowest] + cs
+            while not cs[-1]:
+                cs.pop()
+            low, high = rng.randrange(4), rng.randrange(3)
+            items.append((i, i - 5, pack([0] * low + cs + [0] * high, digits)))
+            want.append((i - 5 + low, tuple(cs)))
+        keys, form = unpacked_form(items, (0, 1), 3, digits)
+        _, m, ks, offsets, vectors, height, packs = form
+        assert keys == tuple(range(40)) and m == 3 and set(ks) == {1}
+        assert list(zip(offsets, vectors)) == want
+        assert height == max(map(_norm, vectors))
+        assert packs == {w: [pack(v, digits) for v in vectors]}
 
 
 class TestKroneckerProduct:

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from qonsager import qcoeff
 from qonsager.adjoint import apply_bad, apply_badprod
 from qonsager.currentalg import aq_system
 from qonsager.errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from qonsager.freealg import Alphabet, NcPoly
 from qonsager.onsager import defining_relations, onsager_context
 from qonsager.qcoeff import SYMBOLIC as m
-from qonsager.qcoeff import LaurentPoly, NumericQ, RationalFunctionQ
+from qonsager.qcoeff import LaurentPoly, NumericQ, RationalFunctionQ, _digits, pack
 from qonsager.rewrite import MonomialOrder, RewriteRule, RewriteSystem, make_system
 from test_freealg import rebuilt
 
@@ -304,7 +305,8 @@ class TestOracle:
 
     def assert_agrees(self, rs, p):
         """normal_form equals the traced reduction, and a packed result keeps
-        a lifted form that rebuilds its coefficients."""
+        a lifted form that rebuilds its coefficients, with an exact height
+        and, at the one width it was reduced at, the packs of its vectors."""
         nf = rs.normal_form(p)
         assert nf == rs.normal_form_traced(p)[0]
         form = nf._ints
@@ -312,7 +314,10 @@ class TestOracle:
             assert rebuilt(form) == list(nf.terms.values())
             phi, _, ks, _, vectors, height, packs = form
             assert height == max(abs(k) * max(map(abs, v)) for k, v in zip(ks, vectors))
-            assert all(c.phi == phi for c in nf.terms.values()) and packs == {}
+            assert all(c.phi == phi for c in nf.terms.values())
+            (w, packed), = packs.items()
+            digits = _digits((1 << (w - 1)) - 1)
+            assert digits[0] == w and packed == [pack(v, digits) for v in vectors]
         return nf
 
     @staticmethod
@@ -390,6 +395,31 @@ class TestOracle:
         nf = self.assert_agrees(ctx.qdg, apply_badprod(6, ctx.A, power))
         assert nf.is_zero
         assert widths == [64]
+
+    def test_packed_normal_form_keeps_the_packs_of_its_vectors(self, widths, monkeypatch):
+        """A packed normal form keeps its vectors packed at the width it was
+        reduced at, and a later sum at that width packs only its multiplier."""
+        rs = onsager_context().qdg
+        rng = random.Random(13)
+        pool = [AB.word(s) for s in ("AAAB", "ABBB", "AAABB")]
+        p = self.q_poly(rng, AB, pool, 8, big=2 ** 40)
+        nf = self.assert_agrees(rs, p)
+        form = nf._ints
+        assert widths == [64] and set(form[6]) == {64} and form[5] >= 1 << 31
+        digits = _digits((1 << 63) - 1)
+        assert form[6][64] == [pack(v, digits) for v in form[4]]
+        calls = []
+        packer = qcoeff.pack
+
+        def counted(cs, digits):
+            calls.append(digits[0])
+            return packer(cs, digits)
+
+        monkeypatch.setattr(qcoeff, "pack", counted)
+        got = NcPoly.combine(AB, [(m.q_pow(1), nf)])
+        monkeypatch.undo()
+        assert calls == [64]
+        assert got == nf.scaled(m.q_pow(1))
 
     def test_fallback_systems_keep_the_loop(self, widths):
         rng = random.Random(3)
