@@ -24,13 +24,14 @@ same hash, so values reached by different routes compare and hash alike.
 A long linear combination is cheaper over one denominator for the whole
 sum: lifted_form holds values as integer vectors over the lcm of their
 multisets, and lifted_sum adds their multiples as packed big integers.  A
-free-algebra product is such a sum whose items all share one form.  A
-form keeps its vectors packed per digit width, and a sum returns the form of
-its result with the packed big integers it made, under the width it made
-them at, so a value summed again at that width is neither lifted nor packed
-again.  The sums are unpacked only for their vectors and exact heights,
-which fix the widths of later sums; no value is made until form_values is
-asked for them.
+free-algebra product is such a sum whose items all share one form, its
+multipliers read from the left factor's form (form_scalars).  A form keeps
+its vectors packed per digit width, and a sum's result form holds only the
+packed big integers it made, under the width it made them at, so a value
+summed again at that width is neither lifted nor packed again.  Its exact
+height, which fixes the widths of later sums, comes from one decode of all
+its digits; its vectors are unpacked only when first read (form_vectors),
+and no value is made until form_values is asked for them.
 
 The reduced canonical form is made only where a value leaves the engine:
 canonical(), and through it rf_to_json and so every emitted coefficient and
@@ -181,17 +182,36 @@ def unpack(v: int, digits, n: int | None = None) -> list[int]:
     needs (a leading digit may be 0); OverflowError when v has no such form."""
     w, code, pattern = digits
     if n is None:
-        n = abs(v).bit_length() // w + 1
+        n = v.bit_length() // w + 1
     mask = int.from_bytes(pattern * n, "little")
-    raw = ((v + mask) ^ mask).to_bytes(w // 8 * n, "little")
+    out = _decoded(((v + mask) ^ mask).to_bytes(w // 8 * n, "little"), digits)
+    return out.tolist() if code else out
+
+
+def _decoded(raw: bytes, digits):
+    """The signed little-endian w-bit digits that raw holds: an array, in one
+    C-level pass, up to 64 bits, and a list, one entry at a time, past that."""
+    w, code, _ = digits
     if code:
         out = array(code)
         out.frombytes(raw)
         if _BIG_ENDIAN:
             out.byteswap()
-        return out.tolist()
+        return out
     step = w // 8
     return [int.from_bytes(raw[i:i + step], "little", signed=True) for i in range(0, len(raw), step)]
+
+
+def _digit_runs(packed, digits):
+    """The balanced digits of the packed values, lowest first, all decoded at
+    once, and how many of them belong to each value, in order."""
+    w, _, pattern = digits
+    sizes = [v.bit_length() // w + 1 for v in packed]
+    masks = {n: int.from_bytes(pattern * n, "little") for n in set(sizes)}
+    step = w // 8
+    raw = b"".join([((v + mask) ^ mask).to_bytes(step * n, "little")
+                    for v, n, mask in zip(packed, sizes, map(masks.__getitem__, sizes))])
+    return _decoded(raw, digits), sizes
 
 
 # Up to this many partial products the loop is faster than packing; the
@@ -752,16 +772,17 @@ RF_ONE = _rf(_LP_ONE, (), (1,))
 # ---------------------------------------------------------------------------
 
 def lifted_form(xs):
-    """Values xs over one denominator: (phi, D, ks, offsets, vectors, height, packs).
+    """Values xs over one denominator: [phi, D, ks, offsets, vectors, height, packs].
 
     phi is the lcm multiset of their denominators, and value i equals
     ks[i] / D * q^offsets[i] * vectors[i] / prod Phi_d^phi[d-1], with D and
     the ks integers; height bounds |ks[i]| times every entry of vectors[i].
     A value whose multiset is phi already keeps its own coefficient tuple as
     its vector, shared, and its scale in ks[i].  packs, empty here, holds
-    the packed vectors, one list per digit width, as lifted_sum packs them
-    or unpacked_form keeps them.  None when some value has a rest other
-    than 1.
+    the packed vectors, one list per digit width, as lifted_sum packs them.
+    The vectors are read through form_vectors, since a sum's form
+    (unpacked_form) holds only its packs until they are read.  None when
+    some value has a rest other than 1.
     """
     xs = list(xs)
     if any(x.rest != (1,) for x in xs):
@@ -774,57 +795,95 @@ def lifted_form(xs):
     ks = tuple([s.numerator * (d // s.denominator) for s in scales])
     vectors = tuple([x.num.coeffs if x.phi == phi
                      else _times(x.num.coeffs, _phi_product(_lcm(phi, x.phi)[2])) for x in xs])
-    return _form(phi, d, ks, tuple([x.num.offset for x in xs]), vectors)
-
-
-def _form(phi, d, ks, offsets, vectors):
-    """A lifted form of the given parts, its height computed and no packs."""
     height = max(map(_mul, map(abs, ks), map(_norm, vectors)), default=0)
-    return phi, d, ks, offsets, vectors, height, {}
+    return [phi, d, ks, tuple([x.num.offset for x in xs]), vectors, height, {}]
+
+
+def form_vectors(form):
+    """The numerator vectors of a symbolic lifted form, the one reader of them.
+
+    A sum's form holds none (unpacked_form): on the first read they are
+    unpacked from its packed values, all at one width, in one decode, and
+    kept in the form.
+    """
+    vectors = form[4]
+    if vectors is None:
+        (w, packed), = form[6].items()  # a form holds one width until its vectors are read
+        decoded, sizes = _digit_runs(packed, _WIDTHS[w])
+        vectors, i = [], 0
+        for n in sizes:
+            j = i + n
+            while not decoded[j - 1]:  # a leading 0 digit
+                j -= 1
+            vectors.append(tuple(decoded[i:j]))
+            i += n
+        vectors = form[4] = tuple(vectors)
+    return vectors
+
+
+def form_scalars(form):
+    """The values of a symbolic lifted form as lifted_sum takes a scalar.
+
+    Over D = 1 they are (phi, offset, vector, k, 1) for k * q^offset *
+    vector / prod Phi_d^phi[d-1], no value made; a sum over them is the sum
+    over the values, the content of a vector being carried in its product
+    instead of its scale.  Over D > 1 a value's scale is reduced against
+    its content, which can lower the sum's denominator, so the values
+    themselves are made.
+    """
+    phi, d, ks, offsets = form[:4]
+    if d != 1:
+        return form_values(form)
+    return [(phi, off, vec, k, 1) for k, off, vec in zip(ks, offsets, form_vectors(form))]
 
 
 def lifted_sum(items):
     """The sum of c * x over (c, form, keys) items, grouped by key.
 
     form is lifted_form of values x in the order of keys, and c a
-    RationalFunctionQ, int or Fraction.  The sum goes over the lcm multiset
-    phi of all its products and the lcm m of their scale denominators, at
-    xi = 2^w: one packed multiplier per item (c's numerator times the
-    cofactor of Phi_d's up to phi), one packing of a form's vectors per
-    width w, kept in its packs, one big-int product per value and one big-int
-    sum per key.  A key takes at most one value from each item, so the
-    heights bound every entry of every sum, which fixes w, however wide the
-    entries are.  Returns (keys, form) for the keys whose sum is nonzero,
-    form being the sums' own lifted form over phi and m (unpacked_form),
-    which keeps the packed sums at w, so no value is made and a later sum
-    at w packs nothing of it; None when some c has a rest other than 1.
+    RationalFunctionQ, int or Fraction, or a value of a lifted form as
+    form_scalars gives it.  The sum goes over the lcm multiset phi of all
+    its products and the lcm m of their scale denominators, at xi = 2^w:
+    one packed multiplier per item (c's numerator times the cofactor of
+    Phi_d's up to phi), one packing of a form's vectors per width w, kept
+    in its packs, one big-int product per value and one big-int sum per
+    key.  A key takes at most one value from each item, so the heights
+    bound every entry of every sum, which fixes w, however wide the entries
+    are.  Returns (keys, form) for the keys whose sum is nonzero, form
+    being the sums' own lifted form over phi and m (unpacked_form), which
+    holds only the packed sums at w, so no value is made and a later sum at
+    w packs nothing of it; None when some c has a rest other than 1.
     """
     parts, phi = [], ()
     for c, form, keys in items:
-        c = _coerce(c)
-        if c.rest != (1,):
-            return None
-        e = _merge(c.phi, form[0])
+        if type(c) is not tuple:
+            c = _coerce(c)
+            if c.rest != (1,):
+                return None
+            num = c.num
+            c = (c.phi, num.offset, num.coeffs, num.scale.numerator, num.scale.denominator)
+        e = _merge(c[0], form[0])
         phi = _lcm(phi, e)[0]
-        parts.append((c.num, e, form, keys))
-    m = _int_lcm(*(num.scale.denominator * form[1] for num, _, form, _ in parts))
-    low = min((num.offset + min(form[3]) for num, _, form, _ in parts), default=0)
+        parts.append((c, e, form, keys))
+    m = _int_lcm(*(c[4] * form[1] for c, _, form, _ in parts))
+    low = min((c[1] + min(form[3]) for c, _, form, _ in parts), default=0)
     bound, mults = 0, []
-    for num, e, form, _ in parts:
-        mult = _times(num.coeffs, _phi_product(_lcm(phi, e)[2]))
-        f = num.scale.numerator * (m // (num.scale.denominator * form[1]))
+    for (_, _, vec, k, den), e, form, _ in parts:
+        cofactor = _phi_product(_lcm(phi, e)[2])  # a form's vector of one entry need not be (1,)
+        mult = _times(vec, cofactor) if len(vec) > 1 else [vec[0] * x for x in cofactor]
+        f = k * (m // (den * form[1]))
         bound += abs(f) * len(mult) * _norm(mult) * form[5]
         mults.append((mult, f))
     digits = _digits(bound)
     w = digits[0]
     acc: dict = {}
     get = acc.get
-    for (num, _, form, keys), (mult, f) in zip(parts, mults):
+    for (c, _, form, keys), (mult, f) in zip(parts, mults):
         vs = form[6].get(w)
         if vs is None:
-            vs = form[6][w] = [pack(vec, digits) for vec in form[4]]
+            vs = form[6][w] = [pack(vec, digits) for vec in form_vectors(form)]
         pm = pack(mult, digits) * f
-        base = num.offset - low
+        base = c[1] - low
         for key, k, off, v in zip(keys, form[2], form[3], vs):
             t = v * pm
             if k != 1:
@@ -840,34 +899,45 @@ def unpacked_form(items, phi, m, digits):
 
     Every k is 1.  The zero low digits are shifted off v, which is exact
     (the lowest set bit of v lies in its lowest nonzero digit), and what is
-    left, the packed vector at width w, is kept in the form's packs, so a
-    later sum at w packs nothing.  The vectors are unpacked only for the
-    exact height, which fixes the width of every later sum.  No value is
-    made.
+    left, the packed vector at width w, is all the form holds of the values:
+    its packs are {w: the packed vectors} and its vectors None until
+    form_vectors reads them.  Its height is exact, the largest digit of all
+    the values, decoded from their joined digit bytes at once; it fixes the
+    width of every later sum.  No value is made.
     """
     w = digits[0]
-    keys, offsets, vectors, packed = [], [], [], []
+    keys, offsets, packed = [], [], []
     for key, offset, v in items:
         lo = ((v & -v).bit_length() - 1) // w
-        v >>= w * lo
-        ints = unpack(v, digits)
-        while not ints[-1]:
-            ints.pop()
         keys.append(key)
         offsets.append(offset + lo)
-        vectors.append(tuple(ints))
-        packed.append(v)
-    form = _form(phi, m, (1,) * len(keys), tuple(offsets), tuple(vectors))
-    form[6][w] = packed
-    return tuple(keys), form
+        packed.append(v >> w * lo)
+    height = _norm(_digit_runs(packed, digits)[0]) if packed else 0
+    return tuple(keys), [phi, m, (1,) * len(keys), tuple(offsets), None, height, {w: packed}]
+
+
+def forms_equal(a, keys_a, b, keys_b):
+    """Whether symbolic lifted forms a and b hold equal values on equal keys,
+    read from their packs; None when the packs cannot tell.
+
+    Over one multiset and one D with every k = 1 a value is its offset and
+    its vector, whose lowest entry is nonzero, so its packs at any one width
+    are canonical.
+    """
+    if a[:2] != b[:2] or not {*a[2], *b[2]} <= {1}:
+        return None
+    w = next((w for w in a[6] if w in b[6]), None)
+    if w is None:
+        return None
+    return dict(zip(keys_a, zip(a[3], a[6][w]))) == dict(zip(keys_b, zip(b[3], b[6][w])))
 
 
 def form_values(form):
     """The values a symbolic lifted form stands for, in its order."""
-    phi, d, ks, offsets, vectors = form[:5]
+    phi, d, ks, offsets = form[:4]
     one = Fraction(1, d)
     return [_rf(_make(offset, vec, one if k == 1 else Fraction(k, d)), phi, (1,))
-            for k, offset, vec in zip(ks, offsets, vectors)]
+            for k, offset, vec in zip(ks, offsets, form_vectors(form))]
 
 
 def qint(n: int) -> RationalFunctionQ:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from .errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from .freealg import Alphabet, NcPoly, Word, _lazy, deglex_key
-from .qcoeff import RationalFunctionQ, _digits, pack, unpack, unpacked_form
+from .qcoeff import RationalFunctionQ, _digits, form_vectors, pack, unpack, unpacked_form
 
 
 class MonomialOrder:
@@ -193,7 +193,8 @@ class RewriteSystem:
     def _normal_form_packed(self, p: NcPoly, form) -> NcPoly:
         """normal_form over the lifted form of p, at the narrowest multiple
         of 64 bits that holds every tracked bound."""
-        phi, d, ks, offsets, vectors, bound = form[:6]
+        phi, d, ks, offsets, _, bound = form[:6]
+        vectors = form_vectors(form)
         while True:
             digits = _digits(max(bound, 1 << 31))  # past 2^31 w is a multiple of 64
             out = self._reduce_packed(p.support(), ks, offsets, vectors, digits)

@@ -12,7 +12,7 @@ from qonsager import qcoeff
 from qonsager.errors import AlphabetMismatch, MissingImage, ParseError
 from qonsager.freealg import Alphabet, NcPoly, ncpoly_from_json, ncpoly_to_json
 from qonsager.qcoeff import (
-    SYMBOLIC, LaurentPoly, NumericQ, RationalFunctionQ, _digits, pack, rf_from_json,
+    SYMBOLIC, LaurentPoly, NumericQ, RationalFunctionQ, _digits, form_vectors, pack, rf_from_json,
 )
 
 AB = Alphabet(["A", "B"])
@@ -200,6 +200,60 @@ class TestHash:
         assert lazy == eager and eager == lazy
         assert h == hash(eager)
         assert {lazy: 1}[eager] == 1 and {eager: 1}[lazy] == 1
+
+
+class TestEquality:
+    """== on two sums over one multiset and one D compares their offsets and
+    packed values, builds no coefficient, and always agrees with comparing
+    terms; other operands compare their terms."""
+
+    @staticmethod
+    def same_values(p):
+        """p again as a new lazy sum, a different object with its own form."""
+        return NcPoly.combine(p.alphabet, [(1, p)])
+
+    def cases(self, rng):
+        base = NcPoly.combine(AB, [(random_rf(rng), random_poly(rng, AB, random_rf)) for _ in range(3)])
+        q = SYMBOLIC.q_pow(1)
+        unit = SYMBOLIC.qnum(3) / SYMBOLIC.qnum(3)  # 1 over a larger multiset
+        yield base, self.same_values(base), True
+        yield base, NcPoly.combine(AB, [(q, base)]), False  # the scaled-by-q control
+        yield NcPoly.combine(AB, [(q, base)]), NcPoly.combine(AB, [(q, self.same_values(base))]), True
+        yield base, NcPoly.combine(AB, [(unit, base)]), True  # equal over different multisets
+        yield base, NcPoly.combine(AB, [(-1, base), (2, base)]), True
+        yield base, NcPoly.combine(AB, [(1, base), (q, A * B)]), False  # one more word
+        yield base, NcPoly(AB, dict(base.terms)), True  # a dict-backed operand
+        yield base, base + A * A - A * A, True
+        yield base, NcPoly.combine(AB, [(1, base), (-1, base)]), False
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_agrees_with_comparing_terms(self, seed):
+        import random
+
+        for p, r, want in self.cases(random.Random(seed)):
+            assert (p == r) is want and (r == p) is want
+            assert (p.terms == r.terms) is want
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_builds_no_coefficient_over_one_multiset(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        base = NcPoly.combine(AB, [(random_rf(rng), random_poly(rng, AB, random_rf)) for _ in range(3)])
+        again, scaled = self.same_values(base), NcPoly.combine(AB, [(SYMBOLIC.q_pow(1), base)])
+        assert base._ints[:2] == again._ints[:2] == scaled._ints[:2]
+        assert base == again and base != scaled
+        assert base._terms is again._terms is scaled._terms is None
+
+    def test_equal_values_over_different_multisets_compare_terms(self):
+        import random
+
+        rng = random.Random(3)
+        base = NcPoly.combine(AB, [(random_rf(rng), random_poly(rng, AB, random_rf)) for _ in range(3)])
+        unit = SYMBOLIC.qnum(3) / SYMBOLIC.qnum(3)
+        other = NcPoly.combine(AB, [(unit, base)])
+        assert other._ints[0] != base._ints[0]
+        assert other == base and other._terms is not None and base._terms is not None
 
 
 class TestJson:
@@ -411,13 +465,14 @@ def rebuilt(form):
     """The values a kept integer form stands for, rebuilt on their own: nums[i]
     / D for a numeric form (D, nums), and ks[i] / D * q^offsets[i] *
     vectors[i] / prod Phi_d^phi[d-1] for a symbolic one, each Phi_d taken
-    from sympy."""
+    from sympy, the vectors read through form_vectors."""
     if len(form) == 2:
         d, nums = form
         return [Fraction(n, d) for n in nums]
     import sympy as sp
 
-    phi, d, ks, offsets, vectors = form[:5]
+    phi, d, ks, offsets = form[:4]
+    vectors = form_vectors(form)
     q = sp.Symbol("q")
     den = sp.Poly(sp.prod([sp.cyclotomic_poly(i + 1, q) ** e for i, e in enumerate(phi)]), q)
     den = LaurentPoly(0, [Fraction(int(c)) for c in reversed(den.all_coeffs())])
@@ -457,7 +512,8 @@ class TestSumKeepsItsForm:
         assert form
         assert rebuilt(form) == list(got.terms.values())
         if len(form) > 2:
-            phi, _, ks, _, vectors, height, packs = form
+            phi, _, ks, _, _, height, packs = form
+            vectors = form_vectors(form)
             assert height == max(abs(k) * max(map(abs, v)) for k, v in zip(ks, vectors))
             assert all(c.phi == phi for c in got.terms.values())
             digits = formats[0]  # the combine above; the reference sum packs nothing
@@ -534,7 +590,45 @@ class TestSumKeepsItsForm:
         assert got == reference_sum(self.AXY, pairs)
         assert set(form[6]) == {w0, 64} and form[6][w0] is kept
         digits = _digits((1 << 63) - 1)
-        assert form[6][64] == [pack(v, digits) for v in form[4]]
+        assert form[6][64] == [pack(v, digits) for v in form_vectors(form)]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sum_of_sums_unpacks_nothing_until_a_coefficient_is_read(self, seed, monkeypatch):
+        """A sum's form holds its packed values alone; its height takes no
+        unpack, and its vectors are unpacked when terms is first read."""
+        import random
+
+        rng = random.Random(seed)
+        calls = []
+        unpack = qcoeff.unpack
+
+        def counted(*args):
+            calls.append(args)
+            return unpack(*args)
+
+        monkeypatch.setattr(qcoeff, "unpack", counted)
+        inner = [NcPoly.combine(self.AXY, [(SYMBOLIC.q_pow(rng.randint(-2, 2)) * rng.randint(1, 3),
+                                            self.small_poly(rng, self.AXY)) for _ in range(3)])
+                 for _ in range(2)]
+        pairs = [(SYMBOLIC.q_pow(1), inner[0]), (-2, inner[1]), (3, inner[0])]
+        got = NcPoly.combine(self.AXY, pairs)
+        for p in inner + [got]:
+            assert p._terms is None and p._ints[4] is None
+        assert got == reference_sum(self.AXY, pairs)
+        assert got._ints[4] is not None and calls == []
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_product_reads_its_multipliers_from_the_left_form(self, seed):
+        """P * Q for a sum P builds no coefficient of P."""
+        import random
+
+        rng = random.Random(seed)
+        left = self.summed(rng, random_rf)
+        left = NcPoly.combine(self.AXY, [(random_rf(rng), left)])  # a sum not yet read
+        right = random_poly(rng, self.AXY, random_rf)
+        got = left * right
+        assert left._terms is None
+        assert got == expanded_product(left, right)
 
 
 class TestZeroCoefficientsVanish:

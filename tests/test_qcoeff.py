@@ -24,7 +24,9 @@ from qonsager.qcoeff import (
     _exact_div_int,
     _norm,
     _primitive_gcd,
+    form_scalars,
     form_values,
+    form_vectors,
     laurent_from_json,
     laurent_to_json,
     lifted_form,
@@ -384,7 +386,8 @@ class TestCodec:
 
 class TestUnpackedForm:
     """unpacked_form shifts the zero low digits off a packed value and keeps
-    what is left as the packed vector of its trimmed digits."""
+    what is left as the packed vector of its trimmed digits; the vectors are
+    unpacked only when form_vectors first reads them."""
 
     @pytest.mark.parametrize("w", [16, 32, 64, 128])
     def test_low_digit_trim_is_the_pack_of_the_trimmed_vector(self, w):
@@ -402,11 +405,44 @@ class TestUnpackedForm:
             items.append((i, i - 5, pack([0] * low + cs + [0] * high, digits)))
             want.append((i - 5 + low, tuple(cs)))
         keys, form = unpacked_form(items, (0, 1), 3, digits)
-        _, m, ks, offsets, vectors, height, packs = form
+        _, m, ks, offsets, unread, height, packs = form
+        assert unread is None
+        vectors = form_vectors(form)
         assert keys == tuple(range(40)) and m == 3 and set(ks) == {1}
         assert list(zip(offsets, vectors)) == want
         assert height == max(map(_norm, vectors))
         assert packs == {w: [pack(v, digits) for v in vectors]}
+        assert form_vectors(form) is vectors  # unpacked once, then kept
+
+    @pytest.mark.parametrize("w", [16, 32, 64, 128, 192])
+    def test_height_from_one_decode_is_the_largest_digit(self, w):
+        """The height read from all the values' digits at once is the
+        largest |digit| of any of them, also when a digit is -2^(w-1), at
+        the top of a value or inside it."""
+        rng = random.Random(w)
+        digits = _digits((1 << (w - 1)) - 1)
+        half = 1 << (w - 1)
+        for trial in range(12):
+            vectors = [[-half], [5, -half], [-half, 0, 1]] if trial % 3 == 0 else []
+            for _ in range(rng.randrange(1, 10)):
+                top = 1 << rng.randrange(1, w)  # heights of every size up to the width
+                cs = [rng.randrange(-top, top) for _ in range(rng.randrange(1, 7))]
+                cs[0], cs[-1] = cs[0] or 1, cs[-1] or -1
+                vectors.append(cs)
+            packed = [pack(cs, digits) for cs in vectors]
+            _, form = unpacked_form([(i, 0, v) for i, v in enumerate(packed)], (), 1, digits)
+            want = max(map(_norm, vectors))
+            assert form[5] == want
+            assert form[5] == max(_norm(unpack(v, digits)) for v in packed)
+            assert form[5] == max(map(_norm, form_vectors(form)))
+            assert list(form_vectors(form)) == [tuple(cs) for cs in vectors]
+
+    @pytest.mark.parametrize("w", [16, 64, 192])
+    def test_empty_sum(self, w):
+        digits = _digits((1 << (w - 1)) - 1)
+        keys, form = unpacked_form([], (), 1, digits)
+        assert keys == () and form[5] == 0 and form[6] == {w: []}
+        assert form_vectors(form) == () and form_values(form) == []
 
 
 class TestKroneckerProduct:
@@ -490,6 +526,16 @@ class TestBigEndianHost:
         assert v == sum(c << (w * i) for i, c in enumerate(cs))
         assert unpack(v, digits, len(cs)) == cs
 
+    @pytest.mark.parametrize("w", [16, 32, 64])
+    def test_height_and_vectors_from_one_decode(self, w):
+        digits = _digits((1 << (w - 1)) - 1)
+        half = 1 << (w - 1)
+        vectors = [(1 - half, 7, 0, half - 1), (-1,), (3, 0, -half), (half - 1,)]
+        _, form = unpacked_form([(i, 0, pack(cs, digits)) for i, cs in enumerate(vectors)],
+                                (), 1, digits)
+        assert form[5] == half
+        assert form_vectors(form) == tuple(vectors)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_lifted_sum_matches_per_coefficient_sums(self, seed):
         rng = random.Random(seed)
@@ -536,6 +582,46 @@ class TestLiftedSumPacks:
             assert form_values(again_form) == [SYMBOLIC.qnum(1) * x for x in values]
         assert set(form[6]) == {16, 64}
         assert packs[2] is packs[0]
+
+
+class TestFormScalars:
+    """form_scalars gives a form's values as lifted_sum takes a scalar,
+    without making them over D = 1; a sum over them is the sum over the
+    values, over the same denominator and at the same width."""
+
+    @staticmethod
+    def forms(rng):
+        xs = [_cyclotomic_value(rng) for _ in range(5)]
+        whole = [x * x.num.scale.denominator for x in xs]  # integral scales, so D = 1
+        yield lifted_form(xs)
+        yield lifted_form(whole)
+        # sums' forms, whose vectors have a content: over D = 1 and over a multiple of 3
+        yield lifted_sum([(2, lifted_form(whole), range(5))])[1]
+        yield lifted_sum([(Fraction(2, 3), lifted_form(whole), range(5)),
+                          (SYMBOLIC.q_pow(1) * 4, lifted_form(xs[:2]), range(2))])[1]
+        # over D = 2 with every vector even, so each value's reduced scale is an integer
+        half = (Fraction(1, 2), lifted_form(whole), range(5))
+        yield lifted_sum([half, half])[1]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_scalars_sum_as_their_values(self, seed):
+        rng = random.Random(seed)
+        forms = list(self.forms(rng))
+        assert forms[1][1] == forms[2][1] == 1 and forms[3][1] % 3 == 0 and forms[4][1] == 2
+        for form in forms:
+            scalars, values = form_scalars(form), form_values(form)
+            if form[1] > 1:  # the values themselves
+                assert scalars == values
+            else:
+                assert len(scalars) == len(values)
+                for (phi, off, vec, k, d), x in zip(scalars, values):
+                    den = RationalFunctionQ.from_laurent(LaurentPoly(0, list(qcoeff._phi_product(phi))))
+                    assert RationalFunctionQ(LaurentPoly(off, [k * c for c in vec])) / den == x
+            ys = [_cyclotomic_value(rng) for _ in range(3)]
+            keys = [rng.sample(range(4), 3) for _ in scalars]
+            by_scalars = lifted_sum([(s, lifted_form(ys), ks) for s, ks in zip(scalars, keys)])
+            by_values = lifted_sum([(x, lifted_form(ys), ks) for x, ks in zip(values, keys)])
+            assert by_scalars == by_values
 
 
 def _lp(cs):

@@ -11,7 +11,7 @@ from qonsager.errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from qonsager.freealg import Alphabet, NcPoly
 from qonsager.onsager import defining_relations, onsager_context
 from qonsager.qcoeff import SYMBOLIC as m
-from qonsager.qcoeff import LaurentPoly, NumericQ, RationalFunctionQ, _digits, pack
+from qonsager.qcoeff import LaurentPoly, NumericQ, RationalFunctionQ, _digits, form_vectors, pack
 from qonsager.rewrite import MonomialOrder, RewriteRule, RewriteSystem, make_system
 from test_freealg import rebuilt
 
@@ -312,7 +312,8 @@ class TestOracle:
         form = nf._ints
         if form:
             assert rebuilt(form) == list(nf.terms.values())
-            phi, _, ks, _, vectors, height, packs = form
+            phi, _, ks, _, _, height, packs = form
+            vectors = form_vectors(form)
             assert height == max(abs(k) * max(map(abs, v)) for k, v in zip(ks, vectors))
             assert all(c.phi == phi for c in nf.terms.values())
             (w, packed), = packs.items()
@@ -407,7 +408,7 @@ class TestOracle:
         form = nf._ints
         assert widths == [64] and set(form[6]) == {64} and form[5] >= 1 << 31
         digits = _digits((1 << 63) - 1)
-        assert form[6][64] == [pack(v, digits) for v in form[4]]
+        assert form[6][64] == [pack(v, digits) for v in form_vectors(form)]
         calls = []
         packer = qcoeff.pack
 
