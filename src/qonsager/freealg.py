@@ -15,12 +15,12 @@ in symbolic mode), so a sum runs on plain integers.  Its result is lazy: it
 carries the surviving words and their integer form, and builds its
 coefficients (Fractions, or RationalFunctionQ values through
 qcoeff.form_values) only when terms is first read, by ==, scaling, +,
-evaluation or JSON.  Word shifts, further sums, products (whose
-multipliers come from the left factor's form), the hash and the zero test
-read the words and the form alone, and so does == of two sums over one
-denominator.  A symbolic form made by a sum holds only the packed integers
-the sum made and their exact height: the next sum at that width reads them
-instead of packing, and their vectors are unpacked when first read.
+evaluation or JSON, or as the left factor of a product, whose multipliers
+are its coefficients.  Word shifts, further sums, the right factor of a
+product, the hash and the zero test read the words and the form alone.  A
+symbolic form made by a sum holds only the packed integers the sum made and
+their exact height: the next sum at that width reads them instead of
+packing, and their vectors are unpacked when first read.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from math import lcm
 
 from .errors import AlphabetMismatch, MissingImage, ParseError, PoleAtPoint
 from .qcoeff import (
-    RF_ONE, SYMBOLIC, RationalFunctionQ, form_scalars, form_values, forms_equal, lifted_form,
-    lifted_sum, rf_from_json, rf_to_json,
+    RF_ONE, SYMBOLIC, RationalFunctionQ, form_values, lifted_form, lifted_sum, rf_from_json,
+    rf_to_json,
 )
 
 Word = tuple[int, ...]
@@ -210,10 +210,7 @@ class NcPoly:
         words = other._words
         shifts = [other._shifted(u, ()) if form is None else
                   _lazy(self.alphabet, tuple([u + w for w in words]), form) for u in self._words]
-        left = self._ints  # the multipliers are read from a symbolic form of P, not built
-        symbolic = left and len(left) > 2 and form is not None and len(form) > 2
-        return NcPoly.combine(self.alphabet,
-                              zip(form_scalars(left) if symbolic else self.terms.values(), shifts))
+        return NcPoly.combine(self.alphabet, zip(self.terms.values(), shifts))
 
     def _shifted(self, left: Word, right: Word) -> "NcPoly":
         """left * self * right for words left and right, lazy when self is:
@@ -307,14 +304,11 @@ class NcPoly:
         return form or None
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, NcPoly) or self.alphabet != other.alphabet:
-            return False
-        a, b = self._ints, other._ints
-        if a and b and len(a) > 2 and len(b) > 2:  # two symbolic forms: their packs may tell
-            same = forms_equal(a, self._words, b, other._words)
-            if same is not None:
-                return same
-        return self.terms == other.terms
+        return (
+            isinstance(other, NcPoly)
+            and self.alphabet == other.alphabet
+            and self.terms == other.terms
+        )
 
     def __hash__(self) -> int:
         # equal polynomials have the same words, so the words alone are
@@ -444,7 +438,7 @@ def ncpoly_from_json(data, mode=SYMBOLIC) -> NcPoly:
                 c = _coeff_from_json(t["coeff"], mode)
             except ZeroDivisionError:
                 raise ParseError("zero denominator", location=f"terms[{i}].coeff")
-            except PoleAtPoint as e:  # a coefficient with a pole at the numeric q
+            except (PoleAtPoint, ParseError) as e:  # a pole at the numeric q, a malformed field
                 raise ParseError(str(e), location=f"terms[{i}].coeff")
             if w in terms:
                 c = terms[w] + c

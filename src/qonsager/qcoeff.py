@@ -25,13 +25,13 @@ A long linear combination is cheaper over one denominator for the whole
 sum: lifted_form holds values as integer vectors over the lcm of their
 multisets, and lifted_sum adds their multiples as packed big integers.  A
 free-algebra product is such a sum whose items all share one form, its
-multipliers read from the left factor's form (form_scalars).  A form keeps
-its vectors packed per digit width, and a sum's result form holds only the
-packed big integers it made, under the width it made them at, so a value
-summed again at that width is neither lifted nor packed again.  Its exact
-height, which fixes the widths of later sums, comes from one decode of all
-its digits; its vectors are unpacked only when first read (form_vectors),
-and no value is made until form_values is asked for them.
+multipliers the left factor's coefficients.  A form keeps its vectors
+packed per digit width, and a sum's result form holds only the packed big
+integers it made, under the width it made them at, so a value summed again
+at that width is neither lifted nor packed again.  Its exact height, which
+fixes the widths of later sums, comes from one decode of all its digits;
+its vectors are unpacked only when first read (form_vectors), and no value
+is made until form_values is asked for them.
 
 The reduced canonical form is made only where a value leaves the engine:
 canonical(), and through it rf_to_json and so every emitted coefficient and
@@ -67,7 +67,7 @@ from fractions import Fraction
 from math import gcd as _gcd, lcm as _int_lcm
 from operator import add as _add, mul as _mul, sub as _sub
 
-from .errors import DivisionByZero, InvalidQ, PoleAtPoint
+from .errors import DivisionByZero, InvalidQ, ParseError, PoleAtPoint
 
 Rat = Fraction
 _ONE = Fraction(1)
@@ -821,69 +821,49 @@ def form_vectors(form):
     return vectors
 
 
-def form_scalars(form):
-    """The values of a symbolic lifted form as lifted_sum takes a scalar.
-
-    Over D = 1 they are (phi, offset, vector, k, 1) for k * q^offset *
-    vector / prod Phi_d^phi[d-1], no value made; a sum over them is the sum
-    over the values, the content of a vector being carried in its product
-    instead of its scale.  Over D > 1 a value's scale is reduced against
-    its content, which can lower the sum's denominator, so the values
-    themselves are made.
-    """
-    phi, d, ks, offsets = form[:4]
-    if d != 1:
-        return form_values(form)
-    return [(phi, off, vec, k, 1) for k, off, vec in zip(ks, offsets, form_vectors(form))]
-
-
 def lifted_sum(items):
     """The sum of c * x over (c, form, keys) items, grouped by key.
 
     form is lifted_form of values x in the order of keys, and c a
-    RationalFunctionQ, int or Fraction, or a value of a lifted form as
-    form_scalars gives it.  The sum goes over the lcm multiset phi of all
-    its products and the lcm m of their scale denominators, at xi = 2^w:
-    one packed multiplier per item (c's numerator times the cofactor of
-    Phi_d's up to phi), one packing of a form's vectors per width w, kept
-    in its packs, one big-int product per value and one big-int sum per
-    key.  A key takes at most one value from each item, so the heights
-    bound every entry of every sum, which fixes w, however wide the entries
-    are.  Returns (keys, form) for the keys whose sum is nonzero, form
-    being the sums' own lifted form over phi and m (unpacked_form), which
-    holds only the packed sums at w, so no value is made and a later sum at
-    w packs nothing of it; None when some c has a rest other than 1.
+    RationalFunctionQ, int or Fraction.  The sum goes over the lcm multiset
+    phi of all its products and the lcm m of their scale denominators, at
+    xi = 2^w: one packed multiplier per item (c's numerator times the
+    cofactor of Phi_d's up to phi), one packing of a form's vectors per
+    width w, kept in its packs, one big-int product per value and one
+    big-int sum per key.  A key takes at most one value from each item, so
+    the heights bound every entry of every sum, which fixes w, however wide
+    the entries are.  Returns (keys, form) for the keys whose sum is
+    nonzero, form being the sums' own lifted form over phi and m
+    (unpacked_form), which holds only the packed sums at w, so no value is
+    made and a later sum at w packs nothing of it; None when some c has a
+    rest other than 1.
     """
     parts, phi = [], ()
     for c, form, keys in items:
-        if type(c) is not tuple:
-            c = _coerce(c)
-            if c.rest != (1,):
-                return None
-            num = c.num
-            c = (c.phi, num.offset, num.coeffs, num.scale.numerator, num.scale.denominator)
-        e = _merge(c[0], form[0])
+        c = _coerce(c)
+        if c.rest != (1,):
+            return None
+        e = _merge(c.phi, form[0])
         phi = _lcm(phi, e)[0]
-        parts.append((c, e, form, keys))
-    m = _int_lcm(*(c[4] * form[1] for c, _, form, _ in parts))
-    low = min((c[1] + min(form[3]) for c, _, form, _ in parts), default=0)
+        parts.append((c.num, e, form, keys))
+    m = _int_lcm(*(num.scale.denominator * form[1] for num, _, form, _ in parts))
+    low = min((num.offset + min(form[3]) for num, _, form, _ in parts), default=0)
     bound, mults = 0, []
-    for (_, _, vec, k, den), e, form, _ in parts:
-        cofactor = _phi_product(_lcm(phi, e)[2])  # a form's vector of one entry need not be (1,)
-        mult = _times(vec, cofactor) if len(vec) > 1 else [vec[0] * x for x in cofactor]
-        f = k * (m // (den * form[1]))
+    for num, e, form, _ in parts:
+        mult = _times(num.coeffs, _phi_product(_lcm(phi, e)[2]))
+        f = num.scale.numerator * (m // (num.scale.denominator * form[1]))
         bound += abs(f) * len(mult) * _norm(mult) * form[5]
         mults.append((mult, f))
     digits = _digits(bound)
     w = digits[0]
     acc: dict = {}
     get = acc.get
-    for (c, _, form, keys), (mult, f) in zip(parts, mults):
+    for (num, _, form, keys), (mult, f) in zip(parts, mults):
         vs = form[6].get(w)
         if vs is None:
             vs = form[6][w] = [pack(vec, digits) for vec in form_vectors(form)]
         pm = pack(mult, digits) * f
-        base = c[1] - low
+        base = num.offset - low
         for key, k, off, v in zip(keys, form[2], form[3], vs):
             t = v * pm
             if k != 1:
@@ -914,22 +894,6 @@ def unpacked_form(items, phi, m, digits):
         packed.append(v >> w * lo)
     height = _norm(_digit_runs(packed, digits)[0]) if packed else 0
     return tuple(keys), [phi, m, (1,) * len(keys), tuple(offsets), None, height, {w: packed}]
-
-
-def forms_equal(a, keys_a, b, keys_b):
-    """Whether symbolic lifted forms a and b hold equal values on equal keys,
-    read from their packs; None when the packs cannot tell.
-
-    Over one multiset and one D with every k = 1 a value is its offset and
-    its vector, whose lowest entry is nonzero, so its packs at any one width
-    are canonical.
-    """
-    if a[:2] != b[:2] or not {*a[2], *b[2]} <= {1}:
-        return None
-    w = next((w for w in a[6] if w in b[6]), None)
-    if w is None:
-        return None
-    return dict(zip(keys_a, zip(a[3], a[6][w]))) == dict(zip(keys_b, zip(b[3], b[6][w])))
 
 
 def form_values(form):
@@ -1048,8 +1012,16 @@ def laurent_to_json(p: LaurentPoly) -> list:
     return [[e, str(c)] for e, c in p.terms()]
 
 
+def json_int(value, field: str) -> int:
+    """value when it is a JSON integer; int() would truncate a float and
+    take a boolean."""
+    if type(value) is not int:
+        raise ParseError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
 def laurent_from_json(data) -> LaurentPoly:
-    return LaurentPoly.from_terms((int(e), Fraction(str(c))) for e, c in data)
+    return LaurentPoly.from_terms((json_int(e, "exponent"), Fraction(str(c))) for e, c in data)
 
 
 def rf_to_json(x: RationalFunctionQ) -> dict:

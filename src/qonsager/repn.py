@@ -38,7 +38,7 @@ from .errors import (
 from .freealg import Alphabet
 from .matrices import ExactMatrix, solve_linear
 from .onsager import defining_relations
-from .qcoeff import NumericQ
+from .qcoeff import NumericQ, json_int
 from .report import CheckRecord, FAIL, PASS
 
 
@@ -441,7 +441,7 @@ def matrix_to_json(M: ExactMatrix) -> dict:
 
 def matrix_from_json(data) -> ExactMatrix:
     try:
-        n = int(data["dimension"])
+        n = json_int(data["dimension"], "matrix dimension")
         rows = [[Fraction(str(x)) for x in row] for row in data["entries"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ParseError(f"malformed matrix JSON: {e}")
@@ -465,7 +465,7 @@ def td_pair_to_json(tp: TDPair) -> dict:
 
 def td_pair_from_json(data) -> TDPair:
     try:
-        d = int(data["d"])
+        d = json_int(data["d"], "pair field d")
         a, b, q0 = Fraction(str(data["a"])), Fraction(str(data["b"])), Fraction(str(data["q"]))
         A = matrix_from_json(data["A"])
         B = matrix_from_json(data["B"])

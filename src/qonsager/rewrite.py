@@ -26,8 +26,8 @@ whose bound nears 2^(w-1) has its exact height read from its digits, and a
 pass whose bound reaches 2^(w-1) runs again wider; w is a multiple of 64.
 The result is lazy (freealg): the irreducible nonzero words and their
 lifted form, no coefficient built until one is read.  Numeric mode, a rule
-with a denominator, an input coefficient with a rest and an input with at
-most one reducible word go through the per-coefficient loop instead.
+with a denominator and an input coefficient with a rest go through the
+per-coefficient loop instead.
 
 A zero normal form proves membership in the two-sided ideal of the
 relations: the reference reducer `normal_form_traced` records each step as
@@ -134,7 +134,11 @@ class RewriteSystem:
     # -- reduction ---------------------------------------------------------
 
     def normal_form_word(self, w: Word) -> NcPoly:
-        """Fully reduce a single word."""
+        """Fully reduce a single word.
+
+        Only tests and the benchmark's tracer reach it, no command, so it
+        goes with the next change to the benchmark.
+        """
         return self.normal_form(NcPoly.monomial(self.alphabet, w, 1))
 
     def normal_form(self, p: NcPoly) -> NcPoly:
@@ -144,22 +148,17 @@ class RewriteSystem:
         smaller words, so when a word is popped every contribution to its
         coefficient has been added up and it is expanded exactly once.
 
-        When every rule coefficient is an integral Laurent polynomial, at
-        least two words of p are reducible and p has a lifted form (symbolic
-        coefficients, rest 1), the reduction runs over p's one denominator
-        on packed integers (_reduce_packed) and the result is lazy, its
-        words and their lifted form.  Otherwise each coefficient is
-        multiplied and added as a scalar: in numeric mode, for a rule with a
-        denominator, for a coefficient with a rest, and from at most one
-        reducible word, where the reduction is mostly a few steps and
-        lifting costs more than it saves.  The path is chosen before
-        anything is lifted.
+        When every rule coefficient is an integral Laurent polynomial and p
+        has a lifted form (symbolic coefficients, rest 1), the reduction
+        runs over p's one denominator on packed integers (_reduce_packed)
+        and the result is lazy, its words and their lifted form.  Otherwise
+        each coefficient is multiplied and added as a scalar: in numeric
+        mode, for a rule with a denominator and for a coefficient with a
+        rest.  The path is chosen by the rule set and the form of p alone.
         """
         if p.alphabet != self.alphabet:
             raise AlphabetMismatch("polynomial over a different alphabet")
-        reducible = filter(self._find, p.support())
-        if (self._integral and next(reducible, None) is not None
-                and next(reducible, None) is not None):
+        if self._integral:
             form = p._integer_form()
             if form is not None and len(form) > 2:
                 return self._normal_form_packed(p, form)
@@ -276,7 +275,9 @@ class RewriteSystem:
         Each step rewrites the leftmost redex of the order-maximal reducible
         monomial, so the result coincides with normal_form.  Step
         (c, left, rule index, right) subtracts c * left * (lhs - rhs) * right,
-        so p - nf is the sum of these terms over the steps.
+        so p - nf is the sum of these terms over the steps.  It is the
+        oracle the tests hold normal_form to and the reference of the
+        module's soundness argument; no command reaches it.
         """
         if p.alphabet != self.alphabet:
             raise AlphabetMismatch("polynomial over a different alphabet")

@@ -96,6 +96,18 @@ class TestExitCodeContract:
         assert out == ""
         assert err == "error: zero denominator (at terms[1].coeff)\n"
 
+    @pytest.mark.parametrize("exponent", [1.9, True, "1"])
+    def test_exponent_that_is_no_json_integer_is_74(self, exponent, tmp_path, capsys):
+        """int() would read 1.9 and true as the exponent 1."""
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"alphabet": ["A", "B"], "terms": [
+            {"word": ["A"], "coeff": 1},
+            {"word": ["B"], "coeff": {"num": [[exponent, "1"]], "den": [[0, "1"]]}}]}))
+        assert main(["onsager", "lusztig", "--expr", str(path)]) == EX_IOERR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: exponent must be a JSON integer, got {exponent!r} (at terms[1].coeff)\n"
+
     def test_pole_at_numeric_q_in_expression_is_74(self, capsys, monkeypatch):
         """A coefficient 1/(q - 2) evaluated at q = 2 is bad input, not a failed check."""
         monkeypatch.chdir(GOLDEN.parent.parent)
@@ -323,6 +335,20 @@ class TestBadPairFile:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: matrix dimension must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("d", 1.9, "pair field d must be a JSON integer, got 1.9"),
+        ("d", True, "pair field d must be a JSON integer, got True"),
+        ("A", {"dimension": 2.5, "entries": [["37/6", "0"], ["0", "13/6"]]},
+         "matrix dimension must be a JSON integer, got 2.5"),
+    ], ids=["d-float", "d-bool", "A-dimension-float"])
+    @pytest.mark.parametrize("action", ["import", "twist"])
+    def test_integer_field_that_is_no_json_integer_is_74(self, path, action, message, capsys):
+        """int() would read 1.9 and true as 1 and 2.5 as 2, and pass d = 1."""
+        assert main(["repn", action, "--file", str(path)]) == EX_IOERR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def _summary(passed):

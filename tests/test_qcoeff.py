@@ -24,7 +24,6 @@ from qonsager.qcoeff import (
     _exact_div_int,
     _norm,
     _primitive_gcd,
-    form_scalars,
     form_values,
     form_vectors,
     laurent_from_json,
@@ -582,46 +581,6 @@ class TestLiftedSumPacks:
             assert form_values(again_form) == [SYMBOLIC.qnum(1) * x for x in values]
         assert set(form[6]) == {16, 64}
         assert packs[2] is packs[0]
-
-
-class TestFormScalars:
-    """form_scalars gives a form's values as lifted_sum takes a scalar,
-    without making them over D = 1; a sum over them is the sum over the
-    values, over the same denominator and at the same width."""
-
-    @staticmethod
-    def forms(rng):
-        xs = [_cyclotomic_value(rng) for _ in range(5)]
-        whole = [x * x.num.scale.denominator for x in xs]  # integral scales, so D = 1
-        yield lifted_form(xs)
-        yield lifted_form(whole)
-        # sums' forms, whose vectors have a content: over D = 1 and over a multiple of 3
-        yield lifted_sum([(2, lifted_form(whole), range(5))])[1]
-        yield lifted_sum([(Fraction(2, 3), lifted_form(whole), range(5)),
-                          (SYMBOLIC.q_pow(1) * 4, lifted_form(xs[:2]), range(2))])[1]
-        # over D = 2 with every vector even, so each value's reduced scale is an integer
-        half = (Fraction(1, 2), lifted_form(whole), range(5))
-        yield lifted_sum([half, half])[1]
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_scalars_sum_as_their_values(self, seed):
-        rng = random.Random(seed)
-        forms = list(self.forms(rng))
-        assert forms[1][1] == forms[2][1] == 1 and forms[3][1] % 3 == 0 and forms[4][1] == 2
-        for form in forms:
-            scalars, values = form_scalars(form), form_values(form)
-            if form[1] > 1:  # the values themselves
-                assert scalars == values
-            else:
-                assert len(scalars) == len(values)
-                for (phi, off, vec, k, d), x in zip(scalars, values):
-                    den = RationalFunctionQ.from_laurent(LaurentPoly(0, list(qcoeff._phi_product(phi))))
-                    assert RationalFunctionQ(LaurentPoly(off, [k * c for c in vec])) / den == x
-            ys = [_cyclotomic_value(rng) for _ in range(3)]
-            keys = [rng.sample(range(4), 3) for _ in scalars]
-            by_scalars = lifted_sum([(s, lifted_form(ys), ks) for s, ks in zip(scalars, keys)])
-            by_values = lifted_sum([(x, lifted_form(ys), ks) for x, ks in zip(values, keys)])
-            assert by_scalars == by_values
 
 
 def _lp(cs):

@@ -61,6 +61,13 @@ def qdg():
     )
 
 
+@pytest.fixture(scope="module")
+def onsager():
+    """The O_q context, built before any function-scoped spy records, since
+    building it reduces by the packed path."""
+    return onsager_context()
+
+
 class TestMakeSystem:
     def test_rule_left_sides(self, qdg):
         assert [r.lhs for r in qdg.rules] == [AB.word("AAAB"), AB.word("ABBB")]
@@ -332,9 +339,9 @@ class TestOracle:
             terms[w] = terms.get(w, m.zero()) + k * m.q_pow(rng.randint(-3, 3))
         return NcPoly(alphabet, terms)
 
-    def test_packed_on_the_presentation(self, widths):
+    def test_packed_on_the_presentation(self, onsager, widths):
         rng = random.Random(7)
-        rs = onsager_context().qdg
+        rs = onsager.qdg
         pool = [AB.word(s) for s in ("AAAB", "ABBB", "AAABB", "BAAAB", "ABBBA", "AAABBBAB")]
         for _ in range(30):
             self.assert_agrees(rs, self.q_poly(rng, AB, pool, rng.randint(2, 10)))
@@ -350,8 +357,8 @@ class TestOracle:
             self.assert_agrees(rs, self.q_poly(rng, aq.alphabet, pool, rng.randint(2, 8)))
         assert widths
 
-    def test_packed_over_different_cyclotomic_denominators(self, widths):
-        rs = onsager_context().qdg
+    def test_packed_over_different_cyclotomic_denominators(self, onsager, widths):
+        rs = onsager.qdg
         rng = random.Random(5)
         for _ in range(4):
             xs = [NcPoly.monomial(AB, tuple(rng.randint(0, 1) for _ in range(rng.randint(2, 4))),
@@ -361,8 +368,19 @@ class TestOracle:
             self.assert_agrees(rs, p)
         assert widths
 
-    def test_coefficient_past_two_to_the_64(self, widths):
-        rs = onsager_context().qdg
+    def test_one_reducible_word_takes_one_packed_pass(self, onsager, widths):
+        """The reducer is chosen by the rules and the input's form alone, so
+        an input with one reducible word is reduced packed too."""
+        rs = onsager.qdg
+        inputs = [NcPoly.monomial(AB, AB.word("AAAB"), m.one()),
+                  m.qnum(2) * (A * A * A * B * B) + m.q_pow(-1) * (B * A) - A * A * B]
+        for p in inputs:
+            assert sum(1 for w in p.support() if reducible(rs, w)) == 1
+            assert self.assert_agrees(rs, p)._ints is not None
+        assert widths == [64, 64]
+
+    def test_coefficient_past_two_to_the_64(self, onsager, widths):
+        rs = onsager.qdg
         k = 2 ** 70 + 3
         p = (k * m.q_pow(2)) * (A * A * A * B * B) - (k - 5) * (A * B * B * B * A) + A * A * A * B
         nf = self.assert_agrees(rs, p)
@@ -374,33 +392,32 @@ class TestOracle:
         (2 ** 61 + 5, ("AAABAB", "ABBBAB", "BAAAB"), ()),
         (2 ** 62 - 3, ("AABBB",), ("AAABA", "ABBBB")),
     ])
-    def test_bound_passing_64_bits_restarts_wider(self, widths, k, big, small):
+    def test_bound_passing_64_bits_restarts_wider(self, onsager, widths, k, big, small):
         """Entries just below 2^63 fit the first width; rewrites by rule
         coefficients of l1 norm 3 and 4 take entries past 2^63, and the pass
         runs again wider."""
-        rs = onsager_context().qdg
+        rs = onsager.qdg
         p = NcPoly(AB, {AB.word(s): (k - i) * m.q_pow(i) for i, s in enumerate(big)}
                    | {AB.word(s): m.q_pow(-i) for i, s in enumerate(small)})
         nf = self.assert_agrees(rs, p)
         assert not nf.is_zero
         assert widths[0] == 64 and widths[-1] > 64
 
-    def test_higher_dg_r5_reads_heights_to_stay_at_64_bits(self, widths):
+    def test_higher_dg_r5_reads_heights_to_stay_at_64_bits(self, onsager, widths):
         """The sum and product bounds alone pass 64 bits here (79 bits against
         23 bits of actual coefficients); reading the exact height of a word
         whose bound nears the limit keeps the reduction at 64 bits."""
-        ctx = onsager_context()
         power = NcPoly.one(AB, m)
         for _ in range(5):
-            power = power * ctx.B
-        nf = self.assert_agrees(ctx.qdg, apply_badprod(6, ctx.A, power))
+            power = power * onsager.B
+        nf = self.assert_agrees(onsager.qdg, apply_badprod(6, onsager.A, power))
         assert nf.is_zero
         assert widths == [64]
 
-    def test_packed_normal_form_keeps_the_packs_of_its_vectors(self, widths, monkeypatch):
+    def test_packed_normal_form_keeps_the_packs_of_its_vectors(self, onsager, widths, monkeypatch):
         """A packed normal form keeps its vectors packed at the width it was
         reduced at, and a later sum at that width packs only its multiplier."""
-        rs = onsager_context().qdg
+        rs = onsager.qdg
         rng = random.Random(13)
         pool = [AB.word(s) for s in ("AAAB", "ABBB", "AAABB")]
         p = self.q_poly(rng, AB, pool, 8, big=2 ** 40)
@@ -422,7 +439,7 @@ class TestOracle:
         assert calls == [64]
         assert got == nf.scaled(m.q_pow(1))
 
-    def test_fallback_systems_keep_the_loop(self, widths):
+    def test_fallback_systems_keep_the_loop(self, onsager, widths):
         rng = random.Random(3)
         aq = aq_system(2)
         assert not all(rule.integral for rule in aq.system.rules)  # 3p1a/3p1b: 1/(q + 1/q)
@@ -438,7 +455,7 @@ class TestOracle:
         rest = RationalFunctionQ(LaurentPoly(0, [1]), LaurentPoly(0, [1, 0, 2]))
         assert rest.rest != (1,)
         p = rest * (A * A * A * B * B) + A * B * B * B + A * A * A * B
-        self.assert_agrees(onsager_context().qdg, p)
+        self.assert_agrees(onsager.qdg, p)
         assert widths == []
 
 
@@ -471,10 +488,6 @@ class TestProofs:
     """Each zero behind a PASS of higher-dg, the presentation's bound check
     and the current algebra's class checks is an explicit ideal combination
     of rules that solve the presentation's relations."""
-
-    @pytest.fixture(scope="class")
-    def onsager(self):
-        return onsager_context()
 
     @pytest.fixture(scope="class")
     def aq(self):
