@@ -10,28 +10,24 @@ a deterministic term order for iteration, display and serialization.
 Linear combinations, the bulk of the identity verifier's work, go through
 NcPoly.combine; a product P * Q is one, the sum of c_u times the word shift
 u * Q over the terms c_u * u of P.  combine reads each polynomial in an
-integer form kept on it, numerators over one denominator (a cyclotomic one
-in symbolic mode), so a sum runs on plain integers.  Its result is lazy: it
-carries the surviving words and their integer form, and builds its
-coefficients (Fractions, or RationalFunctionQ values through
-qcoeff.form_values) only when terms is first read, by ==, scaling, +,
-evaluation or JSON, or as the left factor of a product, whose multipliers
-are its coefficients.  Word shifts, further sums, the right factor of a
-product, the hash and the zero test read the words and the form alone.  A
-symbolic form made by a sum holds only the packed integers the sum made and
-their exact height: the next sum at that width reads them instead of
-packing, and their vectors are unpacked when first read.
+integer form kept on it (qcoeff.lifted_form) and adds them in one
+qcoeff.lifted_sum, so every sum runs on plain integers.  Its result is
+lazy: it carries the surviving words and their integer form, and builds
+its coefficients (qcoeff.form_values) only when terms is first read, by ==,
+scaling, +, evaluation or JSON, or as the left factor of a product, whose
+multipliers are its coefficients.  Word shifts, further sums, the right
+factor of a product, the hash and the zero test read the words and the
+form alone.  A symbolic form made by a sum holds only the packed integers
+the sum made and their exact height: the next sum at that width reads them
+instead of packing, and their vectors are unpacked when first read.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 from .errors import AlphabetMismatch, MissingImage, ParseError, PoleAtPoint
 from .qcoeff import (
-    RF_ONE, SYMBOLIC, RationalFunctionQ, form_values, lifted_form, lifted_sum, rf_from_json,
-    rf_to_json,
+    RF_ONE, SYMBOLIC, RationalFunctionQ, form_values, json_fraction, lifted_form, lifted_sum,
+    rf_from_json, rf_to_json,
 )
 
 Word = tuple[int, ...]
@@ -127,9 +123,7 @@ class NcPoly:
         """word -> nonzero coefficient."""
         terms = self._terms
         if terms is None:
-            form = self._ints
-            values = form_values(form) if len(form) > 2 else [Fraction(n, form[0]) for n in form[1]]
-            terms = dict(zip(self._words, values))
+            terms = dict(zip(self._words, form_values(self._ints)))
             _SET_TERMS(self, terms)
         return terms
 
@@ -208,8 +202,7 @@ class NcPoly:
             return self._shifted((), u)
         form = other._integer_form()  # combine reads a shift u * Q in Q's form alone
         words = other._words
-        shifts = [other._shifted(u, ()) if form is None else
-                  _lazy(self.alphabet, tuple([u + w for w in words]), form) for u in self._words]
+        shifts = [_lazy(self.alphabet, tuple([u + w for w in words]), form) for u in self._words]
         return NcPoly.combine(self.alphabet, zip(self.terms.values(), shifts))
 
     def _shifted(self, left: Word, right: Word) -> "NcPoly":
@@ -234,74 +227,36 @@ class NcPoly:
         """The sum of c * P over (scalar c, polynomial P) pairs, in one pass.
 
         Each P is read in its integer form, kept on P (_integer_form), so no
-        coefficient is multiplied or added as a scalar, and the result is
-        lazy, its nonzero words and their form; a product P * Q sums the
-        word shifts u * Q, which share Q's form.  In numeric mode (every scalar and
-        coefficient an int or Fraction) each c / D becomes one integer
-        multiplier over a common denominator m and the terms add as ints.
-        In symbolic mode the whole sum goes over one cyclotomic denominator,
-        the lcm of the Phi_d multisets of its pairs (qcoeff.lifted_sum): one
-        multiplier per pair, one big-int product per term and big-int sums
-        per word.  Either way the result's integer form is its own, so a
-        later sum or product over it reads it as it is.  The zero test stays
-        exact, the denominator being a nonzero polynomial.  Only a scalar or
-        coefficient with a rest other than 1, which an expression file can
-        hold, or a mix of the two modes, is summed with its own * and +, the
-        zeros dropped at the end.
+        coefficient is multiplied or added as a scalar, and the sum is one
+        qcoeff.lifted_sum: over one integer denominator in numeric mode,
+        over one denominator of Phi_d's and rests in symbolic mode, with one
+        multiplier per pair.  The result is lazy, its nonzero words and
+        their form, which is its own, so a later sum or product over it
+        reads it as it is; a product P * Q sums the word shifts u * Q, which
+        share Q's form.  The zero test stays exact, the denominator being a
+        nonzero polynomial.
         """
         pairs = [(c, p) for c, p in pairs if c and p._words]
         for _, p in pairs:
             if p.alphabet != alphabet:
                 raise AlphabetMismatch(f"{alphabet!r} vs {p.alphabet!r}")
-        forms = [p._integer_form() for _, p in pairs]
-        if None not in forms:  # a numeric form is (D, nums), a symbolic one longer
-            if all(len(f) == 2 for f in forms) and all(isinstance(c, _RATIONAL) for c, _ in pairs):
-                scales = [Fraction(c.numerator, c.denominator * d)
-                          for (c, _), (d, _) in zip(pairs, forms)]
-                m = lcm(*(f.denominator for f in scales))
-                acc: dict = {}
-                get = acc.get
-                for f, (_, p), (_, nums) in zip(scales, pairs, forms):
-                    k = f.numerator * (m // f.denominator)
-                    for w, n in zip(p._words, nums):
-                        acc[w] = get(w, 0) + k * n
-                acc = {w: v for w, v in acc.items() if v}
-                return _lazy(alphabet, tuple(acc), (m, tuple(acc.values())))
-            if all(len(f) > 2 for f in forms):
-                out = lifted_sum([(c, f, p._words) for (c, p), f in zip(pairs, forms)])
-                if out is not None:
-                    return _lazy(alphabet, *out)
-        out: dict = {}
-        for c, p in pairs:
-            for w, x in p.terms.items():
-                t = c * x
-                s = out.get(w)
-                out[w] = t if s is None else s + t
-        return _wrap(alphabet, {w: x for w, x in out.items() if x})
+        return _lazy(alphabet, *lifted_sum([(c, p._integer_form(), p._words) for c, p in pairs]))
 
     def _integer_form(self):
         """The coefficients as integers over one denominator, in the order
-        of terms; None if there is no such form.
-
-        Numeric coefficients (int, Fraction) give (D, nums), nums their
-        numerators over D, the lcm of their denominators.  Symbolic ones
-        give qcoeff.lifted_form, numerator vectors over the lcm of their
-        Phi_d multisets, with each coefficient's own tuple shared where it
-        already has that denominator.  Computed once and kept in _ints; a
-        word shift u*P or P*u, also inside a product, gets P's kept form,
-        and a sum from combine its own, over the sum's common denominator
-        (a lazy polynomial is made with its form).
+        of terms (qcoeff.lifted_form): numerators over an integer D in
+        numeric mode, numerator vectors over Phi_d's and rests in symbolic
+        mode, with each coefficient's own tuple shared where it already has
+        that denominator.  Computed once and kept in _ints; a word shift u*P
+        or P*u, also inside a product, gets P's kept form, and a sum from
+        combine its own, over the sum's common denominator (a lazy
+        polynomial is made with its form).
         """
         form = self._ints
         if form is None:
-            cs = self.terms.values()
-            if all(isinstance(c, _RATIONAL) for c in cs):
-                d = lcm(*(c.denominator for c in cs))
-                form = (d, tuple([c.numerator * (d // c.denominator) for c in cs]))
-            elif all(type(c) is RationalFunctionQ for c in cs):
-                form = lifted_form(cs)
-            _SET_INTS(self, form or _NO_FORM)
-        return form or None
+            form = lifted_form(self.terms.values())
+            _SET_INTS(self, form)
+        return form
 
     def __eq__(self, other) -> bool:
         return (
@@ -361,10 +316,6 @@ class NcPoly:
         return " + ".join(parts)
 
 
-_RATIONAL = (int, Fraction)
-# _ints is None until P's integer form is computed, then the form or _NO_FORM
-_NO_FORM = ()
-
 # the slot descriptors store past the __setattr__ guard
 _SET_ALPHABET, _SET_TERMS, _SET_WORDS, _SET_INTS = (
     NcPoly.alphabet.__set__, NcPoly._terms.__set__, NcPoly._words.__set__, NcPoly._ints.__set__
@@ -409,8 +360,7 @@ def _coeff_from_json(data, mode):
             return x
         return x.eval_at(mode.q0)
     if isinstance(data, (int, str)):
-        f = Fraction(str(data))
-        return mode.from_fraction(f)
+        return mode.from_fraction(json_fraction(data))
     raise ParseError(f"cannot decode coefficient {data!r}")
 
 

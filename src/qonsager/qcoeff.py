@@ -22,12 +22,12 @@ cross multiplication over the common denominator, and every value has the
 same hash, so values reached by different routes compare and hash alike.
 
 A long linear combination is cheaper over one denominator for the whole
-sum: lifted_form holds values as integer vectors over the lcm of their
-multisets, and lifted_sum adds their multiples as packed big integers.  A
-free-algebra product is such a sum whose items all share one form, its
-multipliers the left factor's coefficients.  A form keeps its vectors
-packed per digit width, and a sum's result form holds only the packed big
-integers it made, under the width it made them at, so a value summed again
+sum.  lifted_form holds rationals as integers over their lcm and symbolic
+values as integer vectors over the lcm of their Phi_d multisets times the
+product of their rests, and lifted_sum adds their multiples, as ints or as
+packed big integers; a free-algebra product is such a sum.  A symbolic form
+keeps its vectors packed at the width of the last sum, and a sum's result
+form holds only the packed big integers it made, so a value summed again
 at that width is neither lifted nor packed again.  Its exact height, which
 fixes the widths of later sums, comes from one decode of all its digits;
 its vectors are unpacked only when first read (form_vectors), and no value
@@ -64,8 +64,9 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from functools import reduce
 from math import gcd as _gcd, lcm as _int_lcm
-from operator import add as _add, mul as _mul, sub as _sub
+from operator import add as _add, sub as _sub
 
 from .errors import DivisionByZero, InvalidQ, ParseError, PoleAtPoint
 
@@ -768,47 +769,73 @@ RF_ONE = _rf(_LP_ONE, (), (1,))
 
 
 # ---------------------------------------------------------------------------
-# sums of products over one cyclotomic denominator
+# integer forms: coefficient lists and their sums over one denominator
 # ---------------------------------------------------------------------------
 
-def lifted_form(xs):
-    """Values xs over one denominator: [phi, D, ks, offsets, vectors, height, packs].
+_RATIONAL = (int, Fraction)
 
-    phi is the lcm multiset of their denominators, and value i equals
-    ks[i] / D * q^offsets[i] * vectors[i] / prod Phi_d^phi[d-1], with D and
-    the ks integers; height bounds |ks[i]| times every entry of vectors[i].
-    A value whose multiset is phi already keeps its own coefficient tuple as
-    its vector, shared, and its scale in ks[i].  packs, empty here, holds
-    the packed vectors, one list per digit width, as lifted_sum packs them.
-    The vectors are read through form_vectors, since a sum's form
-    (unpacked_form) holds only its packs until they are read.  None when
-    some value has a rest other than 1.
+
+def is_symbolic(form) -> bool:
+    """Whether an integer form is symbolic (a list), not numeric (D, nums)."""
+    return type(form) is list
+
+
+def lifted_form(xs):
+    """Coefficients xs as integers over one denominator, in their order.
+
+    All-rational xs (int, Fraction) give the numeric form (D, nums), value i
+    being nums[i] / D.  Other xs, rationals among them coerced, give the
+    symbolic form [phi, rest, D, offsets, vectors, height, packs], value i
+    being q^offsets[i] * vectors[i] / (D * prod Phi_d^phi[d-1] * rest): phi
+    is the lcm of the values' Phi_d multisets, rest the product of their
+    distinct rests and D the lcm of their scale denominators, and each
+    vector is the value's coefficient tuple times its cofactors and its
+    integer scale, the tuple itself, shared, when they are 1.  height is
+    the largest |entry| of the vectors, and packs, None here, the vectors
+    packed at the width of the last sum that read them, (w, packed ints).
     """
     xs = list(xs)
-    if any(x.rest != (1,) for x in xs):
-        return None
+    if all(isinstance(x, _RATIONAL) for x in xs):
+        d = _int_lcm(*(x.denominator for x in xs))
+        return (d, tuple([x.numerator * (d // x.denominator) for x in xs]))
+    xs = [_coerce(x) for x in xs]
     phi = ()
     for e in {x.phi for x in xs}:
         phi = _lcm(phi, e)[0]
-    scales = [x.num.scale for x in xs]
-    d = _int_lcm(*(s.denominator for s in scales))
-    ks = tuple([s.numerator * (d // s.denominator) for s in scales])
-    vectors = tuple([x.num.coeffs if x.phi == phi
-                     else _times(x.num.coeffs, _phi_product(_lcm(phi, x.phi)[2])) for x in xs])
-    height = max(map(_mul, map(abs, ks), map(_norm, vectors)), default=0)
-    return [phi, d, ks, tuple([x.num.offset for x in xs]), vectors, height, {}]
+    rest, cofactors = _rest_cofactors([x.rest for x in xs])
+    d = _int_lcm(*(x.num.scale.denominator for x in xs))
+    vectors = []
+    for x in xs:
+        vec = x.num.coeffs
+        if x.phi != phi:
+            vec = _times(vec, _phi_product(_lcm(phi, x.phi)[2]))
+        vec = _times(vec, cofactors[x.rest])
+        k = x.num.scale.numerator * (d // x.num.scale.denominator)
+        vectors.append(vec if k == 1 else tuple([k * c for c in vec]))
+    vectors = tuple(vectors)
+    height = max(map(_norm, vectors), default=0)
+    return [phi, rest, d, tuple([x.num.offset for x in xs]), vectors, height, None]
+
+
+def _rest_cofactors(rests):
+    """(product, cofactors): the product of the distinct rests and, per rest,
+    the product of the others, which takes a value over it to the product."""
+    distinct = set(rests) - {(1,)}
+    cofactors = {r: reduce(_times, distinct - {r}, (1,)) for r in distinct}
+    cofactors[(1,)] = product = reduce(_times, distinct, (1,))
+    return product, cofactors
 
 
 def form_vectors(form):
     """The numerator vectors of a symbolic lifted form, the one reader of them.
 
     A sum's form holds none (unpacked_form): on the first read they are
-    unpacked from its packed values, all at one width, in one decode, and
-    kept in the form.
+    unpacked from its packed values, all at its one width, in one decode,
+    and kept in the form.
     """
     vectors = form[4]
     if vectors is None:
-        (w, packed), = form[6].items()  # a form holds one width until its vectors are read
+        w, packed = form[6]
         decoded, sizes = _digit_runs(packed, _WIDTHS[w])
         vectors, i = [], 0
         for n in sizes:
@@ -822,68 +849,73 @@ def form_vectors(form):
 
 
 def lifted_sum(items):
-    """The sum of c * x over (c, form, keys) items, grouped by key.
+    """The sum of c * x over (c, form, keys) items, grouped by key: (keys,
+    form) for the keys whose sum is nonzero, form the sums' own.
 
     form is lifted_form of values x in the order of keys, and c a
-    RationalFunctionQ, int or Fraction.  The sum goes over the lcm multiset
-    phi of all its products and the lcm m of their scale denominators, at
-    xi = 2^w: one packed multiplier per item (c's numerator times the
-    cofactor of Phi_d's up to phi), one packing of a form's vectors per
-    width w, kept in its packs, one big-int product per value and one
-    big-int sum per key.  A key takes at most one value from each item, so
-    the heights bound every entry of every sum, which fixes w, however wide
-    the entries are.  Returns (keys, form) for the keys whose sum is
-    nonzero, form being the sums' own lifted form over phi and m
-    (unpacked_form), which holds only the packed sums at w, so no value is
-    made and a later sum at w packs nothing of it; None when some c has a
-    rest other than 1.
+    RationalFunctionQ, int or Fraction.  Rational c over numeric forms sum
+    as ints over the lcm m of the c / D denominators, (m, nums).  Otherwise
+    a numeric form is lifted as constants and the sum goes over the lcm
+    multiset phi of all its products, the product of their distinct rests
+    and the lcm m of their scale denominators, at xi = 2^w: one packed
+    multiplier per item (c's numerator times its cofactors), one packing of
+    a form's vectors per width, kept in its packs, one big-int product per
+    value and one big-int sum per key.  A key takes at most one value from
+    each item, so the heights bound every sum's entries, which fixes w.
+    The result form (unpacked_form) holds only the packed sums at w.
     """
+    acc: dict = {}
+    get = acc.get
+    if all(isinstance(c, _RATIONAL) and not is_symbolic(form) for c, form, _ in items):
+        scales = [Fraction(c.numerator, c.denominator * form[0]) for c, form, _ in items]
+        m = _int_lcm(*(f.denominator for f in scales))
+        for f, (_, form, keys) in zip(scales, items):
+            k = f.numerator * (m // f.denominator)
+            for key, n in zip(keys, form[1]):
+                acc[key] = get(key, 0) + k * n
+        acc = {key: v for key, v in acc.items() if v}
+        return tuple(acc), (m, tuple(acc.values()))
     parts, phi = [], ()
     for c, form, keys in items:
         c = _coerce(c)
-        if c.rest != (1,):
-            return None
+        if not is_symbolic(form):
+            form = lifted_form(map(RationalFunctionQ.from_fraction, form_values(form)))
         e = _merge(c.phi, form[0])
         phi = _lcm(phi, e)[0]
-        parts.append((c.num, e, form, keys))
-    m = _int_lcm(*(num.scale.denominator * form[1] for num, _, form, _ in parts))
-    low = min((num.offset + min(form[3]) for num, _, form, _ in parts), default=0)
+        parts.append((c.num, e, _times(c.rest, form[1]), form, keys))
+    rest, cofactors = _rest_cofactors([r for _, _, r, _, _ in parts])
+    m = _int_lcm(*(num.scale.denominator * form[2] for num, _, _, form, _ in parts))
+    low = min((num.offset + min(form[3]) for num, _, _, form, _ in parts), default=0)
     bound, mults = 0, []
-    for num, e, form, _ in parts:
-        mult = _times(num.coeffs, _phi_product(_lcm(phi, e)[2]))
-        f = num.scale.numerator * (m // (num.scale.denominator * form[1]))
+    for num, e, r, form, _ in parts:
+        mult = _times(_times(num.coeffs, _phi_product(_lcm(phi, e)[2])), cofactors[r])
+        f = num.scale.numerator * (m // (num.scale.denominator * form[2]))
         bound += abs(f) * len(mult) * _norm(mult) * form[5]
         mults.append((mult, f))
     digits = _digits(bound)
     w = digits[0]
-    acc: dict = {}
-    get = acc.get
-    for (num, _, form, keys), (mult, f) in zip(parts, mults):
-        vs = form[6].get(w)
-        if vs is None:
-            vs = form[6][w] = [pack(vec, digits) for vec in form_vectors(form)]
+    for (num, _, _, form, keys), (mult, f) in zip(parts, mults):
+        packs = form[6]
+        if packs is None or packs[0] != w:  # the vectors are read before the packs go
+            packs = form[6] = (w, [pack(vec, digits) for vec in form_vectors(form)])
         pm = pack(mult, digits) * f
         base = num.offset - low
-        for key, k, off, v in zip(keys, form[2], form[3], vs):
-            t = v * pm
-            if k != 1:
-                t *= k
-            acc[key] = get(key, 0) + (t << w * (base + off))
-    return unpacked_form(((key, low, v) for key, v in acc.items() if v), phi, m, digits)
+        for key, off, v in zip(keys, form[3], packs[1]):
+            acc[key] = get(key, 0) + (v * pm << w * (base + off))
+    return unpacked_form(((key, low, v) for key, v in acc.items() if v), phi, rest, m, digits)
 
 
-def unpacked_form(items, phi, m, digits):
+def unpacked_form(items, phi, rest, m, digits):
     """(keys, lifted form) of the values q^offset * P / (m prod
-    Phi_d^phi[d-1]) over (key, offset, v) items, P the nonzero polynomial
-    whose balanced digits v has at xi = 2^w in the digit format digits.
+    Phi_d^phi[d-1] * rest) over (key, offset, v) items, P the nonzero
+    polynomial whose balanced digits at xi = 2^w v is, w the width of digits.
 
-    Every k is 1.  The zero low digits are shifted off v, which is exact
-    (the lowest set bit of v lies in its lowest nonzero digit), and what is
-    left, the packed vector at width w, is all the form holds of the values:
-    its packs are {w: the packed vectors} and its vectors None until
-    form_vectors reads them.  Its height is exact, the largest digit of all
-    the values, decoded from their joined digit bytes at once; it fixes the
-    width of every later sum.  No value is made.
+    The zero low digits are shifted off v, which is exact (the lowest set
+    bit of v lies in its lowest nonzero digit), and what is left is all the
+    form holds: its packs are (w, the shifted ints) and its vectors None
+    until form_vectors reads them.  Its height is exact, the largest digit
+    of all the values, decoded at once; it fixes the width of every later
+    sum.  No value is made.
     """
     w = digits[0]
     keys, offsets, packed = [], [], []
@@ -893,15 +925,18 @@ def unpacked_form(items, phi, m, digits):
         offsets.append(offset + lo)
         packed.append(v >> w * lo)
     height = _norm(_digit_runs(packed, digits)[0]) if packed else 0
-    return tuple(keys), [phi, m, (1,) * len(keys), tuple(offsets), None, height, {w: packed}]
+    return tuple(keys), [phi, rest, m, tuple(offsets), None, height, (w, packed)]
 
 
 def form_values(form):
-    """The values a symbolic lifted form stands for, in its order."""
-    phi, d, ks, offsets = form[:4]
+    """The values an integer form stands for, in its order: Fractions for a
+    numeric form, RationalFunctionQ values for a symbolic one."""
+    if not is_symbolic(form):
+        return [Fraction(n, form[0]) for n in form[1]]
+    phi, rest, d, offsets = form[:4]
     one = Fraction(1, d)
-    return [_rf(_make(offset, vec, one if k == 1 else Fraction(k, d)), phi, (1,))
-            for k, offset, vec in zip(ks, offsets, form_vectors(form))]
+    return [_rf(_make(offset, vec, one), phi, rest)
+            for offset, vec in zip(offsets, form_vectors(form))]
 
 
 def qint(n: int) -> RationalFunctionQ:
@@ -1020,8 +1055,19 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def json_fraction(value) -> Fraction:
+    """The rational a JSON coefficient spells; a ParseError, which the caller
+    locates, for a boolean and for a literal Fraction cannot read."""
+    if type(value) is not bool:
+        try:
+            return Fraction(str(value))
+        except ValueError:
+            pass
+    raise ParseError(f"cannot decode coefficient {value!r}")
+
+
 def laurent_from_json(data) -> LaurentPoly:
-    return LaurentPoly.from_terms((json_int(e, "exponent"), Fraction(str(c))) for e, c in data)
+    return LaurentPoly.from_terms((json_int(e, "exponent"), json_fraction(c)) for e, c in data)
 
 
 def rf_to_json(x: RationalFunctionQ) -> dict:

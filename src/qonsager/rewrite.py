@@ -12,22 +12,22 @@ of pending words, largest first, and keeps no state between calls.
 
 When every rule coefficient is an integral Laurent polynomial, as in the
 q-Dolan/Grady system and the current algebra's families without the
-1/(q + q^-1) of 3p1a/3p1b, the reduction runs over one denominator: the
-input is lifted once to integer numerators over the lcm of its Phi_d
-multisets and one integer scale (qcoeff.lifted_form), and each pending word
-holds an exponent offset, its numerator packed at xi = 2^w as one big
-integer, and a bound on its coefficients.  A rewrite multiplies the
-numerator by the rule coefficient, a q-number with few nonzero entries that
-is packed once per rule and width as shifts and kept on the rule, and adds
-it into the target word with a shift.  The zero test n = 0 and the
-unpacking are exact while every digit stays in the balanced range, so the
-bounds are tracked (h(c r) <= h(c) |r|_1, h(a + b) <= h(a) + h(b)); a word
-whose bound nears 2^(w-1) has its exact height read from its digits, and a
-pass whose bound reaches 2^(w-1) runs again wider; w is a multiple of 64.
-The result is lazy (freealg): the irreducible nonzero words and their
-lifted form, no coefficient built until one is read.  Numeric mode, a rule
-with a denominator and an input coefficient with a rest go through the
-per-coefficient loop instead.
+1/(q + q^-1) of 3p1a/3p1b, a symbolic input is reduced over one
+denominator: its integer form (qcoeff.lifted_form) holds integer
+numerators over the lcm of its Phi_d multisets, the product of its rests
+and one integer D, and each pending word holds an exponent offset, its
+numerator packed at xi = 2^w as one big integer, and a bound on its
+coefficients.  A rewrite multiplies the numerator by the rule coefficient,
+a q-number with few nonzero entries that is packed once per rule and width
+as shifts and kept on the rule, and adds it into the target word with a
+shift.  The zero test n = 0 and the unpacking are exact while every digit
+stays in the balanced range, so the bounds are tracked (h(c r) <= h(c)
+|r|_1, h(a + b) <= h(a) + h(b)); a word whose bound nears 2^(w-1) has its
+exact height read from its digits, and a pass whose bound reaches 2^(w-1)
+runs again wider; w is a multiple of 64.  The result is lazy (freealg):
+the irreducible nonzero words and their lifted form, no coefficient built
+until one is read.  Numeric mode and a rule with a denominator go through
+the per-coefficient loop instead.
 
 A zero normal form proves membership in the two-sided ideal of the
 relations: the reference reducer `normal_form_traced` records each step as
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from .errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from .freealg import Alphabet, NcPoly, Word, _lazy, deglex_key
-from .qcoeff import RationalFunctionQ, _digits, form_vectors, pack, unpack, unpacked_form
+from .qcoeff import _digits, form_vectors, is_symbolic, pack, unpack, unpacked_form
 
 
 class MonomialOrder:
@@ -62,35 +62,38 @@ class RewriteRule:
     lhs: Word
     rhs: NcPoly
     # whether every right-side coefficient is an integral Laurent polynomial,
-    # and the right side packed per digit width, shared by every system that
-    # holds the rule
+    # read from the right side's integer form, and the right side packed per
+    # digit width, shared by every system that holds the rule
     integral: bool = field(init=False, repr=False, compare=False)
     packs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "integral", all(
-            type(c) is RationalFunctionQ and not c.phi and c.rest == (1,)
-            and c.num.scale.denominator == 1 for c in self.rhs.terms.values()))
+        form = self.rhs._integer_form()  # symbolic over no Phi_d, rest 1 and D = 1
+        object.__setattr__(self, "integral", not self.rhs or (
+            is_symbolic(form) and form[:3] == [(), (1,), 1]))
 
     def packed(self, w: int):
         """The right side grouped by coefficient up to sign and power of q.
 
-        An integral coefficient is k q^offset times its integer vector.  Per
-        group: the vector's nonzero entries times |k| as (shift by w * i,
-        entry) pairs, which multiply a number packed at xi = 2^w by shifts
-        and small products (a q-number has few nonzero entries); the l1 norm
-        |k| times the sum of the vector's absolute entries; and (word,
-        offset, k < 0) per term, so one product serves the whole group.
+        An integral coefficient is q^offset times its integer vector in the
+        right side's form.  Per vector up to sign: its nonzero entries as
+        (shift by w * i, entry) pairs, which multiply a number packed at xi
+        = 2^w by shifts and small products (a q-number has few nonzero
+        entries); its l1 norm; and (word, offset, negated) per term, so one
+        product serves the whole group.
         """
         out = self.packs.get(w)
         if out is None:
             groups: dict = {}
-            for u, c in self.rhs.terms.items():
-                k = c.num.scale.numerator
-                groups.setdefault((c.num.coeffs, abs(k)), []).append((u, c.num.offset, k < 0))
+            if self.rhs:
+                form = self.rhs._integer_form()
+                for u, offset, vec in zip(self.rhs.support(), form[3], form_vectors(form)):
+                    negated = vec[-1] < 0
+                    key = tuple([-x for x in vec]) if negated else vec
+                    groups.setdefault(key, []).append((u, offset, negated))
             out = self.packs[w] = [
-                (tuple((w * i, k * x) for i, x in enumerate(cs) if x), k * sum(map(abs, cs)), targets)
-                for (cs, k), targets in groups.items()
+                (tuple((w * i, x) for i, x in enumerate(key) if x), sum(map(abs, key)), targets)
+                for key, targets in groups.items()
             ]
         return out
 
@@ -149,18 +152,18 @@ class RewriteSystem:
         coefficient has been added up and it is expanded exactly once.
 
         When every rule coefficient is an integral Laurent polynomial and p
-        has a lifted form (symbolic coefficients, rest 1), the reduction
-        runs over p's one denominator on packed integers (_reduce_packed)
-        and the result is lazy, its words and their lifted form.  Otherwise
-        each coefficient is multiplied and added as a scalar: in numeric
-        mode, for a rule with a denominator and for a coefficient with a
-        rest.  The path is chosen by the rule set and the form of p alone.
+        has a symbolic integer form, rests included, the reduction runs over
+        p's one denominator on packed integers (_reduce_packed) and the
+        result is lazy, its words and their lifted form.  Otherwise each
+        coefficient is multiplied and added as a scalar: in numeric mode and
+        for a rule with a denominator.  The path is chosen by the rule set
+        and the form of p alone.
         """
         if p.alphabet != self.alphabet:
             raise AlphabetMismatch("polynomial over a different alphabet")
         if self._integral:
             form = p._integer_form()
-            if form is not None and len(form) > 2:
+            if is_symbolic(form):
                 return self._normal_form_packed(p, form)
         pending = dict(p.terms)
         # (-len(w), w) is smallest for the deg-lex largest word
@@ -192,20 +195,20 @@ class RewriteSystem:
     def _normal_form_packed(self, p: NcPoly, form) -> NcPoly:
         """normal_form over the lifted form of p, at the narrowest multiple
         of 64 bits that holds every tracked bound."""
-        phi, d, ks, offsets, _, bound = form[:6]
+        phi, rest, d, offsets, _, bound = form[:6]
         vectors = form_vectors(form)
         while True:
             digits = _digits(max(bound, 1 << 31))  # past 2^31 w is a multiple of 64
-            out = self._reduce_packed(p.support(), ks, offsets, vectors, digits)
+            out = self._reduce_packed(p.support(), offsets, vectors, digits)
             if type(out) is dict:
                 break
             bound = max(out, 1 << (2 * digits[0] - 2))  # a word outgrew w: at least double it
         if not out:
             return NcPoly.zero(self.alphabet)
         items = ((word, e, n) for word, (e, n) in out.items())
-        return _lazy(self.alphabet, *unpacked_form(items, phi, d, digits))
+        return _lazy(self.alphabet, *unpacked_form(items, phi, rest, d, digits))
 
-    def _reduce_packed(self, words, ks, offsets, vectors, digits):
+    def _reduce_packed(self, words, offsets, vectors, digits):
         """The heap reduction on numerators packed at xi = 2^w, w the width
         of the digit format digits (qcoeff.pack).
 
@@ -225,8 +228,8 @@ class RewriteSystem:
         w = digits[0]
         limit = 1 << (w - 1)
         tight = limit >> 16
-        pending = {word: (e, pack(vec, digits) * k, abs(k) * max(map(abs, vec)))
-                   for word, k, e, vec in zip(words, ks, offsets, vectors)}
+        pending = {word: (e, pack(vec, digits), max(map(abs, vec)))
+                   for word, e, vec in zip(words, offsets, vectors)}
         heap = [(-len(word), word) for word in pending]
         heapq.heapify(heap)
         out = {}

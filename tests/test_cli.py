@@ -108,6 +108,22 @@ class TestExitCodeContract:
         assert out == ""
         assert err == f"error: exponent must be a JSON integer, got {exponent!r} (at terms[1].coeff)\n"
 
+    @pytest.mark.parametrize("coeff, bad", [
+        ("x", "'x'"), ("nan", "'nan'"), (True, "True"), (1.5, "1.5"),
+        ({"num": [[0, "x"]], "den": [[0, "1"]]}, "'x'"),
+        ({"num": [[0, "1"]], "den": [[0, "nan"]]}, "'nan'"),
+        ({"num": [[0, True]], "den": [[0, "1"]]}, "True"),
+    ], ids=["x", "nan", "bool", "float", "num-x", "den-nan", "num-bool"])
+    def test_coefficient_that_is_no_rational_is_74(self, coeff, bad, tmp_path, capsys):
+        """A literal Fraction cannot read and a JSON boolean are refused by term."""
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"alphabet": ["A", "B"], "terms": [
+            {"word": ["A"], "coeff": 1}, {"word": ["B"], "coeff": coeff}]}))
+        assert main(["onsager", "lusztig", "--expr", str(path)]) == EX_IOERR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot decode coefficient {bad} (at terms[1].coeff)\n"
+
     def test_pole_at_numeric_q_in_expression_is_74(self, capsys, monkeypatch):
         """A coefficient 1/(q - 2) evaluated at q = 2 is bad input, not a failed check."""
         monkeypatch.chdir(GOLDEN.parent.parent)

@@ -12,7 +12,8 @@ from qonsager import qcoeff
 from qonsager.errors import AlphabetMismatch, MissingImage, ParseError
 from qonsager.freealg import Alphabet, NcPoly, ncpoly_from_json, ncpoly_to_json
 from qonsager.qcoeff import (
-    SYMBOLIC, LaurentPoly, NumericQ, RationalFunctionQ, _digits, form_vectors, pack, rf_from_json,
+    SYMBOLIC, LaurentPoly, NumericQ, RationalFunctionQ, _digits, form_vectors, is_symbolic, pack,
+    rf_from_json,
 )
 
 AB = Alphabet(["A", "B"])
@@ -364,6 +365,45 @@ class TestCombine:
         minus = [(-c, p) for c, p in zip(scalars, polys)]
         assert self.check(list(zip(scalars, polys)) + minus).is_zero
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rests_sum_lazily_over_their_product(self, seed):
+        """Values and scalars with rests other than 1 take the one sum: the
+        result is lazy, over the product of the distinct rests, and equals
+        the per-term reference."""
+        import random
+
+        rng = random.Random(seed)
+        r1 = rf_from_json({"num": [[0, "2"], [1, "-1"]], "den": [[0, "1"], [1, "-3"], [2, "1"]]})
+        r2 = rf_from_json({"num": [[1, "1"]], "den": [[0, "1"], [2, "2"]]})
+        assert len({r1.rest, r2.rest, (1,)}) == 3
+        polys = [NcPoly(self.AXY, {(1,): r1, (0, 1): random_rf(rng)}),
+                 NcPoly(self.AXY, {(1,): r2 * random_rf(rng), (2,): r1 * r2}),
+                 random_poly(rng, self.AXY, random_rf)]
+        pairs = list(zip([r2, random_rf(rng), r1 / SYMBOLIC.qnum(2)], polys))
+        got = NcPoly.combine(self.AXY, pairs)
+        assert got._terms is None
+        rests = got._ints[1]
+        assert rests not in ((1,), r1.rest, r2.rest)
+        assert got == reference_sum(self.AXY, pairs)
+        assert all(c.rest == rests for c in got.terms.values())
+        assert self.check(pairs + [(-c, p) for c, p in pairs]).is_zero
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_numeric_forms_in_a_symbolic_sum(self, seed):
+        """A polynomial with rational coefficients has the numeric form; in a
+        sum with symbolic scalars or forms it is lifted as constants."""
+        import random
+
+        rng = random.Random(seed)
+        numeric = [random_poly(rng, self.AXY, random_fraction) for _ in range(2)]
+        assert not any(is_symbolic(p._integer_form()) for p in numeric)
+        symbolic = random_poly(rng, self.AXY, random_rf)
+        for pairs in ([(random_rf(rng), numeric[0]), (Fraction(2, 3), numeric[1])],
+                      [(Fraction(-1, 2), numeric[0]), (3, symbolic), (random_rf(rng), numeric[1])]):
+            got = NcPoly.combine(self.AXY, pairs)
+            assert got._terms is None and is_symbolic(got._ints)
+            assert got == reference_sum(self.AXY, pairs)
+
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatch):
             NcPoly.combine(self.AXY, [(1, A)])
@@ -452,21 +492,22 @@ class TestShiftKeepsTheIntegerForm:
 
 def rebuilt(form):
     """The values a kept integer form stands for, rebuilt on their own: nums[i]
-    / D for a numeric form (D, nums), and ks[i] / D * q^offsets[i] *
-    vectors[i] / prod Phi_d^phi[d-1] for a symbolic one, each Phi_d taken
-    from sympy, the vectors read through form_vectors."""
-    if len(form) == 2:
+    / D for a numeric form (D, nums), and q^offsets[i] * vectors[i] / (D *
+    prod Phi_d^phi[d-1] * rest) for a symbolic one, each Phi_d taken from
+    sympy, the vectors read through form_vectors."""
+    if not is_symbolic(form):
         d, nums = form
         return [Fraction(n, d) for n in nums]
     import sympy as sp
 
-    phi, d, ks, offsets = form[:4]
+    phi, rest, d, offsets = form[:4]
     vectors = form_vectors(form)
     q = sp.Symbol("q")
-    den = sp.Poly(sp.prod([sp.cyclotomic_poly(i + 1, q) ** e for i, e in enumerate(phi)]), q)
+    den = sp.Poly(sp.prod([sp.cyclotomic_poly(i + 1, q) ** e for i, e in enumerate(phi)])
+                  * sum(c * q ** i for i, c in enumerate(rest)), q)
     den = LaurentPoly(0, [Fraction(int(c)) for c in reversed(den.all_coeffs())])
-    return [RationalFunctionQ(LaurentPoly(off, [Fraction(k * v, d) for v in vec]), den)
-            for k, off, vec in zip(ks, offsets, vectors)]
+    return [RationalFunctionQ(LaurentPoly(off, [Fraction(v, d) for v in vec]), den)
+            for off, vec in zip(offsets, vectors)]
 
 
 class TestSumKeepsItsForm:
@@ -485,28 +526,28 @@ class TestSumKeepsItsForm:
     @pytest.mark.parametrize("seed", range(10))
     def test_form_rebuilds_the_coefficients(self, coeff, seed, monkeypatch):
         """The sum's form rebuilds its values, its height is exact, and it
-        keeps the packed vectors at the width the sum ran at, and no other."""
+        keeps the packed vectors at the width the sum ran at."""
         import random
 
         formats = []
         unpacked = qcoeff.unpacked_form
 
-        def spy(items, phi, m, digits):
+        def spy(items, phi, rest, m, digits):
             formats.append(digits)
-            return unpacked(items, phi, m, digits)
+            return unpacked(items, phi, rest, m, digits)
 
         monkeypatch.setattr(qcoeff, "unpacked_form", spy)
         got = self.summed(random.Random(seed), coeff)
         form = got._ints  # set by the sum, not made on request
         assert form
         assert rebuilt(form) == list(got.terms.values())
-        if len(form) > 2:
-            phi, _, ks, _, _, height, packs = form
+        if is_symbolic(form):
+            phi, rest, _, _, _, height, packs = form
             vectors = form_vectors(form)
-            assert height == max(abs(k) * max(map(abs, v)) for k, v in zip(ks, vectors))
-            assert all(c.phi == phi for c in got.terms.values())
+            assert height == max(max(map(abs, v)) for v in vectors)
+            assert all(c.phi == phi and c.rest == rest for c in got.terms.values())
             digits = formats[0]  # the combine above; the reference sum packs nothing
-            assert packs == {digits[0]: [pack(v, digits) for v in vectors]}
+            assert packs == (digits[0], [pack(v, digits) for v in vectors])
 
     @pytest.mark.parametrize("coeff", [random_rf, random_fraction], ids=["symbolic", "numeric"])
     @pytest.mark.parametrize("seed", range(10))
@@ -521,7 +562,7 @@ class TestSumKeepsItsForm:
         assert inner * p == expanded_product(inner, p)
         assert p * inner == expanded_product(p, inner)
         if coeff is random_rf:  # the sums above packed inner's form at least once
-            assert inner._ints[6]
+            assert inner._ints[6] is not None
 
     @staticmethod
     def small_poly(rng, alphabet):
@@ -543,7 +584,7 @@ class TestSumKeepsItsForm:
                  for _ in range(2)]
         p = self.small_poly(rng, self.AXY)
         p._integer_form()  # lifted here, so only the sum below packs it
-        assert all(set(q._ints[6]) == {16} for q in inner)
+        assert all(q._ints[6][0] == 16 for q in inner)
         pairs = [(SYMBOLIC.q_pow(1), inner[0]), (-2, inner[1]), (SYMBOLIC.q_pow(-1), p),
                  (3, inner[0])]
         calls, widths = [], []
@@ -553,9 +594,9 @@ class TestSumKeepsItsForm:
             calls.append(len(cs))
             return packer(cs, digits)
 
-        def spy(items, phi, m, digits):
+        def spy(items, phi, rest, m, digits):
             widths.append(digits[0])
-            return unpacked(items, phi, m, digits)
+            return unpacked(items, phi, rest, m, digits)
 
         monkeypatch.setattr(qcoeff, "pack", counted)
         monkeypatch.setattr(qcoeff, "unpacked_form", spy)
@@ -566,20 +607,25 @@ class TestSumKeepsItsForm:
         assert got == reference_sum(self.AXY, pairs)
 
     def test_form_read_wider_than_it_was_made_is_packed_again(self):
+        """A sum at another width unpacks the kept vectors first, then packs
+        them at its width in their place; a sum back at the first width
+        packs them again."""
         import random
 
         rng = random.Random(4)
-        inner = NcPoly.combine(self.AXY, [(random_rf(rng), self.small_poly(rng, self.AXY))
-                                          for _ in range(3)])
+        parts = [(random_rf(rng), self.small_poly(rng, self.AXY)) for _ in range(3)]
+        inner = NcPoly.combine(self.AXY, parts)
         form = inner._ints
-        (w0, kept), = form[6].items()
-        assert w0 < 64
-        pairs = [(2 ** 40, inner), (SYMBOLIC.q_pow(1), inner)]
-        got = NcPoly.combine(self.AXY, pairs)
-        assert got == reference_sum(self.AXY, pairs)
-        assert set(form[6]) == {w0, 64} and form[6][w0] is kept
-        digits = _digits((1 << 63) - 1)
-        assert form[6][64] == [pack(v, digits) for v in form_vectors(form)]
+        w0, kept = form[6]
+        assert w0 < 64 and form[4] is None
+        for pairs, width in (([(2 ** 40, inner), (SYMBOLIC.q_pow(1), inner)], 64),
+                             ([(SYMBOLIC.q_pow(1), inner)], w0)):
+            got = NcPoly.combine(self.AXY, pairs)
+            assert got == reference_sum(self.AXY, pairs)
+            digits = _digits((1 << (width - 1)) - 1)
+            assert form[6] == (width, [pack(v, digits) for v in form_vectors(form)])
+        assert form[6][1] == kept
+        assert inner == reference_sum(self.AXY, parts)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_sum_of_sums_unpacks_nothing_until_a_coefficient_is_read(self, seed, monkeypatch):

@@ -403,14 +403,14 @@ class TestUnpackedForm:
             low, high = rng.randrange(4), rng.randrange(3)
             items.append((i, i - 5, pack([0] * low + cs + [0] * high, digits)))
             want.append((i - 5 + low, tuple(cs)))
-        keys, form = unpacked_form(items, (0, 1), 3, digits)
-        _, m, ks, offsets, unread, height, packs = form
+        keys, form = unpacked_form(items, (0, 1), (2, 0, 1), 3, digits)
+        _, rest, m, offsets, unread, height, packs = form
         assert unread is None
         vectors = form_vectors(form)
-        assert keys == tuple(range(40)) and m == 3 and set(ks) == {1}
+        assert keys == tuple(range(40)) and rest == (2, 0, 1) and m == 3
         assert list(zip(offsets, vectors)) == want
         assert height == max(map(_norm, vectors))
-        assert packs == {w: [pack(v, digits) for v in vectors]}
+        assert packs == (w, [pack(v, digits) for v in vectors])
         assert form_vectors(form) is vectors  # unpacked once, then kept
 
     @pytest.mark.parametrize("w", [16, 32, 64, 128, 192])
@@ -429,7 +429,7 @@ class TestUnpackedForm:
                 cs[0], cs[-1] = cs[0] or 1, cs[-1] or -1
                 vectors.append(cs)
             packed = [pack(cs, digits) for cs in vectors]
-            _, form = unpacked_form([(i, 0, v) for i, v in enumerate(packed)], (), 1, digits)
+            _, form = unpacked_form([(i, 0, v) for i, v in enumerate(packed)], (), (1,), 1, digits)
             want = max(map(_norm, vectors))
             assert form[5] == want
             assert form[5] == max(_norm(unpack(v, digits)) for v in packed)
@@ -439,8 +439,8 @@ class TestUnpackedForm:
     @pytest.mark.parametrize("w", [16, 64, 192])
     def test_empty_sum(self, w):
         digits = _digits((1 << (w - 1)) - 1)
-        keys, form = unpacked_form([], (), 1, digits)
-        assert keys == () and form[5] == 0 and form[6] == {w: []}
+        keys, form = unpacked_form([], (), (1,), 1, digits)
+        assert keys == () and form[5] == 0 and form[6] == (w, [])
         assert form_vectors(form) == () and form_values(form) == []
 
 
@@ -531,7 +531,7 @@ class TestBigEndianHost:
         half = 1 << (w - 1)
         vectors = [(1 - half, 7, 0, half - 1), (-1,), (3, 0, -half), (half - 1,)]
         _, form = unpacked_form([(i, 0, pack(cs, digits)) for i, cs in enumerate(vectors)],
-                                (), 1, digits)
+                                (), (1,), 1, digits)
         assert form[5] == half
         assert form_vectors(form) == tuple(vectors)
 
@@ -558,29 +558,71 @@ class TestBigEndianHost:
 
 
 class TestLiftedSumPacks:
-    """A form keeps its packed vectors per digit width, and lifted_sum
-    returns its result's own form."""
+    """A form keeps its vectors packed at the one digit width a sum last
+    used, and lifted_sum returns its result's own form."""
 
     XS = [SYMBOLIC.q_pow(2) * 3, SYMBOLIC.qnum(2), SYMBOLIC.one() / SYMBOLIC.qnum(3),
           qint(3) / (SYMBOLIC.qnum(1) * SYMBOLIC.qnum(2)), Fraction(-5, 4) * SYMBOLIC.q_pow(-1)]
+    SMALL = Fraction(3, 2) * SYMBOLIC.q_pow(1)
+    BIG = RationalFunctionQ.from_fraction(2 ** 40 + 1) / SYMBOLIC.qnum(3)
 
     def test_one_form_at_two_digit_widths(self):
         form, keys = lifted_form(self.XS), list(range(len(self.XS)))
         assert form_values(form) == self.XS
-        small = Fraction(3, 2) * SYMBOLIC.q_pow(1)
-        big = RationalFunctionQ.from_fraction(2 ** 40 + 1) / SYMBOLIC.qnum(3)
-        packs = []
-        for c, width in ((small, 16), (big, 64), (small, 16)):
+        for c, width in ((self.SMALL, 16), (self.BIG, 64), (self.SMALL, 16)):
             out, out_form = lifted_sum([(c, form, keys)])
             values = [c * x for x in self.XS]
             assert out == tuple(keys) and form_values(out_form) == values
-            packs.append(form[6][width])
+            digits = _digits((1 << (width - 1)) - 1)
+            assert form[6] == (width, [pack(v, digits) for v in form_vectors(form)])
             # the returned form is the sums' own: a second sum reads it
             again, again_form = lifted_sum([(SYMBOLIC.qnum(1), out_form, out)])
             assert again == out
             assert form_values(again_form) == [SYMBOLIC.qnum(1) * x for x in values]
-        assert set(form[6]) == {16, 64}
-        assert packs[2] is packs[0]
+
+    def test_sum_form_at_widths_16_64_16(self):
+        """A sum's form, which holds only its packs, summed at 16, 64 and 16
+        bits: each re-packing reads the vectors before it replaces the
+        packs, and every sum has the right values."""
+        keys = list(range(len(self.XS)))
+        _, form = lifted_sum([(SYMBOLIC.q_pow(1), lifted_form(self.XS), keys)])
+        values = [SYMBOLIC.q_pow(1) * x for x in self.XS]
+        assert form[4] is None and form[6][0] == 16
+        for c, width in ((self.SMALL, 16), (self.BIG, 64), (self.SMALL, 16)):
+            out, out_form = lifted_sum([(c, form, keys)])
+            assert out == tuple(keys) and form_values(out_form) == [c * x for x in values]
+            assert form[6][0] == width
+        assert form_values(form) == values
+
+    def test_numeric_forms_sum_as_ints_and_lift_as_constants(self):
+        """Rational values give the numeric pair (D, nums); a numeric form
+        in a sum with a symbolic scalar or form is lifted as constants."""
+        xs = [Fraction(3, 4), -2, Fraction(5, 6)]
+        form = lifted_form(xs)
+        assert form == (12, (9, -24, 10))
+        assert lifted_sum([(Fraction(2, 3), form, "abc"), (1, lifted_form([1]), "b")]) == \
+            (("a", "b", "c"), (18, (9, -6, 10)))
+        out, out_form = lifted_sum([(SYMBOLIC.qnum(2), form, "abc"),
+                                    (Fraction(1, 2), lifted_form(self.XS[:3]), "cde")])
+        want = {k: SYMBOLIC.qnum(2) * x for k, x in zip("abc", xs)}
+        for k, x in zip("cde", self.XS):
+            want[k] = want.get(k, 0) + Fraction(1, 2) * x
+        assert dict(zip(out, form_values(out_form))) == want
+
+    def test_rests_go_into_the_denominator(self):
+        """Values and scalars with rests other than 1 sum over the product
+        of their distinct rests, each taking its cofactor."""
+        r1 = RationalFunctionQ(LaurentPoly(0, [1]), LaurentPoly(0, [1, 0, 2]))
+        r2 = RationalFunctionQ(LaurentPoly(1, [3, 1]), LaurentPoly(0, [1, -3, 1]))
+        xs = [r1, SYMBOLIC.qnum(2), r2 / SYMBOLIC.qnum(3), 4 * r1]
+        form = lifted_form(xs)
+        assert form[1] == qcoeff._times(r1.rest, r2.rest)
+        assert form_values(form) == xs
+        out, out_form = lifted_sum([(r2, form, "abcd"), (SYMBOLIC.q_pow(1), form, "bcde")])
+        want = {k: r2 * x for k, x in zip("abcd", xs)}
+        for k, x in zip("bcde", xs):
+            want[k] = want.get(k, 0) + SYMBOLIC.q_pow(1) * x
+        assert dict(zip(out, form_values(out_form))) == want
 
 
 def _lp(cs):

@@ -319,11 +319,10 @@ class TestOracle:
         form = nf._ints
         if form:
             assert rebuilt(form) == list(nf.terms.values())
-            phi, _, ks, _, _, height, packs = form
+            phi, rest, _, _, _, height, (w, packed) = form
             vectors = form_vectors(form)
-            assert height == max(abs(k) * max(map(abs, v)) for k, v in zip(ks, vectors))
-            assert all(c.phi == phi for c in nf.terms.values())
-            (w, packed), = packs.items()
+            assert height == max(max(map(abs, v)) for v in vectors)
+            assert all(c.phi == phi and c.rest == rest for c in nf.terms.values())
             digits = _digits((1 << (w - 1)) - 1)
             assert digits[0] == w and packed == [pack(v, digits) for v in vectors]
         return nf
@@ -423,9 +422,9 @@ class TestOracle:
         p = self.q_poly(rng, AB, pool, 8, big=2 ** 40)
         nf = self.assert_agrees(rs, p)
         form = nf._ints
-        assert widths == [64] and set(form[6]) == {64} and form[5] >= 1 << 31
+        assert widths == [64] and form[5] >= 1 << 31
         digits = _digits((1 << 63) - 1)
-        assert form[6][64] == [pack(v, digits) for v in form_vectors(form)]
+        assert form[6] == (64, [pack(v, digits) for v in form_vectors(form)])
         calls = []
         packer = qcoeff.pack
 
@@ -451,12 +450,27 @@ class TestOracle:
                          [AB.word("AAAB"), AB.word("ABBB")])
         for p in self.polys(num, 99, 10):
             self.assert_agrees(rs, p)
-        # a coefficient whose denominator has a factor that is no Phi_d
+        assert widths == []
+        # a coefficient whose denominator has a factor that is no Phi_d is
+        # reduced packed, over a denominator that keeps that factor
         rest = RationalFunctionQ(LaurentPoly(0, [1]), LaurentPoly(0, [1, 0, 2]))
         assert rest.rest != (1,)
         p = rest * (A * A * A * B * B) + A * B * B * B + A * A * A * B
-        self.assert_agrees(onsager.qdg, p)
-        assert widths == []
+        assert self.assert_agrees(onsager.qdg, p)._ints[1] == rest.rest
+        assert widths == [64]
+
+    def test_rests_take_one_packed_pass(self, onsager, widths):
+        """An input over three rests and several Phi_d multisets is reduced in
+        one packed pass over the product of its distinct rests."""
+        r1 = RationalFunctionQ(LaurentPoly(0, [1]), LaurentPoly(0, [1, 0, 2]))
+        r2 = RationalFunctionQ(LaurentPoly(1, [2, -1]), LaurentPoly(0, [1, -3, 1]))
+        p = (r1 * (A * A * A * B * B) + (r2 / m.qnum(2)) * (B * A * A * A * B)
+             + (r1 * r2) * (A * B * B * B) - m.qnum(3) * (A * A * A * B))
+        nf = self.assert_agrees(onsager.qdg, p)
+        rests = [r1.rest, r2.rest, (r1 * r2).rest]
+        assert not nf.is_zero and nf._ints[1] == qcoeff._times(qcoeff._times(*rests[:2]), rests[2])
+        assert widths == [64]
+        assert self.assert_agrees(onsager.qdg, p - nf).is_zero
 
 
 def random_like():
