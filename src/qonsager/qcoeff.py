@@ -24,7 +24,7 @@ same hash, so values reached by different routes compare and hash alike.
 A long linear combination is cheaper over one denominator for the whole
 sum.  lifted_form holds rationals as integers over their lcm and symbolic
 values as integer vectors over the lcm of their Phi_d multisets times the
-product of their rests, and lifted_sum adds their multiples, as ints or as
+lcm of their rests, and lifted_sum adds their multiples, as ints or as
 packed big integers; a free-algebra product is such a sum.  A symbolic form
 keeps its vectors packed at the width of the last sum, and a sum's result
 form holds only the packed big integers it made, so a value summed again
@@ -64,7 +64,6 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from functools import reduce
 from math import gcd as _gcd, lcm as _int_lcm
 from operator import add as _add, sub as _sub
 
@@ -787,8 +786,8 @@ def lifted_form(xs):
     being nums[i] / D.  Other xs, rationals among them coerced, give the
     symbolic form [phi, rest, D, offsets, vectors, height, packs], value i
     being q^offsets[i] * vectors[i] / (D * prod Phi_d^phi[d-1] * rest): phi
-    is the lcm of the values' Phi_d multisets, rest the product of their
-    distinct rests and D the lcm of their scale denominators, and each
+    is the lcm of the values' Phi_d multisets, rest the lcm of their
+    rests and D the lcm of their scale denominators, and each
     vector is the value's coefficient tuple times its cofactors and its
     integer scale, the tuple itself, shared, when they are 1.  height is
     the largest |entry| of the vectors, and packs, None here, the vectors
@@ -818,12 +817,18 @@ def lifted_form(xs):
 
 
 def _rest_cofactors(rests):
-    """(product, cofactors): the product of the distinct rests and, per rest,
-    the product of the others, which takes a value over it to the product."""
+    """(lcm, cofactors): the lcm of the distinct rests and, per rest, the
+    quotient of the lcm by it, which takes a value over it to the lcm.
+
+    Rests are primitive with positive leading entry, so their lcm, made
+    from primitive gcds, is one too, and every quotient is exact."""
     distinct = set(rests) - {(1,)}
-    cofactors = {r: reduce(_times, distinct - {r}, (1,)) for r in distinct}
-    cofactors[(1,)] = product = reduce(_times, distinct, (1,))
-    return product, cofactors
+    lcm = (1,)
+    for r in distinct:
+        lcm = _times(lcm, _exact_div_int(r, _primitive_gcd(lcm, r)))
+    cofactors = {r: tuple(_exact_div_int(lcm, r)) for r in distinct}
+    cofactors[(1,)] = lcm
+    return lcm, cofactors
 
 
 def form_vectors(form):
@@ -856,8 +861,8 @@ def lifted_sum(items):
     RationalFunctionQ, int or Fraction.  Rational c over numeric forms sum
     as ints over the lcm m of the c / D denominators, (m, nums).  Otherwise
     a numeric form is lifted as constants and the sum goes over the lcm
-    multiset phi of all its products, the product of their distinct rests
-    and the lcm m of their scale denominators, at xi = 2^w: one packed
+    multiset phi of all its products, the lcm of their rests and the lcm m
+    of their scale denominators, at xi = 2^w: one packed
     multiplier per item (c's numerator times its cofactors), one packing of
     a form's vectors per width, kept in its packs, one big-int product per
     value and one big-int sum per key.  A key takes at most one value from

@@ -10,24 +10,28 @@ reducible monomial and therefore terminates: each step strictly decreases
 the monomial multiset in a well order.  The reducer works top-down on a heap
 of pending words, largest first, and keeps no state between calls.
 
-When every rule coefficient is an integral Laurent polynomial, as in the
-q-Dolan/Grady system and the current algebra's families without the
-1/(q + q^-1) of 3p1a/3p1b, a symbolic input is reduced over one
-denominator: its integer form (qcoeff.lifted_form) holds integer
-numerators over the lcm of its Phi_d multisets, the product of its rests
-and one integer D, and each pending word holds an exponent offset, its
-numerator packed at xi = 2^w as one big integer, and a bound on its
-coefficients.  A rewrite multiplies the numerator by the rule coefficient,
-a q-number with few nonzero entries that is packed once per rule and width
-as shifts and kept on the rule, and adds it into the target word with a
-shift.  The zero test n = 0 and the unpacking are exact while every digit
-stays in the balanced range, so the bounds are tracked (h(c r) <= h(c)
-|r|_1, h(a + b) <= h(a) + h(b)); a word whose bound nears 2^(w-1) has its
-exact height read from its digits, and a pass whose bound reaches 2^(w-1)
-runs again wider; w is a multiple of 64.  The result is lazy (freealg):
-the irreducible nonzero words and their lifted form, no coefficient built
-until one is read.  Numeric mode and a rule with a denominator go through
-the per-coefficient loop instead.
+When every rule coefficient is a Laurent polynomial over a multiset of
+cyclotomic polynomials, as in the q-Dolan/Grady system and the current
+algebra's, whose 3p1a/3p1b divide by q + q^-1 = q^-1 Phi_4, a symbolic
+input is reduced on packed integers.  Its integer form (qcoeff.lifted_form)
+holds integer numerators over the lcm of its Phi_d multisets, the lcm of its
+rests and one integer D; the rules' multisets have an lcm Delta, and each
+pending word holds k, the power of Delta in its denominator, an exponent
+offset, its numerator packed at xi = 2^w as one big integer, and a bound on
+its coefficients.  A rewrite multiplies the numerator by the rule
+coefficient, a q-number with few nonzero entries that is packed once per
+rule and width as shifts and kept on the rule, and adds it into the target
+word with a shift; a rule with a denominator has its coefficients lifted to
+Delta and sends its targets to k + 1, and two contributions at different k
+meet by multiplying the lower one by Delta^j.  The zero test n = 0 and the
+unpacking are exact while every digit stays in the balanced range, so the
+bounds are tracked (h(c r) <= h(c) |r|_1, h(a + b) <= h(a) + h(b)); a word
+whose bound nears 2^(w-1) has its exact height read from its digits, and a
+pass whose bound reaches 2^(w-1), also in lifting the irreducible words to
+the largest k, runs again wider; w is a multiple of 64.  The result is lazy
+(freealg): the irreducible nonzero words and their lifted form, no
+coefficient built until one is read.  Numeric mode and a rule with a rest or
+a rational scale denominator go through the per-coefficient loop instead.
 
 A zero normal form proves membership in the two-sided ideal of the
 relations: the reference reducer `normal_form_traced` records each step as
@@ -44,7 +48,10 @@ from dataclasses import dataclass, field
 
 from .errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from .freealg import Alphabet, NcPoly, Word, _lazy, deglex_key
-from .qcoeff import _digits, form_vectors, is_symbolic, pack, unpack, unpacked_form
+from .qcoeff import (
+    _convolve, _digits, _lcm, _merge, _phi_product, form_vectors, is_symbolic, pack, unpack,
+    unpacked_form,
+)
 
 
 class MonomialOrder:
@@ -61,37 +68,48 @@ class MonomialOrder:
 class RewriteRule:
     lhs: Word
     rhs: NcPoly
-    # whether every right-side coefficient is an integral Laurent polynomial,
-    # read from the right side's integer form, and the right side packed per
-    # digit width, shared by every system that holds the rule
-    integral: bool = field(init=False, repr=False, compare=False)
+    # the Phi_d multiset over which every right-side coefficient is an
+    # integral Laurent polynomial, read from the right side's integer form
+    # (() for an empty right side), None when a rest or a rational scale
+    # denominator is left; and the right side packed per digit width and
+    # system denominator, shared by every system that holds the rule
+    integral: tuple | None = field(init=False, repr=False, compare=False)
     packs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        form = self.rhs._integer_form()  # symbolic over no Phi_d, rest 1 and D = 1
-        object.__setattr__(self, "integral", not self.rhs or (
-            is_symbolic(form) and form[:3] == [(), (1,), 1]))
+        form = self.rhs._integer_form()  # symbolic over Phi_d's alone, rest 1 and D = 1
+        object.__setattr__(self, "integral", () if not self.rhs else (
+            form[0] if is_symbolic(form) and form[1:3] == [(1,), 1] else None))
 
-    def packed(self, w: int):
-        """The right side grouped by coefficient up to sign and power of q.
+    def packed(self, w: int, delta: tuple = ()):
+        """The right side grouped by coefficient up to sign and power of q,
+        over Phi_d^delta when the rule has a denominator (delta, the
+        system's multiset, holds the rule's own) and over 1 when it has none.
 
-        An integral coefficient is q^offset times its integer vector in the
-        right side's form.  Per vector up to sign: its nonzero entries as
-        (shift by w * i, entry) pairs, which multiply a number packed at xi
-        = 2^w by shifts and small products (a q-number has few nonzero
-        entries); its l1 norm; and (word, offset, negated) per term, so one
-        product serves the whole group.
+        A coefficient is q^offset times its integer vector in the right
+        side's form, over the rule's multiset; the vector is lifted to delta
+        by the product of the missing Phi_d, a signed product (_convolve:
+        a vector may lead with a negative entry).  Per lifted vector up to
+        sign: its nonzero entries as (shift by w * i, entry) pairs, which
+        multiply a number packed at xi = 2^w by shifts and small products (a
+        q-number has few nonzero entries); its l1 norm; and (word, offset,
+        negated) per term, so one product serves the whole group.
         """
-        out = self.packs.get(w)
+        if not self.integral:
+            delta = ()  # integral coefficients stay over the power of Delta they meet
+        out = self.packs.get((w, delta))
         if out is None:
             groups: dict = {}
             if self.rhs:
                 form = self.rhs._integer_form()
+                cofactor = _phi_product(_lcm(self.integral, delta)[1])
                 for u, offset, vec in zip(self.rhs.support(), form[3], form_vectors(form)):
+                    if cofactor != (1,):
+                        vec = tuple(_convolve(vec, cofactor))
                     negated = vec[-1] < 0
                     key = tuple([-x for x in vec]) if negated else vec
                     groups.setdefault(key, []).append((u, offset, negated))
-            out = self.packs[w] = [
+            out = self.packs[w, delta] = [
                 (tuple((w * i, x) for i, x in enumerate(key) if x), sum(map(abs, key)), targets)
                 for key, targets in groups.items()
             ]
@@ -116,7 +134,15 @@ class RewriteSystem:
         self.rules = list(rules)
         for rule in self.rules:
             rule.validate(order)
-        self._integral = all(rule.integral for rule in self.rules)
+        # the lcm of the rules' Phi_d multisets, None when a rule keeps the loop
+        delta = ()
+        for rule in self.rules:
+            if rule.integral is None:
+                delta = None
+                break
+            delta = _lcm(delta, rule.integral)[0]
+        self._delta = delta
+        self._powers: dict = {}
         # per letter, in declared order, the rules whose left side can match
         # at a position holding it: (index, lhs, len(lhs))
         self._starts = [[(ridx, rule.lhs, len(rule.lhs)) for ridx, rule in enumerate(self.rules)
@@ -151,17 +177,18 @@ class RewriteSystem:
         smaller words, so when a word is popped every contribution to its
         coefficient has been added up and it is expanded exactly once.
 
-        When every rule coefficient is an integral Laurent polynomial and p
-        has a symbolic integer form, rests included, the reduction runs over
-        p's one denominator on packed integers (_reduce_packed) and the
-        result is lazy, its words and their lifted form.  Otherwise each
-        coefficient is multiplied and added as a scalar: in numeric mode and
-        for a rule with a denominator.  The path is chosen by the rule set
-        and the form of p alone.
+        When every rule coefficient is a Laurent polynomial over Phi_d's
+        alone and p has a symbolic integer form, rests included, the
+        reduction runs over p's one denominator times a power of the rules'
+        lcm Delta on packed integers (_reduce_packed), and the result is
+        lazy, its words and their lifted form.  Otherwise each coefficient
+        is multiplied and added as a scalar: in numeric mode and for a rule
+        with a rest or a rational scale in its denominator.  The path is
+        chosen by the rule set and the form of p alone.
         """
         if p.alphabet != self.alphabet:
             raise AlphabetMismatch("polynomial over a different alphabet")
-        if self._integral:
+        if self._delta is not None:
             form = p._integer_form()
             if is_symbolic(form):
                 return self._normal_form_packed(p, form)
@@ -200,56 +227,78 @@ class RewriteSystem:
         while True:
             digits = _digits(max(bound, 1 << 31))  # past 2^31 w is a multiple of 64
             out = self._reduce_packed(p.support(), offsets, vectors, digits)
-            if type(out) is dict:
+            if type(out) is not int:
                 break
             bound = max(out, 1 << (2 * digits[0] - 2))  # a word outgrew w: at least double it
+        top, out = out
         if not out:
             return NcPoly.zero(self.alphabet)
+        if top:
+            phi = _merge(phi, tuple([top * x for x in self._delta]))
         items = ((word, e, n) for word, (e, n) in out.items())
         return _lazy(self.alphabet, *unpacked_form(items, phi, rest, d, digits))
+
+    def _power(self, j: int, w: int):
+        """(Delta^j at xi = 2^w, |Delta^j|_1), Delta the product of the Phi_d
+        of the system's multiset; exact at any w, digits or not."""
+        out = self._powers.get((j, w))
+        if out is None:
+            vec = (1,)
+            for _ in range(j):
+                vec = _convolve(vec, _phi_product(self._delta))
+            out = self._powers[j, w] = (sum(x << w * i for i, x in enumerate(vec)),
+                                        sum(map(abs, vec)))
+        return out
 
     def _reduce_packed(self, words, offsets, vectors, digits):
         """The heap reduction on numerators packed at xi = 2^w, w the width
         of the digit format digits (qcoeff.pack).
 
-        A pending word holds (e, n, h): its value is q^e times the
+        A pending word holds (k, e, n, h): its value is q^e times the
         polynomial whose digits n has at xi, over the input's common
-        denominator, and h bounds its coefficients: h(c r) <= h(c) |r|_1
-        for a rule coefficient r and h(a + b) <= h(a) + h(b).  While h <
-        2^(w-1) the digits are balanced and unique (Cauchy), so n = 0 is an
-        exact zero test and unpack recovers the polynomial, through the
-        same codec as every other packed sum.  The sums of bounds overshoot
-        the coefficients by far (79 bits against 23 in the order-6 balanced
+        denominator times Delta^k, Delta the lcm of the rules' Phi_d
+        multisets, and h bounds its coefficients: h(c r) <= h(c) |r|_1 for
+        a rule coefficient r and h(a + b) <= h(a) + h(b).  A rule with a
+        denominator, its coefficients lifted to Delta, sends its targets to
+        k + 1; two contributions at different k meet by multiplying the
+        lower one by Delta^j, its bound by |Delta^j|_1.  While h < 2^(w-1)
+        the digits are balanced and unique (Cauchy), so n = 0 is an exact
+        zero test and unpack recovers the polynomial, through the same codec
+        as every other packed sum.  The sums of bounds overshoot the
+        coefficients by far (79 bits against 23 in the order-6 balanced
         product of B^5), so a reducible word whose bound is within 2^16 of
-        the limit takes its exact height from its digits instead.  Returns
-        {word: (e, n)} for the irreducible nonzero words, or the bound of
-        the first popped word that reaches 2^(w-1).
+        the limit takes its exact height from its digits instead.  At the
+        end every irreducible nonzero word is lifted to the largest k, top,
+        under the same bound.  Returns (top, {word: (e, n)}), or the bound
+        of the first word that reaches 2^(w-1).
         """
         w = digits[0]
         limit = 1 << (w - 1)
         tight = limit >> 16
-        pending = {word: (e, pack(vec, digits), max(map(abs, vec)))
+        delta = self._delta
+        pending = {word: (0, e, pack(vec, digits), max(map(abs, vec)))
                    for word, e, vec in zip(words, offsets, vectors)}
         heap = [(-len(word), word) for word in pending]
         heapq.heapify(heap)
         out = {}
         while heap:
             word = heapq.heappop(heap)[1]
-            e, n, h = pending.pop(word)
+            k, e, n, h = item = pending.pop(word)
             if h >= limit:
                 return h
             if not n:
                 continue
             m = self._find(word)
             if m is None:
-                out[word] = (e, n)
+                out[word] = item
                 continue
             if h >= tight:  # the digits are exact while h < 2^(w-1): read the height
                 h = max(map(abs, unpack(n, digits)))
             pos, ridx = m
             rule = self.rules[ridx]
             left, right = word[:pos], word[pos + len(rule.lhs):]
-            for parts, l1, targets in rule.packed(w):
+            tk = k + 1 if rule.integral else k  # a nonempty multiset: one more Delta
+            for parts, l1, targets in rule.packed(w, delta):
                 nc = None
                 for shift, x in parts:
                     t = (n if x == 1 else n * x) << shift
@@ -260,17 +309,35 @@ class RewriteSystem:
                     t, te = (-nc if negated else nc), e + o
                     s = pending.get(v)
                     if s is None:
-                        pending[v] = (te, t, hc)
+                        pending[v] = (tk, te, t, hc)
                         heapq.heappush(heap, (-len(v), v))
-                    else:
-                        se, sn, sh = s
-                        if se < te:
-                            t <<= w * (te - se)
-                            te = se
-                        elif se > te:
-                            sn <<= w * (se - te)
-                        pending[v] = (te, sn + t, sh + hc)
-        return out
+                        continue
+                    sk, se, sn, sh = s
+                    th = hc
+                    if sk != tk:  # the lower one times Delta^j
+                        lift, norm = self._power(abs(sk - tk), w)
+                        if sk < tk:
+                            sn, sh = sn * lift, sh * norm
+                        else:
+                            t, th = t * lift, th * norm
+                    if se < te:
+                        t <<= w * (te - se)
+                        te = se
+                    elif se > te:
+                        sn <<= w * (se - te)
+                    pending[v] = (max(sk, tk), te, sn + t, sh + th)
+        top = max((k for k, _, _, _ in out.values()), default=0)
+        lifted = {}
+        for word, (k, e, n, h) in out.items():
+            if k < top:
+                lift, norm = self._power(top - k, w)
+                if h * norm >= limit:
+                    h = max(map(abs, unpack(n, digits)))
+                    if h * norm >= limit:
+                        return h * norm
+                n *= lift
+            lifted[word] = (e, n)
+        return top, lifted
 
     def normal_form_traced(self, p: NcPoly) -> tuple[NcPoly, list[tuple]]:
         """Reference reducer: one elementary rewrite per step.

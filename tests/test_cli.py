@@ -502,6 +502,8 @@ class TestGoldenReports:
         "argv,golden",
         [
             ("current verify --kmax 2 --json", "current-verify-kmax2.json"),
+            # the class checks over q + q^-1 through the packed reducer
+            ("current verify --kmax 6 --json", "current-verify-kmax6.json"),
             ("onsager higher-dg --r 3 --json", "onsager-higher-dg-r3.json"),
             ("repn d1 --a 3 --b 2 --q 2 --json", "repn-d1.json"),
             ("repn twist --a 5/2 --b 3 --q 3/2 --direction inv --json",

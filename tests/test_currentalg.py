@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from qonsager.adjoint import apply_badprod
+from qonsager.cli import main
 from qonsager.currentalg import (
     GENERATOR_CLASSES,
+    AqContext,
     aq_system,
     closed_image,
     proof_chain,
@@ -14,9 +17,9 @@ from qonsager.currentalg import (
     verify_generator_class,
 )
 from qonsager.errors import IndexOutOfRange, InvalidCutoff
-from qonsager.freealg import NcPoly
+from qonsager.freealg import NcPoly, ncpoly_to_json
 from qonsager.qcoeff import NumericQ, SYMBOLIC as m
-from qonsager.rewrite import MonomialOrder, make_system
+from qonsager.rewrite import MonomialOrder, RewriteSystem, make_system
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,30 @@ class TestConstruction:
                 ctx.alphabet, MonomialOrder(ctx.alphabet), list(rels.values()), list(rels)
             )
             assert ctx.subsystem(*ids).rules == fresh.rules, ids
+
+    def test_subsystem_built_once_per_family_set(self, ctx):
+        assert ctx.subsystem("3p2a", "3p2b") is ctx.subsystem("3p2a", "3p2b")
+        assert ctx.subsystem("3p2b", "3p2a") is ctx.subsystem("3p2a", "3p2b")
+        assert ctx.subsystem("3p1a") is not ctx.subsystem("3p2a")
+        assert ctx.subsystem("3p1a", "3p1b", "3p2a", "3p2b", "3p4a", "3p4b") is ctx.system
+
+    def test_current_verify_builds_six_systems_per_context(self, monkeypatch, capsys):
+        """The class checks and images use the system of all six families;
+        the proof replays, five family sets, each built once."""
+        counts = {"contexts": 0, "systems": 0}
+        ctx_init, rs_init = AqContext.__init__, RewriteSystem.__init__
+
+        def counted(key, init):
+            def wrapper(self, *args, **kwargs):
+                counts[key] += 1
+                return init(self, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(AqContext, "__init__", counted("contexts", ctx_init))
+        monkeypatch.setattr(RewriteSystem, "__init__", counted("systems", rs_init))
+        assert main(["current", "verify", "--kmax", "6", "--json"]) == 0
+        capsys.readouterr()
+        assert counts["contexts"] == 1 and counts["systems"] <= 6
 
     def test_rho_at_two(self):
         from fractions import Fraction
@@ -109,6 +136,46 @@ class TestGeneratorClasses:
 
     def test_commutant_family_at_full_cutoff(self, ctx):
         assert verify_generator_class(ctx, "Wminus", ctx.K).status == "pass"
+
+    @pytest.mark.parametrize("mode", [m, NumericQ(3)], ids=["symbolic", "numeric"])
+    @pytest.mark.parametrize("gen", ["Wplus", "G", "Gt"])
+    def test_pass_runs_one_normal_form(self, monkeypatch, mode, gen):
+        """The balanced product follows from the bracket difference by an
+        exact identity, so a passing check reduces once."""
+        ctx = aq_system(2, mode)
+        calls = []
+        normal_form = RewriteSystem.normal_form
+
+        def spy(rs, p):
+            calls.append(rs)
+            return normal_form(rs, p)
+
+        monkeypatch.setattr(RewriteSystem, "normal_form", spy)
+        assert verify_generator_class(ctx, gen, 1).status == "pass"
+        assert calls == [ctx.system]
+
+    @pytest.mark.parametrize("broken", ["without-3p2", "rho-doubled"])
+    @pytest.mark.parametrize("gen", ["Wplus", "G", "Gt"])
+    def test_failure_reports_both_residues(self, broken, gen):
+        """Without the 3p2 families, or with a wrong rho, a check fails, and
+        its witness is the bracket residue plus the balanced residue, each
+        from its own reduction."""
+        ctx = aq_system(2)
+        if broken == "without-3p2":
+            ctx.system = ctx.subsystem("3p1a", "3p1b", "3p4a", "3p4b")
+        else:
+            ctx.rho = 2 * ctx.rho
+        rec = verify_generator_class(ctx, gen, 0)
+        W0 = ctx.W(0)
+        X = {"Wplus": ctx.W(1), "G": ctx.G(1), "Gt": ctx.Gt(1)}[gen]
+        nested = ctx.br(W0, ctx.qbr(W0, ctx.qbr(W0, X, 1), -1))
+        bracket = ctx.system.is_zero_mod(nested - ctx.rho * ctx.br(W0, X))
+        balanced = ctx.system.is_zero_mod(apply_badprod(2, W0, X, ctx.mode))
+        assert not (bracket.is_zero and balanced.is_zero)
+        assert rec.status == "fail"
+        want = bracket.residue + balanced.residue
+        assert rec.witness == want
+        assert ncpoly_to_json(rec.witness) == ncpoly_to_json(want)
 
 
 class TestNestedBracketEquivalence:

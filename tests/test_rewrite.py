@@ -6,7 +6,7 @@ import pytest
 
 from qonsager import qcoeff
 from qonsager.adjoint import apply_bad, apply_badprod
-from qonsager.currentalg import aq_system
+from qonsager.currentalg import aq_system, proof_chain
 from qonsager.errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from qonsager.freealg import Alphabet, NcPoly
 from qonsager.onsager import defining_relations, onsager_context
@@ -439,15 +439,21 @@ class TestOracle:
         assert got == nf.scaled(m.q_pow(1))
 
     def test_fallback_systems_keep_the_loop(self, onsager, widths):
+        """Numeric mode is the one rule set left on the per-coefficient loop.
+        The current algebra's system, whose 3p1a/3p1b divide by q + q^-1,
+        once fell back too; it now takes one packed pass per input."""
         rng = random.Random(3)
         aq = aq_system(2)
-        assert not all(rule.integral for rule in aq.system.rules)  # 3p1a/3p1b: 1/(q + 1/q)
+        assert aq.system._delta == (0, 0, 0, 1)  # 3p1a/3p1b: 1/(q + 1/q) = q/Phi_4
         pool = [rule.lhs for rule in aq.system.rules]
         for _ in range(10):
             self.assert_agrees(aq.system, self.q_poly(rng, aq.alphabet, pool, 6))
+        assert widths == [64] * 10
+        widths.clear()
         num = NumericQ("5/3")
         rs = make_system(AB, MonomialOrder(AB), defining_relations(AB, num),
                          [AB.word("AAAB"), AB.word("ABBB")])
+        assert rs._delta is None
         for p in self.polys(num, 99, 10):
             self.assert_agrees(rs, p)
         assert widths == []
@@ -461,16 +467,84 @@ class TestOracle:
 
     def test_rests_take_one_packed_pass(self, onsager, widths):
         """An input over three rests and several Phi_d multisets is reduced in
-        one packed pass over the product of its distinct rests."""
+        one packed pass over the lcm of its rests: r1 r2, not the product
+        r1^2 r2^2 of the distinct rests r1, r2 and r1 r2."""
         r1 = RationalFunctionQ(LaurentPoly(0, [1]), LaurentPoly(0, [1, 0, 2]))
         r2 = RationalFunctionQ(LaurentPoly(1, [2, -1]), LaurentPoly(0, [1, -3, 1]))
         p = (r1 * (A * A * A * B * B) + (r2 / m.qnum(2)) * (B * A * A * A * B)
              + (r1 * r2) * (A * B * B * B) - m.qnum(3) * (A * A * A * B))
         nf = self.assert_agrees(onsager.qdg, p)
-        rests = [r1.rest, r2.rest, (r1 * r2).rest]
-        assert not nf.is_zero and nf._ints[1] == qcoeff._times(qcoeff._times(*rests[:2]), rests[2])
+        assert len({r1.rest, r2.rest, (r1 * r2).rest}) == 3
+        assert not nf.is_zero and nf._ints[1] == qcoeff._times(r1.rest, r2.rest)
         assert widths == [64]
         assert self.assert_agrees(onsager.qdg, p - nf).is_zero
+
+    # -- rules whose coefficients have a cyclotomic denominator --
+
+    def test_packed_on_current_algebra_systems(self, widths):
+        """The K = 6 system and each subsystem a proof replay reduces in, on
+        random inputs over their left sides: the systems with 3p1a divide by
+        q + q^-1, the others are integral."""
+        aq = aq_system(6)
+        cited = {just for gen in ("Wplus", "G", "Gt") for k in range(aq.K)
+                 for _, just in proof_chain(aq, gen, k) if isinstance(just, tuple)}
+        systems = [aq.system] + [aq.subsystem(*ids) for ids in sorted(cited)]
+        assert len(systems) == 6
+        assert [rs._delta for rs in systems] == [(0, 0, 0, 1), (0, 0, 0, 1), (), (), (), ()]
+        rng = random.Random(17)
+        for rs in systems:
+            pool = [rule.lhs for rule in rs.rules]
+            for _ in range(8):
+                self.assert_agrees(rs, self.q_poly(rng, aq.alphabet, pool, rng.randint(2, 8)))
+        assert widths == [64] * 48
+
+    @pytest.fixture(scope="class")
+    def two_denominators(self):
+        """Rules over 1/(q + q^-1) = q/Phi_4 and 1/[3]_q = q^2/(Phi_3 Phi_6),
+        one coefficient -q/Phi_4, whose vector (-1,) leads with a negative
+        entry, and one integral rule."""
+        abc = Alphabet(["A", "B", "C"])
+        a, b, c = (NcPoly.generator(abc, x) for x in "ABC")
+        inv2 = m.one() / (m.q_pow(1) + m.q_pow(-1))
+        inv3 = m.one() / m.qint(3)
+        rules = [RewriteRule(abc.word("AB"), -inv2 * (b * a) + m.qnum(1) * c),
+                 RewriteRule(abc.word("AC"), inv3 * (c * a) + b),
+                 RewriteRule(abc.word("BC"), c * b)]
+        return abc, RewriteSystem(abc, MonomialOrder(abc), rules)
+
+    def test_two_cyclotomic_denominators_meet_at_their_lcm(self, two_denominators, widths):
+        abc, rs = two_denominators
+        assert [rule.integral for rule in rs.rules] == [(0, 0, 0, 1), (0, 0, 1, 0, 0, 1), ()]
+        assert rs._delta == (0, 0, 1, 1, 0, 1)  # Phi_3 Phi_4 Phi_6, each rule's cofactor nontrivial
+        rng = random.Random(23)
+        pool = [abc.word(s) for s in ("AB", "AC", "BC", "AAB", "ABC", "ACB", "BAC", "AABC")]
+        for _ in range(20):
+            self.assert_agrees(rs, self.q_poly(rng, abc, pool, rng.randint(2, 8)))
+        assert widths == [64] * 20
+
+    def test_negative_leading_rule_vector_keeps_its_sign(self, two_denominators, widths):
+        """AB -> -q/Phi_4 BA + (q - q^-1) C: the vector (-1,) of -q/Phi_4 is
+        lifted to the system's denominator by Phi_3 Phi_6 with its sign,
+        and the irreducible CB meets the rewritten words at their power."""
+        abc, rs = two_denominators
+        ab, ba, cb = abc.word("AB"), abc.word("BA"), abc.word("CB")
+        p = NcPoly(abc, {ab: m.one(), cb: m.q_pow(1)})
+        nf = self.assert_agrees(rs, p)
+        assert nf.terms[ba] == -m.q_pow(1) / (m.q_pow(2) + m.one())
+        assert nf.terms[cb] == m.q_pow(1)
+        assert widths == [64]
+
+    def test_final_lift_past_64_bits_reruns_wider(self, widths):
+        """W(-1), irreducible and near 2^63, ends over the input's
+        denominator while W(0) W(1) rewrites over q + q^-1: lifting W(-1) to
+        that power doubles its bound past 2^63, so the pass runs again at
+        128 bits."""
+        aq = aq_system(2)
+        big = 2 ** 62 + 1
+        p = big * aq.W(-1) + aq.W(0) * aq.W(1)
+        nf = self.assert_agrees(aq.system, p)
+        assert nf.terms[(aq.alphabet.index["W-1"],)] == big
+        assert widths == [64, 128]
 
 
 def random_like():
