@@ -21,22 +21,27 @@ their sum.  From these primitives the module builds
   sum truncated at order 1.
 
 Everything works uniformly for free-algebra polynomials and exact matrices;
-only +, -, * and left scalar action are used.  A balanced map, and the last
-step of a shift map, is one linear combination: for polynomials one
-NcPoly.combine, whose products with a generator A are word shifts of the
-operand that all carry its one integer form; for matrices a sum of scaled
-products.  Primitives with distinct twists commute, so the twist primitive
-of a shift map may be applied after its balanced product.  ImageCache
-states the balanced product and the shift maps once over a fixed base, and
-memoizes them together with products of operands; its twist primitive ad is
-apply_ad, not memoized.  The apply_* functions and truncated_sum are the
-same maps without the memo: apply_badprod is a loop over apply_bad, and the
-last step of every shift map, cached or not, is one function (_outer_shift).
+only +, -, *, left scalar action and one-pass linear combinations (_sum)
+are used.  A balanced map, and the last step of a shift map, is one linear
+combination: for polynomials one NcPoly.combine, whose products with a
+generator A are word shifts of the operand that all carry its one integer
+form; for matrices one ExactMatrix.combine, a single reduction.  Both are
+stated once as (scalar, operand) pairs over the products A*X and X*A
+(_bad_terms, _shift_terms).  Primitives with distinct twists commute, so
+the twist primitive of a shift map may be applied after its balanced
+product.  ImageCache states the balanced product and the shift maps once
+over a fixed base, and memoizes them together with products of operands;
+its twist primitive ad is apply_ad, not memoized.  The apply_* functions
+and truncated_sum are the same maps without the memo: apply_badprod is a
+loop over apply_bad, and the last step of every shift map, cached or not,
+is the pairs of _shift_terms; truncated_sum takes A*X and X*A of each
+balanced product once for its shift map and the next balanced map.
 """
 
 from __future__ import annotations
 
 from .freealg import NcPoly
+from .matrices import ExactMatrix
 from .qcoeff import SYMBOLIC
 
 FORWARD = "forward"
@@ -64,14 +69,19 @@ def apply_bad(n: int, A, X, mode=SYMBOLIC):
     for n >= 1, two for n = 0)."""
     if n < 0:
         raise ValueError("balanced map needs n >= 0")
-    ax, xa = A * _with_form(X), X * A
+    return _sum(_bad_terms(n, A, X, A * _with_form(X), X * A, mode))
+
+
+def _bad_terms(n: int, A, X, ax, xa, mode):
+    """The balanced map of twist n as (scalar, operand) pairs, given the
+    products ax = A*X and xa = X*A."""
     if n == 0:
         u = mode.one() / mode.qnum(1)
-        return _sum([(u, ax), (-u, xa)])
+        return [(u, ax), (-u, xa)]
     s, t = mode.qnum(2 * n), mode.qnum(2 * n + 1)
     u = mode.one() / (s * t)
     mid = -(mode.q_pow(2 * n) + mode.q_pow(-2 * n)) * u
-    return _sum([(s / t, X), (u, A * ax), (mid, ax * A), (u, xa * A)])
+    return [(s / t, X), (u, A * ax), (mid, ax * A), (u, xa * A)]
 
 
 def _with_form(X):
@@ -82,12 +92,12 @@ def _with_form(X):
 
 
 def _sum(pairs):
-    """The sum of c * P over (scalar, operand) pairs: one NcPoly.combine for
-    polynomials, + and scalar action for anything else (exact matrices)."""
-    (c, P), *rest = pairs
+    """The sum of c * P over (scalar, operand) pairs in one pass: one
+    NcPoly.combine for polynomials, one ExactMatrix.combine for matrices."""
+    P = pairs[0][1]
     if isinstance(P, NcPoly):
         return NcPoly.combine(P.alphabet, pairs)
-    return sum((d * Q for d, Q in rest), c * P)
+    return ExactMatrix.combine(pairs)
 
 
 class ImageCache:
@@ -159,9 +169,15 @@ class ImageCache:
 def _outer_shift(n: int, A, image, direction: str, mode):
     """The shift map of order n, given the balanced product of order n of its
     operand: the twist +-n primitive of image, divided by q^2n - q^-2n."""
-    (a, ax), (b, xa) = ad_terms(n if direction == FORWARD else -n, A, _with_form(image), mode)
+    return _sum(_shift_terms(n, A * _with_form(image), image * A, direction, mode))
+
+
+def _shift_terms(n: int, ax, xa, direction: str, mode):
+    """The shift map of order n as (scalar, product) pairs, given the
+    products ax = A*image and xa = image*A of the order-n balanced product."""
+    r = n if direction == FORWARD else -n
     w = mode.qnum(2 * n)
-    return _sum([(a / w, ax), (b / w, xa)])
+    return [(mode.q_pow(r) / w, ax), (-mode.q_pow(-r) / w, xa)]
 
 
 def apply_badprod(n: int, A, X, mode=SYMBOLIC):
@@ -189,18 +205,23 @@ def truncated_sum(A, X, N: int, direction: str = FORWARD, mode=SYMBOLIC):
     On an element annihilated by the balanced product of order N + 1 this
     equals the full formal sum, since every higher shift map contains that
     balanced product as a factor.  One balanced product of X is extended a
-    factor at a time, so the sum costs N balanced maps, not N(N+1)/2.
-    Polynomial summands are added as one NcPoly.combine, matrices one
-    after another.
+    factor at a time, so the sum costs N balanced maps, not N(N+1)/2.  The
+    products A*image and image*A of the order-n balanced product serve both
+    the shift map of order n and the balanced map that builds order n + 1,
+    so for matrices the sum costs 5N - 1 products; X and the 2N pairs of
+    the shift maps are then added as one _sum.
     """
     _check_direction(direction)
-    image, terms = X, [X]
-    for n in range(1, N + 1):
-        image = apply_bad(n - 1, A, image, mode)
-        terms.append(_outer_shift(n, A, image, direction, mode))
-    if isinstance(X, NcPoly) and N > 0:
-        return NcPoly.combine(X.alphabet, [(1, p) for p in terms])
-    return sum(terms[1:], X)
+    if N <= 0:
+        return X
+    image, pairs = X, [(1, X)]
+    for n in range(N + 1):
+        ax, xa = A * _with_form(image), image * A
+        if n:
+            pairs += _shift_terms(n, ax, xa, direction, mode)
+        if n < N:
+            image = _sum(_bad_terms(n, A, image, ax, xa, mode))
+    return _sum(pairs)
 
 
 def closed_form_sum(A, X, direction: str = FORWARD, mode=SYMBOLIC):

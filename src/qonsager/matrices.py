@@ -1,7 +1,9 @@
 """Dense exact matrices and the small amount of linear algebra the engine needs.
 
 A matrix is integer numerators over one common denominator, kept in lowest
-terms, so a product is integer dot products and one gcd pass.  Everything
+terms, so a product is integer dot products and one gcd pass, and so is a
+linear combination (ExactMatrix.combine, which + and - also take): its
+scalars and matrices are cleared to one denominator first.  Everything
 here is elementary and done over the rationals with no rounding: Gaussian
 elimination for solving.
 """
@@ -115,23 +117,36 @@ class ExactMatrix:
                 f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
             )
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check(other)
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
+    @staticmethod
+    def combine(pairs) -> "ExactMatrix":
+        """The sum of c * M over (rational scalar c, matrix M) pairs, in one
+        pass: every c * M is cleared to the lcm of the c.den * M.den, each
+        entry is one integer dot product of the multipliers with the
+        matrices' numerators, and the sum is reduced once."""
+        pairs = [(_rational(c), M) for c, M in pairs]
+        if not pairs:
+            raise ValueError("a linear combination needs at least one matrix")
+        first = pairs[0][1]
+        for _, M in pairs[1:]:
+            first._check(M)
+        den = lcm(*(c.denominator * M.den for c, M in pairs))
+        ks = [c.numerator * (den // (c.denominator * M.den)) for c, M in pairs]
         return _reduced(
             [
-                [x * a + y * b for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.num, other.num)
+                [sum(map(mul, ks, entries)) for entries in zip(*rows)]
+                for rows in zip(*(M.num for _, M in pairs))
             ],
             den,
         )
 
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return ExactMatrix.combine([(1, self), (1, other)])
+
     def __neg__(self) -> "ExactMatrix":
-        return _reduced([[-x for x in r] for r in self.num], self.den)
+        return self._scaled(-1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + (-other)
+        return ExactMatrix.combine([(1, self), (-1, other)])
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):

@@ -147,10 +147,8 @@ def spectral_data(d: int, a, q0, A: ExactMatrix | None = None,
         E = _idempotents(A, theta)
         if E is None:
             raise NotDiagonalizable("matrix does not act by its eigenvalue array")
-    Psi = PsiInv = ExactMatrix.zeros(d + 1)
-    for i in range(d + 1):
-        Psi = Psi + t[i] * E[i]
-        PsiInv = PsiInv + (1 / t[i]) * E[i]
+    Psi = ExactMatrix.combine(zip(t, E))
+    PsiInv = ExactMatrix.combine((1 / ti, Ei) for ti, Ei in zip(t, E))
     assert Psi * PsiInv == ExactMatrix.identity(d + 1)
     return SpectralData(d, a, q0, mode, A, theta, t, E, Psi, PsiInv)
 

@@ -169,22 +169,26 @@ class TestTruncatedSum:
         assert got._terms is None  # a running + would have built the coefficients
         assert got == V + sum((apply_S(n, base, V, FORWARD, mode) for n in (1, 2, 3)), NcPoly.zero(AXY))
 
-    def test_matrix_sum_scales_nothing_by_one(self, monkeypatch):
+    def test_matrix_sum_makes_5n_minus_1_products(self, monkeypatch):
+        """A*image and image*A of each balanced product serve its shift map and
+        the next balanced map, so order N costs 5N - 1 matrix products."""
         sd = spectral_data(3, 3, 2)
         V = ExactMatrix([[sd.mode.from_fraction(i - j) for j in range(4)] for i in range(4)])
-        scalars = []
-        rmul = ExactMatrix.__rmul__
+        products = []
+        mul = ExactMatrix.__mul__
 
-        def spy(M, scalar):
-            scalars.append(scalar)
-            return rmul(M, scalar)
+        def spy(M, other):
+            if isinstance(other, ExactMatrix):
+                products.append(other)
+            return mul(M, other)
 
-        monkeypatch.setattr(ExactMatrix, "__rmul__", spy)
-        got = truncated_sum(sd.A, V, 3, FORWARD, sd.mode)
-        monkeypatch.undo()
-        assert scalars and not any(type(c) is int and c == 1 for c in scalars)
-        assert got == V + apply_S(1, sd.A, V, FORWARD, sd.mode) + apply_S(2, sd.A, V, FORWARD, sd.mode) \
-            + apply_S(3, sd.A, V, FORWARD, sd.mode)
+        for N in (1, 2, 3):
+            products.clear()
+            monkeypatch.setattr(ExactMatrix, "__mul__", spy)
+            got = truncated_sum(sd.A, V, N, FORWARD, sd.mode)
+            monkeypatch.undo()
+            assert len(products) == 5 * N - 1
+            assert got == sum((apply_S(n, sd.A, V, FORWARD, sd.mode) for n in range(1, N + 1)), V)
 
     @pytest.mark.parametrize("operands", ["poly-symbolic", "poly-numeric", "matrix-d3"])
     def test_matches_naive_shift_sum(self, operands):

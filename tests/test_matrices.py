@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from qonsager.errors import DimensionMismatch
 from qonsager.matrices import ExactMatrix
 from qonsager.qcoeff import SYMBOLIC
 
@@ -119,6 +120,59 @@ class TestAgainstReference:
         x = random_rows(rng, n, n)
         for e in range(6):
             assert_matches(ExactMatrix(x) ** e, ref_pow(x, e))
+
+
+def ref_combine(pairs):
+    """Entry by entry, sum of c * x over (c, rows) pairs in Fractions."""
+    _, first = pairs[0]
+    return [
+        [sum((Fraction(c) * Fraction(x[i][j]) for c, x in pairs), Fraction(0))
+         for j in range(len(first[0]))]
+        for i in range(len(first))
+    ]
+
+
+class TestCombine:
+    """ExactMatrix.combine, one pass over (scalar, matrix) pairs, against the
+    entry-by-entry Fraction sum."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_against_fraction_sums(self, seed):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        pairs = [(rng.choice(SCALARS), random_rows(rng, n, m)) for _ in range(rng.randint(1, 6))]
+        got = ExactMatrix.combine([(c, ExactMatrix(x)) for c, x in pairs])
+        assert_matches(got, ref_combine(pairs))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_cancelling_combination_is_the_zero_matrix(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        x, y = random_rows(rng, n, n), random_rows(rng, n, n)
+        c = rng.choice((2, -3, Fraction(3, 7), Fraction(-10, 9)))
+        X, Y = ExactMatrix(x), ExactMatrix(y)
+        got = ExactMatrix.combine([(c, X), (1, Y), (-c, X), (Fraction(-1), Y)])
+        assert got == ExactMatrix.zeros(n)
+        assert got.den == 1
+        assert hash(got) == hash(ExactMatrix.zeros(n))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_single_pair_is_the_scalar_product(self, seed):
+        rng = random.Random(seed)
+        X = ExactMatrix(random_rows(rng, rng.randint(1, 4), rng.randint(1, 4)))
+        for c in SCALARS:
+            assert ExactMatrix.combine([(c, X)]) == c * X
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(DimensionMismatch):
+            ExactMatrix.combine([(1, ExactMatrix.zeros(2)), (2, ExactMatrix.zeros(3))])
+        with pytest.raises(DimensionMismatch):
+            ExactMatrix.combine([(1, ExactMatrix([[1, 2]])), (1, ExactMatrix([[1], [2]]))])
+
+    def test_rational_function_scalar_raises(self):
+        X = ExactMatrix([[Fraction(1, 2), 3], [0, -1]])
+        with pytest.raises(TypeError):
+            ExactMatrix.combine([(1, X), (SYMBOLIC.q_pow(1), X)])
 
 
 class TestCanonicalForm:
