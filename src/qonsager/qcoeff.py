@@ -816,6 +816,16 @@ def lifted_form(xs):
     return [phi, rest, d, tuple([x.num.offset for x in xs]), vectors, height, None]
 
 
+def symbolic_form(form):
+    """A numeric form (D, nums) of nonzero values as the symbolic form of the
+    same constants over D; a symbolic form as it is."""
+    if is_symbolic(form):
+        return form
+    d, nums = form
+    height = max(map(abs, nums), default=0)
+    return [(), (1,), d, (0,) * len(nums), tuple([(n,) for n in nums]), height, None]
+
+
 def _rest_cofactors(rests):
     """(lcm, cofactors): the lcm of the distinct rests and, per rest, the
     quotient of the lcm by it, which takes a value over it to the lcm.
@@ -860,9 +870,9 @@ def lifted_sum(items):
     form is lifted_form of values x in the order of keys, and c a
     RationalFunctionQ, int or Fraction.  Rational c over numeric forms sum
     as ints over the lcm m of the c / D denominators, (m, nums).  Otherwise
-    a numeric form is lifted as constants and the sum goes over the lcm
-    multiset phi of all its products, the lcm of their rests and the lcm m
-    of their scale denominators, at xi = 2^w: one packed
+    a numeric form is lifted as constants (symbolic_form) and the sum goes
+    over the lcm multiset phi of all its products, the lcm of their rests
+    and the lcm m of their scale denominators, at xi = 2^w: one packed
     multiplier per item (c's numerator times its cofactors), one packing of
     a form's vectors per width, kept in its packs, one big-int product per
     value and one big-int sum per key.  A key takes at most one value from
@@ -883,8 +893,7 @@ def lifted_sum(items):
     parts, phi = [], ()
     for c, form, keys in items:
         c = _coerce(c)
-        if not is_symbolic(form):
-            form = lifted_form(map(RationalFunctionQ.from_fraction, form_values(form)))
+        form = symbolic_form(form)
         e = _merge(c.phi, form[0])
         phi = _lcm(phi, e)[0]
         parts.append((c.num, e, _times(c.rest, form[1]), form, keys))

@@ -10,28 +10,29 @@ reducible monomial and therefore terminates: each step strictly decreases
 the monomial multiset in a well order.  The reducer works top-down on a heap
 of pending words, largest first, and keeps no state between calls.
 
-When every rule coefficient is a Laurent polynomial over a multiset of
-cyclotomic polynomials, as in the q-Dolan/Grady system and the current
-algebra's, whose 3p1a/3p1b divide by q + q^-1 = q^-1 Phi_4, a symbolic
-input is reduced on packed integers.  Its integer form (qcoeff.lifted_form)
-holds integer numerators over the lcm of its Phi_d multisets, the lcm of its
-rests and one integer D; the rules' multisets have an lcm Delta, and each
-pending word holds k, the power of Delta in its denominator, an exponent
-offset, its numerator packed at xi = 2^w as one big integer, and a bound on
-its coefficients.  A rewrite multiplies the numerator by the rule
-coefficient, a q-number with few nonzero entries that is packed once per
-rule and width as shifts and kept on the rule, and adds it into the target
-word with a shift; a rule with a denominator has its coefficients lifted to
-Delta and sends its targets to k + 1, and two contributions at different k
-meet by multiplying the lower one by Delta^j.  The zero test n = 0 and the
+Every rule set is reduced on packed integers, in both modes.  The input's
+integer form (qcoeff.lifted_form) holds integer numerators over the lcm of
+its Phi_d multisets, the lcm of its rests and one integer D, a numeric form
+being read as constants (qcoeff.symbolic_form); each rule's right side has
+such a denominator, its triple (Phi_d multiset, rest, D), and the rules'
+triples have an lcm Delta, Phi_4 for the current algebra's 3p1a/3p1b,
+which divide by q + q^-1 = q^-1 Phi_4.  Each pending word holds k, the
+power of Delta in its denominator, an exponent offset, its numerator
+packed at xi = 2^w as one big integer, and a bound on its coefficients.
+A rewrite multiplies the numerator by the rule coefficient, a q-number
+with few nonzero entries that is packed once per rule and width as shifts
+and kept on the rule, and adds it into the target word with a shift; a
+rule with a denominator has its coefficients lifted to Delta and sends its
+targets to k + 1, and two contributions at different k meet by
+multiplying the lower one by Delta^j.  The zero test n = 0 and the
 unpacking are exact while every digit stays in the balanced range, so the
 bounds are tracked (h(c r) <= h(c) |r|_1, h(a + b) <= h(a) + h(b)); a word
 whose bound nears 2^(w-1) has its exact height read from its digits, and a
 pass whose bound reaches 2^(w-1), also in lifting the irreducible words to
 the largest k, runs again wider; w is a multiple of 64.  The result is lazy
 (freealg): the irreducible nonzero words and their lifted form, no
-coefficient built until one is read.  Numeric mode and a rule with a rest or
-a rational scale denominator go through the per-coefficient loop instead.
+coefficient built until one is read; it is numeric when the input and
+every rule are.
 
 A zero normal form proves membership in the two-sided ideal of the
 relations: the reference reducer `normal_form_traced` records each step as
@@ -45,13 +46,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from math import lcm
 
 from .errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from .freealg import Alphabet, NcPoly, Word, _lazy, deglex_key
 from .qcoeff import (
-    _convolve, _digits, _lcm, _merge, _phi_product, form_vectors, is_symbolic, pack, unpack,
-    unpacked_form,
+    _convolve, _digits, _exact_div_int, _lcm, _merge, _phi_product, _rest_cofactors, _times,
+    form_vectors, is_symbolic, pack, symbolic_form, unpack, unpacked_form,
 )
+
+# the denominator (Phi_d multiset, rest, D) of an integral Laurent polynomial
+_INTEGRAL = ((), (1,), 1)
 
 
 class MonomialOrder:
@@ -68,52 +73,43 @@ class MonomialOrder:
 class RewriteRule:
     lhs: Word
     rhs: NcPoly
-    # the Phi_d multiset over which every right-side coefficient is an
-    # integral Laurent polynomial, read from the right side's integer form
-    # (() for an empty right side), None when a rest or a rational scale
-    # denominator is left; and the right side packed per digit width and
-    # system denominator, shared by every system that holds the rule
-    integral: tuple | None = field(init=False, repr=False, compare=False)
-    packs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the denominator (Phi_d multiset, rest, D) of the right side's form,
+    # numeric coefficients read as constants
+    den: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        form = self.rhs._integer_form()  # symbolic over Phi_d's alone, rest 1 and D = 1
-        object.__setattr__(self, "integral", () if not self.rhs else (
-            form[0] if is_symbolic(form) and form[1:3] == [(1,), 1] else None))
+        object.__setattr__(self, "den", tuple(symbolic_form(self.rhs._integer_form())[:3]))
 
-    def packed(self, w: int, delta: tuple = ()):
+    def packed(self, w: int, delta: tuple):
         """The right side grouped by coefficient up to sign and power of q,
-        over Phi_d^delta when the rule has a denominator (delta, the
-        system's multiset, holds the rule's own) and over 1 when it has none.
+        over delta (Phi_d multiset, rest, D), a multiple of the rule's own
+        denominator: the system's Delta, or the rule's own for an integral
+        rule, whose coefficients stay over the power of Delta they meet.
 
         A coefficient is q^offset times its integer vector in the right
-        side's form, over the rule's multiset; the vector is lifted to delta
-        by the product of the missing Phi_d, a signed product (_convolve:
-        a vector may lead with a negative entry).  Per lifted vector up to
-        sign: its nonzero entries as (shift by w * i, entry) pairs, which
-        multiply a number packed at xi = 2^w by shifts and small products (a
-        q-number has few nonzero entries); its l1 norm; and (word, offset,
-        negated) per term, so one product serves the whole group.
+        side's form over the rule's denominator; the vector is lifted to
+        delta by the missing Phi_d, the quotient of the rests and that of
+        the integers, a signed product (_convolve: a vector may lead with a
+        negative entry).  Per lifted vector up to sign: its nonzero entries
+        as (shift by w * i, entry) pairs, which multiply a number packed at
+        xi = 2^w by shifts and small products (a q-number has few nonzero
+        entries); its l1 norm; and (word, offset, negated) per term, so one
+        product serves the whole group.
         """
-        if not self.integral:
-            delta = ()  # integral coefficients stay over the power of Delta they meet
-        out = self.packs.get((w, delta))
-        if out is None:
-            groups: dict = {}
-            if self.rhs:
-                form = self.rhs._integer_form()
-                cofactor = _phi_product(_lcm(self.integral, delta)[1])
-                for u, offset, vec in zip(self.rhs.support(), form[3], form_vectors(form)):
-                    if cofactor != (1,):
-                        vec = tuple(_convolve(vec, cofactor))
-                    negated = vec[-1] < 0
-                    key = tuple([-x for x in vec]) if negated else vec
-                    groups.setdefault(key, []).append((u, offset, negated))
-            out = self.packs[w, delta] = [
-                (tuple((w * i, x) for i, x in enumerate(key) if x), sum(map(abs, key)), targets)
-                for key, targets in groups.items()
-            ]
-        return out
+        form = symbolic_form(self.rhs._integer_form())
+        (phi, rest, d), (dphi, drest, dd) = self.den, delta
+        cofactor = _times(_phi_product(_lcm(phi, dphi)[1]), tuple(_exact_div_int(drest, rest)))
+        groups: dict = {}
+        for u, offset, vec in zip(self.rhs.support(), form[3], form_vectors(form)):
+            if cofactor != (1,):
+                vec = tuple(_convolve(vec, cofactor))
+            if dd != d:
+                vec = tuple([dd // d * x for x in vec])
+            negated = vec[-1] < 0
+            key = tuple([-x for x in vec]) if negated else vec
+            groups.setdefault(key, []).append((u, offset, negated))
+        return [(tuple((w * i, x) for i, x in enumerate(key) if x), sum(map(abs, key)), targets)
+                for key, targets in groups.items()]
 
     def validate(self, order: MonomialOrder):
         if self.rhs.alphabet != order.alphabet:
@@ -134,15 +130,18 @@ class RewriteSystem:
         self.rules = list(rules)
         for rule in self.rules:
             rule.validate(order)
-        # the lcm of the rules' Phi_d multisets, None when a rule keeps the loop
-        delta = ()
+        # Delta, the lcm of the rules' denominators (Phi_d multiset, rest, D)
+        phi = ()
         for rule in self.rules:
-            if rule.integral is None:
-                delta = None
-                break
-            delta = _lcm(delta, rule.integral)[0]
-        self._delta = delta
+            phi = _lcm(phi, rule.den[0])[0]
+        self._delta = (phi, _rest_cofactors([rule.den[1] for rule in self.rules])[0],
+                       lcm(*(rule.den[2] for rule in self.rules)))
+        # a numeric input reduces to a numeric form when every rule's is one
+        self._numeric = all(not is_symbolic(rule.rhs._integer_form()) for rule in self.rules)
         self._powers: dict = {}
+        # per width: per rule, len(lhs), the power of Delta it adds and its
+        # right side packed (RewriteRule.packed)
+        self._tables: dict = {}
         # per letter, in declared order, the rules whose left side can match
         # at a position holding it: (index, lhs, len(lhs))
         self._starts = [[(ridx, rule.lhs, len(rule.lhs)) for ridx, rule in enumerate(self.rules)
@@ -177,51 +176,21 @@ class RewriteSystem:
         smaller words, so when a word is popped every contribution to its
         coefficient has been added up and it is expanded exactly once.
 
-        When every rule coefficient is a Laurent polynomial over Phi_d's
-        alone and p has a symbolic integer form, rests included, the
-        reduction runs over p's one denominator times a power of the rules'
-        lcm Delta on packed integers (_reduce_packed), and the result is
-        lazy, its words and their lifted form.  Otherwise each coefficient
-        is multiplied and added as a scalar: in numeric mode and for a rule
-        with a rest or a rational scale in its denominator.  The path is
-        chosen by the rule set and the form of p alone.
+        Every rule set and both modes take the one reduction on packed
+        integers (_reduce_packed), over p's one denominator times a power of
+        Delta, the lcm of the rules' denominators, numeric coefficients read
+        as constants, at the narrowest multiple of 64 bits that holds every
+        tracked bound.  The result is lazy, its words and their lifted form:
+        numeric, over that integer, when p's form and every rule's are
+        numeric, and symbolic otherwise.
         """
         if p.alphabet != self.alphabet:
             raise AlphabetMismatch("polynomial over a different alphabet")
-        if self._delta is not None:
-            form = p._integer_form()
-            if is_symbolic(form):
-                return self._normal_form_packed(p, form)
-        pending = dict(p.terms)
-        # (-len(w), w) is smallest for the deg-lex largest word
-        heap = [(-len(w), w) for w in pending]
-        heapq.heapify(heap)
-        out = {}
-        while heap:
-            w = heapq.heappop(heap)[1]
-            c = pending.pop(w)
-            if not c:
-                continue
-            m = self._find(w)
-            if m is None:
-                out[w] = c
-                continue
-            pos, ridx = m
-            rule = self.rules[ridx]
-            left, right = w[:pos], w[pos + len(rule.lhs):]
-            for u, cu in rule.rhs.terms.items():
-                v = left + u + right
-                s = pending.get(v)
-                if s is None:
-                    pending[v] = c * cu
-                    heapq.heappush(heap, (-len(v), v))
-                else:
-                    pending[v] = s + c * cu
-        return NcPoly(self.alphabet, out)
-
-    def _normal_form_packed(self, p: NcPoly, form) -> NcPoly:
-        """normal_form over the lifted form of p, at the narrowest multiple
-        of 64 bits that holds every tracked bound."""
+        if not p:
+            return p
+        form = p._integer_form()
+        numeric = self._numeric and not is_symbolic(form)
+        form = symbolic_form(form)
         phi, rest, d, offsets, _, bound = form[:6]
         vectors = form_vectors(form)
         while True:
@@ -233,19 +202,28 @@ class RewriteSystem:
         top, out = out
         if not out:
             return NcPoly.zero(self.alphabet)
+        dphi, drest, dd = self._delta
+        d *= dd ** top
+        if numeric:  # constants, each packed value its own numerator
+            return _lazy(self.alphabet, tuple(out), (d, tuple([n for _, n in out.values()])))
         if top:
-            phi = _merge(phi, tuple([top * x for x in self._delta]))
+            phi = _merge(phi, tuple([top * x for x in dphi]))
+            for _ in range(top):
+                rest = _times(rest, drest)
         items = ((word, e, n) for word, (e, n) in out.items())
         return _lazy(self.alphabet, *unpacked_form(items, phi, rest, d, digits))
 
     def _power(self, j: int, w: int):
-        """(Delta^j at xi = 2^w, |Delta^j|_1), Delta the product of the Phi_d
-        of the system's multiset; exact at any w, digits or not."""
+        """(Delta^j at xi = 2^w, |Delta^j|_1), Delta the product polynomial
+        D prod Phi_d^phi[d-1] rest of the system's denominator; exact at any
+        w, digits or not."""
         out = self._powers.get((j, w))
         if out is None:
+            phi, rest, d = self._delta
+            base = [d * x for x in _times(_phi_product(phi), rest)]
             vec = (1,)
             for _ in range(j):
-                vec = _convolve(vec, _phi_product(self._delta))
+                vec = _convolve(vec, base)
             out = self._powers[j, w] = (sum(x << w * i for i, x in enumerate(vec)),
                                         sum(map(abs, vec)))
         return out
@@ -256,26 +234,33 @@ class RewriteSystem:
 
         A pending word holds (k, e, n, h): its value is q^e times the
         polynomial whose digits n has at xi, over the input's common
-        denominator times Delta^k, Delta the lcm of the rules' Phi_d
-        multisets, and h bounds its coefficients: h(c r) <= h(c) |r|_1 for
-        a rule coefficient r and h(a + b) <= h(a) + h(b).  A rule with a
-        denominator, its coefficients lifted to Delta, sends its targets to
-        k + 1; two contributions at different k meet by multiplying the
-        lower one by Delta^j, its bound by |Delta^j|_1.  While h < 2^(w-1)
-        the digits are balanced and unique (Cauchy), so n = 0 is an exact
-        zero test and unpack recovers the polynomial, through the same codec
-        as every other packed sum.  The sums of bounds overshoot the
-        coefficients by far (79 bits against 23 in the order-6 balanced
-        product of B^5), so a reducible word whose bound is within 2^16 of
-        the limit takes its exact height from its digits instead.  At the
-        end every irreducible nonzero word is lifted to the largest k, top,
-        under the same bound.  Returns (top, {word: (e, n)}), or the bound
-        of the first word that reaches 2^(w-1).
+        denominator times Delta^k, Delta the lcm of the rules' denominators
+        as one polynomial (_power), and h bounds its coefficients:
+        h(c r) <= h(c) |r|_1 for a rule coefficient r and
+        h(a + b) <= h(a) + h(b).  A rule with a denominator, its
+        coefficients lifted to Delta, sends its targets to k + 1; two
+        contributions at different k meet by multiplying the lower one by
+        Delta^j, its bound by |Delta^j|_1.  While h < 2^(w-1) the digits are
+        balanced and unique (Cauchy), so n = 0 is an exact zero test and
+        unpack recovers the polynomial, through the same codec as every
+        other packed sum.  The sums of bounds overshoot the coefficients by
+        far (79 bits against 23 in the order-6 balanced product of B^5), so
+        a reducible word whose bound is within 2^16 of the limit takes its
+        exact height from its digits instead.  At the end every irreducible
+        nonzero word is lifted to the largest k, top, under the same bound.
+        Returns (top, {word: (e, n)}), or the bound of the first word that
+        reaches 2^(w-1).
         """
         w = digits[0]
         limit = 1 << (w - 1)
         tight = limit >> 16
-        delta = self._delta
+        table = self._tables.get(w)
+        if table is None:
+            table = self._tables[w] = []
+            for rule in self.rules:
+                lift = rule.den != _INTEGRAL
+                den = self._delta if lift else _INTEGRAL
+                table.append((len(rule.lhs), lift, rule.packed(w, den)))
         pending = {word: (0, e, pack(vec, digits), max(map(abs, vec)))
                    for word, e, vec in zip(words, offsets, vectors)}
         heap = [(-len(word), word) for word in pending]
@@ -295,10 +280,10 @@ class RewriteSystem:
             if h >= tight:  # the digits are exact while h < 2^(w-1): read the height
                 h = max(map(abs, unpack(n, digits)))
             pos, ridx = m
-            rule = self.rules[ridx]
-            left, right = word[:pos], word[pos + len(rule.lhs):]
-            tk = k + 1 if rule.integral else k  # a nonempty multiset: one more Delta
-            for parts, l1, targets in rule.packed(w, delta):
+            size, lift, groups = table[ridx]
+            left, right = word[:pos], word[pos + size:]
+            tk = k + lift  # a rule with a denominator: one more Delta
+            for parts, l1, targets in groups:
                 nc = None
                 for shift, x in parts:
                     t = (n if x == 1 else n * x) << shift

@@ -523,6 +523,14 @@ class TestGoldenReports:
              "lusztig-wide-fwd.json"),
             ("onsager lusztig --expr tests/golden/lusztig-wide.json --direction inv",
              "lusztig-wide-inv.json"),
+            # rewriting in numeric mode: images reduced at q = 5/3, class
+            # checks of the current algebra at q = 3
+            ("onsager lusztig --expr tests/golden/lusztig-wide.json --mode numeric --q 5/3",
+             "lusztig-wide-numeric-fwd.json"),
+            ("onsager lusztig --expr tests/golden/lusztig-wide.json --mode numeric --q 5/3 "
+             "--direction inv", "lusztig-wide-numeric-inv.json"),
+            ("current verify --kmax 4 --mode numeric --q 3 --json",
+             "current-verify-kmax4-numeric.json"),
         ],
     )
     def test_report_matches_golden(self, argv, golden, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Rewriting: orientation, normal forms, traces, zero testing, proofs."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,9 @@ from qonsager.errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from qonsager.freealg import Alphabet, NcPoly
 from qonsager.onsager import defining_relations, onsager_context
 from qonsager.qcoeff import SYMBOLIC as m
-from qonsager.qcoeff import LaurentPoly, NumericQ, RationalFunctionQ, _digits, form_vectors, pack
+from qonsager.qcoeff import (
+    LaurentPoly, NumericQ, RationalFunctionQ, _digits, form_vectors, is_symbolic, pack,
+)
 from qonsager.rewrite import MonomialOrder, RewriteRule, RewriteSystem, make_system
 from test_freealg import rebuilt
 
@@ -231,7 +234,11 @@ class TestTrace:
         assert p - nf == ideal_combination(qdg, steps, m.one())
 
 
-MODES = [pytest.param(m, id="symbolic"), pytest.param(NumericQ("5/3"), id="numeric")]
+# 1 + 2q^2 + 2q^6 + q^8, the rest of a rule of the completion to degree 13
+REST13 = (1, 0, 2, 0, 0, 0, 2, 0, 1)
+
+MODES = [pytest.param(m, id="symbolic"), pytest.param(NumericQ("5/3"), id="numeric"),
+         pytest.param(NumericQ("-7/2"), id="numeric-negative")]
 
 
 def oracle_poly(rng, mode, pool):
@@ -312,13 +319,15 @@ class TestOracle:
 
     def assert_agrees(self, rs, p):
         """normal_form equals the traced reduction, and a packed result keeps
-        a lifted form that rebuilds its coefficients, with an exact height
-        and, at the one width it was reduced at, the packs of its vectors."""
+        a lifted form that rebuilds its coefficients; a symbolic one has an
+        exact height and, at the one width it was reduced at, the packs of
+        its vectors."""
         nf = rs.normal_form(p)
         assert nf == rs.normal_form_traced(p)[0]
         form = nf._ints
         if form:
             assert rebuilt(form) == list(nf.terms.values())
+        if form and is_symbolic(form):
             phi, rest, _, _, _, height, (w, packed) = form
             vectors = form_vectors(form)
             assert height == max(max(map(abs, v)) for v in vectors)
@@ -438,25 +447,18 @@ class TestOracle:
         assert calls == [64]
         assert got == nf.scaled(m.q_pow(1))
 
-    def test_fallback_systems_keep_the_loop(self, onsager, widths):
-        """Numeric mode is the one rule set left on the per-coefficient loop.
-        The current algebra's system, whose 3p1a/3p1b divide by q + q^-1,
-        once fell back too; it now takes one packed pass per input."""
+    def test_every_rule_set_takes_one_packed_pass(self, onsager, widths):
+        """There is one reducer.  The current algebra's system, whose
+        3p1a/3p1b divide by q + q^-1, takes one packed pass per input, and
+        so does an input with a rest."""
         rng = random.Random(3)
         aq = aq_system(2)
-        assert aq.system._delta == (0, 0, 0, 1)  # 3p1a/3p1b: 1/(q + 1/q) = q/Phi_4
+        assert aq.system._delta == ((0, 0, 0, 1), (1,), 1)  # 3p1a/3p1b: 1/(q + 1/q) = q/Phi_4
         pool = [rule.lhs for rule in aq.system.rules]
         for _ in range(10):
             self.assert_agrees(aq.system, self.q_poly(rng, aq.alphabet, pool, 6))
         assert widths == [64] * 10
         widths.clear()
-        num = NumericQ("5/3")
-        rs = make_system(AB, MonomialOrder(AB), defining_relations(AB, num),
-                         [AB.word("AAAB"), AB.word("ABBB")])
-        assert rs._delta is None
-        for p in self.polys(num, 99, 10):
-            self.assert_agrees(rs, p)
-        assert widths == []
         # a coefficient whose denominator has a factor that is no Phi_d is
         # reduced packed, over a denominator that keeps that factor
         rest = RationalFunctionQ(LaurentPoly(0, [1]), LaurentPoly(0, [1, 0, 2]))
@@ -490,7 +492,8 @@ class TestOracle:
                  for _, just in proof_chain(aq, gen, k) if isinstance(just, tuple)}
         systems = [aq.system] + [aq.subsystem(*ids) for ids in sorted(cited)]
         assert len(systems) == 6
-        assert [rs._delta for rs in systems] == [(0, 0, 0, 1), (0, 0, 0, 1), (), (), (), ()]
+        phi4, one = ((0, 0, 0, 1), (1,), 1), ((), (1,), 1)
+        assert [rs._delta for rs in systems] == [phi4, phi4, one, one, one, one]
         rng = random.Random(17)
         for rs in systems:
             pool = [rule.lhs for rule in rs.rules]
@@ -514,8 +517,10 @@ class TestOracle:
 
     def test_two_cyclotomic_denominators_meet_at_their_lcm(self, two_denominators, widths):
         abc, rs = two_denominators
-        assert [rule.integral for rule in rs.rules] == [(0, 0, 0, 1), (0, 0, 1, 0, 0, 1), ()]
-        assert rs._delta == (0, 0, 1, 1, 0, 1)  # Phi_3 Phi_4 Phi_6, each rule's cofactor nontrivial
+        assert [rule.den for rule in rs.rules] == [
+            ((0, 0, 0, 1), (1,), 1), ((0, 0, 1, 0, 0, 1), (1,), 1), ((), (1,), 1)]
+        # Phi_3 Phi_4 Phi_6, each rule's cofactor nontrivial
+        assert rs._delta == ((0, 0, 1, 1, 0, 1), (1,), 1)
         rng = random.Random(23)
         pool = [abc.word(s) for s in ("AB", "AC", "BC", "AAB", "ABC", "ACB", "BAC", "AABC")]
         for _ in range(20):
@@ -545,6 +550,99 @@ class TestOracle:
         nf = self.assert_agrees(aq.system, p)
         assert nf.terms[(aq.alphabet.index["W-1"],)] == big
         assert widths == [64, 128]
+
+    # -- rules over a rest or an integer, numeric rules --
+
+    @pytest.fixture(scope="class")
+    def rest_and_half(self):
+        """Rules over the rest 1 + 2q^2 + 2q^6 + q^8 (x^4 + 2x^3 + 2x + 1 at
+        x = q^2, which a completion to degree 13 divides by), over 2, over
+        q + q^-1 = q^-1 Phi_4, and one integral rule.  Together they lift
+        to Delta by a nontrivial Phi_d, rest or integer cofactor each."""
+        abc = Alphabet(["A", "B", "C"])
+        a, b, c = (NcPoly.generator(abc, x) for x in "ABC")
+        rest = RationalFunctionQ(LaurentPoly(0, [1]), LaurentPoly(0, REST13))
+        half = m.from_fraction(Fraction(1, 2))
+        inv2 = m.one() / (m.q_pow(1) + m.q_pow(-1))
+        rules = [RewriteRule(abc.word("AB"), rest * (b * a) + c),
+                 RewriteRule(abc.word("AC"), half * (c * a) - m.q_pow(1) * b),
+                 RewriteRule(abc.word("BC"), -inv2 * (c * b) + m.qnum(2) * a),
+                 RewriteRule(abc.word("BB"), c * a + m.q_pow(-1) * c)]
+        assert rest.rest == REST13  # no Phi_d divides it
+        return abc, rules
+
+    @pytest.mark.parametrize("chosen, delta", [
+        ((0, 3), ((), REST13, 1)),
+        ((1, 3), ((), (1,), 2)),
+        ((0, 1, 2, 3), ((0, 0, 0, 1), REST13, 2)),
+    ], ids=["rest", "half", "all"])
+    def test_rest_and_integer_denominators_reduce_packed(self, rest_and_half, widths, chosen,
+                                                         delta):
+        abc, rules = rest_and_half
+        assert [rule.den for rule in rules] == [
+            ((), REST13, 1), ((), (1,), 2), ((0, 0, 0, 1), (1,), 1), ((), (1,), 1)]
+        rs = RewriteSystem(abc, MonomialOrder(abc), [rules[i] for i in chosen])
+        assert rs._delta == delta
+        rng = random.Random(29)
+        pool = [abc.word(s) for s in ("AB", "AC", "BC", "BB", "AAB", "ABC", "ACB", "BAC", "ABBC")]
+        for _ in range(20):
+            self.assert_agrees(rs, self.q_poly(rng, abc, pool, rng.randint(2, 8)))
+        assert widths == [64] * 20
+
+    @pytest.mark.parametrize("q0", ["5/3", "-7/2"])
+    def test_numeric_rules_reduce_packed_to_a_numeric_form(self, widths, q0):
+        """Numeric rule coefficients are constants over one integer D, so
+        Delta is ((), (1,), D), and a numeric input reduces packed, one pass
+        per input at 64 bits and wider ones as its numerators grow, to a
+        numeric form."""
+        num = NumericQ(q0)
+        rs = make_system(AB, MonomialOrder(AB), defining_relations(AB, num),
+                         [AB.word("AAAB"), AB.word("ABBB")])
+        phi, rest, d = rs._delta
+        assert (phi, rest) == ((), (1,)) and d > 1
+        ps = [p for p in self.polys(num, 99, 10) if p]
+        for p in ps:
+            nf = self.assert_agrees(rs, p)
+            assert nf.is_zero or not is_symbolic(nf._ints)
+            assert all(type(c) is Fraction for c in nf.terms.values())
+        assert widths.count(64) == len(ps) and max(widths) > 64
+
+    def test_integer_input_to_a_symbolic_system(self, onsager, widths):
+        """An all-integer input has a numeric form; over symbolic rules it is
+        read as constants and reduces packed to a symbolic form."""
+        p = NcPoly(AB, {AB.word("AAABB"): 3, AB.word("ABBBA"): -2, AB.word("BA"): 5})
+        assert not is_symbolic(p._integer_form())
+        nf = self.assert_agrees(onsager.qdg, p)
+        assert is_symbolic(nf._ints)
+        assert all(isinstance(c, RationalFunctionQ) for c in nf.terms.values())
+        assert widths == [64]
+
+    def test_no_scalar_is_added_or_multiplied(self, onsager, rest_and_half, monkeypatch):
+        """normal_form has no scalar fallback: with the arithmetic of
+        RationalFunctionQ and Fraction raising, it still reduces in both
+        modes and over the rest and 1/2 rules, and once the operators are
+        back its results are the oracle's."""
+        abc, rules = rest_and_half
+        rng = random.Random(31)
+        num = NumericQ("5/3")
+        numeric = make_system(AB, MonomialOrder(AB), defining_relations(AB, num),
+                              [AB.word("AAAB"), AB.word("ABBB")])
+        pool = [AB.word(s) for s in ("AAAB", "ABBB", "AAABB", "BAAAB")]
+        cases = [(onsager.qdg, self.q_poly(rng, AB, pool, 6)),
+                 (numeric, self.polys(num, 7, 1)[0]),
+                 (RewriteSystem(abc, MonomialOrder(abc), rules),
+                  self.q_poly(rng, abc, [abc.word(s) for s in ("AB", "AC", "BC", "ABBC")], 6))]
+
+        def refuse(*args):
+            raise AssertionError("a scalar was added or multiplied")
+
+        for cls in (RationalFunctionQ, Fraction):
+            for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+                monkeypatch.setattr(cls, name, refuse)
+        got = [rs.normal_form(p) for rs, p in cases]
+        monkeypatch.undo()
+        for (rs, p), nf in zip(cases, got):
+            assert not nf.is_zero and nf == rs.normal_form_traced(p)[0]
 
 
 def random_like():
