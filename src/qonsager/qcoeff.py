@@ -12,26 +12,30 @@ Phi_d divides.  rest is 1 for every value the engine builds; only a divisor
 that is not a product of cyclotomic polynomials, which an expression file
 may hold, leaves anything there.
 
-No operation takes a gcd.  A product convolves numerators and adds
-multisets; a sum brings both numerators to the lcm multiset; a quotient
-factors the divisor into a rational, a power of q and Phi_d's by exact
-trial division, and whatever is left joins rest.  The form is not reduced,
-but its zero test is exact: the denominator is a nonzero polynomial, so a
-value is zero exactly when its numerator is.  Equality compares values, by
-cross multiplication over the common denominator, and every value has the
-same hash, so values reached by different routes compare and hash alike.
+No operation takes a gcd of numerators.  A product convolves numerators
+and adds multisets; a sum brings both numerators to the lcm of the
+denominators; a quotient factors the divisor into a rational, a power of q
+and Phi_d's by exact trial division, and whatever is left joins rest.  The
+form is not reduced, but its zero test is exact: the denominator is a
+nonzero polynomial, so a value is zero exactly when its numerator is.
+Equality compares values, by cross multiplication over the common
+denominator, and every value has the same hash, so values reached by
+different routes compare and hash alike.
 
-A long linear combination is cheaper over one denominator for the whole
-sum.  lifted_form holds rationals as integers over their lcm and symbolic
-values as integer vectors over the lcm of their Phi_d multisets times the
-lcm of their rests, and lifted_sum adds their multiples, as ints or as
-packed big integers; a free-algebra product is such a sum.  A symbolic form
-keeps its vectors packed at the width of the last sum, and a sum's result
-form holds only the packed big integers it made, so a value summed again
-at that width is neither lifted nor packed again.  Its exact height, which
-fixes the widths of later sums, comes from one decode of all its digits;
-its vectors are unpacked only when first read (form_vectors), and no value
-is made until form_values is asked for them.
+Denominators meet in one place, common_denominator: the lcm of triples
+(Phi_d multiset, rest, D) and the cofactors that carry each to it, for a
+scalar sum and comparison, the integer forms and the rewriter's Delta
+alike.  A long linear combination is cheaper over one denominator for the
+whole sum.  lifted_form holds rationals as integers over their lcm and
+symbolic values as integer vectors over their common denominator, and
+lifted_sum adds their multiples, as ints or as packed big integers; a
+free-algebra product is such a sum.  A symbolic form keeps its vectors
+packed at the width of the last sum, and a sum's result form holds only
+the packed big integers it made, so a value summed again at that width is
+neither lifted nor packed again.  Its exact height, which fixes the widths
+of later sums, comes from one decode of all its digits; its vectors are
+unpacked only when first read (form_vectors), and no value is made until
+form_values is asked for them.
 
 The reduced canonical form is made only where a value leaves the engine:
 canonical(), and through it rf_to_json and so every emitted coefficient and
@@ -424,7 +428,7 @@ _LP_ONE = _raw(0, (1,), _ONE)
 _PHI: dict[int, tuple[int, ...]] = {}
 _PHI_PRODUCTS: dict[tuple[int, ...], tuple[int, ...]] = {(): (1,)}
 _FACTORS: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {(1,): ((), (1,))}
-_LCMS: dict = {}
+_COMMON: dict = {}
 
 
 def _phi(d: int) -> tuple[int, ...]:
@@ -503,13 +507,25 @@ def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(_add, a, b)) + a[len(b):]
 
 
-def _lcm(a: tuple[int, ...], b: tuple[int, ...]):
-    """(lcm, lcm - a, lcm - b) of two multisets."""
-    out = _LCMS.get((a, b))
+def common_denominator(dens):
+    """(lcm, lifts) of a tuple of triples (Phi_d multiset, rest, D): their
+    lcm, a triple, and per triple in order (vector, k), the primitive
+    positive-leading prod Phi_d^(lcm - phi) * (lcm rest / rest) and lcm D
+    / D, which carry a numerator over that triple to the lcm.  Rests are
+    primitive with positive leading entry, so is their lcm, and every
+    quotient is exact.  Kept per dens: meeting again is one lookup."""
+    out = _COMMON.get(dens)
     if out is None:
-        lcm = tuple(map(max, a, b)) + (b[len(a):] if len(a) < len(b) else a[len(b):])
-        out = _LCMS[a, b] = (lcm, tuple(map(_sub, lcm, a)) + lcm[len(a):],
-                             tuple(map(_sub, lcm, b)) + lcm[len(b):])
+        phi, rest, d = (), (1,), 1
+        for e, r, k in dens:
+            if e != phi:
+                phi = tuple(map(max, phi, e)) + (phi[len(e):] or e[len(phi):])
+            if r != rest:
+                rest = _times(rest, _exact_div_int(r, _primitive_gcd(rest, r)))
+            d = _int_lcm(d, k)
+        out = _COMMON[dens] = ((phi, rest, d), tuple(
+            (_times(_phi_product(tuple(map(_sub, phi, e)) + phi[len(e):]), _exact_div_int(rest, r)),
+             d // k) for e, r, k in dens))
     return out
 
 
@@ -603,15 +619,12 @@ class RationalFunctionQ:
             return other
         if not c.coeffs:
             return self
-        rest = self.rest
-        if self.phi == other.phi and rest == other.rest:
-            phi, t = self.phi, a + c
+        phi, rest = self.phi, self.rest
+        if phi == other.phi and rest == other.rest:
+            t = a + c
         else:
-            phi, ca, cc = _lcm(self.phi, other.phi)
-            ma, mc = _phi_product(ca), _phi_product(cc)
-            if rest != other.rest:
-                ma, mc = _times(ma, other.rest), _times(mc, rest)
-                rest = _times(rest, other.rest)
+            (phi, rest, _), ((ma, _), (mc, _)) = common_denominator(
+                ((phi, rest, 1), (other.phi, other.rest, 1)))
             t = _times_lp(a, ma) + _times_lp(c, mc)
         return _rf(t, phi, rest) if t.coeffs else RF_ZERO
 
@@ -721,10 +734,10 @@ class RationalFunctionQ:
                 return NotImplemented
         if self.phi == other.phi and self.rest == other.rest:
             return self.num == other.num
-        # a/(F r) = c/(G s) iff a (L/F) s = c (L/G) r over the lcm L of F, G
-        _, ca, cc = _lcm(self.phi, other.phi)
-        return (_times_lp(self.num, _times(_phi_product(ca), other.rest))
-                == _times_lp(other.num, _times(_phi_product(cc), self.rest)))
+        # a/M = c/N iff a (L/M) = c (L/N) over the lcm L of M, N
+        _, ((ma, _), (mc, _)) = common_denominator(
+            ((self.phi, self.rest, 1), (other.phi, other.rest, 1)))
+        return _times_lp(self.num, ma) == _times_lp(other.num, mc)
 
     def __hash__(self) -> int:
         # equal values may be held over different denominators, and only
@@ -785,31 +798,25 @@ def lifted_form(xs):
     All-rational xs (int, Fraction) give the numeric form (D, nums), value i
     being nums[i] / D.  Other xs, rationals among them coerced, give the
     symbolic form [phi, rest, D, offsets, vectors, height, packs], value i
-    being q^offsets[i] * vectors[i] / (D * prod Phi_d^phi[d-1] * rest): phi
-    is the lcm of the values' Phi_d multisets, rest the lcm of their
-    rests and D the lcm of their scale denominators, and each
-    vector is the value's coefficient tuple times its cofactors and its
-    integer scale, the tuple itself, shared, when they are 1.  height is
-    the largest |entry| of the vectors, and packs, None here, the vectors
-    packed at the width of the last sum that read them, (w, packed ints).
+    being q^offsets[i] * vectors[i] / (D * prod Phi_d^phi[d-1] * rest),
+    the common_denominator of the values' (phi, rest, scale denominator),
+    and each vector is the value's coefficient tuple times its lift, the
+    tuple itself, shared, when that is 1.  height is the largest |entry| of
+    the vectors, and packs, None here, the vectors packed at the width of
+    the last sum that read them, (w, packed ints).
     """
     xs = list(xs)
     if all(isinstance(x, _RATIONAL) for x in xs):
         d = _int_lcm(*(x.denominator for x in xs))
         return (d, tuple([x.numerator * (d // x.denominator) for x in xs]))
     xs = [_coerce(x) for x in xs]
-    phi = ()
-    for e in {x.phi for x in xs}:
-        phi = _lcm(phi, e)[0]
-    rest, cofactors = _rest_cofactors([x.rest for x in xs])
-    d = _int_lcm(*(x.num.scale.denominator for x in xs))
+    dens = [(x.phi, x.rest, x.num.scale.denominator) for x in xs]
+    (phi, rest, d), lift = _lifts(dens)
     vectors = []
-    for x in xs:
-        vec = x.num.coeffs
-        if x.phi != phi:
-            vec = _times(vec, _phi_product(_lcm(phi, x.phi)[2]))
-        vec = _times(vec, cofactors[x.rest])
-        k = x.num.scale.numerator * (d // x.num.scale.denominator)
+    for x, den in zip(xs, dens):
+        vec, k = lift[den]
+        vec = _times(x.num.coeffs, vec)
+        k *= x.num.scale.numerator
         vectors.append(vec if k == 1 else tuple([k * c for c in vec]))
     vectors = tuple(vectors)
     height = max(map(_norm, vectors), default=0)
@@ -826,19 +833,11 @@ def symbolic_form(form):
     return [(), (1,), d, (0,) * len(nums), tuple([(n,) for n in nums]), height, None]
 
 
-def _rest_cofactors(rests):
-    """(lcm, cofactors): the lcm of the distinct rests and, per rest, the
-    quotient of the lcm by it, which takes a value over it to the lcm.
-
-    Rests are primitive with positive leading entry, so their lcm, made
-    from primitive gcds, is one too, and every quotient is exact."""
-    distinct = set(rests) - {(1,)}
-    lcm = (1,)
-    for r in distinct:
-        lcm = _times(lcm, _exact_div_int(r, _primitive_gcd(lcm, r)))
-    cofactors = {r: tuple(_exact_div_int(lcm, r)) for r in distinct}
-    cofactors[(1,)] = lcm
-    return lcm, cofactors
+def _lifts(dens):
+    """common_denominator of the distinct triples of dens, lifts by triple."""
+    distinct = tuple(dict.fromkeys(dens))
+    lcm, lifts = common_denominator(distinct)
+    return lcm, dict(zip(distinct, lifts))
 
 
 def form_vectors(form):
@@ -871,13 +870,12 @@ def lifted_sum(items):
     RationalFunctionQ, int or Fraction.  Rational c over numeric forms sum
     as ints over the lcm m of the c / D denominators, (m, nums).  Otherwise
     a numeric form is lifted as constants (symbolic_form) and the sum goes
-    over the lcm multiset phi of all its products, the lcm of their rests
-    and the lcm m of their scale denominators, at xi = 2^w: one packed
-    multiplier per item (c's numerator times its cofactors), one packing of
-    a form's vectors per width, kept in its packs, one big-int product per
-    value and one big-int sum per key.  A key takes at most one value from
-    each item, so the heights bound every sum's entries, which fixes w.
-    The result form (unpacked_form) holds only the packed sums at w.
+    over the common_denominator (phi, rest, m) of all its products, at xi =
+    2^w: one packed multiplier per item (c's numerator times its lift), one
+    packing of a form's vectors per width, kept in its packs, one big-int
+    product per value and one big-int sum per key.  A key takes at most one
+    value from each item, so the heights bound every sum's entries, which
+    fixes w.  The result form (unpacked_form) holds only the packed sums.
     """
     acc: dict = {}
     get = acc.get
@@ -890,25 +888,24 @@ def lifted_sum(items):
                 acc[key] = get(key, 0) + k * n
         acc = {key: v for key, v in acc.items() if v}
         return tuple(acc), (m, tuple(acc.values()))
-    parts, phi = [], ()
+    parts = []
     for c, form, keys in items:
         c = _coerce(c)
         form = symbolic_form(form)
-        e = _merge(c.phi, form[0])
-        phi = _lcm(phi, e)[0]
-        parts.append((c.num, e, _times(c.rest, form[1]), form, keys))
-    rest, cofactors = _rest_cofactors([r for _, _, r, _, _ in parts])
-    m = _int_lcm(*(num.scale.denominator * form[2] for num, _, _, form, _ in parts))
-    low = min((num.offset + min(form[3]) for num, _, _, form, _ in parts), default=0)
+        den = (_merge(c.phi, form[0]), _times(c.rest, form[1]), c.num.scale.denominator * form[2])
+        parts.append((c.num, den, form, keys))
+    (phi, rest, m), lift = _lifts([den for _, den, _, _ in parts])
+    low = min((num.offset + min(form[3]) for num, _, form, _ in parts), default=0)
     bound, mults = 0, []
-    for num, e, r, form, _ in parts:
-        mult = _times(_times(num.coeffs, _phi_product(_lcm(phi, e)[2])), cofactors[r])
-        f = num.scale.numerator * (m // (num.scale.denominator * form[2]))
+    for num, den, form, _ in parts:
+        vec, k = lift[den]
+        mult = _times(num.coeffs, vec)
+        f = num.scale.numerator * k
         bound += abs(f) * len(mult) * _norm(mult) * form[5]
         mults.append((mult, f))
     digits = _digits(bound)
     w = digits[0]
-    for (num, _, _, form, keys), (mult, f) in zip(parts, mults):
+    for (num, _, form, keys), (mult, f) in zip(parts, mults):
         packs = form[6]
         if packs is None or packs[0] != w:  # the vectors are read before the packs go
             packs = form[6] = (w, [pack(vec, digits) for vec in form_vectors(form)])

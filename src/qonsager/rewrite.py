@@ -11,28 +11,29 @@ the monomial multiset in a well order.  The reducer works top-down on a heap
 of pending words, largest first, and keeps no state between calls.
 
 Every rule set is reduced on packed integers, in both modes.  The input's
-integer form (qcoeff.lifted_form) holds integer numerators over the lcm of
-its Phi_d multisets, the lcm of its rests and one integer D, a numeric form
-being read as constants (qcoeff.symbolic_form); each rule's right side has
-such a denominator, its triple (Phi_d multiset, rest, D), and the rules'
-triples have an lcm Delta, Phi_4 for the current algebra's 3p1a/3p1b,
-which divide by q + q^-1 = q^-1 Phi_4.  Each pending word holds k, the
-power of Delta in its denominator, an exponent offset, its numerator
-packed at xi = 2^w as one big integer, and a bound on its coefficients.
-A rewrite multiplies the numerator by the rule coefficient, a q-number
-with few nonzero entries that is packed once per rule and width as shifts
-and kept on the rule, and adds it into the target word with a shift; a
-rule with a denominator has its coefficients lifted to Delta and sends its
-targets to k + 1, and two contributions at different k meet by
-multiplying the lower one by Delta^j.  The zero test n = 0 and the
-unpacking are exact while every digit stays in the balanced range, so the
-bounds are tracked (h(c r) <= h(c) |r|_1, h(a + b) <= h(a) + h(b)); a word
-whose bound nears 2^(w-1) has its exact height read from its digits, and a
-pass whose bound reaches 2^(w-1), also in lifting the irreducible words to
-the largest k, runs again wider; w is a multiple of 64.  The result is lazy
-(freealg): the irreducible nonzero words and their lifted form, no
-coefficient built until one is read; it is numeric when the input and
-every rule are.
+integer form (qcoeff.lifted_form) holds integer numerators over one
+denominator, a triple (Phi_d multiset, rest, D), a numeric form being read
+as constants (qcoeff.symbolic_form); so does each rule's right side, and
+the rules' triples meet at their qcoeff.common_denominator Delta, Phi_4
+for the current algebra's 3p1a/3p1b, which divide by q + q^-1 = q^-1
+Phi_4.  Each pending word holds k, the power of Delta in its denominator,
+an exponent offset, its numerator packed at xi = 2^w as one big integer,
+and a bound on its coefficients.  A rewrite multiplies the numerator by
+the rule coefficient, a q-number with few nonzero entries that is packed
+once per rule and width as shifts and kept on the rule, and adds it into
+the target word with a shift; a rule with a denominator has its
+coefficients lifted to Delta and sends its targets to k + 1, and two
+contributions at different k meet by multiplying the lower one by
+Delta^j.  The zero test n = 0 and the unpacking are exact while every
+digit stays in the balanced range, so the bounds are tracked (h(c r) <=
+h(c) |r|_1, h(a + b) <= h(a) + h(b)); a word whose bound nears 2^(w-1)
+has its exact height read from its digits, and a symbolic pass whose
+bound reaches 2^(w-1), also in lifting the irreducible words to the
+largest k, runs again wider; w is a multiple of 64.  Constants reduce in
+one pass: a numeric value is one digit at shift 0, its packed int the
+numerator itself, exact at any width.  The result is lazy (freealg): the
+irreducible nonzero words and their lifted form, no coefficient built
+until one is read; it is numeric when the input and every rule are.
 
 A zero normal form proves membership in the two-sided ideal of the
 relations: the reference reducer `normal_form_traced` records each step as
@@ -46,12 +47,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from math import lcm
+from math import inf
 
 from .errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from .freealg import Alphabet, NcPoly, Word, _lazy, deglex_key
 from .qcoeff import (
-    _convolve, _digits, _exact_div_int, _lcm, _merge, _phi_product, _rest_cofactors, _times,
+    RationalFunctionQ, _convolve, _digits, _merge, _phi_product, _times, common_denominator,
     form_vectors, is_symbolic, pack, symbolic_form, unpack, unpacked_form,
 )
 
@@ -88,23 +89,21 @@ class RewriteRule:
 
         A coefficient is q^offset times its integer vector in the right
         side's form over the rule's denominator; the vector is lifted to
-        delta by the missing Phi_d, the quotient of the rests and that of
-        the integers, a signed product (_convolve: a vector may lead with a
-        negative entry).  Per lifted vector up to sign: its nonzero entries
-        as (shift by w * i, entry) pairs, which multiply a number packed at
-        xi = 2^w by shifts and small products (a q-number has few nonzero
-        entries); its l1 norm; and (word, offset, negated) per term, so one
-        product serves the whole group.
+        delta by k times the cofactor of qcoeff.common_denominator, a signed
+        product (_convolve: a vector may lead with a negative entry).  Per
+        lifted vector up to sign: its nonzero entries as (shift by w * i,
+        entry) pairs, which multiply a number packed at xi = 2^w by shifts
+        and small products (a q-number has few nonzero entries); its l1
+        norm; and (word, offset, negated) per term, so one product serves
+        the whole group.
         """
         form = symbolic_form(self.rhs._integer_form())
-        (phi, rest, d), (dphi, drest, dd) = self.den, delta
-        cofactor = _times(_phi_product(_lcm(phi, dphi)[1]), tuple(_exact_div_int(drest, rest)))
+        (cofactor, k), _ = common_denominator((self.den, delta))[1]
+        lift = tuple([k * x for x in cofactor])
         groups: dict = {}
         for u, offset, vec in zip(self.rhs.support(), form[3], form_vectors(form)):
-            if cofactor != (1,):
-                vec = tuple(_convolve(vec, cofactor))
-            if dd != d:
-                vec = tuple([dd // d * x for x in vec])
+            if lift != (1,):
+                vec = tuple(_convolve(vec, lift))
             negated = vec[-1] < 0
             key = tuple([-x for x in vec]) if negated else vec
             groups.setdefault(key, []).append((u, offset, negated))
@@ -131,11 +130,7 @@ class RewriteSystem:
         for rule in self.rules:
             rule.validate(order)
         # Delta, the lcm of the rules' denominators (Phi_d multiset, rest, D)
-        phi = ()
-        for rule in self.rules:
-            phi = _lcm(phi, rule.den[0])[0]
-        self._delta = (phi, _rest_cofactors([rule.den[1] for rule in self.rules])[0],
-                       lcm(*(rule.den[2] for rule in self.rules)))
+        self._delta = common_denominator(tuple(rule.den for rule in self.rules))[0]
         # a numeric input reduces to a numeric form when every rule's is one
         self._numeric = all(not is_symbolic(rule.rhs._integer_form()) for rule in self.rules)
         self._powers: dict = {}
@@ -195,7 +190,7 @@ class RewriteSystem:
         vectors = form_vectors(form)
         while True:
             digits = _digits(max(bound, 1 << 31))  # past 2^31 w is a multiple of 64
-            out = self._reduce_packed(p.support(), offsets, vectors, digits)
+            out = self._reduce_packed(numeric, p.support(), offsets, vectors, digits)
             if type(out) is not int:
                 break
             bound = max(out, 1 << (2 * digits[0] - 2))  # a word outgrew w: at least double it
@@ -228,7 +223,7 @@ class RewriteSystem:
                                         sum(map(abs, vec)))
         return out
 
-    def _reduce_packed(self, words, offsets, vectors, digits):
+    def _reduce_packed(self, numeric, words, offsets, vectors, digits):
         """The heap reduction on numerators packed at xi = 2^w, w the width
         of the digit format digits (qcoeff.pack).
 
@@ -249,11 +244,13 @@ class RewriteSystem:
         exact height from its digits instead.  At the end every irreducible
         nonzero word is lifted to the largest k, top, under the same bound.
         Returns (top, {word: (e, n)}), or the bound of the first word that
-        reaches 2^(w-1).
+        reaches 2^(w-1), which a numeric pass (the input and every rule
+        numeric) never does: every offset is 0 and every rule part at shift
+        0, so n is a constant's numerator, exact at any width.
         """
         w = digits[0]
-        limit = 1 << (w - 1)
-        tight = limit >> 16
+        limit = inf if numeric else 1 << (w - 1)
+        tight = inf if numeric else limit >> 16
         table = self._tables.get(w)
         if table is None:
             table = self._tables[w] = []
@@ -391,7 +388,9 @@ def orient(relation: NcPoly, word: Word) -> RewriteRule:
             f"{word} is not the order-maximal monomial (expected {lead})"
         )
     rest = relation - NcPoly.monomial(relation.alphabet, word, c)
-    return RewriteRule(word, (-1 / c) * rest)
+    # reduced coefficients: no factor that cancels reaches den or Delta
+    return RewriteRule(word, ((-1 / c) * rest).map_coeffs(
+        lambda x: x.canonical() if type(x) is RationalFunctionQ else x))
 
 
 def make_system(

@@ -518,6 +518,12 @@ class TestGoldenReports:
              "lusztig-noncyclotomic-fwd.json"),
             ("onsager lusztig --expr tests/golden/lusztig-noncyclotomic.json "
              "--direction inv", "lusztig-noncyclotomic-inv.json"),
+            # coefficients over q - 2 and (q - 2)(q - 3), whose rests meet
+            # at their lcm
+            ("onsager lusztig --expr tests/golden/lusztig-two-rests.json",
+             "lusztig-two-rests-fwd.json"),
+            ("onsager lusztig --expr tests/golden/lusztig-two-rests.json --direction inv",
+             "lusztig-two-rests-inv.json"),
             # coefficients past 2^64, packed at 128-bit digits
             ("onsager lusztig --expr tests/golden/lusztig-wide.json",
              "lusztig-wide-fwd.json"),

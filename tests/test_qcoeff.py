@@ -887,6 +887,19 @@ class TestCyclotomicOracle:
         with pytest.raises(DivisionByZero):
             SYMBOLIC.one() / SYMBOLIC.zero()
 
+    def test_rests_meet_at_their_lcm(self):
+        """1/(q - 2) + 1/((q - 2)(q - 3)) is held over the lcm (q - 2)(q - 3)
+        of the rests, not over their product, and equals 1/(q - 3); values
+        over different rests compare over that lcm too."""
+        x = rf_from_json({"num": [[0, "1"]], "den": [[0, "-2"], [1, "1"]]})
+        y = rf_from_json({"num": [[0, "1"]], "den": [[0, "6"], [1, "-5"], [2, "1"]]})
+        z = rf_from_json({"num": [[0, "1"]], "den": [[0, "-3"], [1, "1"]]})
+        for s in (x + y, y + x):
+            assert s.phi == () and s.rest == (6, -5, 1)
+            assert s == z and z == s
+        assert (x + y) - z == 0
+        assert x * z == y and x != y
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             SYMBOLIC.one().num = LaurentPoly.q_power(1)
@@ -1032,3 +1045,46 @@ def test_emitted_form_matches_sympy_cancel():
     for tree in trees:
         value, expr = _oracle_value(tree, q)
         assert rf_to_json(value) == _sympy_json(sp, q, expr), tree
+
+
+def _denominator_triples(rng):
+    """Seeded (Phi_d multiset, rest, D) triples; the rests are products of
+    q - 2, q - 3, q^2 + 2 and 2q + 1, which no Phi_d divides."""
+    factors = [(-2, 1), (-3, 1), (2, 0, 1), (1, 2)]
+    triples = []
+    for _ in range(rng.randint(1, 4)):
+        phi = [rng.randint(0, 2) for _ in range(rng.randint(0, 8))]
+        while phi and not phi[-1]:
+            phi.pop()
+        rest = (1,)
+        for f in rng.sample(factors, rng.randint(0, 3)):
+            rest = qcoeff._times(rest, f)
+        triples.append((tuple(phi), rest, rng.randint(1, 12)))
+    return tuple(triples)
+
+
+def test_common_denominator_matches_sympy_lcm():
+    """common_denominator of seeded triples is sympy's lcm of the expanded
+    denominators D prod Phi_d^phi[d-1] rest, and each triple's integer and
+    vector carry its denominator, and so any numerator over it, to that
+    lcm."""
+    sp = pytest.importorskip("sympy")
+    q = sp.Symbol("q")
+
+    def expanded(phi, rest, d):
+        cs = qcoeff._times(qcoeff._phi_product(phi), rest)
+        return sp.expand(d * sum(c * q ** i for i, c in enumerate(cs)))
+
+    rng = random.Random(20261020)
+    for _ in range(60):
+        dens = _denominator_triples(rng)
+        lcm, lifts = qcoeff.common_denominator(dens)
+        assert len(lifts) == len(dens)
+        want = sp.lcm_list([expanded(*den) for den in dens])
+        got = expanded(*lcm)
+        assert sp.expand(got - want) == 0 or sp.expand(got + want) == 0, dens
+        for den, (vec, k) in zip(dens, lifts):
+            assert list(vec) == _primitive(vec) and vec[-1] > 0
+            lifted = sp.expand(k * expanded(*den) * sum(c * q ** i for i, c in enumerate(vec)))
+            assert sp.expand(lifted - got) == 0, (den, lcm)
+        assert qcoeff.common_denominator(dens) == (lcm, lifts)

@@ -7,6 +7,7 @@ import pytest
 
 from qonsager import qcoeff
 from qonsager.adjoint import apply_bad, apply_badprod
+from qonsager.cli import main
 from qonsager.currentalg import aq_system, proof_chain
 from qonsager.errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
 from qonsager.freealg import Alphabet, NcPoly
@@ -15,7 +16,7 @@ from qonsager.qcoeff import SYMBOLIC as m
 from qonsager.qcoeff import (
     LaurentPoly, NumericQ, RationalFunctionQ, _digits, form_vectors, is_symbolic, pack,
 )
-from qonsager.rewrite import MonomialOrder, RewriteRule, RewriteSystem, make_system
+from qonsager.rewrite import MonomialOrder, RewriteRule, RewriteSystem, make_system, orient
 from test_freealg import rebuilt
 
 AB = Alphabet(["A", "B"])
@@ -109,6 +110,19 @@ class TestMakeSystem:
         bad = RewriteRule(AB.word("AB"), A * B * A)
         with pytest.raises(OrderViolation):
             RewriteSystem(AB, MonomialOrder(AB), [bad])
+
+    def test_orient_stores_canonical_right_sides(self):
+        """AAB + [3] B scaled by Phi_3/Phi_3, a value equal to 1, as
+        NcPoly.combine leaves it: the rule's right side is over no
+        denominator, as the unscaled relation's is."""
+        phi3 = LaurentPoly(0, [1, 1, 1])
+        one = RationalFunctionQ(phi3, phi3)
+        rel = NcPoly.combine(AB, [(one, A * A * B + m.qint(3) * B)])
+        assert all(c.phi == (0, 0, 1) for c in rel.terms.values())
+        rule = orient(rel, AB.word("AAB"))
+        assert rule.den == ((), (1,), 1)
+        assert rule.rhs == -m.qint(3) * B
+        assert all(c.phi == () for c in rule.rhs.terms.values())
 
 
 class TestMatching:
@@ -592,20 +606,37 @@ class TestOracle:
     @pytest.mark.parametrize("q0", ["5/3", "-7/2"])
     def test_numeric_rules_reduce_packed_to_a_numeric_form(self, widths, q0):
         """Numeric rule coefficients are constants over one integer D, so
-        Delta is ((), (1,), D), and a numeric input reduces packed, one pass
-        per input at 64 bits and wider ones as its numerators grow, to a
-        numeric form."""
+        Delta is ((), (1,), D), and a numeric input reduces packed to a
+        numeric form in one pass per input at 64 bits, though its
+        numerators grow past 2^63: a constant's packed int is exact at any
+        width."""
         num = NumericQ(q0)
         rs = make_system(AB, MonomialOrder(AB), defining_relations(AB, num),
                          [AB.word("AAAB"), AB.word("ABBB")])
         phi, rest, d = rs._delta
         assert (phi, rest) == ((), (1,)) and d > 1
         ps = [p for p in self.polys(num, 99, 10) if p]
+        nums = []
         for p in ps:
             nf = self.assert_agrees(rs, p)
             assert nf.is_zero or not is_symbolic(nf._ints)
             assert all(type(c) is Fraction for c in nf.terms.values())
-        assert widths.count(64) == len(ps) and max(widths) > 64
+            nums += nf._ints[1] if nf else ()
+        assert widths == [64] * len(ps) and max(map(abs, nums)) >= 1 << 63
+
+    @pytest.mark.parametrize("argv, passes", [
+        ("onsager higher-dg --r 6 --mode numeric --q 5/3", 13),
+        ("current verify --kmax 4 --mode numeric --q 3", 75),
+        ("onsager homcheck --mode numeric --q 5/3", 15),
+        ("onsager higher-dg --r 6", 13),
+        ("current verify --kmax 6", 113),
+    ])
+    def test_packed_passes_per_command(self, widths, capsys, argv, passes):
+        """A numeric reduction takes one packed pass: its packed ints are
+        exact at any width, so no bound sends it round again.  The symbolic
+        commands keep their passes."""
+        assert main(argv.split()) == 0
+        assert len(widths) == passes
 
     def test_integer_input_to_a_symbolic_system(self, onsager, widths):
         """An all-integer input has a numeric form; over symbolic rules it is
@@ -616,6 +647,15 @@ class TestOracle:
         assert is_symbolic(nf._ints)
         assert all(isinstance(c, RationalFunctionQ) for c in nf.terms.values())
         assert widths == [64]
+
+    def test_integer_input_to_a_symbolic_system_keeps_its_bounds(self, onsager, widths):
+        """Integers near 2^62 over the symbolic presentation: the rules'
+        q-number coefficients take its entries past 2^63, so the pass runs
+        again wider, though the input's form is numeric."""
+        p = NcPoly(AB, {AB.word("AAAB"): 2 ** 62 + 1, AB.word("ABBB"): 1})
+        assert not is_symbolic(p._integer_form())
+        nf = self.assert_agrees(onsager.qdg, p)
+        assert not nf.is_zero and widths[0] == 64 and widths[-1] > 64
 
     def test_no_scalar_is_added_or_multiplied(self, onsager, rest_and_half, monkeypatch):
         """normal_form has no scalar fallback: with the arithmetic of
