@@ -22,20 +22,16 @@ their sum.  From these primitives the module builds
 
 Everything works uniformly for free-algebra polynomials and exact matrices;
 only +, -, *, left scalar action and one-pass linear combinations (_sum)
-are used.  A balanced map, and the last step of a shift map, is one linear
-combination: for polynomials one NcPoly.combine, whose products with a
-generator A are word shifts of the operand that all carry its one integer
-form; for matrices one ExactMatrix.combine, a single reduction.  Both are
-stated once as (scalar, operand) pairs over the products A*X and X*A
-(_bad_terms, _shift_terms).  Primitives with distinct twists commute, so
-the twist primitive of a shift map may be applied after its balanced
-product.  ImageCache states the balanced product and the shift maps once
-over a fixed base, and memoizes them together with products of operands;
-its twist primitive ad is apply_ad, not memoized.  The apply_* functions
-and truncated_sum are the same maps without the memo: apply_badprod is a
-loop over apply_bad, and the last step of every shift map, cached or not,
-is the pairs of _shift_terms; truncated_sum takes A*X and X*A of each
-balanced product once for its shift map and the next balanced map.
+are used.  ImageCache over a fixed base A is the one engine: a balanced
+map, and the last step of a shift map, is one linear combination of
+(scalar, operand) pairs over the products A*V and V*A of an image V
+(_bad_terms, ImageCache._shift_terms); for polynomials one NcPoly.combine
+over word shifts of the operand's one integer form, for matrices one
+ExactMatrix.combine.  Primitives with distinct twists commute, so the twist
+primitive of a shift map may be applied after its balanced product.
+apply_bad, apply_badprod, apply_S and truncated_sum check their arguments
+and ask a fresh ImageCache; closed_form_sum writes the order-1 sum out in
+products with A, apart from the engine.
 """
 
 from __future__ import annotations
@@ -64,14 +60,6 @@ def apply_ad(r: int, A, X, mode=SYMBOLIC):
     return a * ax + b * xa
 
 
-def apply_bad(n: int, A, X, mode=SYMBOLIC):
-    """Apply the balanced map of twist n (n >= 0) as one sum (of four terms
-    for n >= 1, two for n = 0)."""
-    if n < 0:
-        raise ValueError("balanced map needs n >= 0")
-    return _sum(_bad_terms(n, A, X, A * _with_form(X), X * A, mode))
-
-
 def _bad_terms(n: int, A, X, ax, xa, mode):
     """The balanced map of twist n as (scalar, operand) pairs, given the
     products ax = A*X and xa = X*A."""
@@ -84,13 +72,6 @@ def _bad_terms(n: int, A, X, ax, xa, mode):
     return [(s / t, X), (u, A * ax), (mid, ax * A), (u, xa * A)]
 
 
-def _with_form(X):
-    """X, its integer form made first if it is a polynomial, for its shifts to share."""
-    if isinstance(X, NcPoly):
-        X._integer_form()
-    return X
-
-
 def _sum(pairs):
     """The sum of c * P over (scalar, operand) pairs in one pass: one
     NcPoly.combine for polynomials, one ExactMatrix.combine for matrices."""
@@ -101,18 +82,19 @@ def _sum(pairs):
 
 
 class ImageCache:
-    """Balanced products, shift maps and products of operands over a fixed
-    base A, memoized.
+    """Balanced products, shift maps and their truncated sums over a fixed
+    base A, memoized: the one place that computes them.
 
     Keys are (operation, order, operand), the operation of a shift map
     being its direction, so an image computed once is reused by every
     later request, including as a prefix of a longer balanced product.
-    Each image is stored under one key: a balanced product is not also
-    stored as the balanced map of the product one order lower.
-    A product is keyed by its factors, so it is built once however many
-    twists are later applied to it.  The twist primitive ad is not
-    memoized: its operand is mostly such a product under a twist that no
-    later request repeats.
+    The products A*V and V*A of an image V are one entry (_sides), read by
+    the balanced map of V and by the shift map that ends at V, so the
+    shift map of order n and the balanced product of order n + 1 share
+    them.  A product of factors is keyed by its factors, so it is built
+    once however many twists are later applied to it.  The twist
+    primitive ad is not memoized: its operand is mostly such a product
+    under a twist that no later request repeats.
     """
 
     def __init__(self, A, mode=SYMBOLIC):
@@ -137,11 +119,25 @@ class ImageCache:
             self._cache[key] = out
         return out
 
+    def _sides(self, V):
+        """The products A*V and V*A.  A polynomial is keyed by the object,
+        which the entry keeps alive, as polynomials with the same words hash
+        alike; a matrix by value, so equal images (a zero tail) share one."""
+        poly = isinstance(V, NcPoly)
+        key = ("sides", id(V) if poly else V)
+        out = self._cache.get(key)
+        if out is None:
+            if poly:  # its integer form made first, for its shifts to share
+                V._integer_form()
+            out = self._cache[key] = (V, self.A * V, V * self.A)
+        return out[1:]
+
     def bad(self, n: int, V):
+        """Balanced map of twist n."""
         key = ("bad", n, V)
         out = self._cache.get(key)
         if out is None:
-            out = self._cache[key] = apply_bad(n, self.A, V, self.mode)
+            out = self._cache[key] = _sum(_bad_terms(n, self.A, V, *self._sides(V), self.mode))
         return out
 
     def bp(self, n: int, V):
@@ -151,7 +147,9 @@ class ImageCache:
         key = ("bp", n, V)
         out = self._cache.get(key)
         if out is None:
-            out = self._cache[key] = apply_bad(n - 1, self.A, self.bp(n - 1, V), self.mode)
+            image = self.bp(n - 1, V)
+            out = self._cache[key] = _sum(
+                _bad_terms(n - 1, self.A, image, *self._sides(image), self.mode))
         return out
 
     def S(self, n: int, V, direction: str = FORWARD):
@@ -162,31 +160,50 @@ class ImageCache:
         out = self._cache.get(key)
         if out is None:
             _check_direction(direction)
-            out = self._cache[key] = _outer_shift(n, self.A, self.bp(n, V), direction, self.mode)
+            out = self._cache[key] = _sum(self._shift_terms(n, V, direction))
         return out
 
+    def _shift_terms(self, n: int, V, direction: str):
+        """The shift map of order n of V as (scalar, product) pairs: the
+        twist +-n primitive of the order-n balanced product, divided by
+        q^2n - q^-2n."""
+        ax, xa = self._sides(self.bp(n, V))
+        r = n if direction == FORWARD else -n
+        w = self.mode.qnum(2 * n)
+        return [(self.mode.q_pow(r) / w, ax), (-self.mode.q_pow(-r) / w, xa)]
 
-def _outer_shift(n: int, A, image, direction: str, mode):
-    """The shift map of order n, given the balanced product of order n of its
-    operand: the twist +-n primitive of image, divided by q^2n - q^-2n."""
-    return _sum(_shift_terms(n, A * _with_form(image), image * A, direction, mode))
+    def truncated_sum(self, V, N: int, direction: str = FORWARD):
+        """Sum of the shift maps of orders 0 .. N applied to V.
+
+        On an element annihilated by the balanced product of order N + 1
+        this equals the full formal sum, since every higher shift map
+        contains that balanced product as a factor.  The shift maps share
+        one growing balanced product of V and the sides of each image, so
+        for matrices on a fresh cache the sum costs 5N - 1 products.  V
+        and the 2N pairs of the shift maps are added as one _sum.
+        """
+        _check_direction(direction)
+        if N <= 0:
+            return V
+        pairs = [(1, V)]
+        for n in range(1, N + 1):
+            pairs += self._shift_terms(n, V, direction)
+        return _sum(pairs)
 
 
-def _shift_terms(n: int, ax, xa, direction: str, mode):
-    """The shift map of order n as (scalar, product) pairs, given the
-    products ax = A*image and xa = image*A of the order-n balanced product."""
-    r = n if direction == FORWARD else -n
-    w = mode.qnum(2 * n)
-    return [(mode.q_pow(r) / w, ax), (-mode.q_pow(-r) / w, xa)]
+def apply_bad(n: int, A, X, mode=SYMBOLIC):
+    """Apply the balanced map of twist n (n >= 0) as one sum (of four terms
+    for n >= 1, two for n = 0)."""
+    if n < 0:
+        raise ValueError("balanced map needs n >= 0")
+    return ImageCache(A, mode).bad(n, X)
 
 
 def apply_badprod(n: int, A, X, mode=SYMBOLIC):
     """Apply the balanced maps 0 .. n-1 in turn; n = 0 is the identity."""
     if n < 0:
         raise ValueError("balanced product needs n >= 0")
-    for k in range(n):
-        X = apply_bad(k, A, X, mode)
-    return X
+    return ImageCache(A, mode).bp(n, X)
 
 
 def apply_S(n: int, A, X, direction: str = FORWARD, mode=SYMBOLIC):
@@ -194,34 +211,12 @@ def apply_S(n: int, A, X, direction: str = FORWARD, mode=SYMBOLIC):
     _check_direction(direction)
     if n < 0:
         raise ValueError("shift map needs n >= 0")
-    if n == 0:
-        return X
-    return _outer_shift(n, A, apply_badprod(n, A, X, mode), direction, mode)
+    return ImageCache(A, mode).S(n, X, direction)
 
 
 def truncated_sum(A, X, N: int, direction: str = FORWARD, mode=SYMBOLIC):
-    """Sum of the shift maps of orders 0 .. N applied to X.
-
-    On an element annihilated by the balanced product of order N + 1 this
-    equals the full formal sum, since every higher shift map contains that
-    balanced product as a factor.  One balanced product of X is extended a
-    factor at a time, so the sum costs N balanced maps, not N(N+1)/2.  The
-    products A*image and image*A of the order-n balanced product serve both
-    the shift map of order n and the balanced map that builds order n + 1,
-    so for matrices the sum costs 5N - 1 products; X and the 2N pairs of
-    the shift maps are then added as one _sum.
-    """
-    _check_direction(direction)
-    if N <= 0:
-        return X
-    image, pairs = X, [(1, X)]
-    for n in range(N + 1):
-        ax, xa = A * _with_form(image), image * A
-        if n:
-            pairs += _shift_terms(n, ax, xa, direction, mode)
-        if n < N:
-            image = _sum(_bad_terms(n, A, image, ax, xa, mode))
-    return _sum(pairs)
+    """ImageCache.truncated_sum on a fresh cache."""
+    return ImageCache(A, mode).truncated_sum(X, N, direction)
 
 
 def closed_form_sum(A, X, direction: str = FORWARD, mode=SYMBOLIC):

@@ -1066,15 +1066,18 @@ def json_int(value, field: str) -> int:
     return value
 
 
-def json_fraction(value) -> Fraction:
-    """The rational a JSON coefficient spells; a ParseError, which the caller
-    locates, for a boolean and for a literal Fraction cannot read."""
+def json_fraction(value, field: str = "") -> Fraction:
+    """The rational a JSON coefficient spells; a ParseError at field, or for
+    the caller to locate, for a boolean, a zero denominator and a literal
+    Fraction cannot read."""
     if type(value) is not bool:
         try:
             return Fraction(str(value))
+        except ZeroDivisionError:
+            raise ParseError("zero denominator", location=field)
         except ValueError:
             pass
-    raise ParseError(f"cannot decode coefficient {value!r}")
+    raise ParseError(f"cannot decode coefficient {value!r}", location=field)
 
 
 def laurent_from_json(data) -> LaurentPoly:

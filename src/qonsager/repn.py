@@ -7,8 +7,8 @@ assemble the invertible twisting element Psi = sum t_i E_i, and the shift
 automorphism acts by conjugation: its image of X equals Psi^(-1) X Psi.
 Three routes reach that map and are checked against each other exactly:
 the adjoint engine's truncated shift-map sum on the whole model; the same
-maps on each eigenline, diag(theta_i, theta_j) acting on the unit e_01,
-whose sum must be the scalar t_j / t_i; and conjugation by Psi.
+sum on each eigenline, diag(theta_i, theta_j) acting on the unit e_01,
+whose (0, 1) entry must be the scalar t_j / t_i; and conjugation by Psi.
 
 Tridiagonal pairs are realized with exact rational entries.  The diameter-1
 pair has a closed form; larger diameters go through a file import or a
@@ -38,7 +38,7 @@ from .errors import (
 from .freealg import Alphabet
 from .matrices import ExactMatrix, solve_linear
 from .onsager import defining_relations
-from .qcoeff import NumericQ, json_int
+from .qcoeff import NumericQ, json_fraction, json_int
 from .report import CheckRecord, FAIL, PASS
 
 
@@ -185,9 +185,7 @@ def scalar_S_ratio(i: int, j: int, sd: SpectralData, direction: str = FORWARD):
     Forward it equals t_j / t_i and inverse t_i / t_j; truncation at
     n = |i - j| is exact because the balanced products vanish beyond it.
     """
-    maps = _eigenline(i, j, sd)
-    return sum((maps.S(n, _E01, direction)[0, 1] for n in range(1, abs(i - j) + 1)),
-               sd.mode.one())
+    return _eigenline(i, j, sd).truncated_sum(_E01, abs(i - j), direction)[0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +435,12 @@ def matrix_to_json(M: ExactMatrix) -> dict:
     }
 
 
-def matrix_from_json(data) -> ExactMatrix:
+def matrix_from_json(data, name: str = "matrix") -> ExactMatrix:
     try:
         n = json_int(data["dimension"], "matrix dimension")
-        rows = [[Fraction(str(x)) for x in row] for row in data["entries"]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        rows = [[json_fraction(x, f"{name}.entries[{r}][{c}]") for c, x in enumerate(row)]
+                for r, row in enumerate(data["entries"])]
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed matrix JSON: {e}")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError("matrix entries do not match the declared dimension")
@@ -464,10 +463,10 @@ def td_pair_to_json(tp: TDPair) -> dict:
 def td_pair_from_json(data) -> TDPair:
     try:
         d = json_int(data["d"], "pair field d")
-        a, b, q0 = Fraction(str(data["a"])), Fraction(str(data["b"])), Fraction(str(data["q"]))
-        A = matrix_from_json(data["A"])
-        B = matrix_from_json(data["B"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        a, b, q0 = (json_fraction(data[k], k) for k in "abq")
+        A = matrix_from_json(data["A"], "A")
+        B = matrix_from_json(data["B"], "B")
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed pair JSON: {e}")
     return TDPair(d, a, b, q0, A, B)
 

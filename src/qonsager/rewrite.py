@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import inf
 
 from .errors import AlphabetMismatch, NotLeadingMonomial, OrderViolation
@@ -389,7 +390,7 @@ def orient(relation: NcPoly, word: Word) -> RewriteRule:
         )
     rest = relation - NcPoly.monomial(relation.alphabet, word, c)
     # reduced coefficients: no factor that cancels reaches den or Delta
-    return RewriteRule(word, ((-1 / c) * rest).map_coeffs(
+    return RewriteRule(word, ((Fraction(-1) / c) * rest).map_coeffs(
         lambda x: x.canonical() if type(x) is RationalFunctionQ else x))
 
 

@@ -74,6 +74,34 @@ def composed_bad(n, base, V, mode):
     return (mode.one() / (s * t)) * ((s * s) * V + inner)
 
 
+def naive_bp(n, base, V, mode):
+    """The balanced product of order n as n compositions of composed_bad."""
+    for k in range(n):
+        V = composed_bad(k, base, V, mode)
+    return V
+
+
+def naive_S(n, base, V, direction, mode):
+    """The shift map of order n: the twist +-n primitive of naive_bp, scaled."""
+    if n == 0:
+        return V
+    r = n if direction == FORWARD else -n
+    return (mode.one() / mode.qnum(2 * n)) * apply_ad(r, base, naive_bp(n, base, V, mode), mode)
+
+
+def sum_operands(kind):
+    """(mode, base, V) for the shift-sum tests: a polynomial over Q(q) or at
+    q = 5/3, or a d = 3 matrix model and a seeded matrix."""
+    if kind == "matrix-d3":
+        sd = spectral_data(3, 3, 2)
+        rng = random.Random(3)
+        V = ExactMatrix([[sd.mode.from_fraction(rng.randint(-9, 9)) for _ in range(4)]
+                         for _ in range(4)])
+        return sd.mode, sd.A, V
+    mode = m if kind == "poly-symbolic" else NumericQ(Fraction(5, 3))
+    return mode, NcPoly.generator(AXY, "A", mode), random_poly(random.Random(7), mode)
+
+
 class TestBalancedOracle:
     @pytest.mark.parametrize("operands", ["poly-symbolic", "poly-numeric", "poly-base-sum",
                                           "matrix-d3"])
@@ -190,27 +218,45 @@ class TestTruncatedSum:
             assert len(products) == 5 * N - 1
             assert got == sum((apply_S(n, sd.A, V, FORWARD, sd.mode) for n in range(1, N + 1)), V)
 
+    def test_shift_map_then_next_balanced_product_share_products(self, monkeypatch):
+        """Once the order-n balanced product is cached, its shift map and the
+        order-(n + 1) balanced product together make 5 matrix products: the
+        sides A*image and image*A serve both, and the balanced map adds 3."""
+        sd = spectral_data(3, 3, 2)
+        V = ExactMatrix([[sd.mode.from_fraction(i - j) for j in range(4)] for i in range(4)])
+        products = []
+        mul = ExactMatrix.__mul__
+
+        def spy(M, other):
+            if isinstance(other, ExactMatrix):
+                products.append(other)
+            return mul(M, other)
+
+        for n in (1, 2, 3):
+            maps = ImageCache(sd.A, sd.mode)
+            maps.bp(n, V)
+            monkeypatch.setattr(ExactMatrix, "__mul__", spy)
+            products.clear()
+            maps.S(n, V, FORWARD)
+            maps.bp(n + 1, V)
+            monkeypatch.undo()
+            assert len(products) == 5
+
     @pytest.mark.parametrize("operands", ["poly-symbolic", "poly-numeric", "matrix-d3"])
     def test_matches_naive_shift_sum(self, operands):
-        """The sum built from one growing balanced product equals the sum of
-        shift maps each rebuilt from scratch, in either composition order."""
-        if operands == "matrix-d3":
-            sd = spectral_data(3, 3, 2)
-            mode, base = sd.mode, sd.A
-            rng = random.Random(3)
-            V = ExactMatrix(
-                [[mode.from_fraction(rng.randint(-9, 9)) for _ in range(4)] for _ in range(4)]
-            )
-        else:
-            mode = m if operands == "poly-symbolic" else NumericQ(Fraction(5, 3))
-            base = NcPoly.generator(AXY, "A", mode)
-            V = random_poly(random.Random(7), mode)
+        """apply_bad, apply_badprod, apply_S and truncated_sum equal their
+        naive compositions of twist primitives, the shift sum in either
+        composition order of a shift map."""
+        mode, base, V = sum_operands(operands)
         for direction, e in ((FORWARD, 1), (INVERSE, -1)):
             naive = bp_after_ad = V
             for N in range(5):
+                assert apply_bad(N, base, V, mode) == composed_bad(N, base, V, mode)
+                assert apply_badprod(N, base, V, mode) == naive_bp(N, base, V, mode)
+                assert apply_S(N, base, V, direction, mode) == naive_S(N, base, V, direction, mode)
                 if N:
-                    naive = naive + apply_S(N, base, V, direction, mode)
-                    bp_after_ad = bp_after_ad + (mode.one() / mode.qnum(2 * N)) * apply_badprod(
+                    naive = naive + naive_S(N, base, V, direction, mode)
+                    bp_after_ad = bp_after_ad + (mode.one() / mode.qnum(2 * N)) * naive_bp(
                         N, base, apply_ad(e * N, base, V, mode), mode
                     )
                 assert truncated_sum(base, V, N, direction, mode) == naive == bp_after_ad
@@ -247,14 +293,22 @@ class TestCommutation:
 
 class TestOperatorForm:
     def test_cached_images_match_eager_application(self):
+        """A cache answering requests in mixed order, each image reused by the
+        later ones, equals the facades, each a fresh cache."""
+        for kind in ("poly-symbolic", "poly-numeric", "matrix-d3"):
+            mode, base, V0 = sum_operands(kind)
+            maps = ImageCache(base, mode)
+            for V in (V0, base * V0 + V0):
+                for n in (3, 0, 2, 1):
+                    assert maps.S(n, V, INVERSE) == apply_S(n, base, V, INVERSE, mode)
+                    assert maps.bp(n + 1, V) == apply_badprod(n + 1, base, V, mode)
+                    assert maps.S(n, V, FORWARD) == apply_S(n, base, V, FORWARD, mode)
+                    assert maps.bad(n, V) == apply_bad(n, base, V, mode)
+                    assert maps.ad(-n, V) == apply_ad(-n, base, V, mode)
+                    for direction in (FORWARD, INVERSE):
+                        assert (maps.truncated_sum(V, n, direction)
+                                == truncated_sum(base, V, n, direction, mode))
         maps = ImageCache(A)
-        for V in (X, X * Y + A):
-            for n in range(4):
-                assert maps.bp(n, V) == apply_badprod(n, A, V)
-                assert maps.S(n, V, FORWARD) == apply_S(n, A, V, FORWARD)
-                assert maps.S(n, V, INVERSE) == apply_S(n, A, V, INVERSE)
-                assert maps.bad(n, V) == apply_bad(n, A, V)
-                assert maps.ad(-n, V) == apply_ad(-n, A, V)
         # a repeated request is answered from the cache
         assert maps.S(3, X, INVERSE) is maps.S(3, X, INVERSE)
 

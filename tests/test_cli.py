@@ -367,6 +367,32 @@ class TestBadPairFile:
         assert err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("where,value,message", [
+        (("A", "entries", 0, 1), "x", "cannot decode coefficient 'x' (at A.entries[0][1])"),
+        (("B", "entries", 1, 0), True, "cannot decode coefficient True (at B.entries[1][0])"),
+        (("B", "entries", 0, 1), "1/0", "zero denominator (at B.entries[0][1])"),
+        (("q",), "nan", "cannot decode coefficient 'nan' (at q)"),
+        (("a",), False, "cannot decode coefficient False (at a)"),
+    ], ids=["A-entry", "B-entry-bool", "B-entry-zero-denominator", "q", "a-bool"])
+    @pytest.mark.parametrize("action", ["import", "twist"])
+    def test_rational_field_that_is_no_rational_is_74(self, tmp_path, action, where, value,
+                                                      message, capsys):
+        """Entries and a, b, q are read as JSON rationals; a bad one names its field."""
+        from qonsager.repn import td_pair_d1, td_pair_to_json
+
+        data = td_pair_to_json(td_pair_d1(3, 2, 2))
+        field = data
+        for key in where[:-1]:
+            field = field[key]
+        field[where[-1]] = value
+        path = tmp_path / "bad-pair.json"
+        path.write_text(json.dumps(data))
+        assert main(["repn", action, "--file", str(path)]) == EX_IOERR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 def _summary(passed):
     return {"pass": passed, "fail": 0, "inconclusive": 0}
 

@@ -140,6 +140,29 @@ class TestScalarSums:
                 for n in range(abs(i - j) + 1, sd.d + 3):
                     assert not sigma_prefactor(n, i, j, sd)
 
+    def test_d6_eigenline_checks_share_their_products(self, monkeypatch):
+        """The 49 checks of `repn ssum --d 6` (forward, inverse and tail) run
+        one truncated sum per eigenline cache: the inverse sum and the tail
+        reuse the forward sum's balanced products and their sides, so the
+        checks make at most 1,298 2x2 products (2,016 when every shift map
+        rebuilt its last step's products)."""
+        sd6 = spectral_data(6, Fraction(3, 2), Fraction(5, 3))
+        count = 0
+        mul = ExactMatrix.__mul__
+
+        def spy(M, other):
+            nonlocal count
+            if isinstance(other, ExactMatrix) and other.dimension == 2:
+                count += 1
+            return mul(M, other)
+
+        monkeypatch.setattr(ExactMatrix, "__mul__", spy)
+        for i, j in product(range(7), repeat=2):
+            assert scalar_S_ratio(i, j, sd6, FORWARD) == sd6.t[j] / sd6.t[i]
+            assert scalar_S_ratio(i, j, sd6, INVERSE) == sd6.t[i] / sd6.t[j]
+            assert all(not sigma_prefactor(n, i, j, sd6) for n in range(abs(i - j) + 1, 8))
+        assert count <= 1298
+
     def test_prefactor_of_order_zero_is_one(self, sd):
         """The balanced product of order 0 is the identity."""
         for i, j in product(range(5), repeat=2):

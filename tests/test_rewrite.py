@@ -125,6 +125,17 @@ class TestMakeSystem:
         assert all(c.phi == () for c in rule.rhs.terms.values())
 
 
+    def test_orient_divides_an_integer_coefficient_exactly(self):
+        """3 AAB + B has the int leading coefficient 3: -1/3 must stay a
+        rational, not become a float."""
+        rel = NcPoly(AB, {AB.word("AAB"): 3, AB.word("B"): 1})
+        rule = orient(rel, AB.word("AAB"))
+        assert rule.rhs == NcPoly(AB, {AB.word("B"): Fraction(-1, 3)})
+        rs = RewriteSystem(AB, MonomialOrder(AB), [rule])
+        assert rs.normal_form(A * A * B) == rule.rhs
+        assert rs.is_zero_mod(rel).is_zero
+
+
 class TestMatching:
     """_find takes the leftmost position and, there, the first declared rule."""
 
