@@ -179,8 +179,10 @@ class ImageCache:
         this equals the full formal sum, since every higher shift map
         contains that balanced product as a factor.  The shift maps share
         one growing balanced product of V and the sides of each image, so
-        for matrices on a fresh cache the sum costs 5N - 1 products.  V
-        and the 2N pairs of the shift maps are added as one _sum.
+        for matrices on a fresh cache the sum costs 5N - 1 products, and
+        the sum in the other direction on the same cache costs none more:
+        it adds only its own combination.  V and the 2N pairs of the shift
+        maps are added as one _sum.
         """
         _check_direction(direction)
         if N <= 0:

@@ -122,6 +122,88 @@ class TestAgainstReference:
             assert_matches(ExactMatrix(x) ** e, ref_pow(x, e))
 
 
+def random_diagonal(rng, n):
+    """Diagonal rows: zero, negative and non-integer entries, the first
+    entry -5/6 so that the denominator exceeds 1."""
+    values = [Fraction(-5, 6)] + [
+        rng.choice((0, -1, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.choice((2, 7)))))
+        for _ in range(n - 1)
+    ]
+    return [[Fraction(values[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+def random_dense(rng, nrows, ncols):
+    """random_rows with 1/4 in the top left corner, so that the denominator
+    exceeds 1, and -2/3 in the bottom left one, off the diagonal."""
+    rows = [[Fraction(a) for a in r] for r in random_rows(rng, nrows, ncols)]
+    rows[-1][0] = Fraction(-2, 3)
+    rows[0][0] = Fraction(1, 4)
+    return rows
+
+
+class TestDiagonalProduct:
+    """A product with a diagonal factor scales rows or columns; checked
+    against the Fraction triple loop ref_mul."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("probed", [False, True])
+    def test_diagonal_beside_dense(self, seed, probed):
+        """Each factor fresh, or probed before the product."""
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        d, x, e = random_diagonal(rng, n), random_dense(rng, n, n), random_diagonal(rng, n)
+        rows = {"d": d, "x": x, "e": e}
+        known = {k: ExactMatrix(v) for k, v in rows.items()}
+        assert known["d"].den > 1 and known["x"].den > 1
+        assert known["d"].is_diagonal() and known["e"].is_diagonal()
+        assert known["x"].is_diagonal() == (n == 1)
+        M = known.__getitem__ if probed else (lambda k: ExactMatrix(rows[k]))
+        assert_matches(M("d") * M("x"), ref_mul(d, x))
+        assert_matches(M("x") * M("d"), ref_mul(x, d))
+        assert_matches(M("d") * M("e"), ref_mul(d, e))
+        assert_matches(M("d") * M("x") * M("e"), ref_mul(ref_mul(d, x), e))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_non_square_factor_beside_diagonal(self, seed):
+        rng = random.Random(seed)
+        x, d, y = random_dense(rng, 2, 3), random_diagonal(rng, 3), random_dense(rng, 3, 2)
+        X, D, Y = ExactMatrix(x), ExactMatrix(d), ExactMatrix(y)
+        assert not X.is_diagonal() and not Y.is_diagonal()
+        assert_matches(X * D, ref_mul(x, d))
+        assert_matches(D * Y, ref_mul(d, y))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_zero_and_identity_factors(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        x = random_dense(rng, n, n)
+        X, Z, I = ExactMatrix(x), ExactMatrix.zeros(n), ExactMatrix.identity(n)
+        zero = [[Fraction(0)] * n for _ in range(n)]
+        assert Z.is_diagonal() and I.is_diagonal()
+        for M in (Z * X, X * Z, Z * Z):
+            assert_matches(M, zero)
+        assert_matches(I * X, x)
+        assert_matches(X * I, x)
+
+    def test_which_matrices_are_diagonal(self):
+        assert ExactMatrix([[Fraction(-3, 2)]]).is_diagonal()
+        assert ExactMatrix.diagonal([0, Fraction(1, 3), -2]).is_diagonal()
+        assert not ExactMatrix([[1, 0], [Fraction(1, 5), 1]]).is_diagonal()
+        assert not ExactMatrix([[1, 0, 0], [0, 1, 0]]).is_diagonal()  # not square
+        assert not ExactMatrix([[0, 0], [0, 0], [0, 0]]).is_diagonal()
+
+    def test_probed_matrix_equals_and_hashes_like_an_unprobed_one(self):
+        rows = [[Fraction(7, 4), 0], [0, -3]]
+        probed, fresh = ExactMatrix(rows), ExactMatrix(rows)
+        assert probed.is_diagonal()
+        dense, fresh_dense = ExactMatrix([[1, 2], [3, 4]]), ExactMatrix([[1, 2], [3, 4]])
+        assert not dense.is_diagonal()
+        for left, right in ((probed, fresh), (dense, fresh_dense), (probed * dense, fresh * fresh_dense)):
+            assert left == right and right == left
+            assert hash(left) == hash(right)
+            assert len({left, right}) == 1
+
+
 def ref_combine(pairs):
     """Entry by entry, sum of c * x over (c, rows) pairs in Fractions."""
     _, first = pairs[0]

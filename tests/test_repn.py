@@ -1,11 +1,12 @@
 """Exact matrix realizations: spectra, scalar sums, conjugation, pairs."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from qonsager.adjoint import FORWARD, INVERSE, apply_bad, apply_badprod
+from qonsager.adjoint import FORWARD, INVERSE, ImageCache, apply_bad, apply_badprod, truncated_sum
 from qonsager.errors import (
     DegenerateEigenvalues,
     DimensionMismatch,
@@ -318,6 +319,60 @@ class TestMatrixAutomorphism:
     def test_conjugation_record(self):
         sd = spectral_data(3, 3, 2)
         assert verify_conjugation(sd, trials=4, seed=5).status == "pass"
+
+
+@pytest.fixture(scope="module")
+def sd6():
+    return spectral_data(6, Fraction(3, 2), Fraction(5, 3))
+
+
+class TestConjugationTrial:
+    """One verify_conjugation trial reads both sums from one image cache."""
+
+    def test_d6_trial_makes_33_products(self, sd6, monkeypatch):
+        """5d - 1 products for the forward sum, none more for the inverse
+        sum, and two for each of the two conjugations."""
+        products = []
+        mul = ExactMatrix.__mul__
+
+        def spy(M, other):
+            if isinstance(other, ExactMatrix):
+                products.append(other)
+            return mul(M, other)
+
+        monkeypatch.setattr(ExactMatrix, "__mul__", spy)
+        record = verify_conjugation(sd6, trials=1, seed=3)
+        monkeypatch.undo()
+        assert record.status == "pass"
+        assert len(products) == (5 * 6 - 1) + 4
+
+    def test_inverse_sum_after_forward_sum_on_one_cache(self, sd6):
+        sd = sd6
+        X = ExactMatrix([[(3 * i - 2 * j) % 7 - 3 for j in range(7)] for i in range(7)])
+        maps = ImageCache(sd.A, sd.mode)
+        fwd = maps.truncated_sum(X, sd.d, FORWARD)
+        inv = maps.truncated_sum(X, sd.d, INVERSE)
+        assert fwd == truncated_sum(sd.A, X, sd.d, FORWARD, sd.mode)
+        assert inv == truncated_sum(sd.A, X, sd.d, INVERSE, sd.mode)
+        assert inv != fwd
+        assert inv == sd.Psi * X * sd.PsiInv
+
+    def test_swapped_twist_fails_every_trial(self, sd6):
+        sd = dataclasses.replace(sd6, Psi=sd6.PsiInv, PsiInv=sd6.Psi)
+        record = verify_conjugation(sd, trials=3, seed=3)
+        assert record.status == "fail"
+        assert record.detail == "3 random matrices; failing trials [0, 1, 2]"
+
+    def test_twist_with_doubled_t1_fails(self, sd6):
+        sd = sd6
+        t = list(sd.t)
+        t[1] *= 2
+        Psi = ExactMatrix.combine(zip(t, sd.E))
+        PsiInv = ExactMatrix.combine((1 / ti, Ei) for ti, Ei in zip(t, sd.E))
+        assert Psi * PsiInv == ExactMatrix.identity(sd.d + 1)
+        record = verify_conjugation(dataclasses.replace(sd, t=t, Psi=Psi, PsiInv=PsiInv), 3, 3)
+        assert record.status == "fail"
+        assert record.detail == "3 random matrices; failing trials [0, 1, 2]"
 
 
 class TestRandomTridiagonal:
