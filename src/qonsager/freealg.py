@@ -24,6 +24,9 @@ instead of packing, and their vectors are unpacked when first read.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 from .errors import AlphabetMismatch, MissingImage, ParseError, PoleAtPoint
 from .qcoeff import (
     RF_ONE, SYMBOLIC, RationalFunctionQ, form_values, json_fraction, lifted_form, lifted_sum,
@@ -283,23 +286,35 @@ class NcPoly:
 
         ``assignment`` maps generator names to algebra elements, and
         ``scalar_one`` is the algebra's identity; coefficients must multiply
-        algebra elements from the left.
+        algebra elements from the left.  Each word prefix is multiplied out
+        once, shared by every word that extends it.  When the algebra's type
+        has a combine over (scalar, element) pairs, as ExactMatrix does, the
+        terms are summed in one combine; otherwise they are scaled and added
+        one at a time.  An empty polynomial evaluates to 0 * scalar_one.
         """
         values = {self.alphabet.index[n]: v for n, v in assignment.items()}
-        out = None
+        prefixes = {(): scalar_one}
+        pairs = []
         for w, c in self.terms.items():
-            acc = None
-            for letter in w:
+            k = len(w)
+            while w[:k] not in prefixes:  # the longest prefix already multiplied out
+                k -= 1
+            acc = prefixes[w[:k]]
+            for i in range(k, len(w)):
+                letter = w[i]
                 if letter not in values:
                     raise MissingImage(
                         f"no value for generator {self.alphabet.names[letter]!r}"
                     )
-                acc = values[letter] if acc is None else acc * values[letter]
-            term = c * (scalar_one if acc is None else acc)
-            out = term if out is None else out + term
-        if out is None:
+                acc = values[letter] if i == 0 else acc * values[letter]
+                prefixes[w[:i + 1]] = acc
+            pairs.append((c, acc))
+        if not pairs:
             return 0 * scalar_one
-        return out
+        combine = getattr(type(scalar_one), "combine", None)
+        if combine is not None and not isinstance(scalar_one, NcPoly):  # its combine takes an alphabet
+            return combine(pairs)
+        return reduce(add, [c * acc for c, acc in pairs])
 
     def map_coeffs(self, f) -> "NcPoly":
         return NcPoly(self.alphabet, {w: f(c) for w, c in self.terms.items()})

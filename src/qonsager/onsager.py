@@ -9,10 +9,14 @@ modulo the relations (bound 1).
 
 The automorphism and its inverse are computed on free-algebra
 representatives by truncating the shift-map sum at the bound of the element
-(bounds add over products) and reducing the result; overshooting the
-minimal bound is harmless because higher shift maps vanish there.  Zero
-normal forms are conclusive; nonzero ones fall back to exact matrix models,
-where a nonzero image refutes membership conclusively.
+(bounds add over products); overshooting the minimal bound is harmless
+because higher shift maps vanish there.  `image` is that sum unreduced and
+`lusztig` its normal form.  A claim that an element lies in the defining
+ideal is settled by reducing the element itself: homcheck reduces the
+multiplicativity and inverse-composition defects, formed from unreduced
+images, and higher-dg its balanced product.  A zero normal form is
+conclusive; a nonzero one is re-checked in exact matrix models, where a
+nonzero image refutes membership conclusively.
 """
 
 from __future__ import annotations
@@ -128,14 +132,18 @@ def onsager_context(mode=SYMBOLIC) -> OnsagerContext:
     return OnsagerContext(mode)
 
 
-def lusztig(ctx: OnsagerContext, X: NcPoly, direction: str = FORWARD) -> NcPoly:
-    """Image of X under the automorphism (or its inverse) as a normal form.
+def image(ctx: OnsagerContext, X: NcPoly, direction: str = FORWARD) -> NcPoly:
+    """Image of X under the automorphism (or its inverse), unreduced.
 
-    The sum is truncated at the bound of X; the result is a representative
-    of the image in the presented algebra, with no canonicity claim.
+    The shift-map sum truncated at the standard bound of X: a free-algebra
+    representative of the image in the presented algebra.
     """
-    value = truncated_sum(ctx.A, X, ctx.standard_bound(X), direction, ctx.mode)
-    return ctx.qdg.normal_form(value)
+    return truncated_sum(ctx.A, X, ctx.standard_bound(X), direction, ctx.mode)
+
+
+def lusztig(ctx: OnsagerContext, X: NcPoly, direction: str = FORWARD) -> NcPoly:
+    """The image of X as a normal form, with no canonicity claim."""
+    return ctx.qdg.normal_form(image(ctx, X, direction))
 
 
 def _pow(ctx: OnsagerContext, X: NcPoly, n: int) -> NcPoly:
@@ -206,18 +214,25 @@ def higher_dg_check(ctx: OnsagerContext, r: int, method: str = "rewrite") -> Che
 
 
 def homomorphism_spotcheck(ctx: OnsagerContext, w1: Word, w2: Word) -> CheckRecord:
-    """Multiplicativity and inverse-composition checks on a pair of words.
+    """Multiplicativity and inverse-composition claims on a pair of words.
 
-    Both checks first try rewriting; an inconclusive residue is re-checked
-    in the matrix models, where a nonzero image is a conclusive failure.
+    With T the image function, X = w1 and Y = w2, the claims are that
+    E_mult = T(XY) - T(X) T(Y) and E_inv = T^-(T(X)) - X lie in the
+    ideal I, each reduced once with T(X) unreduced.  A normal form differs
+    from its input by an element of I, and I is two-sided, so E_mult is
+    congruent modulo I to the difference of the normal forms of the two
+    sides: reducing it is the same claim, and sound in the same way.  The
+    shift maps add only letters A, so every word of T(X) has as many
+    letters B as X, and T^- is truncated at the bound of X.  A residue
+    that the rules leave goes to _settle.
     """
-    p1 = NcPoly.monomial(ctx.alphabet, w1, ctx.mode.one())
-    p2 = NcPoly.monomial(ctx.alphabet, w2, ctx.mode.one())
-    image1 = lusztig(ctx, p1)
-    mult_diff = lusztig(ctx, p1 * p2) - ctx.qdg.normal_form(image1 * lusztig(ctx, p2))
-    back = truncated_sum(ctx.A, image1, ctx.standard_bound(image1), INVERSE, ctx.mode)
-    settled = [(label, *_settle(ctx, value, "rewrite")) for label, value
-               in (("multiplicative", mult_diff), ("inverse-composition", back - p1))]
+    one = ctx.mode.one()
+    X = NcPoly.monomial(ctx.alphabet, w1, one)
+    Y = NcPoly.monomial(ctx.alphabet, w2, one)
+    TX = image(ctx, X)
+    claims = (("multiplicative", image(ctx, X * Y) - TX * image(ctx, Y)),
+              ("inverse-composition", image(ctx, TX, INVERSE) - X))
+    settled = [(label, *_settle(ctx, value, "rewrite")) for label, value in claims]
     witnesses = [w for _, status, _, w in settled if status == FAIL]
 
     spell = ctx.alphabet.spell

@@ -51,10 +51,99 @@ class TestProduct:
         assert max(len(w) for w in (w1 * w2).support()) == 5
 
 
+def letter_by_letter(p, assignment, one):
+    """Reference evaluation: each word multiplied out from its first letter,
+    each term scaled and added on its own."""
+    out = 0 * one
+    for w, c in p.terms.items():
+        acc = one
+        for name in p.alphabet.spell(w):
+            acc = acc * assignment[name]
+        out = out + c * acc
+    return out
+
+
 class TestEvaluate:
-    def test_missing_image(self):
+    NUM = NumericQ("5/3")
+
+    def poly(self, spec):
+        return NcPoly(AB, {AB.word(w): Fraction(c) for w, c in spec.items()})
+
+    # shared prefixes (AAAB, AABA, AAB), a word that is a prefix of an earlier
+    # one (AA after AAB), a word with no shared prefix past its first letter,
+    # and the empty word
+    SHARED = {"AAAB": 2, "AABA": "-3/4", "AAB": 5, "AA": "1/3", "BAB": -1, "BB": 7, "": "2/5"}
+
+    @pytest.fixture
+    def pair(self):
+        from qonsager.matrices import ExactMatrix
+
+        M = ExactMatrix([[1, Fraction(1, 2), 0], [-2, 3, 1], [0, Fraction(5, 3), -1]])
+        N = ExactMatrix([[0, 1, 2], [Fraction(-1, 4), 0, 1], [3, 1, Fraction(2, 7)]])
+        return {"A": M, "B": N}, ExactMatrix.identity(3)
+
+    @pytest.mark.parametrize("spec", [
+        SHARED,
+        {"": 1},
+        {"B": 1, "BA": -1, "AB": 1},
+        {"AAAB": 1, "AABA": -3, "ABAA": 3, "BAAA": -1, "BA": 2, "AB": -2},
+    ])
+    def test_matrices_match_the_reference(self, pair, spec):
+        assignment, one = pair
+        p = self.poly(spec)
+        assert p.evaluate(assignment, one) == letter_by_letter(p, assignment, one)
+
+    def test_the_defining_relations_match_the_reference(self, pair):
+        from qonsager.onsager import defining_relations
+
+        assignment, one = pair
+        for relation in defining_relations(AB, self.NUM):
+            assert relation.evaluate(assignment, one) == letter_by_letter(relation, assignment, one)
+
+    def test_each_prefix_is_multiplied_once_and_summed_once(self, pair, monkeypatch):
+        from qonsager.matrices import ExactMatrix
+
+        assignment, one = pair
+        products, combines = [], []
+        mul, combine = ExactMatrix.__mul__, ExactMatrix.combine
+        monkeypatch.setattr(ExactMatrix, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+        monkeypatch.setattr(ExactMatrix, "combine",
+                            staticmethod(lambda pairs: combines.append(1) or combine(pairs)))
+        self.poly(self.SHARED).evaluate(assignment, one)
+        # the prefixes of two letters or more: AA, AAA, AAAB, AAB, AABA, BA, BAB, BB
+        assert (len(products), len(combines)) == (8, 1)
+
+    def test_zero_polynomial(self, pair):
+        from qonsager.matrices import ExactMatrix
+
+        assignment, one = pair
+        assert NcPoly.zero(AB).evaluate(assignment, one) == ExactMatrix.zeros(3)
+        assert NcPoly.zero(AB).evaluate({"A": 2}, 1) == 0
+
+    def test_int_valued_algebra(self):
+        p = self.poly(self.SHARED)
+        assignment = {"A": 2, "B": -3}
+        value = p.evaluate(assignment, 1)
+        assert value == letter_by_letter(p, assignment, 1)
+        assert value == 2 * 2 ** 3 * -3 - Fraction(3, 4) * 4 * -3 * 2 + 5 * 4 * -3 \
+            + Fraction(1, 3) * 4 - 9 * 2 + 7 * 9 + Fraction(2, 5)
+
+    def test_polynomial_valued_algebra(self):
+        num = self.NUM
+        a, b = NcPoly.generator(AB, "A", num), NcPoly.generator(AB, "B", num)
+        assignment, one = {"A": a + b, "B": a * b}, NcPoly.one(AB, num)
+        p = self.poly(self.SHARED)
+        assert p.evaluate(assignment, one) == letter_by_letter(p, assignment, one)
+
+    def test_missing_image(self, pair):
         with pytest.raises(MissingImage):
             (A * B).evaluate({"A": 2}, 1)
+        # the missing letter follows a prefix that an earlier word multiplied out
+        assignment, one = pair
+        with pytest.raises(MissingImage, match="'B'"):
+            self.poly({"AA": 1, "AAB": 1}).evaluate({"A": assignment["A"]}, one)
+        # a word without the missing letter needs no image of it
+        assert self.poly({"": 3, "AA": 1}).evaluate({"A": 2}, 1) == 7
 
 
 words = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=3).map(tuple)

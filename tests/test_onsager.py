@@ -133,22 +133,47 @@ class TestHomomorphism:
         import qonsager.onsager as on
 
         ctx = onsager_context(NumericQ("5/3"))
-        image = on.lusztig
+        image = on.image
 
         def doubled(c, X, direction=FORWARD):
             Y = image(c, X, direction)
             return Y + Y
 
-        # a doubled image is neither multiplicative nor inverted by the inverse map
-        monkeypatch.setattr(on, "lusztig", doubled)
+        # a doubled image is neither multiplicative nor inverted by the
+        # inverse map; every image the check forms goes through on.image
+        monkeypatch.setattr(on, "image", doubled)
         B = ctx.alphabet.word("B")
         rec = homomorphism_spotcheck(ctx, B, B)
         assert rec.status == "fail"
         assert rec.detail == (
             "multiplicative: nonzero image in model d1; inverse-composition: nonzero image in model d1"
         )
-        # the inverse-composition residue is 2B - B = B; the witness is the first residue
-        assert rec.witness and rec.witness != ctx.B
+        # both maps are doubled, so the inverse-composition residue is
+        # 4B - B = 3B; the witness is the first residue
+        assert rec.witness and rec.witness != 3 * ctx.B
+
+
+class TestHomomorphismSweep:
+    REWRITE = "multiplicative: rewrite; inverse-composition: rewrite"
+
+    def test_a_pair_the_models_once_settled_reduces(self, capsys):
+        """E_mult for (A, BBB) reduces to zero under the two rules; the
+        difference of the two sides' normal forms did not."""
+        from qonsager.cli import main
+
+        assert main(["onsager", "homcheck", "--w1", "A", "--w2", "BBB"]) == 0
+        assert f"homomorphism(A,BBB)  [{self.REWRITE}]" in capsys.readouterr().out
+
+    def test_every_pair_of_two_to_four_letters_reduces(self, ctx):
+        import itertools
+
+        pairs = [(u, v) for n in range(2, 5) for k in range(1, n)
+                 for u in itertools.product("AB", repeat=k)
+                 for v in itertools.product("AB", repeat=n - k)]
+        assert len(pairs) == 68
+        for u, v in pairs:
+            rec = homomorphism_spotcheck(ctx, ctx.alphabet.word(list(u)), ctx.alphabet.word(list(v)))
+            assert (rec.status, rec.detail) == ("pass", self.REWRITE), (u, v)
 
 
 class TestWordSweep:

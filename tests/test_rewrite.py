@@ -638,7 +638,7 @@ class TestOracle:
     @pytest.mark.parametrize("argv, passes", [
         ("onsager higher-dg --r 6 --mode numeric --q 5/3", 13),
         ("current verify --kmax 4 --mode numeric --q 3", 75),
-        ("onsager homcheck --mode numeric --q 5/3", 15),
+        ("onsager homcheck --mode numeric --q 5/3", 4),
         ("onsager higher-dg --r 6", 13),
         ("current verify --kmax 6", 113),
     ])
